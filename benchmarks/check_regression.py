@@ -34,8 +34,9 @@ and fails (exit 1) on a >2x regression:
   where there is no parallelism to demonstrate);
 * ``BENCH_vector.json`` (:mod:`benchmarks.bench_vector_sweep`): the
   paired native/vector rates must not drop below half the baseline,
-  the vector engine must keep its >=10x margin over the scalar native
-  engine through the unified ``Engine.run_spec`` API at 1k instances,
+  the vector engine must keep its >=4x margin over the scalar native
+  engine's trace driver through the unified ``Engine.run_spec`` API at
+  1k instances,
   and a vector verify campaign must stay >=1.3x faster than a native
   one end-to-end (both floors re-checked on every run).
 
@@ -282,7 +283,7 @@ def check_serve_scale(current, baseline, failures):
 #: scalar native engine through the unified ``Engine.run_spec`` API,
 #: and a vector verify campaign must keep beating a native one
 #: end-to-end (mirrors bench_vector_sweep's floors).
-VECTOR_SWEEP_FLOOR = 10.0
+VECTOR_SWEEP_FLOOR = 4.0
 VECTOR_CAMPAIGN_FLOOR = 1.3
 
 

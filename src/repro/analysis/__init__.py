@@ -10,7 +10,6 @@
 from .equivalence import (
     TraceMismatch,
     assert_equivalent_on_trace,
-    build_reactor,
     compare_on_trace,
 )
 from .explore import Edge, explore, state_edges
@@ -28,7 +27,6 @@ __all__ = [
     "TraceCounterexample",
     "TraceMismatch",
     "assert_equivalent_on_trace",
-    "build_reactor",
     "compare_on_trace",
     "Edge",
     "explore",

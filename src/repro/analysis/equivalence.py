@@ -7,37 +7,18 @@ produces identical observable behaviour on input traces — used by the
 integration and property-based tests and available to users as a
 sanity check after optimization.
 
-Both sides are selectable by engine name (``interp``, ``efsm`` or
-``native``), so legacy observer/equivalence checks run at
-native-engine speed: ``compare_on_trace(kernel, efsm, trace,
-engine="native")`` checks the closure-compiled reactions against the
-interpreter.
+Both sides are selectable by engine name (any engine tagged ``step``
+in :mod:`repro.engines`: ``interp``, ``efsm`` or ``native``), so
+legacy observer/equivalence checks run at native-engine speed:
+``compare_on_trace(kernel, efsm, trace, engine="native")`` checks the
+closure-compiled reactions against the interpreter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EclError
-
-#: Engine names accepted by :func:`build_reactor`.
-REACTOR_ENGINES = ("interp", "efsm", "native")
-
-
-def build_reactor(engine, kernel_module, efsm, builtins=None):
-    """A fresh reactor of the named engine for one compiled module."""
-    if engine == "interp":
-        from ..runtime.reactor import Reactor
-        return Reactor(kernel_module, builtins=builtins)
-    if engine == "efsm":
-        from ..codegen.py_backend import EfsmReactor
-        return EfsmReactor(efsm, builtins=builtins)
-    if engine == "native":
-        from ..runtime.native import NativeReactor
-        return NativeReactor(efsm, builtins=builtins)
-    raise EclError(
-        "unknown engine %r (one of: %s)"
-        % (engine, ", ".join(REACTOR_ENGINES)))
+from ..engines import get_engine
 
 
 @dataclass
@@ -72,8 +53,8 @@ def compare_on_trace(kernel_module, efsm, trace, builtins=None,
     and ``reference`` name the two sides (any of ``interp``, ``efsm``,
     ``native``).  Returns ``None`` on full agreement.
     """
-    left = build_reactor(reference, kernel_module, efsm, builtins=builtins)
-    right = build_reactor(engine, kernel_module, efsm, builtins=builtins)
+    left = get_engine(reference).bind(kernel_module, efsm, builtins=builtins)
+    right = get_engine(engine).bind(kernel_module, efsm, builtins=builtins)
     for instant, step in enumerate(trace):
         pure = [name for name, value in step.items() if value is None]
         valued = {name: value for name, value in step.items()

@@ -19,10 +19,10 @@ from typing import List
 
 from ..ecl.translate import translate_module
 from ..efsm.build import build_efsm
+from ..engines import get_engine
 from ..errors import EclError
 from ..lang import ast
 from ..lang.source import SYNTHETIC
-from .equivalence import REACTOR_ENGINES, build_reactor
 from .properties import check_never_emitted
 
 
@@ -91,20 +91,15 @@ def verify_with_observer(design, module_name, observer_name,
     efsm = build_efsm(kernel, max_states=max_states)
     if engine is None:
         return check_never_emitted(efsm, error_signal)
-    if engine not in REACTOR_ENGINES:
-        raise EclError(
-            "unknown observer engine %r (one of: %s, or None for the "
-            "static control-space search)"
-            % (engine, ", ".join(REACTOR_ENGINES)))
+    reactor = get_engine(engine).bind(kernel, efsm)
     if trace is None:
         raise EclError(
             "verify_with_observer(engine=%r) needs a trace (a list of "
             "instant dicts) to drive the composition" % engine)
-    return _run_observer(kernel, efsm, engine, trace, error_signal)
+    return _run_observer(reactor, trace, error_signal)
 
 
-def _run_observer(kernel, efsm, engine, trace, error_signal):
-    reactor = build_reactor(engine, kernel, efsm)
+def _run_observer(reactor, trace, error_signal):
     for number, step in enumerate(trace):
         pure = [name for name, value in step.items() if value is None]
         valued = {name: value for name, value in step.items()

@@ -36,6 +36,7 @@ import re
 import sys
 
 from .core.compiler import EclCompiler
+from .engines import adapter_names, engine_names, names_with
 from .errors import EclError
 from .pipeline import ArtifactCache, CompileOptions, Pipeline
 from .pipeline.registry import DEFAULT_REGISTRY
@@ -96,7 +97,7 @@ def _build_parser():
     simulate.add_argument("-m", "--module", required=True)
     simulate.add_argument("--trace", required=True)
     simulate.add_argument("--engine", default="efsm",
-                          choices=["efsm", "native", "interp"])
+                          choices=names_with("step"))
     simulate.add_argument("--vcd", default=None, metavar="PATH",
                           help="dump the reaction trace as a VCD file")
     simulate.set_defaults(handler=_cmd_simulate)
@@ -114,11 +115,11 @@ def _build_parser():
                      help="restrict to this module (repeatable; "
                           "default: every module of every design)")
     run.add_argument("--engines", default="efsm",
-                     help="comma-separated engines (efsm, native, "
-                          "interp, rtos, vector, equivalence; vector "
-                          "jobs fuse into numpy sweeps, needs numpy)")
+                     help="comma-separated engines (%s; vector "
+                          "jobs fuse into numpy sweeps, needs numpy)"
+                          % ", ".join(engine_names()))
     run.add_argument("--task-engine", default=None,
-                     choices=["efsm", "native", "interp"],
+                     choices=names_with("step"),
                      help="what runs inside each rtos task "
                           "(default: efsm; 'native' binds "
                           "closure-compiled reactors from a "
@@ -321,9 +322,9 @@ def _build_parser():
                        metavar="PCT",
                        help="exit 1 when transition coverage ends "
                             "below PCT")
-    # The interpreter has no EFSM states, so it cannot feed the
-    # state/transition bitmaps this command exists to fill.
-    _campaign_flags(cover, engines=["efsm", "native", "vector"])
+    # Only engines whose reactors mark state/transition bitmaps can
+    # fill what this command exists to report.
+    _campaign_flags(cover, engines=names_with("coverage"))
     cover.set_defaults(handler=_cmd_cover)
 
     dot = sub.add_parser("dot", help="print the EFSM as Graphviz")
@@ -334,20 +335,19 @@ def _build_parser():
     return parser
 
 
-def _campaign_flags(parser, engines=("interp", "efsm", "native", "rtos",
-                                     "vector")):
+def _campaign_flags(parser, engines=None):
     # Defaults are None so `verify run --spec` can tell "flag given"
     # (override the spec) from "flag omitted" (keep the spec's value);
     # _flag_campaign fills the real defaults for the flags-only path.
     parser.add_argument("--engine", default=None,
-                        choices=list(engines),
+                        choices=engines or adapter_names(),
                         help="simulation engine (default: native; rtos "
                              "checks properties under the kernel but "
                              "collects record-level emit coverage only; "
                              "vector fuses each round into one numpy "
                              "sweep, needs numpy)")
     parser.add_argument("--task-engine", default=None,
-                        choices=["efsm", "native", "interp"],
+                        choices=names_with("step"),
                         help="rtos engine only: what runs inside each "
                              "task (default: efsm)")
     parser.add_argument("--rounds", type=int, default=None,

@@ -65,8 +65,9 @@ class CompiledModule:
     # -- phase 3 --------------------------------------------------------
 
     def reactor(self, engine="efsm", counter=None, builtins=None):
-        """A runnable instance: ``engine`` is "efsm" (compiled automaton)
-        or "interp" (reference kernel interpreter)."""
+        """A runnable instance of any engine
+        :meth:`repro.pipeline.pipeline.ModuleHandle.reactor` binds
+        ("efsm", "native", "interp" or "vector")."""
         return self._handle.reactor(engine=engine, counter=counter,
                                     builtins=builtins)
 

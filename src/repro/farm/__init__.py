@@ -12,11 +12,11 @@ The model, in three nouns:
 * **Job** (:mod:`repro.farm.jobs`) — one ``design x module x engine x
   stimulus x horizon`` cell with a deterministic derived seed;
   :class:`SimJob` is frozen and picklable, so a job is also a
-  reproduction recipe.  Engines (:mod:`repro.farm.engines`) adapt the
-  interpreter, the compiled EFSM, the closure-compiled native engine
-  and the simulated RTOS to one ``step()`` protocol; the opt-in
-  ``equivalence`` mode runs the interpreter in lockstep with both
-  compiled engines and flags the first divergence.
+  reproduction recipe.  The engine it names resolves through the
+  registry :mod:`repro.engines` (``get_engine(name)``), which runs the
+  job through that engine's per-job method — including the opt-in
+  ``equivalence`` mode, the interpreter in lockstep with both compiled
+  engines, flagging the first divergence.
 * **Ledger** (:mod:`repro.farm.ledger`) — where traces go:
   content-addressed JSONL objects appended to per-process pack
   segments next to the pipeline's artifact cache (plus optional VCD
@@ -29,43 +29,15 @@ The model, in three nouns:
 Entry points: :class:`SimulationFarm` in-process, ``eclc farm run``
 on the command line (flags or a JSON batch spec,
 :mod:`repro.farm.spec`).
-
-Engine resolution moved to the unified registry :mod:`repro.engines`
-(``get_engine(name)``); the package-level ``ENGINES`` /
-``build_engine`` re-exports remain as deprecated shims.
 """
 
 from .farm import FarmReport, SimulationFarm
-from .jobs import (ENGINE_NAMES, TASK_ENGINE_NAMES, SimJob, SimResult,
-                   StimulusSpec, expand_jobs)
+from .jobs import SimJob, SimResult, StimulusSpec, expand_jobs
 from .ledger import TraceLedger, check_tenant, default_ledger_root
 from .spec import expand_document, inline_spec, load_designs, load_spec
 from .worker import WorkerState
 
-#: Legacy engine entry points, kept importable for old call sites.
-#: Access warns: resolve engines via ``repro.engines.get_engine``.
-_DEPRECATED_ENGINE_EXPORTS = ("ENGINES", "build_engine")
-
-
-def __getattr__(name):
-    if name in _DEPRECATED_ENGINE_EXPORTS:
-        import warnings
-
-        warnings.warn(
-            "repro.farm.%s is deprecated; use repro.engines.get_engine() "
-            "(adapters stay in repro.farm.engines)" % name,
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import engines
-
-        return getattr(engines, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
 __all__ = [
-    "ENGINES",
-    "ENGINE_NAMES",
-    "TASK_ENGINE_NAMES",
     "FarmReport",
     "SimJob",
     "SimResult",
@@ -73,7 +45,6 @@ __all__ = [
     "StimulusSpec",
     "TraceLedger",
     "WorkerState",
-    "build_engine",
     "check_tenant",
     "default_ledger_root",
     "expand_document",

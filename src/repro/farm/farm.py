@@ -33,6 +33,7 @@ from time import perf_counter
 from typing import Dict, List, Optional
 
 from .. import telemetry
+from ..engines import get_engine
 from ..errors import EclError
 from . import worker as worker_mod
 from .jobs import SimResult
@@ -331,42 +332,14 @@ class SimulationFarm:
     @staticmethod
     def _precompile(state, jobs):
         """Compile every artifact the batch needs into ``state`` (the
-        copy-on-write image forked workers inherit)."""
-        for design, module in sorted({(job.design, job.module) for job in jobs}):
-            try:
-                handle = state.build(design).module(module)
-                handle.kernel()
-                handle.efsm()
-            except EclError:
-                pass  # surfaces per job as a status="error" result
-        # Engine-specific artifacts (lowered native code, partition
-        # bundles), deduped per distinct target; forked workers inherit
-        # them all copy-on-write.
-        native_targets = set()
-        vector_targets = set()
-        bundle_targets = set()
+        copy-on-write image forked workers inherit): each engine names
+        what its jobs bind, once per distinct target."""
+        targets = {}
         for job in jobs:
-            if job.engine in ("native", "equivalence"):
-                native_targets.add((job.design, job.module))
-            if job.engine == "vector":
-                native_targets.add((job.design, job.module))
-                vector_targets.add((job.design, job.module))
-            if job.engine == "rtos" and job.task_engine == "native":
-                specs = job.tasks or ((job.module, job.module, 1),)
-                bundle_targets.add((job.design, specs))
-        for design, module in sorted(native_targets):
+            key = (job.engine, job.design, job.module, job.tasks, job.task_engine)
+            targets.setdefault(key, job)
+        for job in targets.values():
             try:
-                state.build(design).module(module).native_code()
-            except EclError:
-                pass  # surfaces per job as a status="error" result
-        for design, module in sorted(vector_targets):
-            try:
-                # Codegen only (numpy-free): workers bind the bundle.
-                state.build(design).module(module).vector_code()
-            except EclError:
-                pass  # surfaces per job as a status="error" result
-        for design, specs in sorted(bundle_targets):
-            try:
-                state.build(design).partition_bundle(specs)
+                get_engine(job.engine).precompile(state.build(job.design), job)
             except EclError:
                 pass  # surfaces per job as a status="error" result

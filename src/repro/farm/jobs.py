@@ -22,19 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..engines import get_engine, names_with
 from ..errors import EclError
-
-#: Engine names a job may ask for.  "equivalence" is the opt-in
-#: cross-engine mode: the interpreter runs in lockstep with both
-#: compiled engines (efsm and native) and the job fails with status
-#: "diverged" on the first observable mismatch.  "vector" jobs carry
-#: ordinary per-job identities/seeds but execute fused: workers group
-#: same-sweep jobs and advance them together through one numpy
-#: :class:`~repro.runtime.vector.VectorReactor` sweep.
-ENGINE_NAMES = ("efsm", "native", "interp", "rtos", "vector", "equivalence")
-
-#: Task engines the rtos farm engine accepts ("" = default efsm).
-TASK_ENGINE_NAMES = ("", "efsm", "native", "interp")
 
 #: Job outcome classes.  "ok" and "terminated" count as success.
 STATUS_OK = "ok"
@@ -150,6 +139,7 @@ class SimJob:
 
     design: str
     module: str
+    #: any name of :func:`repro.engines.engine_names`.
     engine: str = "efsm"
     stimulus: StimulusSpec = field(default_factory=StimulusSpec)
     horizon: int = 0  # 0 = stimulus length
@@ -170,15 +160,11 @@ class SimJob:
     deadline_s: float = 0.0
 
     def __post_init__(self):
-        if self.engine not in ENGINE_NAMES:
+        get_engine(self.engine)  # raises EclError on unknown names
+        if self.task_engine and self.task_engine not in names_with("step"):
             raise EclError(
-                "unknown engine %r (one of: %s)"
-                % (self.engine, ", ".join(ENGINE_NAMES))
-            )
-        if self.task_engine not in TASK_ENGINE_NAMES:
-            raise EclError(
-                "unknown task engine %r (one of: efsm, native, interp)"
-                % self.task_engine
+                "unknown task engine %r (one of: %s)"
+                % (self.task_engine, ", ".join(names_with("step")))
             )
         # Hashed once: fields are frozen, and the id is read many times
         # per job.  Not a field, so equality, hashing and pickles stay
@@ -376,6 +362,7 @@ def expand_jobs(
     index = start_index
     for design, module in design_modules:
         for engine in engines:
+            runs_tasks = "tasks" in get_engine(engine).capabilities()
             for _ in range(max(1, traces)):
                 jobs.append(
                     SimJob(
@@ -386,7 +373,7 @@ def expand_jobs(
                         horizon=horizon,
                         index=index,
                         record_vcd=record_vcd,
-                        task_engine=task_engine if engine == "rtos" else "",
+                        task_engine=task_engine if runs_tasks else "",
                     )
                 )
                 index += 1

@@ -101,7 +101,7 @@ canonical_json = _canonical_encoder()
 def check_tenant(tenant):
     """Validate a tenant slug; returns it.  Raises EclError on names
     that could escape the index directory or break URLs."""
-    if not TENANT_NAME.match(tenant or ""):
+    if not isinstance(tenant, str) or not TENANT_NAME.match(tenant):
         raise EclError(
             "bad tenant name %r (want 1-64 chars of [A-Za-z0-9._-], "
             "not starting with '.' or '-')" % (tenant,)
@@ -159,7 +159,7 @@ class TraceLedger:
         ``path`` the pack segment holding the object.
 
         ``records`` is the list of per-instant dicts the engines
-        produce (:func:`repro.farm.engines.make_record`).  The object
+        produce (:func:`repro.engines.make_record`).  The object
         is appended to the segment first; the index gains one line
         after it.
         """

@@ -55,6 +55,7 @@ import json
 import os
 from typing import Dict, List, Tuple
 
+from ..engines import get_engine
 from ..errors import EclError
 from .jobs import SimJob, StimulusSpec
 
@@ -219,31 +220,31 @@ def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
                 )
             engines = [str(entry["engine"])]
         engines = engines or ["efsm"]
-        traces = entry.get("traces")
+        where = "farm spec %s: jobs[%d]" % (spec_path, position)
+        traces_key = "traces"
         if "n_instances" in entry:  # v2 sweep-oriented spelling
-            if traces is not None:
+            if entry.get("traces") is not None:
                 raise EclError(
-                    'farm spec %s: jobs[%d] gives both "traces" and '
-                    '"n_instances" — they are the same knob' % (spec_path, position)
+                    '%s gives both "traces" and "n_instances" — they are '
+                    "the same knob" % where
                 )
-            traces = entry["n_instances"]
-        traces = int(1 if traces is None else traces)
+            traces_key = "n_instances"
+        traces = _number(entry, traces_key, 1, int, where)
+        horizon = _number(entry, "horizon", 0, int, where)
         stimulus = StimulusSpec.random(
-            length=int(entry.get("length", 32)),
-            present_prob=float(entry.get("present_prob", 0.5)),
+            length=_number(entry, "length", 32, int, where),
+            present_prob=_number(
+                entry, "present_prob", 0.5, float, where, minimum=None
+            ),
             value_range=tuple(entry.get("value_range", (0, 255))),
-            salt=int(entry.get("seed", 0)),
+            salt=_number(entry, "seed", 0, int, where, minimum=None),
         )
         tasks = _task_specs(entry.get("tasks"))
         task_engine = str(entry.get("task_engine", "") or "")
-        deadline_s = float(entry.get("deadline_s", 0) or 0)
-        if deadline_s < 0:
-            raise EclError(
-                'farm spec %s: jobs[%d]: "deadline_s" must be >= 0, '
-                "got %r" % (spec_path, position, entry["deadline_s"])
-            )
+        deadline_s = _number(entry, "deadline_s", 0, float, where)
         for module in modules:
             for engine in engines:
+                runs_tasks = "tasks" in get_engine(engine).capabilities()
                 for _ in range(traces):
                     jobs.append(
                         SimJob(
@@ -251,16 +252,34 @@ def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
                             module=module,
                             engine=engine,
                             stimulus=stimulus,
-                            horizon=int(entry.get("horizon", 0)),
+                            horizon=horizon,
                             index=index,
                             record_vcd=bool(entry.get("vcd", False)),
                             tasks=tasks,
-                            task_engine=task_engine if engine == "rtos" else "",
+                            task_engine=task_engine if runs_tasks else "",
                             deadline_s=deadline_s,
                         )
                     )
                     index += 1
     return jobs
+
+
+def _number(entry, key, default, convert, where, minimum=0):
+    """``convert(entry[key])`` (``default`` when absent or null); an
+    EclError naming the field when the value does not convert or lies
+    below ``minimum``."""
+    value = entry.get(key)
+    if value is None:
+        return convert(default)
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise EclError('%s: "%s" must be a number, got %r' % (where, key, value))
+    if minimum is not None and number < minimum:
+        raise EclError(
+            '%s: "%s" must be >= %s, got %r' % (where, key, minimum, value)
+        )
+    return number
 
 
 def _task_specs(section) -> Tuple[tuple, ...]:

@@ -34,7 +34,6 @@ from ..errors import EclError
 from ..pipeline import ArtifactCache, Pipeline
 from ..pipeline.stages import CompileOptions
 from ..engines import get_engine
-from .engines import compare_records
 from .jobs import (
     STATUS_DIVERGED,
     STATUS_ERROR,
@@ -170,15 +169,8 @@ class WorkerState:
         key = (design_label, module_name)
         reactor = self._vectors.get(key)
         if reactor is None:
-            from ..runtime.vector import VectorReactor, require_numpy
-
-            require_numpy("vector")
             handle = self.build(design_label).module(module_name)
-            reactor = VectorReactor(
-                handle.efsm(),
-                code=handle.native_code(),
-                vcode=handle.vector_code(),
-            )
+            reactor = get_engine("vector").reactor(handle)
             self._vectors[key] = reactor
         return reactor
 
@@ -186,13 +178,14 @@ class WorkerState:
 
     @staticmethod
     def sweep_key(job):
-        """The fusion key of a vector job (None = not sweepable).
+        """The fusion key of a sweep-capable job (None = not sweepable).
 
         Jobs sharing a key differ only in index/seed (and possibly
         ``record_vcd``), so one :meth:`run_sweep` drives them all; a
         vector job with an explicit stimulus or task list falls back to
         the per-job scalar path, which is observably identical."""
-        if job.engine != "vector" or job.tasks:
+        engine = get_engine(job.engine)
+        if "vector_sweep" not in engine.capabilities() or job.tasks:
             return None
         if job.stimulus.kind != "random":
             return None
@@ -262,31 +255,15 @@ class WorkerState:
         started = perf_counter()
         try:
             coverage = self._coverage_for(job) if job.collect_coverage else None
-            attached = False
-            if job.engine == "equivalence":
-                records, status, divergence, attached = self._run_equivalence(
-                    job, coverage
-                )
-                result.divergence = divergence
-            else:
-                records, status, attached, kernel_stats = self._run_single(
-                    job, coverage
-                )
-                result.kernel_stats = kernel_stats
+            engine = get_engine(job.engine)
+            run = engine.run_job(self.handles(job.design), job, coverage)
+            records = run.records
+            result.divergence = run.divergence
+            result.kernel_stats = run.kernel_stats
+            status = STATUS_TERMINATED if run.terminated else STATUS_OK
+            if run.divergence is not None:
+                status = STATUS_DIVERGED
             if coverage is not None:
-                if not attached:
-                    # Engines without reactor instrumentation (interp,
-                    # and rtos with interp tasks) still contribute
-                    # observable emit coverage; instrumented reactors
-                    # marked emits per instant already (including
-                    # local signals records miss).
-                    if isinstance(coverage, dict):
-                        maps = coverage.values()
-                    else:
-                        maps = (coverage,)
-                    for record in records:
-                        for cov in maps:
-                            cov.mark_emits(record["emitted"])
                 result.coverage = self._coverage_payload(coverage)
             if job.properties:
                 violation = self._check_properties(job, records)
@@ -330,7 +307,7 @@ class WorkerState:
             help="Lanes fused per vectorized sweep.",
             buckets=telemetry.SIZE_BUCKETS,
         ).observe(len(jobs))
-        with telemetry.span("farm.sweep", engine="vector"):
+        with telemetry.span("farm.sweep", engine=jobs[0].engine):
             results = self._run_sweep_fused(jobs)
         for result in results:
             self._observe_result(result)
@@ -460,13 +437,6 @@ class WorkerState:
             "covered_emits": int(e.sum()),
         }
 
-    def _stimulus(self, job, engine):
-        instants = job.stimulus.materialize(engine.input_alphabet(), job.seed)
-        budget = job.instant_budget
-        while len(instants) < budget:
-            instants.append({})
-        return instants[:budget]
-
     def _coverage_for(self, job):
         """Fresh coverage map(s) sized by the job's EFSM tables.
 
@@ -480,7 +450,7 @@ class WorkerState:
         from ..verify.coverage import CoverageMap
 
         build = self.build(job.design)
-        if job.engine == "rtos" and job.tasks:
+        if job.tasks and "tasks" in get_engine(job.engine).capabilities():
             modules = sorted({spec[1] for spec in job.tasks})
             if modules != [job.module]:
                 return {
@@ -521,92 +491,10 @@ class WorkerState:
         ).observe(perf_counter() - started)
         return monitor.first_violation
 
-    def _run_single(self, job, coverage=None):
-        """``(records, status, coverage_attached, kernel_stats)`` for
-        one plain job."""
-        engine = get_engine(job.engine).build(self.handles(job.design), job)
-        attached = False
-        if coverage is not None:
-            attach = getattr(engine, "enable_coverage", None)
-            if attach is not None:
-                attached = bool(attach(coverage))
-        records = None
-        run_spec = getattr(engine, "run_spec", None)
-        if run_spec is not None:
-            # Whole-trace driver loop (native engine, random stimulus):
-            # the per-(design, stimulus-spec) compiled driver owns the
-            # entire inner loop.
-            records = run_spec(job)
-        if records is None:
-            stimulus = self._stimulus(job, engine)
-            step_many = getattr(engine, "step_many", None)
-            if step_many is not None:
-                # Batched-instant loop (native engine): one call per job.
-                records = step_many(stimulus)
-            else:
-                records = []
-                for instant in stimulus:
-                    records.append(engine.step(instant))
-                    if engine.terminated:
-                        break
-        status = STATUS_TERMINATED if engine.terminated else STATUS_OK
-        stats_hook = getattr(engine, "kernel_stats", None)
-        kernel_stats = stats_hook() if stats_hook is not None else None
-        return records, status, attached, kernel_stats
-
-    def _run_equivalence(self, job, coverage=None):
-        """The interpreter in lockstep with both compiled engines (efsm
-        and native) on one stimulus; the efsm records are what gets
-        persisted (stable trace digests across engine additions).
-
-        A coverage map attaches to the lockstepped efsm candidate, so
-        cross-engine verification jobs merge full state/transition
-        bitmaps instead of record-level emit coverage only."""
-        handles = self.handles(job.design)
-        reference = get_engine("interp").build(handles, job)
-        candidates = [
-            get_engine("efsm").build(handles, job),
-            get_engine("native").build(handles, job),
-        ]
-        attached = False
-        if coverage is not None:
-            attached = bool(candidates[0].enable_coverage(coverage))
-        records = []
-        status = STATUS_OK
-        divergence = None
-        for instant_no, instant in enumerate(self._stimulus(job, candidates[0])):
-            expected = reference.step(instant)
-            mismatch = None
-            for candidate in candidates:
-                actual = candidate.step(instant)
-                if candidate is candidates[0]:
-                    records.append(actual)
-                mismatch = compare_records(expected, actual)
-                if mismatch is None and reference.terminated != candidate.terminated:
-                    mismatch = "interp terminated=%r, %s terminated=%r" % (
-                        reference.terminated,
-                        candidate.name,
-                        candidate.terminated,
-                    )
-                if mismatch is not None:
-                    mismatch = "interp vs %s %s" % (candidate.name, mismatch)
-                    break
-            if mismatch is not None:
-                status = STATUS_DIVERGED
-                divergence = "instant %d (inputs %r): %s" % (
-                    instant_no,
-                    instant,
-                    mismatch,
-                )
-                break
-            if candidates[0].terminated:
-                status = STATUS_TERMINATED
-                break
-        return records, status, divergence, attached
-
     def _render_vcd(self, job, records) -> Optional[str]:
-        """Replay the records through a VcdRecorder when asked to."""
-        if not job.record_vcd or job.engine == "rtos":
+        """Replay the records through a VcdRecorder when asked to (a
+        task network's records span several modules: no waveform)."""
+        if not job.record_vcd or "tasks" in get_engine(job.engine).capabilities():
             return None
         from ..runtime.vcd import VcdRecorder
 

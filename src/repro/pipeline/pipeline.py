@@ -34,8 +34,8 @@ from time import perf_counter
 from typing import Dict, List
 
 from .. import telemetry
+from ..engines import get_engine
 from ..errors import CodegenError, CompileError, EclError
-from ..runtime.reactor import Reactor
 from .artifacts import ArtifactKey, digest_design_inputs, digest_options
 from .cache import ArtifactCache
 from .registry import DEFAULT_REGISTRY, EmitInput
@@ -473,33 +473,14 @@ class ModuleHandle:
             key_stage="monitor@%s" % bundle_digest(props)[:16])
 
     def reactor(self, engine="efsm", counter=None, builtins=None):
-        """A runnable instance: ``engine`` is "native" (closure-compiled
-        reaction functions, fastest), "efsm" (compiled automaton,
-        interpreted decision tree), "interp" (reference kernel
-        interpreter) or "vector" (many-instance numpy sweeps — a
-        :class:`~repro.runtime.vector.VectorReactor`, which runs whole
-        stimulus specs via ``run_specs`` rather than stepping)."""
-        if engine == "native":
-            from ..runtime.native import NativeReactor
-            return NativeReactor(self.efsm(), code=self.native_code(),
-                                 counter=counter, builtins=builtins)
-        if engine == "efsm":
-            from ..codegen.py_backend import EfsmReactor
-            return EfsmReactor(self.efsm(), counter=counter,
-                               builtins=builtins)
-        if engine == "interp":
-            return Reactor(self.kernel(), counter=counter,
-                           builtins=builtins)
-        if engine == "vector":
-            if counter is not None or builtins is not None:
-                raise CompileError(
-                    "the vector engine drives whole stimulus sweeps; "
-                    "counters and builtin overrides are per-instance "
-                    "reactor features")
-            from ..runtime.vector import VectorReactor, require_numpy
-            require_numpy("vector")
-            return VectorReactor(self.efsm(), code=self.native_code(),
-                                 vcode=self.vector_code())
-        raise CompileError(
-            "unknown engine %r (use 'native', 'efsm', 'interp' or "
-            "'vector')" % engine)
+        """A runnable instance of the named engine, bound by the engine
+        registry (:meth:`repro.engines.Engine.reactor`): a per-instant
+        reactor for the engines tagged ``step`` (native, efsm, interp),
+        the sweep-oriented :class:`~repro.runtime.vector.VectorReactor`
+        for "vector".  Raises CompileError for unknown names and for
+        engines without a single-module form."""
+        try:
+            bound = get_engine(engine)
+        except EclError as error:
+            raise CompileError(str(error))
+        return bound.reactor(self, counter=counter, builtins=builtins)

@@ -50,7 +50,7 @@ from .journal import BatchJournal
 from .pool import (DEFAULT_MAX_ATTEMPTS, POOL_MODES, ProcessDeath,
                    WorkerPool, WorkerProcess, backoff_delay)
 from .queue import (DEFAULT_QUEUE_DEPTH, JobQueue, QueueEntry,
-                    QueueFullError, TenantQuotaError)
+                    QueueFullError, ServiceClosedError, TenantQuotaError)
 from .service import (DEFAULT_FUSION_LIMIT, DEFAULT_TENANT,
                       DEFAULT_WORKERS, Batch, SimulationService,
                       TenantSpace)
@@ -72,6 +72,7 @@ __all__ = [
     "ProcessDeath",
     "QueueEntry",
     "QueueFullError",
+    "ServiceClosedError",
     "ServeClient",
     "SimulationService",
     "TenantQuotaError",

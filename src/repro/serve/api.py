@@ -48,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .. import telemetry
 from ..errors import EclError
-from .queue import QueueFullError, TenantQuotaError
+from .queue import QueueFullError, ServiceClosedError, TenantQuotaError
 from .service import SimulationService
 
 #: Default bind address of ``eclc serve``.
@@ -175,9 +175,11 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send_json(429, {"error": "queue_full",
                                   "detail": str(error)})
             return
+        except ServiceClosedError as error:
+            self._send_json(503, {"error": str(error)})
+            return
         except EclError as error:
-            status = 503 if "shutting down" in str(error) else 400
-            self._send_json(status, {"error": str(error)})
+            self._send_json(400, {"error": str(error)})
             return
         self._send_json(
             200,

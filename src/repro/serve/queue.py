@@ -65,6 +65,11 @@ class QueueFullError(EclError):
     """A submission exceeded the queue's bounded depth."""
 
 
+class ServiceClosedError(EclError):
+    """A submission reached a service (or queue) that no longer admits
+    work — it is draining or shut down (HTTP 503)."""
+
+
 class TenantQuotaError(QueueFullError):
     """A submission exceeded its tenant's queued-jobs quota.
 
@@ -247,7 +252,8 @@ class JobQueue:
         jobs = list(jobs)
         with self._lock:
             if self._closed:
-                raise EclError("job queue is closed (service shutting down)")
+                raise ServiceClosedError(
+                    "job queue is closed (service shutting down)")
             lane = self._lane(tenant)
             if (not force and self.max_queued_per_tenant is not None
                     and len(lane.heap) + len(jobs)

@@ -72,7 +72,7 @@ from ..farm.spec import expand_document, load_designs
 from ..farm.worker import WorkerState
 from .journal import BatchJournal
 from .pool import DEFAULT_MAX_ATTEMPTS, WorkerPool
-from .queue import DEFAULT_QUEUE_DEPTH, JobQueue
+from .queue import DEFAULT_QUEUE_DEPTH, JobQueue, ServiceClosedError
 
 #: Default number of resident worker threads.
 DEFAULT_WORKERS = 2
@@ -337,11 +337,18 @@ class SimulationService:
     def submit(self, document, tenant=DEFAULT_TENANT, priority=0) -> Batch:
         """Admit one batch document (the farm spec schema, designs
         inline).  Returns the :class:`Batch`; raises
-        :class:`~repro.serve.queue.QueueFullError` on backpressure and
-        :class:`EclError` on bad specs or a draining service."""
+        :class:`~repro.serve.queue.QueueFullError` on backpressure,
+        :class:`~repro.serve.queue.ServiceClosedError` on a draining
+        service and :class:`EclError` on bad requests."""
         if not self._accepting:
-            raise EclError("service is shutting down (not accepting jobs)")
+            raise ServiceClosedError(
+                "service is shutting down (not accepting jobs)")
         tenant = check_tenant(tenant)
+        try:
+            priority = int(priority)
+        except (TypeError, ValueError, OverflowError):
+            raise EclError('"priority" must be an integer, got %r'
+                           % (priority,))
         if not isinstance(document, dict):
             raise EclError("batch submission must be a JSON object")
         batch_id = uuid.uuid4().hex[:16]
@@ -356,7 +363,7 @@ class SimulationService:
         # Adopt by source equality: an identical design keeps its warm
         # build, a changed one drops only its own stale entry.
         space.state.adopt_designs(designs)
-        batch = Batch(batch_id, tenant, jobs, priority=int(priority),
+        batch = Batch(batch_id, tenant, jobs, priority=priority,
                       ttl_s=ttl_s)
         # WAL discipline: the admit record lands *before* the jobs can
         # run (a result row must never reference an unjournaled
@@ -364,7 +371,7 @@ class SimulationService:
         self._journal(
             "admit", tenant, batch_id, document,
             [job.job_id for job in jobs],
-            priority=int(priority), ttl_s=ttl_s,
+            priority=priority, ttl_s=ttl_s,
         )
         # Registered before its jobs can run, so a batch that finishes
         # at once is retired like any other.
@@ -372,7 +379,7 @@ class SimulationService:
             self._batches[batch_id] = batch
         try:
             self.queue.put_batch(
-                jobs, batch=batch, tenant=tenant, priority=int(priority)
+                jobs, batch=batch, tenant=tenant, priority=priority
             )
         except EclError:
             with self._lock:

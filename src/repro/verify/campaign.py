@@ -212,7 +212,9 @@ class VerifyCampaign:
     def _task_engine(self):
         """The job-level task engine ("" unless the campaign runs the
         rtos engine — the field only enters job ids when set)."""
-        return self.task_engine if self.engine == "rtos" else ""
+        if "tasks" in get_engine(self.engine).capabilities():
+            return self.task_engine
+        return ""
 
     def _engine(self):
         probe = SimJob(design=self.design, module=self.module,

@@ -418,7 +418,7 @@ class Monitor:
 
     def step_record(self, record):
         """Advance over one farm trace record
-        (:func:`repro.farm.engines.make_record` shape)."""
+        (:func:`repro.engines.make_record` shape)."""
         return self.step(record["emitted"], record["inputs"], record["values"])
 
     def reset(self):

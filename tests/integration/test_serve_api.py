@@ -6,14 +6,14 @@ zero compile-stage misses, and the streamed stable result rows are
 byte-identical to a direct ``eclc farm run`` of the same spec.
 """
 
+import http.client
 import json
-import threading
 
 import pytest
 
 from repro.cli import main
 from repro.designs import PROTOCOL_STACK_ECL
-from repro.serve import ServeClient, SimulationService, make_server
+from repro.serve import ServeClient, SimulationService
 
 SPEC_JOBS = [
     {"design": "stack", "modules": ["toplevel"],
@@ -30,19 +30,15 @@ def batch_document():
 
 
 @pytest.fixture()
-def served(tmp_path):
+def served(tmp_path, http_server):
     """A live service + HTTP server on a free port, torn down after."""
     service = SimulationService(data_root=str(tmp_path / "serve-data"),
                                 workers=2)
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = http_server(service)
     client = ServeClient(port=server.server_address[1])
     try:
         yield service, client
     finally:
-        server.shutdown()
-        server.server_close()
         service.shutdown(drain=False, timeout=10)
 
 
@@ -101,12 +97,9 @@ class TestHttpSurface:
         assert health["quarantined"] == 0
         assert "recovery" in health
 
-    def test_health_is_503_when_draining(self, tmp_path):
+    def test_health_is_503_when_draining(self, tmp_path, http_server):
         service = SimulationService(workers=0)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
+        server = http_server(service)
         client = ServeClient(port=server.server_address[1])
         try:
             service._accepting = False  # draining
@@ -114,18 +107,13 @@ class TestHttpSurface:
             assert health["ok"] is False
             assert health["accepting"] is False
         finally:
-            server.shutdown()
-            server.server_close()
             service.shutdown(drain=False, timeout=5)
 
-    def test_queue_full_maps_to_429(self, tmp_path):
+    def test_queue_full_maps_to_429(self, tmp_path, http_server):
         from repro.serve import QueueFullError
 
         service = SimulationService(workers=0, queue_depth=3)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
+        server = http_server(service)
         client = ServeClient(port=server.server_address[1])
         try:
             # 6 jobs > depth 3: rejected before anything queues
@@ -134,19 +122,15 @@ class TestHttpSurface:
             assert client.status()["queue"]["rejected"] == 6
             assert client.status()["queue"]["queued"] == 0
         finally:
-            server.shutdown()
-            server.server_close()
             service.shutdown(drain=False, timeout=5)
 
-    def test_tenant_quota_maps_to_429_tenant_quota(self, tmp_path):
+    def test_tenant_quota_maps_to_429_tenant_quota(self, tmp_path,
+                                                   http_server):
         from repro.serve import TenantQuotaError
 
         service = SimulationService(workers=0, queue_depth=64,
                                     max_queued_per_tenant=6)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
+        server = http_server(service)
         client = ServeClient(port=server.server_address[1])
         try:
             client.submit(batch_document(), tenant="greedy")
@@ -161,9 +145,62 @@ class TestHttpSurface:
             assert queue_stats["queued"] == 12
             assert queue_stats["quota_rejected"] == 6
         finally:
-            server.shutdown()
-            server.server_close()
             service.shutdown(drain=False, timeout=5)
+
+
+def post_raw(client, body):
+    """``(status, decoded JSON)`` of one raw ``POST /v1/batches``."""
+    connection = http.client.HTTPConnection(client.host, client.port,
+                                            timeout=10)
+    try:
+        connection.request("POST", "/v1/batches", body=json.dumps(body),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+#: Submissions that once escaped the handler as a non-EclError (no
+#: response at all) or were wrongly admitted: (case, body edit, status).
+BAD_SUBMISSIONS = [
+    ("traces_word", {"traces": "many"}, 400),
+    ("length_word", {"length": "x"}, 400),
+    ("length_negative", {"length": -5}, 400),
+    ("traces_negative", {"traces": -1}, 400),
+    ("horizon_negative", {"horizon": -3}, 400),
+    ("priority_word", {"priority": "high"}, 400),
+    ("tenant_number", {"tenant": 5}, 400),
+    ("draining", {}, 503),
+    ("queue_closed", {}, 503),
+]
+
+
+class TestAdmissionBoundary:
+    @pytest.mark.parametrize("case, edit, status", BAD_SUBMISSIONS,
+                             ids=[case[0] for case in BAD_SUBMISSIONS])
+    def test_bad_submission_gets_a_json_refusal(self, served, case, edit,
+                                                status):
+        service, client = served
+        document = batch_document()
+        body = {"spec": document, "tenant": "probe", "priority": 0}
+        for key, value in edit.items():
+            if key in body:
+                body[key] = value
+            else:
+                document["jobs"][0][key] = value
+        if case == "draining":
+            service._accepting = False
+        elif case == "queue_closed":
+            service.queue.close()
+        got, payload = post_raw(client, body)
+        assert got == status
+        assert payload["error"]
+        if status == 400:
+            assert next(iter(edit)) in payload["error"]
+            assert client.health()["ok"] is True
+        else:
+            assert client.healthz()
 
 
 class TestAcceptance:
@@ -221,7 +258,8 @@ class TestAcceptance:
 
 
 class TestCliServeSubmit:
-    def test_submit_against_in_process_server(self, tmp_path, capsys):
+    def test_submit_against_in_process_server(self, tmp_path, capsys,
+                                              http_server):
         """``eclc submit`` (inlining a path-based spec) against a live
         server: the CLI round trip of the HTTP surface."""
         stack = tmp_path / "stack.ecl"
@@ -232,10 +270,7 @@ class TestCliServeSubmit:
             "jobs": SPEC_JOBS,
         }))
         service = SimulationService(workers=2)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
+        server = http_server(service)
         port = str(server.server_address[1])
         try:
             assert main(["submit", str(spec), "--port", port,
@@ -248,6 +283,4 @@ class TestCliServeSubmit:
             assert len(rows) == 6
             assert all("elapsed" not in row for row in rows)
         finally:
-            server.shutdown()
-            server.server_close()
             service.shutdown(drain=False, timeout=5)

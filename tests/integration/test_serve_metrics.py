@@ -19,7 +19,7 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.designs import PROTOCOL_STACK_ECL
-from repro.serve import ServeClient, SimulationService, make_server
+from repro.serve import ServeClient, SimulationService
 
 ECHO = """
 module echo (input pure ping, output pure pong)
@@ -51,20 +51,16 @@ def telemetry_on():
 
 
 @pytest.fixture()
-def served(tmp_path, telemetry_on):
+def served(tmp_path, telemetry_on, http_server):
     """A live instrumented service + HTTP server on a free port."""
     service = SimulationService(data_root=str(tmp_path / "serve-data"),
                                 workers=1)
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = http_server(service)
     client = ServeClient(port=server.server_address[1])
     try:
         yield service, client
     finally:
         service.pool.fault_hook = None
-        server.shutdown()
-        server.server_close()
         service.shutdown(drain=False, timeout=10)
 
 
@@ -168,14 +164,12 @@ class TestMetricsEndpoint:
         finally:
             connection.close()
 
-    def test_disabled_telemetry_serves_empty_exposition(self, tmp_path):
+    def test_disabled_telemetry_serves_empty_exposition(self, tmp_path,
+                                                        http_server):
         telemetry.disable()
         telemetry.reset()
         service = SimulationService(workers=1)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
+        server = http_server(service)
         client = ServeClient(port=server.server_address[1])
         try:
             done = client.submit(batch_document())
@@ -183,8 +177,6 @@ class TestMetricsEndpoint:
             assert client.metrics_text() == ""
             assert client.metrics_json() == {"metrics": []}
         finally:
-            server.shutdown()
-            server.server_close()
             service.shutdown(drain=False, timeout=10)
 
 
@@ -206,6 +198,7 @@ class TestScaleOutMetrics:
                 service.submit(batch_document(), tenant="acme")
             entry = service.queue.get(timeout=0)
             assert entry is not None
+            service.queue.task_done(entry)  # lets shutdown find it idle
             service.record_gauges()
             text = telemetry.render_prometheus(telemetry.get_registry())
             series = telemetry.parse_prometheus(text)

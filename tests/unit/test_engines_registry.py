@@ -3,13 +3,12 @@ versioned batch-spec schema it rides with."""
 
 import json
 import os
-import warnings
 
 import pytest
 
-from repro.engines import (Engine, SpecOutcome, adapter_names,
-                           derive_spec_seed, engine_names, get_engine)
-from repro.errors import EclError
+from repro.engines import (Engine, SpecOutcome, derive_spec_seed,
+                           engine_names, get_engine)
+from repro.errors import CompileError, EclError
 from repro.farm.jobs import SimJob, StimulusSpec
 from repro.farm.spec import SPEC_VERSION, check_version, load_spec
 from repro.pipeline import Pipeline
@@ -30,11 +29,42 @@ def echo_handle():
 # -- registry ----------------------------------------------------------
 
 
-def test_engine_names_cover_every_job_engine():
-    from repro.farm.jobs import ENGINE_NAMES
+@pytest.mark.parametrize("name", engine_names() + ("warp",))
+def test_engine_name_is_registry_derived(name, echo_handle, capsys):
+    """Every consumer of engine names takes them from the registry:
+    jobs accept exactly its names, and exactly the engines tagged
+    "step" bind a per-instant reactor everywhere one is asked for."""
+    from repro.analysis import compare_on_trace
+    from repro.cli import _build_parser
 
-    assert set(engine_names()) == set(ENGINE_NAMES)
-    assert set(adapter_names()) == set(ENGINE_NAMES) - {"equivalence"}
+    def simulate_accepts():
+        try:
+            _build_parser().parse_args(
+                ["simulate", "f.ecl", "-m", "echo", "--trace", "t",
+                 "--engine", name])
+        except SystemExit:
+            capsys.readouterr()
+            return False
+        return True
+
+    if name not in engine_names():
+        with pytest.raises(CompileError):
+            echo_handle.reactor(engine=name)
+        with pytest.raises(EclError):
+            get_engine(name)
+        with pytest.raises(EclError):
+            SimJob(design="d", module="echo", engine=name)
+        assert not simulate_accepts()
+        return
+    assert SimJob(design="d", module="echo", engine=name).engine == name
+    if "step" not in get_engine(name).capabilities():
+        assert not simulate_accepts()
+        return
+    assert hasattr(echo_handle.reactor(engine=name), "react")
+    trace = [{"ping": None}, {}, {"ping": None}]
+    assert compare_on_trace(echo_handle.kernel(), echo_handle.efsm(), trace,
+                            engine=name) is None
+    assert simulate_accepts()
 
 
 def test_get_engine_caches_and_rejects_unknown():
@@ -110,24 +140,6 @@ def test_run_spec_derived_seeds_are_canonical():
         from repro.runtime.vector import derive_seed
 
         assert derive_seed(spec, 7) == derive_spec_seed(spec, 7)
-
-
-def test_legacy_farm_exports_warn():
-    import repro.farm as farm_pkg
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        engines = farm_pkg.ENGINES
-        build = farm_pkg.build_engine
-    assert len(caught) == 2
-    assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-    from repro.farm.engines import ENGINES as real_engines
-    from repro.farm.engines import build_engine as real_build
-
-    assert engines is real_engines
-    assert build is real_build
-    with pytest.raises(AttributeError):
-        farm_pkg.no_such_name
 
 
 # -- spec v2 -----------------------------------------------------------

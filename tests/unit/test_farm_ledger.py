@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import EclError
 from repro.farm import SimJob, StimulusSpec, TraceLedger
-from repro.farm.engines import make_record
+from repro.engines import make_record
 from repro.farm.ledger import PACK_DIR, canonical_json
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
@@ -292,7 +292,7 @@ class TestPackSegments:
         script = (
             "import sys\n"
             "from repro.farm import SimJob, StimulusSpec, TraceLedger\n"
-            "from repro.farm.engines import make_record\n"
+            "from repro.engines import make_record\n"
             "ledger = TraceLedger(sys.argv[1])\n"
             "base = int(sys.argv[2])\n"
             "for i in range(base, base + 20):\n"

@@ -7,8 +7,7 @@ import time
 import pytest
 
 from repro.errors import EclError
-from repro.serve import (QueueFullError, ServeClient, SimulationService,
-                         make_server)
+from repro.serve import QueueFullError, ServeClient, SimulationService
 
 
 def free_port():
@@ -20,20 +19,17 @@ def free_port():
 
 
 class TestGetRetries:
-    def test_get_retries_until_service_listens(self):
+    def test_get_retries_until_service_listens(self, http_server):
         """A GET against a service that is restarting (nothing bound
         yet) retries with backoff instead of failing the watch loop."""
         port = free_port()
         client = ServeClient(port=port, get_retries=8,
                              retry_backoff=0.05)
         service = SimulationService(workers=0)
-        server_box = {}
 
         def start_late():
             time.sleep(0.25)
-            server_box["server"] = make_server(service, port=port)
-            threading.Thread(target=server_box["server"].serve_forever,
-                             daemon=True).start()
+            http_server(service, port=port)
 
         thread = threading.Thread(target=start_late, daemon=True)
         thread.start()
@@ -41,8 +37,6 @@ class TestGetRetries:
             assert client.status()["accepting"] is True
         finally:
             thread.join(timeout=5)
-            server_box["server"].shutdown()
-            server_box["server"].server_close()
             service.shutdown(drain=False, timeout=5)
 
     def test_exhausted_retries_keep_the_unreachable_message(self):

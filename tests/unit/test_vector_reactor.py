@@ -114,8 +114,7 @@ def test_vrandom_subset_rows_stay_independent():
 
 
 def test_run_specs_matches_scalar_native():
-    from repro.engines import derive_spec_seed
-    from repro.farm.engines import build_engine
+    from repro.engines import derive_spec_seed, get_engine
     from repro.farm.jobs import SimJob
 
     handle = handle_for(COUNTER, "counter")
@@ -126,7 +125,7 @@ def test_run_specs_matches_scalar_native():
     job = SimJob(design="c", module="counter", engine="native", stimulus=spec)
     for lane in range(9):
         assert outcome.errors[lane] is None
-        scalar = build_engine("native", lambda name: handle, job)
+        scalar = get_engine("native").build(lambda name: handle, job)
         instants = spec.materialize(
             scalar.input_alphabet(), derive_spec_seed(spec, lane))
         records = [scalar.step(instant) for instant in instants]
