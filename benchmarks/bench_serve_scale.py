@@ -147,9 +147,9 @@ def run_fusion(fusion_limit, root):
             assert all(r.ok for r in batch.results)
         jobs = sum(batch.total for batch in batches)
         # a batch completes when its last row records, a beat before
-        # the dispatcher's executed counter bumps — settle first
+        # the dispatcher's counters settle — wait for idle first
         assert service.pool.wait_idle(timeout=30)
-        dispatches = service.pool.jobs_executed
+        dispatches = service.pool.dispatches
     finally:
         service.shutdown(drain=True, timeout=60)
     return {

@@ -6,6 +6,9 @@ streams the stable result rows, runs the identical spec through
 byte-identical row for row — the serving layer's core determinism
 contract, exercised exactly the way a user would.
 
+After the three 8-job batches, ``GET /v1/health`` must report fewer
+dispatches than executed jobs (same-batch jobs share dispatch groups).
+
 Also scrapes ``GET /v1/metrics`` while a batch is in flight, asserts
 the key telemetry series exist and parse as Prometheus text, and
 writes the final exposition + JSON snapshot to ``benchmarks/out/``
@@ -31,6 +34,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -52,6 +56,7 @@ REQUIRED_SERIES = (
     "ecl_serve_queue_depth",
     "ecl_serve_admitted_total",
     "ecl_serve_jobs_executed_total",
+    "ecl_serve_dispatches_total",
     "ecl_serve_batch_seconds_count",
     "ecl_serve_journal_appends_total",
     "ecl_pool_mode",
@@ -178,6 +183,17 @@ def run():
         assert misses == misses_before, (
             "repeat submission compiled: %r -> %r"
             % (misses_before, misses))
+
+        # 24 jobs in: same-batch jobs shared dispatches (the counters
+        # settle a beat after the last row streams)
+        for _ in range(100):
+            health = client.health()
+            if health["jobs_executed"] >= 24:
+                break
+            time.sleep(0.05)
+        assert health["jobs_executed"] >= 24, health
+        assert health["dispatches"] < health["jobs_executed"], (
+            "no dispatch carried a group: %r" % health)
 
         # final scrape: every series in the contract exists and the
         # whole exposition round-trips through the stdlib parser;

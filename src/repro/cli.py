@@ -198,9 +198,10 @@ def _build_parser():
                             "tenants")
     serve.add_argument("--fusion-limit", type=int, default=None,
                        metavar="N",
-                       help="most jobs one fused vector sweep dispatch "
-                            "may absorb across batches (default 16; "
-                            "1 disables fusion)")
+                       help="most jobs one grouped dispatch may carry: "
+                            "same-batch scalar jobs, or vector sweeps "
+                            "fused across batches (default 16; 1 "
+                            "dispatches every job alone)")
     serve.add_argument("--journal-compact", action="store_true",
                        help="compact per-tenant journal WALs on "
                             "startup (post-recovery) and graceful "

@@ -14,12 +14,13 @@ The same :class:`WorkerState` also runs inline (``workers<=1``), which
 is both the serial baseline the throughput benchmark compares against
 and the low-latency path for small batches.
 
-Vector jobs fuse: :meth:`WorkerState.run_jobs` partitions a chunk into
-sweep groups — vector-engine jobs sharing one
-:meth:`~WorkerState.sweep_key` — and advances each group through a
+Vector jobs fuse: :meth:`WorkerState.stream` — the one run loop under
+both :meth:`~WorkerState.run_jobs` and the serving worker children —
+partitions a job list into sweep groups (vector-engine jobs sharing
+one :meth:`~WorkerState.sweep_key`) and advances each group through a
 single :meth:`~repro.runtime.vector.VectorReactor.run_specs` call
 (:meth:`~WorkerState.run_sweep`), emitting one scalar-identical
-:class:`SimResult` per job.  Everything else runs per job as before.
+:class:`SimResult` per job.  Everything else runs per job.
 """
 
 from __future__ import annotations
@@ -192,26 +193,39 @@ class WorkerState:
         return (job.design, job.module, job.stimulus, job.horizon,
                 job.properties, job.collect_coverage)
 
-    def run_jobs(self, jobs, on_result=None):
-        """Execute a list of jobs, fusing sweepable vector jobs that
-        share a :meth:`sweep_key` into single vectorized sweeps.
-        Results come back (and stream through ``on_result``) in job
-        order; per-job failures become ``status="error"`` rows exactly
-        as :meth:`run_job` reports them."""
+    def stream(self, jobs):
+        """Run ``jobs`` lazily, yielding one list of ``(position,
+        result)`` pairs per dispatch unit as soon as it exists: a
+        sweepable job together with every later job sharing its
+        :meth:`sweep_key` (one fused sweep), any other job alone.
+        Nothing runs until the next unit is asked for, so a consumer
+        can act on job *k*'s row before job *k+1* starts."""
         jobs = list(jobs)
-        groups: Dict[object, List[int]] = {}
-        for position, job in enumerate(jobs):
-            key = self.sweep_key(job)
+        sweeps: Dict[object, List[int]] = {}
+        keys = [self.sweep_key(job) for job in jobs]
+        for position, key in enumerate(keys):
             if key is not None:
-                groups.setdefault(key, []).append(position)
+                sweeps.setdefault(key, []).append(position)
+        for position, (job, key) in enumerate(zip(jobs, keys)):
+            if key is None:
+                yield [(position, self.run_job(job))]
+            elif key in sweeps:
+                positions = sweeps.pop(key)
+                swept = self.run_sweep([jobs[p] for p in positions])
+                yield list(zip(positions, swept))
+
+    def run_jobs(self, jobs, on_result=None):
+        """Execute a list of jobs through :meth:`stream` (sweepable
+        vector jobs sharing a :meth:`sweep_key` fuse into single
+        vectorized sweeps).  Results come back (and stream through
+        ``on_result``) in job order; per-job failures become
+        ``status="error"`` rows exactly as :meth:`run_job` reports
+        them."""
+        jobs = list(jobs)
         results: List[Optional[SimResult]] = [None] * len(jobs)
-        for positions in groups.values():
-            swept = self.run_sweep([jobs[p] for p in positions])
-            for position, result in zip(positions, swept):
+        for pairs in self.stream(jobs):
+            for position, result in pairs:
                 results[position] = result
-        for position, job in enumerate(jobs):
-            if results[position] is None:
-                results[position] = self.run_job(job)
         if on_result is not None:
             for result in results:
                 on_result(result)

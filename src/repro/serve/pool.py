@@ -1,6 +1,7 @@
 """Warm worker pool: resident threads (or processes) draining the queue.
 
-Each worker slot is a daemon thread looping ``queue.get() -> execute``.
+Each worker slot is a daemon thread looping ``queue.get() -> execute``
+over *dispatch groups*: an entry plus the companions riding along.
 In **thread** mode the slot executes in-process; warmth lives one level
 down — the per-tenant :class:`~repro.farm.worker.WorkerState` instances
 the service owns keep compiled designs, lowered native code and
@@ -11,12 +12,12 @@ warmth.
 
 In **process** mode each slot is a *dispatcher*: it owns one long-lived
 worker subprocess (:class:`WorkerProcess`, spawn-start so no live lock
-or thread state is forked mid-operation) and ships queue entries to it
-over a pipe.  CPU-bound tenants then scale with cores instead of
-serializing on the GIL, and warmth survives differently: the children
-warm-start from the persistent artifact cache and the marshal-backed
-native code cache, so a replacement child skips codegen even though it
-shares no memory with its predecessor.
+or thread state is forked mid-operation) and ships each group to it in
+one streamed pipe round trip.  CPU-bound tenants then scale with cores
+instead of serializing on the GIL, and warmth survives differently:
+the children warm-start from the persistent artifact cache and the
+marshal-backed native code cache, so a replacement child skips codegen
+even though it shares no memory with its predecessor.
 
 Worker death is the fault model the pool exists to contain.
 ``WorkerState.run_job`` already converts *job-level* failures into
@@ -25,8 +26,9 @@ callback is a *worker* fault (a harness bug, a ``MemoryError``, a
 storage-layer ``OSError`` escalated by the serving worker state, the
 test suite's injected crashes — or, in process mode, the child dying
 outright: a ``SIGKILL``, an OOM kill, a segfault surface as
-:class:`ProcessDeath` when the pipe breaks).  The dying worker requeues
-its in-hand entry (bounded by ``max_attempts`` total tries), reports a
+:class:`ProcessDeath` when the pipe breaks).  The fault is charged to
+the group member it struck, which requeues (bounded by ``max_attempts``
+total tries); members after it requeue untouched.  The pool reports a
 synthesized error result once the bound is exhausted — so a crashed
 worker degrades the batch rather than hanging it — and replaces itself
 (thread mode: a fresh thread; process mode: the dispatcher survives
@@ -113,6 +115,7 @@ class WorkerProcess:
             name=name, daemon=True,
         )
         self._proc.start()
+        self.killed = False
         # The parent's copy of the child end must close, or a dead
         # child would never surface as EOF on this pipe.
         child_conn.close()
@@ -122,31 +125,57 @@ class WorkerProcess:
         return self._proc.pid
 
     def alive(self):
-        return self._proc.is_alive()
+        return not self.killed and self._proc.is_alive()
 
-    def run(self, kind, tenant, designs, payload):
-        """One request/reply round trip: ``("job", ...)`` runs a single
-        job, ``("sweep", ...)`` a fused group.  Returns the child's
-        payload (stable result dicts); raises :class:`ProcessDeath`
-        when the child died mid-job or reported a worker fault."""
+    def run(self, tenant, designs, jobs, on_rows):
+        """One streamed round trip for a dispatch group: ship ``jobs``,
+        then hand each reply's ``(position, row)`` pairs to
+        ``on_rows`` as it arrives — a scalar job's row the moment the
+        child has it, a sweep's rows in one message — so the caller
+        journals row *k* while the child already runs job *k+1*.
+        Raises :class:`ProcessDeath` when the child dies (or was
+        killed) before its last row, or reports a worker fault."""
+        replies = self._replies((tenant, designs, jobs), len(jobs))
+        for pairs in replies:
+            try:
+                on_rows(pairs)
+            except BaseException:
+                # Drain the group's remaining rows so a surviving child
+                # stays in step; one that dies meanwhile is killed, and
+                # the next dispatch spawns a fresh one.
+                try:
+                    for _ in replies:
+                        pass
+                except ProcessDeath:
+                    self.kill()
+                raise
+
+    def _replies(self, request, rows):
         try:
-            self._conn.send((kind, tenant, designs, payload))
-            reply = self._conn.recv()
+            self._conn.send(request)
+            while rows > 0:
+                if self.killed:
+                    # Never read a row a killed child left in the
+                    # pipe: the kill is charged to the job it struck.
+                    raise EOFError("killed")
+                status, data = self._conn.recv()
+                if status != "ok":
+                    # The child survived but a fault escaped job
+                    # execution in it; treat exactly like a thread
+                    # worker death (and recycle the child — its
+                    # internal state is no longer trusted).
+                    raise ProcessDeath(str(data))
+                rows -= len(data)
+                yield data
         except (EOFError, OSError) as error:
             raise ProcessDeath(
                 "worker process (pid %s) died mid-job: %s"
                 % (self.pid, error or type(error).__name__)
             ) from None
-        status, data = reply
-        if status != "ok":
-            # The child survived but a fault escaped job execution in
-            # it; treat exactly like a thread worker death (and recycle
-            # the child — its internal state is no longer trusted).
-            raise ProcessDeath(str(data))
-        return data
 
     def kill(self):
         """SIGKILL the child (the chaos harness's process-crash seam)."""
+        self.killed = True
         try:
             self._proc.kill()
         except (OSError, ValueError):
@@ -176,27 +205,37 @@ class WorkerProcess:
 class WorkerPool:
     """Self-healing worker pool over a :class:`~repro.serve.queue.JobQueue`."""
 
-    def __init__(self, queue, execute, on_dead_job=None,
+    def __init__(self, queue, execute=None, on_dead_job=None,
                  workers=2, max_attempts=DEFAULT_MAX_ATTEMPTS,
                  backoff_base=DEFAULT_BACKOFF_BASE,
                  backoff_cap=DEFAULT_BACKOFF_CAP,
-                 mode="thread", execute_process=None,
+                 mode="thread", execute_group=None, take_group=None,
                  process_config=None):
         """``execute(entry)`` runs one queue entry to completion
         (recording its result); ``on_dead_job(entry, error)`` reports
-        an entry whose retry budget is exhausted.  ``mode="process"``
-        dispatches entries through ``execute_process(entry, worker)``
-        — ``worker`` being the slot's live :class:`WorkerProcess` —
-        with ``process_config`` shipped to each spawned child."""
+        an entry whose retry budget is exhausted.  Or dispatch groups:
+        ``take_group(entry)`` pops the companions riding along with an
+        entry, and ``execute_group(group, worker, visit, settled)``
+        runs them all (``worker``: the slot's :class:`WorkerProcess`,
+        None in thread mode), calling ``visit(member)`` before it
+        records a member's result and ``settled(member)`` after.
+        ``mode="process"`` needs ``execute_group``; ``process_config``
+        is shipped to each spawned child."""
         if mode not in POOL_MODES:
             raise ValueError(
                 "pool mode must be one of %r, got %r" % (POOL_MODES, mode)
             )
-        if mode == "process" and execute_process is None:
-            raise ValueError('mode="process" requires execute_process')
+        if mode == "process" and execute_group is None:
+            raise ValueError('mode="process" requires execute_group')
+        if execute_group is None:
+            def execute_group(group, worker, visit, settled):
+                for member in group:
+                    visit(member)
+                    execute(member)
+                    settled(member)
         self.queue = queue
-        self.execute = execute
-        self.execute_process = execute_process
+        self.execute_group = execute_group
+        self.take_group = take_group
         self.on_dead_job = on_dead_job
         self.mode = mode
         self.process_config = process_config or {}
@@ -206,16 +245,20 @@ class WorkerPool:
         self.max_attempts = max(1, max_attempts)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        #: test seam: ``fault_hook(entry)`` runs before execute and may
-        #: raise to simulate a worker crash mid-job.
+        # The fault seams visit every group member once per attempt,
+        # so per-job fault schedules do not depend on the grouping.
+        #: test seam: ``fault_hook(entry)`` runs before the entry's
+        #: result is recorded and may raise to simulate a worker crash
+        #: mid-job.
         self.fault_hook = None
-        #: test seam: ``post_fault_hook(entry)`` runs *after* execute
-        #: recorded the entry's result and may raise — the
+        #: test seam: ``post_fault_hook(entry)`` runs *after* the
+        #: entry's result was recorded and may raise — the
         #: crash-after-record window the dedup machinery must absorb.
         self.post_fault_hook = None
         #: process-mode seam: ``process_fault_hook(entry, worker)``
-        #: runs right before dispatch and may ``worker.kill()`` — the
-        #: real-SIGKILL chaos scope (the pipe then breaks mid-job).
+        #: runs right after ``fault_hook`` and may ``worker.kill()`` —
+        #: the real-SIGKILL chaos scope (the entry's row is then never
+        #: read, and the pipe breaks mid-group).
         self.process_fault_hook = None
         self._threads = []
         self._children = set()
@@ -226,6 +269,7 @@ class WorkerPool:
         self._stopping = False
         self.worker_deaths = 0
         self.jobs_executed = 0
+        self.dispatches = 0
         self.proc_spawned = 0
         self.proc_restarts = 0
         self.proc_crashes = 0
@@ -239,10 +283,8 @@ class WorkerPool:
 
     def _spawn_locked(self):
         self._spawned += 1
-        target = (self._worker_loop_process if self.mode == "process"
-                  else self._worker_loop)
         thread = threading.Thread(
-            target=target,
+            target=self._worker_loop,
             name="serve-worker-%d" % self._spawned,
             daemon=True,
         )
@@ -282,42 +324,14 @@ class WorkerPool:
                 self._idle.wait(timeout=wait)
             return True
 
-    # -- the thread loop -----------------------------------------------
+    # -- the slot loop -------------------------------------------------
 
     def _worker_loop(self):
-        while True:
-            entry = self.queue.get()
-            if entry is None:
-                return
-            with self._lock:
-                self._active += 1
-            try:
-                if self.fault_hook is not None:
-                    self.fault_hook(entry)
-                self.execute(entry)
-                self.jobs_executed += 1
-                telemetry.counter(
-                    "ecl_serve_jobs_executed_total",
-                    help="Jobs the serve worker pool ran to completion.",
-                ).inc()
-                if self.post_fault_hook is not None:
-                    self.post_fault_hook(entry)
-            except BaseException:
-                self._handle_death(entry, traceback.format_exc(limit=4))
-                return  # the replacement thread takes over
-            finally:
-                # Balance the pop *after* any death-path requeue, so
-                # the entry is never invisible to is_idle().
-                self.queue.task_done(entry)
-                with self._idle:
-                    self._active -= 1
-                    self._idle.notify_all()
-
-    # -- the process loop ----------------------------------------------
-
-    def _worker_loop_process(self):
+        """One pool slot.  A process slot owns one worker child, spawned
+        lazily and recycled after a :class:`ProcessDeath` (a parent-side
+        fault leaves it warm); a thread slot dies with any fault and is
+        replaced."""
         worker = None
-        ever_spawned = False
         try:
             while True:
                 entry = self.queue.get()
@@ -326,56 +340,91 @@ class WorkerPool:
                 with self._lock:
                     self._active += 1
                 try:
-                    if self.fault_hook is not None:
-                        self.fault_hook(entry)
-                    if worker is None or not worker.alive():
-                        worker = self._spawn_process(
-                            stale=worker, replacement=ever_spawned
-                        )
-                        ever_spawned = True
-                    if self.process_fault_hook is not None:
-                        self.process_fault_hook(entry, worker)
-                    self.execute_process(entry, worker)
-                    self.jobs_executed += 1
-                    telemetry.counter(
-                        "ecl_serve_jobs_executed_total",
-                        help="Jobs the serve worker pool ran to "
-                             "completion.",
-                    ).inc()
-                    if self.post_fault_hook is not None:
-                        self.post_fault_hook(entry)
-                except ProcessDeath as death:
-                    # The child is gone (or poisoned): recycle it and
-                    # route the entry through the retry path.  The
-                    # dispatcher itself survives — a fresh child spawns
-                    # lazily on the next job.
-                    self._drop_process(worker)
-                    worker = None
-                    self._count_death()
-                    self._retry_or_report(entry, str(death))
-                except BaseException:
-                    # A fault on the parent side of the dispatch (an
-                    # injected crash, a harness bug): the child — if
-                    # any — is untouched and stays warm.
-                    self._count_death()
-                    self._retry_or_report(
-                        entry, traceback.format_exc(limit=4)
-                    )
+                    fault, worker = self._run_group(entry, worker)
                 finally:
+                    # Balance the pop *after* any death-path requeue,
+                    # so the entry is never invisible to is_idle().
                     self.queue.task_done(entry)
                     with self._idle:
                         self._active -= 1
                         self._idle.notify_all()
+                if fault is not None and self.mode == "thread":
+                    with self._lock:
+                        if not self._stopping and not self.queue.closed:
+                            self._spawn_locked()
+                    return
         finally:
             if worker is not None:
                 with self._lock:
                     self._children.discard(worker)
                 worker.close(kill=False)
 
-    def _spawn_process(self, stale=None, replacement=False):
+    def _run_group(self, entry, worker):
+        """Dispatch and settle the group ``entry`` leads (process mode:
+        on ``worker``, respawned when dead); returns ``(fault or None,
+        worker)``.  A fault costs one attempt of the member that
+        visited the hooks last; members that never visited requeue
+        with ``attempts`` and ``not_before`` untouched."""
+        group = [entry]
+        visited = []
+
+        def visit(member):
+            visited.append(member)
+            if self.fault_hook is not None:
+                self.fault_hook(member)
+            if worker is not None and self.process_fault_hook is not None:
+                self.process_fault_hook(member, worker)
+
+        def settled(member):
+            with self._lock:
+                self.jobs_executed += 1
+            telemetry.counter(
+                "ecl_serve_jobs_executed_total",
+                help="Jobs the serve worker pool ran to completion.",
+            ).inc()
+            if self.post_fault_hook is not None:
+                self.post_fault_hook(member)
+
+        try:
+            if self.mode == "process" and (worker is None
+                                           or not worker.alive()):
+                worker = self._spawn_process(stale=worker)
+            if self.take_group is not None:
+                group.extend(self.take_group(entry))
+            with self._lock:
+                self.dispatches += 1
+            telemetry.counter(
+                "ecl_serve_dispatches_total",
+                help="Dispatch groups the serve worker pool ran (one "
+                     "pipe round trip each in process mode).",
+            ).inc()
+            self.execute_group(group, worker, visit, settled)
+            return None, worker
+        except BaseException as fault:
+            if isinstance(fault, ProcessDeath):
+                # The child is gone (or poisoned): recycle it; the
+                # dispatcher survives and respawns lazily.
+                self._drop_process(worker)
+                error_text = str(fault)
+            else:
+                error_text = traceback.format_exc(limit=4)
+            self._count_death()
+            culprit = (visited or [entry])[-1]
+            reached = {id(member) for member in visited + [culprit]}
+            for member in group:
+                if id(member) not in reached:
+                    self._retry_or_report(member, error_text,
+                                          charge=False)
+            self._retry_or_report(culprit, error_text)
+            return fault, worker
+        finally:
+            for member in group[1:]:
+                self.queue.task_done(member)
+
+    def _spawn_process(self, stale=None):
         if stale is not None:
-            # Died idle between jobs (no entry lost): retire the corpse
-            # without counting a crash.
+            # A replacement: the corpse either died idle between jobs
+            # (no entry lost, no crash counted) or was already dropped.
             with self._lock:
                 self._children.discard(stale)
             stale.close(kill=True, timeout=1.0)
@@ -383,9 +432,9 @@ class WorkerPool:
         with self._lock:
             self._children.add(worker)
             self.proc_spawned += 1
-            if replacement:
+            if stale is not None:
                 self.proc_restarts += 1
-        if replacement:
+        if stale is not None:
             telemetry.counter(
                 "ecl_serve_worker_proc_restarts_total",
                 help="Replacement worker processes spawned after a "
@@ -409,23 +458,29 @@ class WorkerPool:
     # -- death handling (shared) ---------------------------------------
 
     def _count_death(self):
-        self.worker_deaths += 1
+        with self._lock:
+            self.worker_deaths += 1
         telemetry.counter(
             "ecl_serve_worker_deaths_total",
             help="Workers lost to faults escaping job execution.",
         ).inc()
 
-    def _retry_or_report(self, entry, error_text):
+    def _retry_or_report(self, entry, error_text, charge=True):
         """Requeue (bounded, backing off) or report one entry a dying
-        worker held.  Returns True when the entry was requeued."""
-        entry.attempts += 1
+        worker held; ``charge=False`` requeues a group member the fault
+        never reached, without spending an attempt.  Returns True when
+        the entry was requeued."""
+        if charge:
+            entry.attempts += 1
         requeued = False
         if entry.attempts < self.max_attempts:
-            job_key = getattr(entry.job, "job_id", None) or repr(entry.job)
-            entry.not_before = monotonic() + backoff_delay(
-                job_key, entry.attempts,
-                base=self.backoff_base, cap=self.backoff_cap,
-            )
+            if charge:
+                job_key = (getattr(entry.job, "job_id", None)
+                           or repr(entry.job))
+                entry.not_before = monotonic() + backoff_delay(
+                    job_key, entry.attempts,
+                    base=self.backoff_base, cap=self.backoff_cap,
+                )
             requeued = self.queue.requeue(entry)
         if not requeued and self.on_dead_job is not None:
             self.on_dead_job(
@@ -434,22 +489,6 @@ class WorkerPool:
                 % (entry.attempts, error_text.strip().splitlines()[-1]),
             )
         return requeued
-
-    def retry_entry(self, entry, error_text):
-        """Retry (or quarantine) an *extra* entry a dying dispatch
-        held — the sweep-fusion companions riding along with the
-        primary entry the pool itself retries.  Same bounded-backoff
-        policy; does not count an additional worker death."""
-        return self._retry_or_report(entry, error_text)
-
-    def _handle_death(self, entry, error_text):
-        """Thread mode: requeue or report the dying worker's entry,
-        then spawn a replacement thread."""
-        self._count_death()
-        self._retry_or_report(entry, error_text)
-        with self._lock:
-            if not self._stopping and not self.queue.closed:
-                self._spawn_locked()
 
     def stats_dict(self):
         with self._lock:
@@ -460,6 +499,7 @@ class WorkerPool:
                 "spawned": self._spawned,
                 "worker_deaths": self.worker_deaths,
                 "jobs_executed": self.jobs_executed,
+                "dispatches": self.dispatches,
             }
             if self.mode == "process":
                 stats["proc_spawned"] = self.proc_spawned

@@ -16,29 +16,36 @@ replacement) serves repeat designs from disk instead of re-running
 codegen.  Trace objects are content-addressed and ledger shards are
 O_APPEND-atomic (the farm's established multi-process discipline), so
 children write them directly; only result rows travel back over the
-pipe.
+pipe, each as soon as its job finishes, so the parent journals and
+delivers row *k* while the child already runs job *k+1*.
 
 Fault protocol: a fault escaping job execution — including the
 storage ``OSError``\\ s the serving worker state escalates — reports
-as a ``("dead", traceback)`` reply instead of a result.  The parent
+as a ``("dead", traceback)`` reply instead of the next row.  The parent
 treats that exactly like a broken pipe (:class:`~repro.serve.pool.
-ProcessDeath`): recycle the child, retry the entry under the bounded
-deterministic backoff.  A child that loses its pipe simply exits —
-the parent owns the lifecycle.
+ProcessDeath`): recycle the child, retry the job the fault struck
+under the bounded deterministic backoff.  A child that loses its pipe
+simply exits — the parent owns the lifecycle.
 """
 
 from __future__ import annotations
 
+import os
 import traceback
 
 
 def child_main(conn, config):
-    """Serve job/sweep requests over ``conn`` until ``exit`` or EOF.
+    """Serve dispatch groups over ``conn`` until ``exit`` or EOF.
 
     ``config``: ``data_root`` (tenant artifact/ledger layout root,
     None = in-memory), ``cache_dir`` (marshal-backed native code
-    cache) and ``options`` (:class:`~repro.pipeline.stages.
-    CompileOptions`).
+    cache), ``options`` (:class:`~repro.pipeline.stages.
+    CompileOptions`) and the test seam ``ledger_fault_hook`` (a
+    picklable ``TraceLedger.fault_hook`` for this child's ledgers).
+
+    A ``(tenant, designs, jobs)`` request runs through one
+    :meth:`~repro.farm.worker.WorkerState.stream`; each unit it yields
+    goes back at once as ``("ok", [(position, row), ...])``.
     """
     # Imports live here, not at module top: the parent imports this
     # module only to name the spawn target, and must not pay (or
@@ -48,6 +55,11 @@ def child_main(conn, config):
 
     if config.get("cache_dir"):
         enable_code_cache(config["cache_dir"])
+    if hasattr(os, "nice"):
+        # The parent coordinates every child and serves the HTTP
+        # streams: under CPU contention it goes first, so children
+        # kept busy by dispatch groups never delay a batch's first row.
+        os.nice(3)
     states = {}
     try:
         while True:
@@ -55,9 +67,9 @@ def child_main(conn, config):
                 message = conn.recv()
             except (EOFError, OSError):
                 return
-            if message[0] == "exit":
+            if message == ("exit",):
                 return
-            kind, tenant, designs, payload = message
+            tenant, designs, jobs = message
             try:
                 state = states.get(tenant)
                 if state is None:
@@ -66,23 +78,27 @@ def child_main(conn, config):
                         data_root=config.get("data_root"),
                         options=config.get("options"),
                     )
+                    if state.ledger is not None:
+                        state.ledger.fault_hook = config.get(
+                            "ledger_fault_hook")
                     states[tenant] = state
                 state.adopt_designs(designs)
-                if kind == "sweep":
-                    out = [result.to_dict()
-                           for result in state.run_sweep(payload)]
-                else:
-                    out = state.run_job(payload).to_dict()
-                reply = ("ok", out)
+                for pairs in state.stream(jobs):
+                    reply = ("ok", [(position, result.to_dict())
+                                    for position, result in pairs])
+                    try:
+                        conn.send(reply)
+                    except (EOFError, OSError):
+                        return
             except BaseException:
                 # Worker fault (job-level failures became error rows
                 # inside run_job/run_sweep already): report it so the
-                # parent recycles this child and retries the entry.
-                reply = ("dead", traceback.format_exc(limit=6))
-            try:
-                conn.send(reply)
-            except (EOFError, OSError):
-                return
+                # parent recycles this child and retries the job the
+                # fault struck.
+                try:
+                    conn.send(("dead", traceback.format_exc(limit=6)))
+                except (EOFError, OSError):
+                    return
     finally:
         try:
             conn.close()

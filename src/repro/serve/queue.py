@@ -103,6 +103,8 @@ class QueueEntry:
     #: earliest monotonic() instant the entry may dequeue (retry
     #: backoff); 0.0 = immediately eligible.
     not_before: float = field(compare=False, default=0.0)
+    #: ``attempts`` when the dequeue fault seam last saw the entry.
+    hooked: int = field(compare=False, default=-1)
 
     @classmethod
     def make(cls, job, batch=None, tenant="default", priority=0, seq=0):
@@ -201,8 +203,9 @@ class JobQueue:
         #: no instant where a live entry is counted by neither side.
         self.in_flight = 0
         #: test seam: ``fault_hook(entry)`` runs (outside the queue
-        #: lock) on every successful dequeue and may sleep to simulate
-        #: a queue stall.
+        #: lock) once per attempt when an entry leaves the queue
+        #: (``get`` or ``take_matching``) and may sleep to simulate a
+        #: queue stall.
         self.fault_hook = None
 
     # -- tenant lanes --------------------------------------------------
@@ -359,9 +362,15 @@ class JobQueue:
                     # the earliest not_before matures (or a notify).
                     waits.append(max(1e-4, earliest - now))
                 self._not_empty.wait(timeout=min(waits) if waits else None)
-        if self.fault_hook is not None:
-            self.fault_hook(entry)
+        self._dequeued(entry)
         return entry
+
+    def _dequeued(self, entry):
+        """The dequeue fault seam, once per attempt: a group member
+        requeued untouched does not see it twice."""
+        if self.fault_hook is not None and entry.hooked != entry.attempts:
+            entry.hooked = entry.attempts
+            self.fault_hook(entry)
 
     def _earliest_not_before_locked(self):
         """Earliest backoff maturity across every queued entry, or
@@ -443,14 +452,14 @@ class JobQueue:
     def take_matching(self, entry, match, limit):
         """Pop up to ``limit`` additional *eligible* entries from
         ``entry``'s tenant lane whose job satisfies ``match(job)`` —
-        the sweep-fusion intake: the caller already holds ``entry``
-        and will execute the whole group as one fused dispatch.
+        the dispatch-group intake: the caller already holds ``entry``
+        and will execute the whole group as one dispatch.
 
         Taken entries count as in flight (the caller owes one
-        :meth:`task_done` per entry) but spend no DRR credit: a fused
-        group rides on the credit its lead entry already paid, so
-        fusion never lets a tenant out-run its fair share of
-        *dispatches*.  Entries still backing off, and entries beyond
+        :meth:`task_done` per entry) but spend no DRR credit: a group
+        rides on the credit its lead entry already paid, so grouping
+        never lets a tenant out-run its fair share of *dispatches*.
+        Entries still backing off, and entries beyond
         the tenant's in-flight quota, stay queued.  Returns the taken
         entries in lane (priority, admission) order.
         """
@@ -479,6 +488,8 @@ class JobQueue:
             if not lane.heap and lane in self._ring:
                 self._ring.remove(lane)
                 lane.deficit = 0.0
+        for candidate in taken:
+            self._dequeued(candidate)
         return taken
 
     def task_done(self, entry=None):

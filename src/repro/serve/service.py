@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import os
 import threading
-import traceback
 import uuid
 import warnings
 from collections import deque
@@ -80,9 +79,9 @@ DEFAULT_WORKERS = 2
 #: Tenant used when a submission names none.
 DEFAULT_TENANT = "default"
 
-#: Most jobs one fused sweep dispatch may absorb (lead entry plus
-#: companions).  Bounds both the latency a fused job can add to its
-#: groupmates and the work a single worker death can take down.
+#: Most jobs one dispatch group may carry (lead entry plus
+#: companions).  Bounds both the latency a grouped job can add to its
+#: groupmates and the work one dispatch holds out of the queue.
 DEFAULT_FUSION_LIMIT = 16
 
 #: Result rows of *finished* batches kept in memory for polling and
@@ -109,6 +108,9 @@ class Batch:
         self.recovered = recovered
         self.results: List[SimResult] = []
         self._recorded = set()
+        #: identities of this batch's job objects: an identical spec
+        #: submitted twice expands to equal jobs, never the same ones.
+        self._members = {id(job) for job in self.jobs}
         self._cond = threading.Condition()
 
     # -- recording -----------------------------------------------------
@@ -126,6 +128,9 @@ class Batch:
             self.results.append(result)
             self._cond.notify_all()
             return len(self.results) == self.total
+
+    def __contains__(self, job):
+        return id(job) in self._members
 
     def has_result(self, job_id):
         with self._cond:
@@ -264,9 +269,10 @@ class SimulationService:
         CPU-bound scaling mode.  ``tenant_weights`` /
         ``max_queued_per_tenant`` / ``max_in_flight_per_tenant``
         configure the queue's weighted-fair rotation and quotas;
-        ``fusion_limit`` bounds cross-batch vector sweep fusion (1
-        disables it); ``journal_compact=True`` compacts per-tenant
-        WALs at startup (post-recovery) and on graceful shutdown."""
+        ``fusion_limit`` bounds the jobs one dispatch group may carry
+        (1 dispatches every job alone); ``journal_compact=True``
+        compacts per-tenant WALs at startup (post-recovery) and on
+        graceful shutdown."""
         self.data_root = data_root
         self.options = options
         if data_root:
@@ -295,12 +301,12 @@ class SimulationService:
         )
         self.pool = WorkerPool(
             self.queue,
-            self._execute,
             on_dead_job=self._report_dead_job,
             workers=workers,
             max_attempts=max_attempts,
             mode=pool_mode,
-            execute_process=self._execute_process,
+            execute_group=self._execute_entry,
+            take_group=self._take_group,
             process_config={
                 "data_root": data_root,
                 "cache_dir": self.cache_dir,
@@ -417,127 +423,134 @@ class SimulationService:
 
     # -- execution (pool callbacks) ------------------------------------
 
-    def _execute(self, entry):
-        """Thread-pool dispatch: run in this process."""
-        self._execute_entry(entry, None)
-
-    def _execute_process(self, entry, worker):
-        """Process-pool dispatch: ship to the slot's worker child."""
-        self._execute_entry(entry, worker)
-
-    def _execute_entry(self, entry, worker):
-        """The shared execution envelope: dedup and refusal checks,
-        cross-batch sweep fusion, then one dispatch (in-process via the
-        tenant's warm state, or over the pipe to ``worker``).
-
-        Fusion companions are extra queue entries this dispatch took
-        on (:meth:`_take_fusion_companions`); whatever happens — even
-        a worker death — every companion is either recorded, requeued,
-        or quarantined, and its queue pop is balanced: a fused group
-        must never hang batches the pool does not know it holds."""
-        companions = self._take_fusion_companions(entry)
-        try:
-            runnable = []
-            for member in [entry] + companions:
-                if member.batch is not None and member.batch.has_result(
-                        member.job.job_id):
-                    # A crash-after-record retry: the result already
-                    # landed (and was journaled); re-running would
-                    # duplicate it.
-                    continue
-                if member.admitted_at:
-                    telemetry.histogram(
-                        "ecl_serve_queue_wait_seconds",
-                        help="Admission-to-execution queue wait, "
-                             "by tenant.",
-                        tenant=member.tenant,
-                    ).observe(monotonic() - member.admitted_at)
-                refusal = self._refusal(member)
-                if refusal is not None:
-                    self._record_result(
-                        member.batch,
-                        self._synthetic_result(member, refusal),
-                    )
-                    continue
-                runnable.append(member)
-            if not runnable:
-                return
-            space = self._space(entry.tenant)
-            jobs = [member.job for member in runnable]
-            started = perf_counter()
-            with telemetry.span("serve.job", tenant=entry.tenant,
-                                engine=entry.job.engine):
-                if len(jobs) > 1:
-                    telemetry.histogram(
-                        "ecl_serve_fused_jobs",
-                        help="Jobs absorbed per fused sweep dispatch.",
-                        buckets=telemetry.SIZE_BUCKETS,
-                    ).observe(len(jobs))
-                    results = self._dispatch_sweep(space, jobs, worker)
-                else:
-                    results = [self._dispatch_job(space, jobs[0], worker)]
-            telemetry.histogram(
-                "ecl_serve_execute_seconds",
-                help="Job execution time on the warm pool, by tenant.",
-                tenant=entry.tenant,
-            ).observe(perf_counter() - started)
-            space.jobs_run += len(jobs)
-            for member, result in zip(runnable, results):
-                self._record_result(member.batch, result)
-        except BaseException:
-            # The pool's death handling retries the *primary* entry;
-            # the companions are this envelope's to save.  Requeue
-            # (or quarantine) them before re-raising — and before the
-            # finally below balances their pops.
-            error_text = traceback.format_exc(limit=4)
-            for companion in companions:
-                self.pool.retry_entry(companion, error_text)
-            raise
-        finally:
-            for companion in companions:
-                self.queue.task_done(companion)
-
-    def _dispatch_job(self, space, job, worker):
-        if worker is None:
-            return space.state.run_job(job)
-        return SimResult.from_dict(worker.run(
-            "job", space.name, self._ship_designs(space, job), job,
-        ))
-
-    def _dispatch_sweep(self, space, jobs, worker):
-        if worker is None:
-            return space.state.run_sweep(jobs)
-        rows = worker.run(
-            "sweep", space.name, self._ship_designs(space, jobs[0]), jobs,
-        )
-        return [SimResult.from_dict(row) for row in rows]
-
-    @staticmethod
-    def _ship_designs(space, job):
-        """The design sources a worker child needs for one dispatch
-        (a fused group shares one design by construction of the sweep
-        key).  Shipped with every dispatch: adoption is by source
-        equality, so a warm child ignores repeats and a *replacement*
-        child learns the design without any replay protocol."""
-        return {job.design: space.state.designs[job.design]}
-
-    def _take_fusion_companions(self, entry):
-        """Claim queued same-tenant vector entries sharing ``entry``'s
-        sweep key — cross-*batch* fusion, the piece
-        ``WorkerState.run_jobs`` (which fuses within one chunk) cannot
-        see.  Identity, ordering and journal semantics are untouched:
-        each companion keeps its own job id, batch and result row;
-        only the reactor dispatch is shared."""
+    def _take_group(self, entry):
+        """Claim the queued entries riding along with ``entry`` (at most
+        ``fusion_limit`` in all).  A sweepable vector job takes jobs
+        sharing its sweep key from *any* batch of the tenant; any other
+        job takes same (design, module, engine) jobs of its *own*
+        batch, one more than the rows that batch has landed — a
+        batch's first dispatch runs alone, so its first row is never
+        held back.  Each member keeps its own job id, batch and row."""
         if self.fusion_limit <= 1:
             return []
-        key = WorkerState.sweep_key(entry.job)
-        if key is None:
+        job = entry.job
+        key = WorkerState.sweep_key(job)
+        if key is not None:
+            return self.queue.take_matching(
+                entry,
+                lambda other: WorkerState.sweep_key(other) == key,
+                self.fusion_limit - 1,
+            )
+        batch = entry.batch
+        if batch is None:
             return []
+        scalar = (job.design, job.module, job.engine)
+        landed = len(batch.results)
         return self.queue.take_matching(
             entry,
-            lambda job: WorkerState.sweep_key(job) == key,
-            self.fusion_limit - 1,
+            lambda other: (other in batch
+                           and (other.design, other.module,
+                                other.engine) == scalar
+                           and WorkerState.sweep_key(other) is None),
+            min(self.fusion_limit, 1 + landed, batch.total - landed) - 1,
         )
+
+    def _execute_entry(self, group, worker, visit, settled):
+        """The pool's group callback: dedup and refusal checks, then one
+        dispatch whose rows are journaled and delivered as each
+        arrives, each bracketed by the pool's ``visit(member)`` and
+        ``settled(member)`` fault seams."""
+        runnable = []
+        for member in group:
+            if member.batch is not None and member.batch.has_result(
+                    member.job.job_id):
+                # A crash-after-record retry: the result already landed
+                # (and was journaled); re-running would duplicate it.
+                visit(member)
+                settled(member)
+                continue
+            if member.admitted_at:
+                telemetry.histogram(
+                    "ecl_serve_queue_wait_seconds",
+                    help="Admission-to-execution queue wait, by tenant.",
+                    tenant=member.tenant,
+                ).observe(monotonic() - member.admitted_at)
+            refusal = self._refusal(member)
+            if refusal is not None:
+                visit(member)
+                self._record_result(
+                    member.batch, self._synthetic_result(member, refusal),
+                )
+                settled(member)
+                continue
+            runnable.append(member)
+        if not runnable:
+            return
+        lead = runnable[0]
+        space = self._space(lead.tenant)
+
+        def on_rows(pairs):
+            # Units arrive in position order: a scalar group is never
+            # sweepable, a sweep is one unit.
+            with self._lock:
+                space.jobs_run += len(pairs)
+            for position, result in pairs:
+                member = runnable[position]
+                self._record_result(member.batch, result)
+                settled(member)
+                if position + 1 < len(runnable):
+                    visit(runnable[position + 1])
+
+        jobs = [member.job for member in runnable]
+        started = perf_counter()
+        with telemetry.span("serve.job", tenant=lead.tenant,
+                            engine=lead.job.engine):
+            if len(jobs) > 1:
+                telemetry.histogram(
+                    "ecl_serve_fused_jobs",
+                    help="Jobs per grouped dispatch.",
+                    buckets=telemetry.SIZE_BUCKETS,
+                ).observe(len(jobs))
+            visit(lead)
+            if WorkerState.sweep_key(lead.job) is None:
+                self._dispatch_job(space, jobs, worker, on_rows)
+            else:
+                self._dispatch_sweep(space, jobs, worker, on_rows)
+        telemetry.histogram(
+            "ecl_serve_execute_seconds",
+            help="Job execution time on the warm pool, by tenant.",
+            tenant=lead.tenant,
+        ).observe(perf_counter() - started)
+
+    def _execute(self, entry):
+        """Run one entry alone in this thread, outside the pool."""
+        def no_seam(member):
+            return None
+
+        self._execute_entry([entry], None, no_seam, no_seam)
+
+    def _dispatch_job(self, space, jobs, worker, on_rows):
+        """Run one dispatch group, handing each finished unit of
+        ``(position, result)`` pairs to ``on_rows``: in-process through
+        the tenant's warm state, or over one streamed round trip to
+        ``worker``.  The group's one design ships with every dispatch:
+        adoption is by source equality, so a warm child ignores
+        repeats and a *replacement* child learns the design without
+        any replay protocol."""
+        if worker is None:
+            for pairs in space.state.stream(jobs):
+                on_rows(pairs)
+            return
+        design = jobs[0].design
+        worker.run(
+            space.name, {design: space.state.designs[design]}, jobs,
+            lambda pairs: on_rows([(position, SimResult.from_dict(row))
+                                   for position, row in pairs]),
+        )
+
+    #: A fused sweep takes the same streamed path (its rows arrive as
+    #: one unit); the second name keeps sweeps apart in traces.
+    _dispatch_sweep = _dispatch_job
 
     def _refusal(self, entry):
         """Why this entry must not execute (None = run it): its batch
@@ -783,6 +796,7 @@ class SimulationService:
             "active": self.pool.stats_dict()["active"],
             "batches_open": batches_open,
             "jobs_executed": self.pool.jobs_executed,
+            "dispatches": self.pool.dispatches,
             "quarantined": self.quarantined,
             "deadline_misses": self.deadline_misses,
             "expired_jobs": self.expired_jobs,

@@ -15,6 +15,9 @@ and asserts the robustness invariants hold *exactly*:
 """
 
 import json
+import os
+from collections import Counter, defaultdict
+from time import monotonic
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro import telemetry
 from repro.farm import WorkerState
 from repro.farm.spec import expand_document, load_designs
 from repro.serve import FaultPlan, SimulationService
+from repro.serve.chaos import InjectedCrash
+from repro.serve.pool import backoff_delay
 
 ECHO = """
 module echo (input pure ping, output pure pong)
@@ -65,12 +70,12 @@ def stable_rows(results):
                   for r in results)
 
 
-def expected_rows(tmp_path):
+def expected_rows(tmp_path, document=DOCUMENT):
     """Fault-free ground truth: a direct worker run of the same spec
     (own ledger root; trace digests are content-addressed, so they
     match the service's)."""
-    designs = load_designs(DOCUMENT["designs"], None, "<chaos>")
-    jobs = expand_document(DOCUMENT, designs)
+    designs = load_designs(document["designs"], None, "<chaos>")
+    jobs = expand_document(document, designs)
     state = WorkerState(designs, ledger_root=str(tmp_path / "truth"))
     return stable_rows([state.run_job(job) for job in jobs])
 
@@ -254,3 +259,123 @@ class TestChaosInvariants:
                 expected_rows(tmp_path)
         finally:
             revived.shutdown(drain=True, timeout=30)
+
+
+#: One worker drains a 15-job batch queued up front in dispatch groups
+#: of 1, 2, 4 and 8 jobs (a group holds one job more than the rows its
+#: batch has landed), so jobs 7..14 form the 8-job group.
+GROUP_DOCUMENT = {
+    "spec_version": 2,
+    "designs": {"d": {"text": ECHO}},
+    "jobs": [{"design": "d", "modules": ["echo"], "engine": "efsm",
+              "n_instances": 15, "length": 8}],
+}
+GROUP = range(7, 15)
+#: Member 3 of the 8-job group: the job every fault strikes.
+STRUCK = GROUP[3]
+
+
+class LedgerFaultOnce:
+    """A picklable ``TraceLedger.fault_hook``: the first trace put of
+    one job raises OSError, in whichever process runs it (a marker file
+    carries "first" across a recycled worker child)."""
+
+    def __init__(self, job_id, marker):
+        self.job_id = job_id
+        self.marker = marker
+
+    def __call__(self, op, key):
+        if key != self.job_id:
+            return
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return
+        raise OSError("injected ledger failure")
+
+
+def run_group_fault(root, pool_mode, fault):
+    """Run GROUP_DOCUMENT with one fault striking STRUCK's first
+    attempt; returns (service, batch, group sizes, hook visits by job
+    index as (attempts, not_before, when))."""
+    service = SimulationService(data_root=str(root), workers=1,
+                                pool_mode=pool_mode, start=False)
+    visits = defaultdict(list)
+    sizes = []
+
+    def visit(entry):
+        visits[entry.job.index].append(
+            (entry.attempts, entry.not_before, monotonic()))
+        if (fault == "crash" and entry.job.index == STRUCK
+                and entry.attempts == 0):
+            raise InjectedCrash("member 3 crashes before it runs")
+
+    def kill(entry, worker):
+        if entry.job.index == STRUCK and entry.attempts == 0:
+            worker.kill()
+
+    def logged(space, jobs, worker, on_rows):
+        sizes.append(len(jobs))
+        return dispatch(space, jobs, worker, on_rows)
+
+    dispatch = service._dispatch_job
+    service._dispatch_job = logged
+    service.pool.fault_hook = visit
+    if fault == "kill":
+        service.pool.process_fault_hook = kill
+    try:
+        batch = service.submit(GROUP_DOCUMENT)
+        if fault == "ledger":
+            hook = LedgerFaultOnce(batch.jobs[STRUCK].job_id,
+                                   str(root / "ledger-fault"))
+            service._space("default").ledger.fault_hook = hook
+            service.pool.process_config["ledger_fault_hook"] = hook
+        service.pool.start()
+        assert batch.wait(timeout=120), "group fault batch hung"
+        assert service.pool.wait_idle(timeout=30)
+    finally:
+        service.shutdown(drain=True, timeout=30)
+    return service, batch, sizes, visits
+
+
+class TestGroupFaultAttribution:
+    """A fault inside a dispatch group is charged to the one member it
+    struck: members before it stay recorded once, members after it
+    requeue untouched."""
+
+    @pytest.mark.parametrize("pool_mode,fault", [
+        ("thread", "crash"), ("thread", "ledger"),
+        ("process", "crash"), ("process", "ledger"), ("process", "kill"),
+    ])
+    def test_fault_charges_only_the_struck_member(self, tmp_path,
+                                                  pool_mode, fault):
+        service, batch, sizes, visits = run_group_fault(
+            tmp_path / "svc", pool_mode, fault)
+        assert sizes[:4] == [1, 2, 4, 8]
+        # members 0-2 (and everything outside the group) ran once
+        for index in range(15):
+            if index != STRUCK:
+                assert len(visits[index]) == 1, (index, visits[index])
+        # member 3: one attempt charged, with the deterministic backoff
+        first, retry = visits[STRUCK]
+        assert (first[0], retry[0]) == (0, 1)
+        delay = backoff_delay(batch.jobs[STRUCK].job_id, 1)
+        assert delay <= retry[1] - first[2] <= delay + 5.0
+        # members 4-7 went back with attempts and not_before untouched
+        for index in GROUP[4:]:
+            ((attempts, not_before, _),) = visits[index]
+            assert (attempts, not_before) == (0, 0.0)
+        # every job recorded (and journaled) exactly once
+        shard = tmp_path / "svc" / "journal" / "default.jsonl"
+        journaled = Counter(
+            record["job_id"] for record in map(
+                json.loads, shard.read_text().splitlines())
+            if record["kind"] == "row")
+        assert sorted(journaled.values()) == [1] * 15
+        assert service.pool.worker_deaths == 1
+        assert service.quarantined == 0
+        if pool_mode == "process":
+            recycled = 0 if fault == "crash" else 1
+            assert service.pool.proc_crashes == recycled
+        assert stable_rows(batch.results) == \
+            expected_rows(tmp_path, GROUP_DOCUMENT)

@@ -183,9 +183,10 @@ class TestSweepFusion:
             for batch in batches:
                 assert batch.wait(timeout=30)
             # one fused dispatch executed all six jobs (settle first:
-            # the executed counter bumps a beat after the last row)
+            # the counters bump a beat after the last row)
             assert service.pool.wait_idle(timeout=30)
-            assert service.pool.jobs_executed == 1
+            assert service.pool.dispatches == 1
+            assert service.pool.jobs_executed == 6
             truth = self._direct_rows(doc)
             for batch in batches:
                 rows = sorted(batch.results, key=lambda r: r.index)
@@ -204,7 +205,7 @@ class TestSweepFusion:
             for batch in batches:
                 assert batch.wait(timeout=30)
             assert service.pool.wait_idle(timeout=30)
-            assert service.pool.jobs_executed == 4  # one per job
+            assert service.pool.dispatches == 4  # one per job
             truth = self._direct_rows(doc)
             for batch in batches:
                 rows = sorted(batch.results, key=lambda r: r.index)
@@ -222,7 +223,7 @@ class TestSweepFusion:
                 assert batch.wait(timeout=30)
             # five jobs, fused at most two at a time: >= 3 dispatches
             assert service.pool.wait_idle(timeout=30)
-            assert service.pool.jobs_executed >= 3
+            assert service.pool.dispatches >= 3
         finally:
             service.shutdown()
 
@@ -238,6 +239,102 @@ class TestSweepFusion:
             assert service.pool.jobs_executed == 4
         finally:
             service.shutdown()
+
+
+def log_dispatches(service):
+    """Wrap the service's dispatch entry points; returns the list each
+    dispatch appends its jobs to."""
+    log = []
+    for name in ("_dispatch_job", "_dispatch_sweep"):
+        def logged(space, jobs, worker, on_rows,
+                   dispatch=getattr(service, name)):
+            log.append((space.name, list(jobs)))
+            return dispatch(space, jobs, worker, on_rows)
+        setattr(service, name, logged)
+    return log
+
+
+class TestDispatchGroups:
+    """Scalar jobs of one batch share a dispatch: a group holds one job
+    more than the rows its batch has landed, capped by fusion_limit."""
+
+    def test_first_dispatch_alone_and_groups_bounded(self):
+        service = make_service(workers=1, start=False, fusion_limit=8)
+        log = log_dispatches(service)
+        try:
+            batch = service.submit(document(engines=("native",),
+                                            traces=64, length=16))
+            service.pool.start()
+            assert batch.wait(timeout=60)
+            assert service.pool.wait_idle(timeout=30)
+        finally:
+            service.shutdown()
+        sizes = [len(jobs) for _, jobs in log]
+        assert sizes[0] == 1
+        assert max(sizes) == 8
+        assert sum(sizes) == 64
+        assert service.pool.dispatches == len(sizes)
+        assert service.pool.jobs_executed == 64
+        health = service.health_dict()
+        assert health["dispatches"] < health["jobs_executed"] == 64
+        assert all(r.ok for r in batch.results)
+
+    def test_groups_never_mix_batches(self):
+        service = make_service(workers=1, start=False)
+        log = log_dispatches(service)
+        try:
+            batches = [service.submit(document(engines=("native",),
+                                               traces=8))
+                       for _ in range(3)]
+            service.pool.start()
+            for batch in batches:
+                assert batch.wait(timeout=60)
+        finally:
+            service.shutdown()
+        for _, jobs in log:
+            owners = {batch.id for batch in batches
+                      for job in jobs if job in batch}
+            assert len(owners) == 1
+        assert sum(len(jobs) for _, jobs in log) == 24
+
+    def test_light_tenant_lands_within_two_heavy_dispatches(self):
+        service = make_service(workers=1)
+        log = log_dispatches(service)
+        try:
+            heavy = service.submit(document(engines=("native",),
+                                            traces=256, length=64),
+                                   tenant="heavy")
+            deadline = time.monotonic() + 60
+            while len(heavy.results) < 8 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert not heavy.done, "heavy batch finished too early"
+            before = len(log)
+            light = service.submit(document(engines=("native",),
+                                            traces=1), tenant="light")
+            assert light.wait(timeout=60)
+            assert not heavy.done
+            tenants = [tenant for tenant, _ in log[before:]]
+            assert tenants.index("light") <= 2
+        finally:
+            service.shutdown()
+
+    def test_fusion_limit_one_dispatches_every_job_alone(self):
+        from repro.engines import adapter_names
+
+        for engine in adapter_names():
+            service = make_service(workers=1, start=False, fusion_limit=1)
+            try:
+                batches = [service.submit(document(engines=(engine,),
+                                                   traces=3))
+                           for _ in range(2)]
+                service.pool.start()
+                for batch in batches:
+                    assert batch.wait(timeout=60)
+                assert service.pool.wait_idle(timeout=30)
+                assert service.pool.dispatches == 6, engine
+                assert service.pool.jobs_executed == 6, engine
+            finally:
+                service.shutdown()
 
 
 class TestWorkerDeath:
