@@ -42,7 +42,9 @@ from .errors import CompileError, EclError
 # state/transition bitmaps; "compiled" / "reference"; "vector_sweep" —
 # workers fuse same-sweep jobs into one numpy sweep; "requires_numpy";
 # "tasks" / "kernel_stats" — task networks under the RTOS kernel;
-# "lockstep" — the equivalence job mode.
+# "lockstep" — the equivalence job mode; "resident" — the per-job
+# adapter restores to its just-bound state (``restore()``), so a
+# worker keeps it bound across jobs and passes it to run_job.
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +161,18 @@ class ReactorAdapter:
 
 class NativeAdapter(ReactorAdapter):
     """A native reactor's job view: adds the compiled whole-trace
-    driver and the batched-instant loop."""
+    driver and the batched-instant loop.  It keeps the drivers it ran,
+    keyed by stimulus shape, so a resident adapter looks each one up
+    in the pipeline once."""
+
+    def __init__(self, reactor, handle):
+        super().__init__(reactor, handle)
+        self._drivers = {}
+
+    def restore(self):
+        """Back to the just-bound state (see
+        :meth:`~repro.runtime.native.NativeReactor.restore`)."""
+        self.reactor.restore()
 
     def run_spec(self, job, seed=None):
         """The job's *random* stimulus through the compiled driver loop
@@ -171,12 +184,15 @@ class NativeAdapter(ReactorAdapter):
         spec = job.stimulus
         if spec.kind != "random":
             return None
-        driver = self.handle.trace_driver(
-            spec.length,
-            spec.present_prob,
-            tuple(spec.value_range),
-            budget=job.instant_budget,
-        )
+        shape = (spec.length, spec.present_prob, spec.value_range,
+                 job.instant_budget)
+        driver = self._drivers.get(shape)
+        if driver is None:
+            driver = self.handle.trace_driver(
+                spec.length, spec.present_prob, spec.value_range,
+                budget=job.instant_budget,
+            )
+            self._drivers[shape] = driver
         return self.reactor.run_trace(driver, job.seed if seed is None else seed)
 
     def step_many(self, instants):
@@ -462,12 +478,16 @@ class Engine:
 
     # -- execution -----------------------------------------------------
 
-    def run_job(self, handles, job, coverage=None, seed=None) -> JobRun:
+    def run_job(self, handles, job, coverage=None, seed=None,
+                adapter=None) -> JobRun:
         """Run one job to its budget or termination.  ``coverage`` (a
         map, or ``{module: map}`` for a partitioned rtos job) collects
         state/transition marks where the reactors can, emits from the
-        records otherwise; ``seed`` overrides ``job.seed``."""
-        adapter = self.build(handles, job)
+        records otherwise; ``seed`` overrides ``job.seed``.  ``adapter``
+        is a bound adapter in its just-bound state (a worker's resident
+        one, see the "resident" tag); None binds a new one."""
+        if adapter is None:
+            adapter = self.build(handles, job)
         attached = coverage is not None and adapter.enable_coverage(coverage)
         records = self._drive(adapter, job, job.seed if seed is None else seed)
         if coverage is not None and not attached:
@@ -576,7 +596,7 @@ class NativeEngine(Engine):
 
     name = "native"
     tags = frozenset(("adapter", "step", "step_many", "trace_driver",
-                      "coverage", "compiled"))
+                      "coverage", "compiled", "resident"))
 
     def reactor(self, handle, counter=None, builtins=None):
         from .runtime.native import NativeReactor
@@ -616,7 +636,8 @@ class VectorEngine(NativeEngine):
 
     name = "vector"
     tags = frozenset(("adapter", "step_many", "trace_driver", "coverage",
-                      "compiled", "vector_sweep", "requires_numpy"))
+                      "compiled", "vector_sweep", "requires_numpy",
+                      "resident"))
 
     def reactor(self, handle, counter=None, builtins=None):
         if counter is not None or builtins is not None:
@@ -682,7 +703,8 @@ class EquivalenceEngine(Engine):
         super().precompile(build, job)
         build.module(job.module).native_code()
 
-    def run_job(self, handles, job, coverage=None, seed=None) -> JobRun:
+    def run_job(self, handles, job, coverage=None, seed=None,
+                adapter=None) -> JobRun:
         reference = _REGISTRY["interp"].build(handles, job)
         candidates = [
             (name, _REGISTRY[name].build(handles, job))

@@ -48,6 +48,23 @@ def random_instant(rng, inputs, present_prob, value_range):
     return instant
 
 
+def value_range_of(value, where="stimulus"):
+    """``value`` as a ``(low, high)`` tuple: exactly two integers (no
+    bools) with ``low <= high``; an EclError naming the field
+    otherwise, so a malformed range never reaches a worker."""
+    if (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(type(bound) is int for bound in value)
+        and value[0] <= value[1]
+    ):
+        return (value[0], value[1])
+    raise EclError(
+        '%s: "value_range" must be two integers [low, high] with '
+        "low <= high, got %r" % (where, value)
+    )
+
+
 @dataclass(frozen=True)
 class StimulusSpec:
     """Recipe for one input trace.
@@ -66,6 +83,10 @@ class StimulusSpec:
     value_range: Tuple[int, int] = (0, 255)
     steps: Tuple[Tuple[Tuple[str, Optional[int]], ...], ...] = ()
     salt: int = 0  # batch seed; part of the job identity
+
+    def __post_init__(self):
+        if self.kind == "random":
+            object.__setattr__(self, "value_range", value_range_of(self.value_range))
 
     @classmethod
     def random(cls, length=32, present_prob=0.5, value_range=(0, 255), salt=0):

@@ -57,7 +57,7 @@ from typing import Dict, List, Tuple
 
 from ..engines import get_engine
 from ..errors import EclError
-from .jobs import SimJob, StimulusSpec
+from .jobs import SimJob, StimulusSpec, value_range_of
 
 #: Newest spec schema this build understands.  Older documents are
 #: upconverted on read; newer ones are rejected up front.
@@ -236,7 +236,7 @@ def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
             present_prob=_number(
                 entry, "present_prob", 0.5, float, where, minimum=None
             ),
-            value_range=tuple(entry.get("value_range", (0, 255))),
+            value_range=value_range_of(entry.get("value_range", (0, 255)), where),
             salt=_number(entry, "seed", 0, int, where, minimum=None),
         )
         tasks = _task_specs(entry.get("tasks"))

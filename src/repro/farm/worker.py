@@ -21,14 +21,22 @@ one :meth:`~WorkerState.sweep_key`) and advances each group through a
 single :meth:`~repro.runtime.vector.VectorReactor.run_specs` call
 (:meth:`~WorkerState.run_sweep`), emitting one scalar-identical
 :class:`SimResult` per job.  Everything else runs per job.
+
+Binding is per worker, not per job: a job of a "resident" engine
+(native, and vector outside a sweep) checks out an idle bound adapter
+for its (design, module, engine), restores it to its just-bound state,
+drives it and checks it back in; only a miss binds a new one.  Several
+pool threads may share one state, so a checked-out adapter serves one
+job at a time.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import traceback
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..errors import EclError
@@ -44,6 +52,22 @@ from .jobs import (
     SimResult,
 )
 from .ledger import TraceLedger
+
+
+class _Bound:
+    """What one worker keeps bound from one design build: the vector
+    sweep templates (per module) and the idle resident adapters (per
+    (module, engine)).  Re-binding the label to new source drops the
+    whole object, so nothing bound from the old source serves again —
+    an adapter checked out at that moment is checked back in here,
+    where no job reaches it."""
+
+    __slots__ = ("build", "vectors", "idle")
+
+    def __init__(self, build):
+        self.build = build
+        self.vectors: Dict[str, object] = {}
+        self.idle: Dict[tuple, List[object]] = {}
 
 
 class WorkerState:
@@ -97,9 +121,11 @@ class WorkerState:
             self.ledger = TraceLedger(ledger_root, tenant=tenant)
         else:
             self.ledger = None
-        self._builds: Dict[str, object] = {}
-        #: (design, module) -> resident VectorReactor (sweep template).
-        self._vectors: Dict[tuple, object] = {}
+        #: design label -> :class:`_Bound` (its build and what this
+        #: worker bound from it).
+        self._builds: Dict[str, _Bound] = {}
+        #: guards ``_builds`` misses, adoption and the idle lists.
+        self._lock = threading.Lock()
 
     # -- serving-layer surface -----------------------------------------
 
@@ -131,49 +157,80 @@ class WorkerState:
         """Merge a new batch's design sources into this (long-lived)
         worker state.  A label re-bound to *different* source drops the
         stale cached build; identical source keeps the warm build —
-        what lets the serving pool reuse compiles across requests."""
-        for label, source in designs.items():
-            old = self.designs.get(label)
-            if old is not None and old != source:
-                self._builds.pop(label, None)
-                for key in [k for k in self._vectors if k[0] == label]:
-                    del self._vectors[key]
-            self.designs[label] = source
+        what lets the serving pool reuse compiles across requests.
+        Dropping the build drops every reactor bound from it."""
+        with self._lock:
+            for label, source in designs.items():
+                old = self.designs.get(label)
+                self.designs[label] = source
+                if old is not None and old != source:
+                    self._builds.pop(label, None)
 
     # -- compiled-design cache -----------------------------------------
 
+    def _bound(self, design_label) -> _Bound:
+        bound = self._builds.get(design_label)
+        if bound is not None:
+            return bound
+        with self._lock:
+            bound = self._builds.get(design_label)
+            if bound is None:
+                try:
+                    source = self.designs[design_label]
+                except KeyError:
+                    raise EclError(
+                        "batch has no design labelled %r (designs: %s)"
+                        % (design_label, ", ".join(sorted(self.designs)) or "none")
+                    )
+                build = self.pipeline.compile_text(source, filename=design_label)
+                bound = self._builds[design_label] = _Bound(build)
+            return bound
+
     def build(self, design_label):
         """The (cached) DesignBuild for one batch design."""
-        build = self._builds.get(design_label)
-        if build is None:
-            try:
-                source = self.designs[design_label]
-            except KeyError:
-                raise EclError(
-                    "batch has no design labelled %r (designs: %s)"
-                    % (design_label, ", ".join(sorted(self.designs)) or "none")
-                )
-            build = self.pipeline.compile_text(source, filename=design_label)
-            self._builds[design_label] = build
-        return build
+        return self._bound(design_label).build
 
     def handles(self, design_label):
         """``module_name -> ModuleHandle`` provider for one design."""
-        build = self.build(design_label)
-        return lambda module_name: build.module(module_name)
+        return self.build(design_label).module
 
     def vector_reactor(self, design_label, module_name):
         """The (cached) resident sweep template for one (design,
         module) — raises :class:`~repro.errors.EngineUnavailable`
         without numpy, which the job driver turns into per-job error
         results."""
-        key = (design_label, module_name)
-        reactor = self._vectors.get(key)
+        bound = self._bound(design_label)
+        reactor = bound.vectors.get(module_name)
         if reactor is None:
-            handle = self.build(design_label).module(module_name)
+            handle = bound.build.module(module_name)
             reactor = get_engine("vector").reactor(handle)
-            self._vectors[key] = reactor
+            bound.vectors[module_name] = reactor
         return reactor
+
+    def _drive(self, job, coverage):
+        """Run one scalar job through its engine: on a checked-out
+        resident adapter when the engine has one, else binding per
+        job."""
+        engine = get_engine(job.engine)
+        bound = self._bound(job.design)
+        handles = bound.build.module
+        if "resident" not in engine.capabilities():
+            return engine.run_job(handles, job, coverage)
+        key = (job.module, job.engine)
+        with self._lock:
+            idle = bound.idle.get(key)
+            adapter = idle.pop() if idle else None
+        if adapter is None:
+            adapter = engine.build(handles, job)
+        else:
+            adapter.restore()
+        try:
+            return engine.run_job(handles, job, coverage, adapter=adapter)
+        finally:
+            # Whatever the drive left behind, the next checkout's
+            # restore() undoes it.
+            with self._lock:
+                bound.idle.setdefault(key, []).append(adapter)
 
     # -- job execution -------------------------------------------------
 
@@ -269,8 +326,7 @@ class WorkerState:
         started = perf_counter()
         try:
             coverage = self._coverage_for(job) if job.collect_coverage else None
-            engine = get_engine(job.engine)
-            run = engine.run_job(self.handles(job.design), job, coverage)
+            run = self._drive(job, coverage)
             records = run.records
             result.divergence = run.divergence
             result.kernel_stats = run.kernel_stats

@@ -456,7 +456,7 @@ class ModuleHandle:
         digest = hashlib.sha256(shape.encode("utf-8")).hexdigest()[:16]
         return self._stage(
             "trace-driver", compute, kind="trace-driver",
-            key_stage="trace-driver@v1+%s:%s" % (NATIVE_STAGE_TAG, digest))
+            key_stage="trace-driver@v2+%s:%s" % (NATIVE_STAGE_TAG, digest))
 
     def monitor_bundle(self, properties):
         """Stage ``monitor``: the compiled

@@ -1183,6 +1183,7 @@ class NativeReactor:
         self._slots = slots
         self._present = presence
         self._pzero = [0] * len(code.presence)
+        self._szero = [0] * len(code.value_slots)
         pindex = {name: i for i, name in enumerate(code.presence)}
         sig_slot = {}
         var_slot = {}
@@ -1255,6 +1256,31 @@ class NativeReactor:
         self.state = code.initial
         self.terminated = False
         self.instants = 0
+        # The just-constructed memory image, for restore().
+        self._data0 = bytes(self.space._data)
+        self._next0 = self.space._next
+        self._allocated0 = self.space.allocated_bytes
+        self._scope0 = dict(self.env._scopes[0])
+
+    def restore(self):
+        """Return to the just-constructed state, so a worker can bind
+        one reactor per module and reuse it per job: slots, presence,
+        the C memory bytes and bump pointer, the scope chain, coverage
+        and the control state all reset; the compiled state functions
+        stay bound."""
+        self._slots[:] = self._szero
+        self._present[:] = self._pzero
+        space = self.space
+        # In place: the state functions hold the bytearray as ``D``.
+        space._data[:] = self._data0
+        space._next = self._next0
+        space.allocated_bytes = self._allocated0
+        scopes = self.env._scopes
+        del scopes[1:]
+        scopes[0].clear()
+        scopes[0].update(self._scope0)
+        self.coverage = None
+        self.reset()
 
     # ------------------------------------------------------------------
 
@@ -1449,7 +1475,10 @@ class NativeReactor:
 # dict handling on the injection side — presence writes are P[i] = 1,
 # scalar values go straight into the slot array, and the rng is
 # consumed in exactly the order StimulusSpec.materialize consumes it
-# (trace-for-trace identical to the step()/react_many paths).
+# (trace-for-trace identical to the step()/react_many paths).  A value
+# draw is ``randint``'s own rejection loop over ``getrandbits`` with
+# the range's width burned in: bit-identical to random.Random.randint,
+# which the vector engine's Mersenne Twister emulation mirrors too.
 
 
 @dataclass
@@ -1501,13 +1530,13 @@ def _driver_func(driver):
 #: hoisted into locals, plus the emitted-mask decoder).
 _DRIVER_PRELUDE = '''\
     random = rng.random
-    randint = rng.randint
+    getrandbits = rng.getrandbits
     P = reactor._present
     PZERO = reactor._pzero
     S = reactor._slots
     F = reactor._funcs
     signals = reactor.signals
-    count = reactor.env.count
+    counter = reactor.env.counter
     cov = reactor.coverage
     mark = reactor._mark_coverage
     state = reactor.state
@@ -1537,7 +1566,8 @@ _DRIVER_PRELUDE = '''\
 #: into a farm record, handle termination.  Indented for the driver's
 #: instant loop body.
 _DRIVER_INSTANT_TAIL = '''\
-        count("react")
+        if counter is not None:
+            counter.count("react", 1)
         entry = state
         target, m, packed = F[entry]()
         reactor.instants += 1
@@ -1616,6 +1646,13 @@ def compile_trace_driver(efsm, code, length, present_prob, value_range, budget=0
     budget = budget if budget > 0 else length
     drawn = min(length, budget)
     low, high = value_range
+    if not (isinstance(low, int) and isinstance(high, int) and low <= high):
+        # The inlined rejection loop would never end on an empty range.
+        raise EvalError(
+            "value range %r is not two integers low <= high" % (value_range,)
+        )
+    width = high - low + 1
+    draw_bits = width.bit_length()
     alphabet = _driver_alphabet(efsm.module, code)
     bits = ["(%d, %r), " % (bit, name) for name, bit in code.output_bits]
     lines = [
@@ -1640,7 +1677,11 @@ def compile_trace_driver(efsm, code, length, present_prob, value_range, budget=0
                 lines.append("            P[%d] = 1" % pidx)
                 lines.append("            inputs[%r] = None" % name)
             else:
-                lines.append("            v = randint(%d, %d)" % (low, high))
+                lines.append("            v = getrandbits(%d)" % draw_bits)
+                lines.append("            while v >= %d:" % width)
+                lines.append("                v = getrandbits(%d)" % draw_bits)
+                if low:
+                    lines.append("            v += %d" % low)
                 lines.append("            P[%d] = 1" % pidx)
                 if sidx >= 0:
                     store = "            S[%d] = %s"

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from .. import telemetry
 

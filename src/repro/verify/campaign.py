@@ -33,7 +33,7 @@ from .. import telemetry
 from ..engines import adapter_names, get_engine
 from ..errors import EclError
 from ..farm.farm import SimulationFarm
-from ..farm.jobs import SimJob, StimulusSpec, random_instant
+from ..farm.jobs import SimJob, StimulusSpec, random_instant, value_range_of
 from ..farm.ledger import TraceLedger
 from ..pipeline import Pipeline
 from .coverage import CoverageMap, CoverageReport
@@ -189,7 +189,7 @@ class VerifyCampaign:
         self.jobs_per_round = max(1, int(jobs_per_round))
         self.length = max(1, int(length))
         self.present_prob = float(present_prob)
-        self.value_range = tuple(value_range)
+        self.value_range = value_range_of(value_range, "campaign")
         self.workers = workers
         self.chunk_size = chunk_size
         self.ledger_root = ledger_root

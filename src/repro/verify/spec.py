@@ -70,7 +70,7 @@ def load_campaign_spec(path):
         jobs_per_round=int(document.get("jobs_per_round", 16)),
         length=int(document.get("length", 32)),
         present_prob=float(document.get("present_prob", 0.5)),
-        value_range=tuple(document.get("value_range", (0, 255))),
+        value_range=document.get("value_range", (0, 255)),
         workers=document.get("workers"),
         chunk_size=document.get("chunk_size"),
         ledger_root=ledger,

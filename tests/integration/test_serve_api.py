@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.designs import PROTOCOL_STACK_ECL
+from repro.designs import AUDIO_BUFFER_ECL, DOOR_CTRL_ECL, PROTOCOL_STACK_ECL
 from repro.serve import ServeClient, SimulationService
 
 SPEC_JOBS = [
@@ -20,6 +20,17 @@ SPEC_JOBS = [
      "engines": ["efsm", "native"], "traces": 3, "length": 6,
      "seed": 11},
 ]
+
+
+#: Terminates on its second ``go``: some traces end early, some not.
+ONCE_ECL = """
+module once (input pure go, input int v, output int done)
+{
+    await (go);
+    await (go);
+    emit_v (done, v);
+}
+"""
 
 
 def batch_document():
@@ -171,6 +182,10 @@ BAD_SUBMISSIONS = [
     ("horizon_negative", {"horizon": -3}, 400),
     ("priority_word", {"priority": "high"}, 400),
     ("tenant_number", {"tenant": 5}, 400),
+    ("value_range_inverted", {"value_range": [10, 5]}, 400),
+    ("value_range_word", {"value_range": "ab"}, 400),
+    ("value_range_triple", {"value_range": [1, 2, 3]}, 400),
+    ("value_range_float", {"value_range": [0, 2.5]}, 400),
     ("draining", {}, 503),
     ("queue_closed", {}, 503),
 ]
@@ -255,6 +270,70 @@ class TestAcceptance:
             assert json.dumps(service_row, sort_keys=True,
                               separators=(",", ":")) == \
                 stable_bytes(farm_row)
+
+    def test_two_threads_on_resident_adapters_match_farm_run(
+            self, served, tmp_path, capsys):
+        """Two pool threads share one tenant state and its resident
+        native adapters; rows stay byte-identical to ``eclc farm
+        run``, C-memory design and terminating jobs included."""
+        service, client = served
+        assert service.pool.mode == "thread" and service.pool.workers == 2
+        designs = {"stack": PROTOCOL_STACK_ECL, "audio": AUDIO_BUFFER_ECL,
+                   "door": DOOR_CTRL_ECL, "once": ONCE_ECL}
+        jobs = [
+            {"design": "stack", "modules": ["toplevel"],
+             "engines": ["native"], "traces": 12, "length": 48,
+             "seed": 3},
+            {"design": "audio", "modules": ["audio_buffer", "fifo_ctrl"],
+             "engines": ["native"], "traces": 12, "length": 64,
+             "value_range": [0, 40], "seed": 4},
+            {"design": "door", "engines": ["native"], "traces": 8,
+             "length": 40, "present_prob": 0.8, "seed": 5},
+            {"design": "once", "engines": ["native"], "traces": 8,
+             "length": 12, "present_prob": 0.2, "seed": 6},
+        ]
+        assert_matches_farm_run(client, tmp_path, capsys, designs, jobs)
+
+
+def assert_matches_farm_run(client, tmp_path, capsys, designs, jobs):
+    """Submit ``jobs`` over ``designs`` to the service and run the same
+    spec through ``eclc farm run``: stable rows must be byte-identical."""
+    admitted = client.submit({
+        "designs": {label: {"text": text} for label, text in designs.items()},
+        "jobs": jobs,
+    })
+    streamed = sorted(client.stream_results(admitted["batch"], stable=True),
+                      key=lambda row: row["index"])
+
+    paths = {}
+    for label, text in designs.items():
+        path = tmp_path / ("%s.ecl" % label)
+        path.write_text(text)
+        paths[label] = str(path)
+    spec = tmp_path / "batch.json"
+    spec.write_text(json.dumps({
+        "workers": 1,
+        "ledger": "direct-ledger",
+        "designs": paths,
+        "jobs": jobs,
+    }))
+    report_path = tmp_path / "report.json"
+    assert main(["farm", "run", "--spec", str(spec),
+                 "--report", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.load(open(report_path))
+    direct = sorted(report["results"], key=lambda row: row["index"])
+
+    def stable_bytes(row):
+        payload = {key: value for key, value in row.items()
+                   if key not in ("elapsed", "trace_path", "worker_pid")}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    assert len(streamed) == len(direct) == admitted["jobs"]
+    assert {"ok", "terminated"} <= {row["status"] for row in streamed}
+    for service_row, farm_row in zip(streamed, direct):
+        assert json.dumps(service_row, sort_keys=True,
+                          separators=(",", ":")) == stable_bytes(farm_row)
 
 
 class TestCliServeSubmit:

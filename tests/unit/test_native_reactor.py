@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.codegen.py_backend import EfsmReactor
+from repro.designs import AUDIO_BUFFER_ECL, DOOR_CTRL_ECL, PROTOCOL_STACK_ECL
 from repro.errors import CompileError, EvalError
 from repro.pipeline import ArtifactCache, Pipeline
 from repro.pipeline.registry import DEFAULT_REGISTRY
@@ -32,6 +32,22 @@ module counter (input pure tick, input int load,
     }
 }
 """
+
+
+#: Driver value ranges: byte-wide, width 1 at zero and offset,
+#: widths that are not a power of two, a negative low, a wide range.
+VALUE_RANGES = [(0, 255), (0, 0), (7, 7), (3, 200), (-5, 5), (0, 2**20)]
+
+
+def range_id(value_range):
+    return "%d..%d" % value_range
+
+#: label -> (source, module under test)
+PAPER_DESIGNS = {
+    "stack": (PROTOCOL_STACK_ECL, "toplevel"),
+    "audio": (AUDIO_BUFFER_ECL, "audio_buffer"),
+    "door": (DOOR_CTRL_ECL, "door_ctrl"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +313,9 @@ class TestWholeTraceDrivers:
                             dict(sorted(out.values.items()))))
         return records
 
-    def test_driver_matches_step_loop(self, handle):
-        driver = handle.trace_driver(20, 0.5, (0, 255), budget=26)
+    @pytest.mark.parametrize("value_range", VALUE_RANGES, ids=range_id)
+    def test_driver_matches_step_loop(self, handle, value_range):
+        driver = handle.trace_driver(20, 0.5, value_range, budget=26)
         assert driver.length == 20 and driver.budget == 26
         reactor = NativeReactor(handle.efsm(), code=handle.native_code())
         got = reactor.run_trace(driver, seed=99)
@@ -309,8 +326,8 @@ class TestWholeTraceDrivers:
             assert record["emitted"] == emitted
             assert record["values"] == values
         # Same (design, spec) pair -> the cached stage artifact.
-        assert handle.trace_driver(20, 0.5, (0, 255), budget=26) is driver
-        other = handle.trace_driver(21, 0.5, (0, 255), budget=26)
+        assert handle.trace_driver(20, 0.5, value_range, budget=26) is driver
+        other = handle.trace_driver(21, 0.5, value_range, budget=26)
         assert other is not driver
         # The driver is a picklable compile artifact.
         import pickle
@@ -318,6 +335,32 @@ class TestWholeTraceDrivers:
         clone = pickle.loads(pickle.dumps(driver))
         reactor2 = NativeReactor(handle.efsm(), code=handle.native_code())
         assert reactor2.run_trace(clone, seed=99) == got
+
+    @pytest.mark.parametrize("value_range", [(10, 5), (0, 2.5)])
+    def test_driver_refuses_bad_value_range(self, handle, value_range):
+        # An empty range would never leave the inlined rejection loop.
+        with pytest.raises(EvalError, match="value range"):
+            handle.trace_driver(8, 0.5, value_range)
+
+    @pytest.mark.parametrize("value_range", VALUE_RANGES, ids=range_id)
+    @pytest.mark.parametrize("label", sorted(PAPER_DESIGNS))
+    def test_engines_agree_on_value_range(self, label, value_range):
+        from repro.engines import get_engine
+        from repro.farm.jobs import StimulusSpec
+
+        pytest.importorskip("numpy")
+        source, module = PAPER_DESIGNS[label]
+        paper = Pipeline().compile_text(source, filename=label).module(module)
+        spec = StimulusSpec.random(length=24, present_prob=0.7,
+                                   value_range=value_range, salt=5)
+        outcomes = {
+            name: get_engine(name).run_spec(paper, spec, n_instances=2)
+            for name in ("native", "vector", "efsm", "interp")
+        }
+        native = outcomes.pop("native")
+        for name, outcome in outcomes.items():
+            assert outcome.records == native.records, name
+            assert outcome.terminated == native.terminated, name
 
     def test_driver_horizon_clips_drawn_prefix(self, handle):
         driver = handle.trace_driver(30, 0.5, (0, 255), budget=5)
@@ -335,6 +378,68 @@ class TestWholeTraceDrivers:
         reactor.run_trace(driver, seed=11)
         assert coverage.covered_states > 0
         assert coverage.covered_transitions > 0
+
+
+DIVIDER_ECL = """
+module divider (input int x, output int q)
+{
+    int total;
+    int seen[4];
+
+    while (1) {
+        await (x);
+        total = total + x;
+        seen[x & 3] = seen[x & 3] + 1;
+        emit_v (q, (total + seen[x & 3]) / (x - 7));
+    }
+}
+"""
+
+
+class TestRestore:
+    """NativeReactor.restore(): one bound reactor reused per job must
+    run exactly like a freshly constructed one."""
+
+    def _fresh(self, handle):
+        return NativeReactor(handle.efsm(), code=handle.native_code())
+
+    @pytest.mark.parametrize("label", sorted(PAPER_DESIGNS))
+    def test_restored_reactor_replays_like_a_fresh_one(self, label):
+        from repro.verify.coverage import CoverageMap
+
+        source, module = PAPER_DESIGNS[label]
+        paper = Pipeline().compile_text(source, filename=label).module(module)
+        driver = paper.trace_driver(48, 0.6, (0, 255))
+        reused = self._fresh(paper)
+        reused.enable_coverage(CoverageMap.for_efsm(paper.efsm()))
+        for seed in range(6):
+            reused.restore()
+            assert reused.coverage is None
+            fresh = self._fresh(paper)
+            assert reused.run_trace(driver, seed) == fresh.run_trace(driver, seed)
+            assert reused.space._data == fresh.space._data
+            assert (reused.state, reused.terminated, reused.instants) == (
+                fresh.state, fresh.terminated, fresh.instants)
+
+    def test_restore_after_a_mid_drive_error(self):
+        divider = Pipeline().compile_text(DIVIDER_ECL).module("divider")
+        driver = divider.trace_driver(40, 0.8, (0, 15))
+        reused = self._fresh(divider)
+        outcomes = []
+        for seed in range(12):
+            reused.restore()
+            try:
+                got = reused.run_trace(driver, seed)
+            except EvalError as error:
+                got = str(error)
+            try:
+                expected = self._fresh(divider).run_trace(driver, seed)
+            except EvalError as error:
+                expected = str(error)
+            assert got == expected
+            outcomes.append(isinstance(got, str))
+        # the sequence really mixes failed and completed drives
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestPersistentCodeCache:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -107,6 +108,40 @@ class TestReplay:
         assert replay.torn_lines == 1
         # everything before the torn tail survived
         assert replay.batches["b"].rows.keys() == {"j1"}
+
+    def test_every_truncated_prefix_replays_its_complete_lines(self, journal):
+        """A crash can cut the shard at any byte: replay never raises
+        and recovers exactly the rows whose lines are complete."""
+        job_ids = ["j%d" % n for n in range(4)]
+        journal.admit("t", "b", {"jobs": []}, job_ids)
+        for index, job_id in enumerate(job_ids):
+            journal.row("t", "b", result(job_id, index=index))
+        journal.end("t", "b")
+        path = journal.shard_path("t")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        # byte offset at which each line's content is complete
+        ends = [end for end, byte in enumerate(data) if byte == ord("\n")]
+        kinds = [json.loads(line)["kind"] for line in data.splitlines()]
+        assert kinds == ["admit", "row", "row", "row", "row", "end"]
+        for cut in range(len(data) + 1):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                replay = journal.replay("t")
+            complete = sum(1 for end in ends if end <= cut)
+            if complete == 0:
+                assert replay.batches == {}, cut
+                continue
+            record = replay.batches["b"]
+            rows = min(complete - 1, len(job_ids))
+            assert sorted(record.rows) == job_ids[:rows], cut
+            assert record.ended == (complete == len(kinds)), cut
+            # only a partial last line is torn; a line cut just before
+            # its newline is still whole
+            tail = data[:cut].rsplit(b"\n", 1)[-1]
+            assert replay.torn_lines == int(bool(tail) and cut not in ends), cut
 
     def test_duplicate_rows_dedupe_to_first(self, journal):
         journal.admit("t", "b", {}, ["j1"])

@@ -179,6 +179,14 @@ class TestCampaignSpec:
             load_campaign_spec(str(path))
 
 
+    @pytest.mark.parametrize("value_range", [[10, 5], "ab", [1, 2, 3],
+                                             [0, 2.5], 7])
+    def test_bad_value_range_is_named(self, tmp_path, value_range):
+        extra = json.dumps({"value_range": value_range})
+        with pytest.raises(EclError, match='"value_range"'):
+            load_campaign_spec(self._write(tmp_path, extra))
+
+
 class TestVerifyCli:
     def _design(self, tmp_path, source):
         path = tmp_path / "door.ecl"
