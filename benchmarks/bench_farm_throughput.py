@@ -7,9 +7,9 @@ baseline) and sharded over a ``ProcessPoolExecutor`` farm — and both
 throughputs land in ``benchmarks/out/BENCH_farm.json`` for the CI
 regression gate.
 
-The acceptance bar (>= 2x farm speedup over serial) is asserted only
-on machines with >= 4 cores; below that the numbers are still
-reported but the floor cannot physically hold.
+The farm-over-serial speedup floor in :data:`check_regression.GATES`
+only applies from its minimum core count up; below that the numbers
+are still reported but the floor cannot physically hold.
 
 Run standalone::
 
@@ -20,7 +20,6 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/bench_farm_throughput.py -q
 """
 
-import json
 import os
 import sys
 
@@ -29,7 +28,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro.designs import AUDIO_BUFFER_ECL, PROTOCOL_STACK_ECL
 from repro.farm import SimulationFarm, expand_jobs
 
-from workloads import ensure_out_dir, OUT_DIR
+import check_regression
+from workloads import write_report
 
 #: Batch shape; override via environment for bigger CI machines.
 #: Sized so simulation work dominates the one-off parent compile by a
@@ -39,10 +39,6 @@ TRACE_LENGTH = int(os.environ.get("FARM_BENCH_LENGTH", "640"))
 
 DESIGNS = {"stack": PROTOCOL_STACK_ECL, "buffer": AUDIO_BUFFER_ECL}
 CELLS = [("stack", "toplevel"), ("buffer", "audio_buffer")]
-
-#: The speedup floor only applies at this core count and above.
-MIN_CORES_FOR_FLOOR = 4
-SPEEDUP_FLOOR = 2.0
 
 
 def batch_jobs():
@@ -84,17 +80,9 @@ def measure():
     }
 
 
-def write_report(data, path=None):
-    ensure_out_dir()
-    path = path or os.path.join(OUT_DIR, "BENCH_farm.json")
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_farm_throughput_and_floor():
     data = measure()
-    path = write_report(data)
+    path = write_report(data, "BENCH_farm.json")
     print("\nfarm throughput: serial %.0f r/s, farm(%d) %.0f r/s "
           "(x%.2f) -> %s"
           % (data["serial"]["reactions_per_sec"],
@@ -102,10 +90,8 @@ def test_farm_throughput_and_floor():
              data["farm"]["reactions_per_sec"],
              data["speedup"], path))
     assert data["reactions"] == data["jobs"] * TRACE_LENGTH
-    if data["cores"] >= MIN_CORES_FOR_FLOOR:
-        assert data["speedup"] >= SPEEDUP_FLOOR, (
-            "farm speedup x%.2f below the x%.1f floor on %d cores"
-            % (data["speedup"], SPEEDUP_FLOOR, data["cores"]))
+    failures = check_regression.check("BENCH_farm.json", data)
+    assert not failures, failures
 
 
 if __name__ == "__main__":

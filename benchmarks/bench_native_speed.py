@@ -10,9 +10,9 @@ frames), so the numbers always measure equivalent behaviour.
 
 Results land in ``benchmarks/out/BENCH_native.json`` for the CI
 regression gate (:mod:`benchmarks.check_regression`); the committed
-baseline lives in ``benchmarks/baselines/``.  The acceptance floor —
-native >= 3x over the EFSM walker on both workloads — is asserted
-here.
+baseline lives in ``benchmarks/baselines/``.  The gate's floors —
+native over the EFSM walker on both workloads, and the native rate
+with telemetry on over off — are asserted here too.
 
 Run standalone::
 
@@ -23,7 +23,6 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/bench_native_speed.py -q
 """
 
-import json
 import os
 import sys
 from time import perf_counter
@@ -32,21 +31,12 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.pipeline import Pipeline
 
-from workloads import GOOD_PACKET, OUT_DIR, ensure_out_dir
+import check_regression
+from workloads import GOOD_PACKET, write_report
 
 #: Workload sizes; override via environment for bigger machines.
 STACK_PACKETS = int(os.environ.get("NATIVE_BENCH_PACKETS", "50"))
 BUFFER_FRAMES = int(os.environ.get("NATIVE_BENCH_FRAMES", "1000"))
-
-#: The acceptance bar: native must beat the EFSM tree walker by this
-#: factor on both workloads.
-SPEEDUP_FLOOR = 3.0
-
-#: Telemetry gate: the native inner loop carries no telemetry calls
-#: (instrumentation sits at job granularity), so enabling the registry
-#: must not change the reaction rate — this floor only absorbs
-#: measurement noise, not real overhead.
-TELEMETRY_RATE_FLOOR = 0.90
 
 ENGINES = ("interp", "efsm", "native")
 
@@ -170,8 +160,9 @@ def measure():
     data["workloads"]["stack"]["native_react_many"] = batched
 
     # Telemetry-on row: the same native stack workload with the metrics
-    # registry live.  The inner reaction loop is not instrumented, so
-    # the rate must hold within measurement noise (~0% overhead).
+    # registry live.  The inner reaction loop is not instrumented
+    # (instrumentation sits at job granularity), so the rate must hold
+    # within measurement noise; the gate's floor absorbs only that.
     from repro import telemetry
 
     telemetry.reset()
@@ -187,7 +178,6 @@ def measure():
         "native_rate_on": rate_on,
         "native_rate_off": rate_off,
         "ratio": rate_on / rate_off,
-        "floor": TELEMETRY_RATE_FLOOR,
     }
 
     # Vectorized multi-instance sweep, informational; needs numpy (the
@@ -215,17 +205,9 @@ def measure():
     return data
 
 
-def write_report(data, path=None):
-    ensure_out_dir()
-    path = path or os.path.join(OUT_DIR, "BENCH_native.json")
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_native_speedup_floor():
     data = measure()
-    path = write_report(data)
+    path = write_report(data, "BENCH_native.json")
     row = "%-6s interp %8.0f r/s  efsm %8.0f r/s  native %8.0f r/s  (x%.1f)"
     for label, entry in sorted(data["workloads"].items()):
         rates = entry["engines"]
@@ -239,22 +221,16 @@ def test_native_speedup_floor():
         print("")
         print(row % values)
     print("wrote %s" % path)
-    for label, entry in data["workloads"].items():
-        message = "native is only x%.2f over efsm on %s (floor x%.1f)"
-        speedup = entry["native_vs_efsm"]
-        assert speedup >= SPEEDUP_FLOOR, message % (speedup, label, SPEEDUP_FLOOR)
-    ratio = data["telemetry"]["ratio"]
     print(
-        "telemetry on: %.0f r/s vs %.0f r/s off (x%.3f, floor x%.2f)"
+        "telemetry on: %.0f r/s vs %.0f r/s off (x%.3f)"
         % (
             data["telemetry"]["native_rate_on"],
             data["telemetry"]["native_rate_off"],
-            ratio,
-            TELEMETRY_RATE_FLOOR,
+            data["telemetry"]["ratio"],
         )
     )
-    message = "telemetry slowed the native inner loop to x%.3f (floor x%.2f)"
-    assert ratio >= TELEMETRY_RATE_FLOOR, message % (ratio, TELEMETRY_RATE_FLOOR)
+    failures = check_regression.check("BENCH_native.json", data)
+    assert not failures, failures
 
 
 if __name__ == "__main__":

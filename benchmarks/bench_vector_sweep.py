@@ -12,9 +12,9 @@ Two paired comparisons, both sweeping ``N_INSTANCES`` lanes of
   engine replaces it with one fused numpy sweep over
   ``(n_instances, n_slots)`` state matrices; outcomes (instants,
   terminations, events, per-lane coverage payloads) are asserted
-  identical every round.  The acceptance floor is >=4x at 1k
-  instances (x5.5, x6.1 and x5.7 in three runs on a 2-vCPU x86-64
-  machine, Python 3.11, numpy 2.4).
+  identical every round.  The gate's floor applies at 1k instances
+  (x5.5, x6.1 and x5.7 in three runs on a 2-vCPU x86-64 machine,
+  Python 3.11, numpy 2.4).
 * ``campaign`` — one full random-stimulus :class:`VerifyCampaign`
   round per engine: farm dispatch, sweep fusion, coverage admission
   and corpus bookkeeping included, decision-identical outcomes
@@ -24,8 +24,9 @@ Two paired comparisons, both sweeping ``N_INSTANCES`` lanes of
   necessarily smaller than the raw sweep's; it carries its own floor.
 
 Results land in ``benchmarks/out/BENCH_vector.json`` for the CI
-regression gate (:mod:`benchmarks.check_regression`); the committed
-baseline lives in ``benchmarks/baselines/``.
+regression gate (:mod:`benchmarks.check_regression`), whose floors
+are asserted here too; the committed baseline lives in
+``benchmarks/baselines/``.
 
 Run standalone::
 
@@ -36,7 +37,6 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/bench_vector_sweep.py -q
 """
 
-import json
 import os
 import sys
 from time import perf_counter
@@ -49,7 +49,8 @@ from repro.farm.jobs import StimulusSpec
 from repro.pipeline import Pipeline
 from repro.verify import VerifyCampaign
 
-from workloads import OUT_DIR, ensure_out_dir
+import check_regression
+from workloads import write_report
 
 #: Sweep width (the "1k instances" of the acceptance bar) and stimulus
 #: length; override via environment for bigger machines.
@@ -63,10 +64,6 @@ LENGTH = int(os.environ.get("VECTOR_BENCH_LENGTH", "400"))
 #: are each engine's best round.
 REPEATS = int(os.environ.get("VECTOR_BENCH_REPEATS", "5"))
 CAMPAIGN_REPEATS = int(os.environ.get("VECTOR_BENCH_CAMPAIGN_REPEATS", "3"))
-
-#: The acceptance bars.
-SWEEP_SPEEDUP_FLOOR = 4.0
-CAMPAIGN_SPEEDUP_FLOOR = 1.3
 
 
 def outcome_key(outcome):
@@ -169,17 +166,9 @@ def measure():
     }
 
 
-def write_report(data, path=None):
-    ensure_out_dir()
-    path = path or os.path.join(OUT_DIR, "BENCH_vector.json")
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_vector_sweep_floors():
     data = measure()
-    path = write_report(data)
+    path = write_report(data, "BENCH_vector.json")
     entry = data["workloads"]["stack"]
     sweep, campaign = entry["run_spec"], entry["campaign"]
     print("")
@@ -192,14 +181,8 @@ def test_vector_sweep_floors():
         % (campaign["native"], campaign["vector"], campaign["speedup"])
     )
     print("wrote %s" % path)
-    assert sweep["speedup"] >= SWEEP_SPEEDUP_FLOOR, (
-        "vector run_spec speedup x%.1f is under the x%.0f floor"
-        % (sweep["speedup"], SWEEP_SPEEDUP_FLOOR)
-    )
-    assert campaign["speedup"] >= CAMPAIGN_SPEEDUP_FLOOR, (
-        "vector campaign speedup x%.2f is under the x%.1f floor"
-        % (campaign["speedup"], CAMPAIGN_SPEEDUP_FLOOR)
-    )
+    failures = check_regression.check("BENCH_vector.json", data)
+    assert not failures, failures
 
 
 if __name__ == "__main__":

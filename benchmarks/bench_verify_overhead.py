@@ -1,8 +1,8 @@
 """Compiled-monitor overhead: bare native engine vs 4 active monitors.
 
 The verify subsystem's acceptance bar: stepping a compiled monitor
-bundle (four temporal properties) alongside the native engine must cost
-less than 1.3x the bare engine on the audio-buffer workload.  A
+bundle (four temporal properties) alongside the native engine must stay
+under the gate's overhead ceiling on the audio-buffer workload.  A
 coverage-instrumented run is measured too (informational, with its own
 regression band) — coverage marks three bitmap writes per instant, so
 it should stay close to the monitor budget as well.
@@ -12,8 +12,9 @@ frames), and every monitor must finish with zero violations — a
 property tripping mid-run would disable it and flatter the numbers.
 
 Results land in ``benchmarks/out/BENCH_verify.json`` for the CI
-regression gate (:mod:`benchmarks.check_regression`); the committed
-baseline lives in ``benchmarks/baselines/``.
+regression gate (:mod:`benchmarks.check_regression`), whose ceiling
+is asserted here too; the committed baseline lives in
+``benchmarks/baselines/``.
 
 Run standalone::
 
@@ -24,7 +25,6 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/bench_verify_overhead.py -q
 """
 
-import json
 import os
 import sys
 from time import perf_counter
@@ -43,13 +43,11 @@ from repro.verify import (
     within,
 )
 
-from workloads import OUT_DIR, ensure_out_dir
+import check_regression
+from workloads import write_report
 
 #: Workload size; override via environment for bigger machines.
 BUFFER_FRAMES = int(os.environ.get("VERIFY_BENCH_FRAMES", "1000"))
-
-#: The acceptance bar: monitored / bare slowdown stays below this.
-OVERHEAD_CEILING = 1.3
 
 #: Four properties that all hold on the workload (so no monitor trips
 #: and every instant pays the full bundle).
@@ -162,17 +160,9 @@ def measure():
     }
 
 
-def write_report(data, path=None):
-    ensure_out_dir()
-    path = path or os.path.join(OUT_DIR, "BENCH_verify.json")
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-    return path
-
-
 def test_monitor_overhead_ceiling():
     data = measure()
-    path = write_report(data)
+    path = write_report(data, "BENCH_verify.json")
     entry = data["workloads"]["buffer"]
     rates = entry["rates"]
     print("")
@@ -188,10 +178,8 @@ def test_monitor_overhead_ceiling():
         )
     )
     print("wrote %s" % path)
-    assert entry["monitor_overhead"] < OVERHEAD_CEILING, (
-        "monitor overhead x%.2f exceeds the x%.1f ceiling"
-        % (entry["monitor_overhead"], OVERHEAD_CEILING)
-    )
+    failures = check_regression.check("BENCH_verify.json", data)
+    assert not failures, failures
 
 
 if __name__ == "__main__":

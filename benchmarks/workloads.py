@@ -8,6 +8,7 @@ behaviour, not just timing.
 
 from __future__ import annotations
 
+import json
 import os
 
 from repro.core import EclCompiler, PartitionSpec, TaskSpec
@@ -23,6 +24,15 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 def ensure_out_dir():
     os.makedirs(OUT_DIR, exist_ok=True)
     return OUT_DIR
+
+
+def write_report(data, filename):
+    """Write one benchmark's JSON artifact into :data:`OUT_DIR`;
+    returns its path."""
+    path = os.path.join(ensure_out_dir(), filename)
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+    return path
 
 
 # ----------------------------------------------------------------------

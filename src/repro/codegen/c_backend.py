@@ -87,6 +87,8 @@ class CBackend:
             "#ifndef %s" % guard,
             "#define %s" % guard,
             "",
+            "#include <stdbool.h>",
+            "",
         ]
         lines.extend(self._type_definitions())
         lines.append("typedef struct {")

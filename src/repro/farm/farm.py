@@ -194,15 +194,9 @@ class SimulationFarm:
         #: sweep templates instead of recompiling every batch.
         self._inline_state = None
 
-    def run(self, jobs, on_result=None) -> FarmReport:
+    def run(self, jobs) -> FarmReport:
         """Execute every job; failures become per-job statuses, the
-        batch itself always returns a report.
-
-        ``on_result`` is the streaming hook: called with each
-        :class:`SimResult` as it lands (inline: per job; pooled: per
-        completed chunk, in completion order) — what lets a serving
-        layer forward results while the batch is still running.
-        Callback errors are the caller's problem and propagate."""
+        batch itself always returns a report."""
         jobs = list(jobs)
         for job in jobs:
             if job.design not in self.designs:
@@ -224,11 +218,11 @@ class SimulationFarm:
             # run_jobs (not a per-job loop) so the inline path fuses
             # vector jobs into sweeps exactly like a pooled chunk does.
             with telemetry.span("farm.run", mode="inline"):
-                results = self._inline_state.run_jobs(jobs, on_result=on_result)
+                results = self._inline_state.run_jobs(jobs)
             workers = 1
         else:
             with telemetry.span("farm.run", mode="pool"):
-                results = self._run_pool(jobs, chunks, workers, on_result)
+                results = self._run_pool(jobs, chunks, workers)
         results.sort(key=lambda result: result.index)
         return FarmReport(
             results=results,
@@ -265,7 +259,7 @@ class SimulationFarm:
                 chunks.append(design_jobs[start : start + size])
         return chunks
 
-    def _run_pool(self, jobs, chunks, workers, on_result=None):
+    def _run_pool(self, jobs, chunks, workers):
         # Compile every needed (design, module) pair up front and
         # adopt the state module-wide: fork-based pools then inherit
         # the compiled artifacts copy-on-write, so worker processes
@@ -319,11 +313,7 @@ class SimulationFarm:
                 for future in as_completed(futures):
                     landed = perf_counter()
                     chunk_seconds.observe(landed - submitted[future])
-                    chunk_results = future.result()
-                    results.extend(chunk_results)
-                    if on_result is not None:
-                        for result in chunk_results:
-                            on_result(result)
+                    results.extend(future.result())
                     collect_seconds.observe(perf_counter() - landed)
         finally:
             worker_mod.adopt(None)

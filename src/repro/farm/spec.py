@@ -210,8 +210,10 @@ def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
                 "farm spec %s: jobs[%d] names unknown design %r"
                 % (spec_path, position, label)
             )
-        modules = entry.get("modules") or _module_names(designs[label], label)
-        engines = entry.get("engines")
+        where = "farm spec %s: jobs[%d]" % (spec_path, position)
+        modules = _names(entry, "modules", where)
+        modules = modules or _module_names(designs[label], label)
+        engines = _names(entry, "engines", where)
         if "engine" in entry:  # v2 singular spelling
             if engines:
                 raise EclError(
@@ -220,7 +222,6 @@ def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
                 )
             engines = [str(entry["engine"])]
         engines = engines or ["efsm"]
-        where = "farm spec %s: jobs[%d]" % (spec_path, position)
         traces_key = "traces"
         if "n_instances" in entry:  # v2 sweep-oriented spelling
             if entry.get("traces") is not None:
@@ -239,7 +240,14 @@ def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
             value_range=value_range_of(entry.get("value_range", (0, 255)), where),
             salt=_number(entry, "seed", 0, int, where, minimum=None),
         )
-        tasks = _task_specs(entry.get("tasks"))
+        tasks = _task_specs(entry.get("tasks"), where)
+        record_vcd = entry.get("vcd")
+        if record_vcd is None:
+            record_vcd = False
+        elif not isinstance(record_vcd, bool):
+            raise EclError(
+                '%s: "vcd" must be true or false, got %r' % (where, record_vcd)
+            )
         task_engine = str(entry.get("task_engine", "") or "")
         deadline_s = _number(entry, "deadline_s", 0, float, where)
         for module in modules:
@@ -254,7 +262,7 @@ def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
                             stimulus=stimulus,
                             horizon=horizon,
                             index=index,
-                            record_vcd=bool(entry.get("vcd", False)),
+                            record_vcd=record_vcd,
                             tasks=tasks,
                             task_engine=task_engine if runs_tasks else "",
                             deadline_s=deadline_s,
@@ -282,21 +290,43 @@ def _number(entry, key, default, convert, where, minimum=0):
     return number
 
 
-def _task_specs(section) -> Tuple[tuple, ...]:
+def _names(entry, key, where) -> List[str]:
+    """``entry[key]`` as a list of names (empty when absent or null);
+    an EclError naming the field for anything but a list of strings."""
+    value = entry.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise EclError('%s: "%s" must be a list of names, got %r' % (where, key, value))
+    return value
+
+
+def _task_specs(section, where) -> Tuple[tuple, ...]:
     if not section:
         return ()
+    if not isinstance(section, list):
+        raise EclError('%s: "tasks" must be a list, got %r' % (where, section))
     tasks = []
     for item in section:
-        name, module = item[0], item[1]
-        priority = int(item[2]) if len(item) > 2 else 1
-        if len(item) > 3:
-            bindings = tuple(
-                sorted(
-                    (str(formal), str(network))
-                    for formal, network in dict(item[3]).items()
+        try:
+            if not isinstance(item, list) or not 2 <= len(item) <= 4:
+                raise ValueError
+            name, module = item[0], item[1]
+            priority = int(item[2]) if len(item) > 2 else 1
+            if len(item) > 3:
+                bindings = tuple(
+                    sorted(
+                        (str(formal), str(network))
+                        for formal, network in dict(item[3]).items()
+                    )
                 )
+                tasks.append((str(name), str(module), priority, bindings))
+            else:
+                tasks.append((str(name), str(module), priority))
+        except (TypeError, ValueError):
+            raise EclError(
+                '%s: "tasks" entries must be [task, module, priority, '
+                "{formal: network}] lists (priority and bindings optional), "
+                "got %r" % (where, item)
             )
-            tasks.append((str(name), str(module), priority, bindings))
-        else:
-            tasks.append((str(name), str(module), priority))
     return tuple(tasks)

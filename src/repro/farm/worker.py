@@ -271,21 +271,17 @@ class WorkerState:
                 swept = self.run_sweep([jobs[p] for p in positions])
                 yield list(zip(positions, swept))
 
-    def run_jobs(self, jobs, on_result=None):
+    def run_jobs(self, jobs):
         """Execute a list of jobs through :meth:`stream` (sweepable
         vector jobs sharing a :meth:`sweep_key` fuse into single
-        vectorized sweeps).  Results come back (and stream through
-        ``on_result``) in job order; per-job failures become
-        ``status="error"`` rows exactly as :meth:`run_job` reports
-        them."""
+        vectorized sweeps).  Results come back in job order; per-job
+        failures become ``status="error"`` rows exactly as
+        :meth:`run_job` reports them."""
         jobs = list(jobs)
         results: List[Optional[SimResult]] = [None] * len(jobs)
         for pairs in self.stream(jobs):
             for position, result in pairs:
                 results[position] = result
-        if on_result is not None:
-            for result in results:
-                on_result(result)
         return results
 
     @staticmethod

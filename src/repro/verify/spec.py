@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 
 from ..errors import EclError
-from ..farm.spec import check_version, load_designs, read_document
+from ..farm.spec import _number, check_version, load_designs, read_document
 from .campaign import VerifyCampaign
 from .props import parse_property
 
@@ -59,6 +59,7 @@ def load_campaign_spec(path):
     ledger = document.get("ledger")
     if ledger is not None and not os.path.isabs(ledger):
         ledger = os.path.join(base, ledger)
+    where = "campaign spec %s" % path
     return VerifyCampaign(
         designs,
         design,
@@ -66,17 +67,17 @@ def load_campaign_spec(path):
         engine=document.get("engine", "native"),
         task_engine=str(document.get("task_engine", "") or ""),
         properties=properties,
-        rounds=int(document.get("rounds", 6)),
-        jobs_per_round=int(document.get("jobs_per_round", 16)),
-        length=int(document.get("length", 32)),
-        present_prob=float(document.get("present_prob", 0.5)),
+        rounds=_number(document, "rounds", 6, int, where),
+        jobs_per_round=_number(document, "jobs_per_round", 16, int, where),
+        length=_number(document, "length", 32, int, where),
+        present_prob=_number(document, "present_prob", 0.5, float, where, minimum=None),
         value_range=document.get("value_range", (0, 255)),
         workers=document.get("workers"),
         chunk_size=document.get("chunk_size"),
         ledger_root=ledger,
-        target=float(document.get("target", 100.0)),
+        target=_number(document, "target", 100.0, float, where),
         seeds=seeds,
-        salt=int(document.get("seed", 0)),
+        salt=_number(document, "seed", 0, int, where, minimum=None),
         stop_on_violation=bool(document.get("stop_on_violation", True)),
     )
 
@@ -84,12 +85,16 @@ def load_campaign_spec(path):
 def _parse_seeds(section, spec_path):
     if not section:
         return []
+    if not isinstance(section, list):
+        raise EclError(
+            'campaign spec %s: "seeds" must be a list of traces' % spec_path
+        )
     seeds = []
     for number, trace in enumerate(section):
-        if not isinstance(trace, list):
+        if not (isinstance(trace, list) and all(isinstance(i, dict) for i in trace)):
             raise EclError(
-                "campaign spec %s: seeds[%d] must be a list of instants"
-                % (spec_path, number)
+                "campaign spec %s: seeds[%d] must be a list of instant "
+                "objects" % (spec_path, number)
             )
         seeds.append([dict(instant) for instant in trace])
     return seeds

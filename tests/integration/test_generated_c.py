@@ -8,13 +8,16 @@ value.  Modules relying on the aggregate-to-integer cast extension are
 excluded (C pointer-decay semantics differ; see DESIGN.md §4).
 """
 
+import functools
 import shutil
 import subprocess
 
 import pytest
 
 from repro.core import EclCompiler
+from repro.designs import AUDIO_BUFFER_ECL, DOOR_CTRL_ECL, PROTOCOL_STACK_ECL
 from repro.lang.types import PureType
+from repro.pipeline import Pipeline
 
 gcc = shutil.which("gcc") or shutil.which("cc")
 pytestmark = pytest.mark.skipif(gcc is None,
@@ -189,3 +192,33 @@ def test_generated_c_compiles_warning_clean(tmp_path):
                if "warning" in line and "unused label" not in line
                and "defined but not used" not in line]
     assert not serious, serious
+
+
+#: Every module of the paper's three designs.
+PAPER_MODULES = [
+    (PROTOCOL_STACK_ECL, name)
+    for name in ("assemble", "checkcrc", "prochdr", "toplevel")
+] + [
+    (AUDIO_BUFFER_ECL, name)
+    for name in ("sampler", "fifo_ctrl", "drain_ctrl", "audio_buffer")
+] + [(DOOR_CTRL_ECL, name) for name in ("door_ctrl", "interlock")]
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_build(source):
+    return Pipeline().compile_text(source)
+
+
+@pytest.mark.parametrize("source, name", PAPER_MODULES,
+                         ids=[name for _source, name in PAPER_MODULES])
+def test_paper_module_c_compiles_as_c99(tmp_path, source, name):
+    build = _paper_build(source)
+    assert sorted(build.module_names) == sorted(
+        module for design, module in PAPER_MODULES if design == source)
+    for filename, text in build.module(name).emit("c").items():
+        (tmp_path / filename).write_text(text)
+    result = subprocess.run(
+        [gcc, "-std=c99", "-c", str(tmp_path / ("%s.c" % name)),
+         "-o", str(tmp_path / ("%s.o" % name))],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -186,6 +186,11 @@ BAD_SUBMISSIONS = [
     ("value_range_word", {"value_range": "ab"}, 400),
     ("value_range_triple", {"value_range": [1, 2, 3]}, 400),
     ("value_range_float", {"value_range": [0, 2.5]}, 400),
+    ("tasks_number", {"tasks": 5}, 400),
+    ("modules_number", {"modules": 5}, 400),
+    ("tasks_short", {"tasks": [[1]]}, 400),
+    ("vcd_word", {"vcd": "no"}, 400),
+    ("engines_string", {"engines": "native"}, 400),
     ("draining", {}, 503),
     ("queue_closed", {}, 503),
 ]

@@ -239,6 +239,24 @@ class TestVerifyCli:
         assert code == 1
         assert "VIOLATION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", "x"), ("present_prob", "half"), ("seeds", [[5]])])
+    def test_verify_run_spec_bad_field_is_named(self, tmp_path, capsys,
+                                                field, value):
+        (tmp_path / "door.ecl").write_text(DOOR_CTRL_ECL)
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps({
+            "designs": {"door": "door.ecl"},
+            "module": "door_ctrl",
+            "properties": [{"kind": "never",
+                            "pred": {"all": ["door_open", "motor_on"]}}],
+            field: value,
+        }))
+        assert main(["verify", "run", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("eclc: error:")
+        assert field in err
+
     def test_spec_flags_override_or_are_rejected(self, tmp_path, capsys):
         (tmp_path / "door.ecl").write_text(DOOR_CTRL_BUGGY_ECL)
         spec = tmp_path / "campaign.json"
