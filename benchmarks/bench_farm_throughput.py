@@ -3,7 +3,7 @@
 Operational data for :mod:`repro.farm`: the same batch of EFSM
 simulation jobs over the paper's two workloads (protocol stack, audio
 buffer) is executed twice — inline in one process (the serial
-baseline) and sharded over a ``ProcessPoolExecutor`` farm — and both
+baseline) and sharded over the farm's pooled worker processes — and both
 throughputs land in ``benchmarks/out/BENCH_farm.json`` for the CI
 regression gate.
 
@@ -72,7 +72,6 @@ def measure():
         },
         "farm": {
             "workers": farm.workers,
-            "chunks": farm.chunks,
             "elapsed": farm.elapsed,
             "reactions_per_sec": farm.reactions_per_sec,
         },

@@ -138,7 +138,6 @@ def _build_parser():
                      help="batch seed folded into every job's "
                           "derived seed (via the job index offset)")
     run.add_argument("-j", "--workers", type=int, default=None)
-    run.add_argument("--chunk-size", type=int, default=None)
     run.add_argument("--ledger", default=None, metavar="DIR",
                      help="trace ledger root (default: no persistence;"
                           " 'auto' = next to the artifact cache)")
@@ -532,8 +531,8 @@ def _cmd_farm_run(args):
                        load_spec)
     from .pipeline import Pipeline
 
-    settings = {"workers": args.workers, "chunk_size": args.chunk_size,
-                "ledger": None, "cache_dir": args.cache_dir}
+    settings = {"workers": args.workers, "ledger": None,
+                "cache_dir": args.cache_dir}
     if args.spec:
         designs, jobs, spec_settings = load_spec(args.spec)
         for key, value in spec_settings.items():
@@ -580,7 +579,6 @@ def _cmd_farm_run(args):
         settings["workers"] = 1
     farm = SimulationFarm(designs, ledger_root=ledger_root,
                           workers=settings["workers"],
-                          chunk_size=settings["chunk_size"],
                           cache_dir=settings["cache_dir"])
     from time import perf_counter
     started = perf_counter()

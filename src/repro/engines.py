@@ -13,8 +13,7 @@ place that knows engine names::
 An engine class declares its capability tags (callers branch on those,
 never on names), how it binds a reactor (:meth:`Engine.reactor` from a
 pipeline ``ModuleHandle``, :meth:`Engine.bind` from a bare kernel/EFSM
-pair), what the farm precompiles for its jobs
-(:meth:`Engine.precompile`) and its one per-job run method,
+pair) and its one per-job run method,
 :meth:`Engine.run_job`: the compiled whole-trace driver where the
 engine has one, else batched ``step_many``, else the per-instant step
 loop.  Farm workers, the serving layer and :meth:`Engine.run_spec` all
@@ -469,13 +468,6 @@ class Engine:
         handle = handles(job.module)
         return ReactorAdapter(self.reactor(handle), handle)
 
-    def precompile(self, build, job):
-        """Compile into ``build`` (a DesignBuild) every artifact a job
-        of this engine binds, so forked farm workers inherit it."""
-        handle = build.module(job.module)
-        handle.kernel()
-        handle.efsm()
-
     # -- execution -----------------------------------------------------
 
     def run_job(self, handles, job, coverage=None, seed=None,
@@ -604,10 +596,6 @@ class NativeEngine(Engine):
         return NativeReactor(handle.efsm(), code=handle.native_code(),
                              counter=counter, builtins=builtins)
 
-    def precompile(self, build, job):
-        super().precompile(build, job)
-        build.module(job.module).native_code()
-
     def _adapter(self, handles, job):
         handle = handles(job.module)
         return NativeAdapter(NativeEngine.reactor(self, handle), handle)
@@ -659,11 +647,6 @@ class VectorEngine(NativeEngine):
         adapter.handle.vector_code()
         return adapter
 
-    def precompile(self, build, job):
-        super().precompile(build, job)
-        # Codegen only (numpy-free): workers bind the bundle.
-        build.module(job.module).vector_code()
-
     def run_spec(self, handle, spec, n_instances=1, seeds=None, budget=0,
                  coverage=False, records=True):
         return self.reactor(handle).run_specs(
@@ -682,11 +665,6 @@ class RtosEngine(Engine):
     def _adapter(self, handles, job):
         return RtosAdapter(handles, job)
 
-    def precompile(self, build, job):
-        super().precompile(build, job)
-        if job.task_engine == "native":
-            build.partition_bundle(job.tasks or ((job.module, job.module, 1),))
-
 
 class EquivalenceEngine(Engine):
     """A farm job mode, not an adapter: the interpreter in lockstep
@@ -698,10 +676,6 @@ class EquivalenceEngine(Engine):
 
     name = "equivalence"
     tags = frozenset(("lockstep",))
-
-    def precompile(self, build, job):
-        super().precompile(build, job)
-        build.module(job.module).native_code()
 
     def run_job(self, handles, job, coverage=None, seed=None,
                 adapter=None) -> JobRun:

@@ -91,3 +91,13 @@ class EngineUnavailable(EclError):
         self.reason = reason
         message = "engine %r unavailable: %s" % (engine, reason)
         super().__init__(message, span=span)
+
+
+class QueueFullError(EclError):
+    """A submission exceeded a bounded queue depth (HTTP 429).  Batch
+    spec expansion raises it too, before building a batch that could
+    never fit; ``jobs`` then counts the jobs it had reached."""
+
+    def __init__(self, message, jobs=0):
+        super().__init__(message)
+        self.jobs = jobs

@@ -7,44 +7,39 @@ The farm turns a list of :class:`~repro.farm.jobs.SimJob` into a
     report = farm.run(jobs)
     print(report.summary())
 
-Dispatch discipline (the part that makes it fast):
+Two ways to run a batch:
 
-* jobs are grouped by design label, then cut into chunks of
-  ``chunk_size`` (default: about four chunks per worker), so one
-  pickled task carries many jobs and the per-task overhead amortizes;
-* the parent compiles every needed (design, module) pair once and
-  *adopts* the state before the pool starts: fork-based platforms hand
-  every worker the compiled artifacts copy-on-write, spawn-based ones
-  compile once per worker in the pool initializer;
-* trace persistence happens worker-side: records never cross the
-  process boundary, only compact :class:`SimResult` rows come back;
-* ``workers<=1`` (or a single chunk) short-circuits to inline
-  execution in the calling process — the serial baseline of
-  ``benchmarks/bench_farm_throughput.py`` and the deterministic path
-  unit tests use.
+* ``workers<=1`` (after clamping to the job count) runs inline in the
+  calling process through one kept :class:`WorkerState` — the serial
+  baseline of ``benchmarks/bench_farm_throughput.py`` and the
+  deterministic path unit tests use;
+* otherwise the batch runs on the serving layer's
+  :class:`~repro.serve.pool.WorkerPool` in process mode: spawned
+  children, dispatch groups formed by the service's own rule
+  (:func:`~repro.serve.service.take_group`), rows streamed back as
+  each job finishes, and the pool's fault model — a lost child is
+  respawned and its job retried with backoff, a storage fault retries
+  the same way, and a job whose retries run out becomes one
+  ``quarantined:`` error row.  Children compile for themselves, warm
+  from ``cache_dir`` when one is given; trace persistence happens
+  child-side, so records never cross the process boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional
 
 from .. import telemetry
-from ..engines import get_engine
 from ..errors import EclError
-from . import worker as worker_mod
 from .jobs import SimResult
 from .worker import WorkerState
 
 #: Upper bound on the default worker count.
 DEFAULT_MAX_WORKERS = 8
-
-#: Target number of chunks handed to each worker (keeps the pool fed
-#: even when job durations are skewed, without per-job dispatch cost).
-CHUNKS_PER_WORKER = 4
 
 
 @dataclass
@@ -54,7 +49,6 @@ class FarmReport:
     results: List[SimResult] = field(default_factory=list)
     elapsed: float = 0.0
     workers: int = 1
-    chunks: int = 1
     designs: int = 0
     ledger_root: Optional[str] = None
 
@@ -112,7 +106,6 @@ class FarmReport:
             "total": self.total,
             "ok": self.ok,
             "workers": self.workers,
-            "chunks": self.chunks,
             "designs": self.designs,
             "reactions": self.reactions,
             "status_counts": self.status_counts(),
@@ -133,8 +126,8 @@ class FarmReport:
     def summary(self, verbose=False):
         counts = ", ".join("%s=%d" % item for item in self.status_counts().items())
         lines = [
-            "farm: %d job(s) over %d design(s), %d worker(s), %d chunk(s)"
-            % (self.total, self.designs, self.workers, self.chunks),
+            "farm: %d job(s) over %d design(s), %d worker(s)"
+            % (self.total, self.designs, self.workers),
             "      %d reactions in %.2f s (%.0f reactions/sec)  [%s]"
             % (
                 self.reactions,
@@ -174,19 +167,17 @@ class SimulationFarm:
         options=None,
         ledger_root=None,
         workers=None,
-        chunk_size=None,
         cache_dir=None,
     ):
         """``designs`` maps batch labels to ECL source text;
         ``ledger_root=None`` disables trace persistence;
         ``cache_dir`` enables the persistent shared code cache (compiled
-        artifacts and native bytecode survive the batch, so spawn-based
-        workers and future runs warm-start)."""
+        artifacts and native bytecode survive the batch, so pooled
+        children and future runs warm-start)."""
         self.designs = dict(designs)
         self.options = options
         self.ledger_root = ledger_root
         self.workers = workers
-        self.chunk_size = chunk_size
         self.cache_dir = cache_dir
         #: Inline-mode worker state, kept across run() calls so callers
         #: that drive many batches through one farm (verify campaigns
@@ -205,9 +196,8 @@ class SimulationFarm:
                     % (job.label(), job.design, ", ".join(sorted(self.designs)))
                 )
         workers = self._worker_count(len(jobs))
-        chunks = self._chunk(jobs, workers)
         started = perf_counter()
-        if workers <= 1 or len(chunks) <= 1:
+        if workers <= 1:
             if self._inline_state is None:
                 self._inline_state = WorkerState(
                     self.designs,
@@ -216,19 +206,17 @@ class SimulationFarm:
                     cache_dir=self.cache_dir,
                 )
             # run_jobs (not a per-job loop) so the inline path fuses
-            # vector jobs into sweeps exactly like a pooled chunk does.
+            # vector jobs into sweeps exactly like a pooled dispatch.
             with telemetry.span("farm.run", mode="inline"):
                 results = self._inline_state.run_jobs(jobs)
-            workers = 1
         else:
             with telemetry.span("farm.run", mode="pool"):
-                results = self._run_pool(jobs, chunks, workers)
+                results = self._run_pool(jobs, workers)
         results.sort(key=lambda result: result.index)
         return FarmReport(
             results=results,
             elapsed=perf_counter() - started,
             workers=workers,
-            chunks=len(chunks),
             designs=len({job.design for job in jobs}),
             ledger_root=self.ledger_root,
         )
@@ -241,95 +229,71 @@ class SimulationFarm:
             workers = min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
         return max(1, min(workers, max(1, job_count)))
 
-    def _chunk(self, jobs, workers):
-        """Design-grouped, size-bounded chunks (stable job order
-        within each design, so workers replay cache-friendly runs)."""
-        if not jobs:
-            return []
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(jobs) // (workers * CHUNKS_PER_WORKER)))
-        by_design: Dict[str, List] = {}
-        for job in jobs:
-            by_design.setdefault(job.design, []).append(job)
-        chunks = []
-        for design in sorted(by_design):
-            design_jobs = by_design[design]
-            for start in range(0, len(design_jobs), size):
-                chunks.append(design_jobs[start : start + size])
-        return chunks
+    def _run_pool(self, jobs, workers):
+        """Run ``jobs`` on ``workers`` spawned serve-pool children and
+        return one result per job, in job order.  Jobs with equal ids
+        (same definition, same index) run once and share the row."""
+        # Imported here: the serving layer imports this package.
+        from ..serve.pool import WorkerPool
+        from ..serve.queue import JobQueue
+        from ..serve.service import (
+            DEFAULT_FUSION_LIMIT,
+            Batch,
+            quarantine_result,
+            take_group,
+        )
 
-    def _run_pool(self, jobs, chunks, workers):
-        # Compile every needed (design, module) pair up front and
-        # adopt the state module-wide: fork-based pools then inherit
-        # the compiled artifacts copy-on-write, so worker processes
-        # start simulating immediately instead of each re-compiling.
-        state = WorkerState(
-            self.designs,
+        unique = list({job.job_id: job for job in jobs}.values())
+        batch = Batch("farm", None, unique)
+        queue = JobQueue()
+        queue.put_batch(unique, batch=batch, force=True)
+
+        def execute_group(group, worker, visit, settled):
+            def on_rows(pairs):
+                for position, row in pairs:
+                    batch.add_result(SimResult.from_dict(row))
+                    settled(group[position])
+                    if position + 1 < len(group):
+                        visit(group[position + 1])
+
+            design = group[0].job.design
+            visit(group[0])
+            worker.run(
+                None,
+                {design: self.designs[design]},
+                [member.job for member in group],
+                on_rows,
+            )
+
+        def on_dead_job(entry, error):
+            batch.add_result(quarantine_result(entry, error))
+
+        # What each child builds: this farm's state over the root
+        # ledger index, escalating storage faults to pool retries.
+        factory = functools.partial(
+            WorkerState,
+            {},
             options=self.options,
             ledger_root=self.ledger_root,
             cache_dir=self.cache_dir,
+            raise_storage_errors=True,
         )
-        with telemetry.span("farm.precompile"):
-            self._precompile(state, jobs)
-        worker_mod.adopt(state)
+        pool = WorkerPool(
+            queue,
+            on_dead_job=on_dead_job,
+            workers=workers,
+            mode="process",
+            execute_group=execute_group,
+            take_group=lambda entry: take_group(queue, entry, DEFAULT_FUSION_LIMIT),
+            process_config={"worker_state": factory},
+        )
+        pool.start()
         try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=worker_mod.initialize,
-                initargs=(
-                    self.designs,
-                    self.options,
-                    self.ledger_root,
-                    self.cache_dir,
-                ),
-            ) as pool:
-                chunk_counter = telemetry.counter(
-                    "ecl_farm_chunks_total",
-                    help="Chunks dispatched to pooled workers.",
-                )
-                chunk_jobs = telemetry.histogram(
-                    "ecl_farm_chunk_jobs",
-                    help="Jobs per dispatched chunk.",
-                    buckets=telemetry.SIZE_BUCKETS,
-                )
-                chunk_seconds = telemetry.histogram(
-                    "ecl_farm_chunk_seconds",
-                    help="Chunk round-trip: submit to completed result.",
-                )
-                collect_seconds = telemetry.histogram(
-                    "ecl_farm_collect_seconds",
-                    help="Parent-side unmarshal/merge time per chunk.",
-                )
-                submitted = {}
-                futures = []
-                for chunk in chunks:
-                    future = pool.submit(worker_mod.run_chunk, chunk)
-                    submitted[future] = perf_counter()
-                    futures.append(future)
-                    chunk_counter.inc()
-                    chunk_jobs.observe(len(chunk))
-                results = []
-                for future in as_completed(futures):
-                    landed = perf_counter()
-                    chunk_seconds.observe(landed - submitted[future])
-                    results.extend(future.result())
-                    collect_seconds.observe(perf_counter() - landed)
+            batch.wait()
         finally:
-            worker_mod.adopt(None)
-        return results
-
-    @staticmethod
-    def _precompile(state, jobs):
-        """Compile every artifact the batch needs into ``state`` (the
-        copy-on-write image forked workers inherit): each engine names
-        what its jobs bind, once per distinct target."""
-        targets = {}
-        for job in jobs:
-            key = (job.engine, job.design, job.module, job.tasks, job.task_engine)
-            targets.setdefault(key, job)
-        for job in targets.values():
-            try:
-                get_engine(job.engine).precompile(state.build(job.design), job)
-            except EclError:
-                pass  # surfaces per job as a status="error" result
+            # Empty on success; after an interrupt, stop dispatching.
+            queue.drain()
+            queue.close()
+            pool.join(timeout=10.0)
+        by_id = {result.job_id: result for result in batch.results}
+        return [by_id[job.job_id] for job in jobs]

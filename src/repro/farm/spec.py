@@ -43,8 +43,8 @@ with priority and the binding map optional), ``task_engine``
 ("efsm", "native" or "interp" — what runs inside each rtos task) and
 ``deadline_s`` (serving QoS: max seconds a job may wait in the service
 queue before it is refused; ignored by local farm runs and excluded
-from job identity).  Farm-level keys: ``workers``, ``chunk_size``,
-``ledger`` and ``cache_dir`` (persistent shared code cache, resolved
+from job identity).  Farm-level keys: ``workers``, ``ledger``
+and ``cache_dir`` (persistent shared code cache, resolved
 against the spec location); the serving layer additionally honors a
 top-level ``ttl_s`` (batch time-to-live once admitted).
 """
@@ -52,11 +52,12 @@ top-level ``ttl_s`` (batch time-to-live once admitted).
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, List, Tuple
 
 from ..engines import get_engine
-from ..errors import EclError
+from ..errors import EclError, QueueFullError
 from .jobs import SimJob, StimulusSpec, value_range_of
 
 #: Newest spec schema this build understands.  Older documents are
@@ -88,14 +89,13 @@ def load_spec(path):
     """Parse a spec file: returns ``(designs, jobs, settings)`` where
     ``designs`` maps labels to source text, ``jobs`` is the expanded
     job list and ``settings`` holds farm-level options (workers,
-    chunk_size, ledger root resolved against the spec location)."""
+    ledger root and cache dir, resolved against the spec location)."""
     document = read_document(path)
     base = os.path.dirname(os.path.abspath(path))
     designs = load_designs(document.get("designs"), base, path)
     jobs = expand_document(document, designs, path)
     settings = {
         "workers": document.get("workers"),
-        "chunk_size": document.get("chunk_size"),
         "ledger": _resolve(base, document.get("ledger")),
         "cache_dir": _resolve(base, document.get("cache_dir")),
     }
@@ -114,14 +114,18 @@ def read_document(path):
     return document
 
 
-def expand_document(document, designs, origin="<request>"):
+def expand_document(document, designs, origin="<request>", limit=None):
     """Expand an already-loaded spec document's job matrix against
     ``designs`` (labels to source text).  This is the single expansion
     path shared by ``eclc farm run --spec``, the serving layer and
     ``eclc submit`` — which is what makes a service batch reproduce a
-    local farm run job-for-job (same indices, same derived seeds)."""
+    local farm run job-for-job (same indices, same derived seeds).
+
+    ``limit`` bounds the batch: once the entries' running total of
+    modules x engines x traces passes it, :class:`~repro.errors.
+    QueueFullError` is raised before any job is built."""
     check_version(document, origin)
-    return _expand_entries(document.get("jobs"), designs, origin)
+    return _expand_entries(document.get("jobs"), designs, origin, limit)
 
 
 def inline_spec(path):
@@ -194,98 +198,113 @@ def _module_names(source, label):
     return list(build.module_names)
 
 
-def _expand_entries(entries, designs, spec_path) -> List[SimJob]:
+def _expand_entries(entries, designs, spec_path, limit) -> List[SimJob]:
     if not isinstance(entries, list) or not entries:
         raise EclError('farm spec %s: "jobs" must be a non-empty list' % spec_path)
-    jobs: List[SimJob] = []
-    index = 0
+    matrices = []
+    total = 0
     for position, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise EclError(
-                "farm spec %s: jobs[%d] must be an object" % (spec_path, position)
-            )
-        label = entry.get("design")
-        if label not in designs:
-            raise EclError(
-                "farm spec %s: jobs[%d] names unknown design %r"
-                % (spec_path, position, label)
-            )
         where = "farm spec %s: jobs[%d]" % (spec_path, position)
-        modules = _names(entry, "modules", where)
-        modules = modules or _module_names(designs[label], label)
-        engines = _names(entry, "engines", where)
-        if "engine" in entry:  # v2 singular spelling
-            if engines:
-                raise EclError(
-                    'farm spec %s: jobs[%d] gives both "engine" and '
-                    '"engines" — pick one' % (spec_path, position)
-                )
-            engines = [str(entry["engine"])]
-        engines = engines or ["efsm"]
-        traces_key = "traces"
-        if "n_instances" in entry:  # v2 sweep-oriented spelling
-            if entry.get("traces") is not None:
-                raise EclError(
-                    '%s gives both "traces" and "n_instances" — they are '
-                    "the same knob" % where
-                )
-            traces_key = "n_instances"
-        traces = _number(entry, traces_key, 1, int, where)
-        horizon = _number(entry, "horizon", 0, int, where)
-        stimulus = StimulusSpec.random(
-            length=_number(entry, "length", 32, int, where),
-            present_prob=_number(
-                entry, "present_prob", 0.5, float, where, minimum=None
-            ),
-            value_range=value_range_of(entry.get("value_range", (0, 255)), where),
-            salt=_number(entry, "seed", 0, int, where, minimum=None),
-        )
-        tasks = _task_specs(entry.get("tasks"), where)
-        record_vcd = entry.get("vcd")
-        if record_vcd is None:
-            record_vcd = False
-        elif not isinstance(record_vcd, bool):
-            raise EclError(
-                '%s: "vcd" must be true or false, got %r' % (where, record_vcd)
+        modules, engines, traces, shared = _matrix(entry, designs, where)
+        total += len(modules) * len(engines) * traces
+        if limit is not None and total > limit:
+            raise QueueFullError(
+                "queue_full: %s expands to at least %d jobs, more than "
+                "the queue depth %d" % (spec_path, total, limit),
+                total,
             )
-        task_engine = str(entry.get("task_engine", "") or "")
-        deadline_s = _number(entry, "deadline_s", 0, float, where)
+        matrices.append((modules, engines, traces, shared))
+    jobs: List[SimJob] = []
+    for modules, engines, traces, shared in matrices:
+        task_engine = shared.pop("task_engine")
         for module in modules:
             for engine in engines:
                 runs_tasks = "tasks" in get_engine(engine).capabilities()
                 for _ in range(traces):
                     jobs.append(
                         SimJob(
-                            design=label,
                             module=module,
                             engine=engine,
-                            stimulus=stimulus,
-                            horizon=horizon,
-                            index=index,
-                            record_vcd=record_vcd,
-                            tasks=tasks,
+                            index=len(jobs),
                             task_engine=task_engine if runs_tasks else "",
-                            deadline_s=deadline_s,
+                            **shared,
                         )
                     )
-                    index += 1
     return jobs
 
 
-def _number(entry, key, default, convert, where, minimum=0):
+def _matrix(entry, designs, where):
+    """One validated ``jobs`` entry: ``(modules, engines, traces,
+    shared)``, where ``shared`` holds the SimJob fields every job it
+    expands to has in common."""
+    if not isinstance(entry, dict):
+        raise EclError("%s must be an object" % where)
+    label = entry.get("design")
+    if not isinstance(label, str) or label not in designs:
+        raise EclError("%s names unknown design %r" % (where, label))
+    modules = _names(entry, "modules", where) or _module_names(designs[label], label)
+    engines = _names(entry, "engines", where)
+    if "engine" in entry:  # v2 singular spelling
+        if engines:
+            raise EclError('%s gives both "engine" and "engines" — pick one' % where)
+        engines = [str(entry["engine"])]
+    traces_key = "traces"
+    if "n_instances" in entry:  # v2 sweep-oriented spelling
+        if entry.get("traces") is not None:
+            raise EclError(
+                '%s gives both "traces" and "n_instances" — they are '
+                "the same knob" % where
+            )
+        traces_key = "n_instances"
+    traces = _number(entry, traces_key, 1, int, where)
+    record_vcd = entry.get("vcd")
+    if record_vcd is None:
+        record_vcd = False
+    elif not isinstance(record_vcd, bool):
+        raise EclError('%s: "vcd" must be true or false, got %r' % (where, record_vcd))
+    shared = {
+        "design": label,
+        "horizon": _number(entry, "horizon", 0, int, where),
+        "stimulus": StimulusSpec.random(
+            length=_number(entry, "length", 32, int, where),
+            present_prob=_number(entry, "present_prob", 0.5, float, where, maximum=1),
+            value_range=value_range_of(entry.get("value_range", (0, 255)), where),
+            salt=_number(entry, "seed", 0, int, where, minimum=None),
+        ),
+        "tasks": _task_specs(entry.get("tasks"), where),
+        "record_vcd": record_vcd,
+        "task_engine": str(entry.get("task_engine", "") or ""),
+        "deadline_s": _number(entry, "deadline_s", 0, float, where),
+    }
+    return modules, engines or ["efsm"], traces, shared
+
+
+def _number(entry, key, default, convert, where, minimum=0, maximum=None):
     """``convert(entry[key])`` (``default`` when absent or null); an
-    EclError naming the field when the value does not convert or lies
-    below ``minimum``."""
+    EclError naming the field when the value is a boolean, does not
+    convert, is not finite, has a fraction an int field would drop, or
+    lies outside [``minimum``, ``maximum``]."""
     value = entry.get(key)
     if value is None:
         return convert(default)
     try:
+        if isinstance(value, bool):
+            raise TypeError
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         number = convert(value)
+        if isinstance(number, float) and not math.isfinite(number):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise EclError('%s: "%s" must be a number, got %r' % (where, key, value))
+        kind = "an integer" if convert is int else "a finite number"
+        raise EclError('%s: "%s" must be %s, got %r' % (where, key, kind, value))
     if minimum is not None and number < minimum:
         raise EclError(
             '%s: "%s" must be >= %s, got %r' % (where, key, minimum, value)
+        )
+    if maximum is not None and number > maximum:
+        raise EclError(
+            '%s: "%s" must be <= %s, got %r' % (where, key, maximum, value)
         )
     return number
 

@@ -6,13 +6,12 @@ design sources, a lazily-populated per-design
 compiled *once per worker* no matter how many of its jobs land there),
 and the process's handle on the shared :class:`TraceLedger` directory.
 
-The module-level :func:`initialize` / :func:`run_chunk` pair is the
-``ProcessPoolExecutor`` surface: ``initialize`` runs once per worker
-(as the pool initializer), ``run_chunk`` executes a whole list of jobs
-per task so per-dispatch pickling overhead amortizes across the chunk.
-The same :class:`WorkerState` also runs inline (``workers<=1``), which
-is both the serial baseline the throughput benchmark compares against
-and the low-latency path for small batches.
+The same class runs on both sides of every pool: inline in the
+calling process (the farm's ``workers<=1`` path, the serial baseline
+the throughput benchmark compares against, and the service's thread
+mode) and inside each spawned worker child of
+:mod:`repro.serve.procworker`, which the service and the pooled farm
+share.
 
 Vector jobs fuse: :meth:`WorkerState.stream` — the one run loop under
 both :meth:`~WorkerState.run_jobs` and the serving worker children —
@@ -580,40 +579,3 @@ class WorkerState:
             }
             recorder.sample(inputs=present, values=values)
         return recorder.render()
-
-
-# ----------------------------------------------------------------------
-# ProcessPoolExecutor surface (module-level, so it pickles by name).
-
-_STATE: Optional[WorkerState] = None
-
-
-def adopt(state):
-    """Install ``state`` as this process's worker state *before* the
-    pool forks: on fork-based platforms every worker then inherits the
-    parent's already-compiled designs copy-on-write, so no worker ever
-    re-runs the compiler.  Spawn-based platforms ignore this (the
-    module global does not travel) and fall back to compiling in
-    :func:`initialize`."""
-    global _STATE
-    _STATE = state
-
-
-def initialize(designs, options, ledger_root, cache_dir=None):
-    """Pool initializer: reuse a fork-inherited state if present,
-    otherwise build this worker's own exactly once (served from the
-    persistent artifact/code cache when ``cache_dir`` is set)."""
-    global _STATE
-    if _STATE is None:
-        _STATE = WorkerState(
-            designs, options=options, ledger_root=ledger_root, cache_dir=cache_dir
-        )
-
-
-def run_chunk(jobs):
-    """Execute one chunk of jobs in this worker; returns SimResults.
-    Vector jobs sharing a sweep key fuse into one vectorized sweep per
-    chunk (:meth:`WorkerState.run_jobs`)."""
-    if _STATE is None:
-        raise RuntimeError("farm worker used before initialize()")
-    return _STATE.run_jobs(jobs)

@@ -1731,9 +1731,9 @@ class PartitionBundle:
     """Every task's lowered :class:`NativeCode` (plus its EFSM and
     bindings) in one artifact — what the farm's ``rtos`` engine binds
     when the task engine is ``native``.  The pipeline content-addresses
-    bundles under the ``partition`` stage, so fork-based workers
-    inherit them copy-on-write and spawn-based workers load one pickle
-    instead of re-running translate/efsm/native per task module."""
+    bundles under the ``partition`` stage, so a worker loads one
+    pickle instead of re-running translate/efsm/native per task
+    module."""
 
     design: str
     tasks: Tuple[PartitionTask, ...] = field(default_factory=tuple)

@@ -86,6 +86,31 @@ class ServeHandler(BaseHTTPRequestHandler):
     # -- routing -------------------------------------------------------
 
     def do_GET(self):  # noqa: N802 - stdlib handler name
+        self._guarded(self._get)
+
+    def do_POST(self):  # noqa: N802 - stdlib handler name
+        self._guarded(self._post)
+
+    def _guarded(self, route):
+        """Run one route; an exception escaping it becomes a JSON 500
+        naming the failure instead of a dropped connection (unless the
+        response had already begun, when the socket is all that is
+        left to close)."""
+        self.responded = False
+        try:
+            route()
+        except Exception as error:
+            if self.responded:
+                raise
+            self._send_json(500, {"error": "internal_error",
+                                  "detail": "%s: %s"
+                                  % (type(error).__name__, error)})
+
+    def send_response(self, code, message=None):
+        self.responded = True
+        BaseHTTPRequestHandler.send_response(self, code, message)
+
+    def _get(self):
         path = self.path.split("?", 1)[0].rstrip("/")
         parts = [p for p in path.split("/") if p]
         try:
@@ -134,7 +159,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             status = 404 if missing else 400
             self._send_json(status, {"error": str(error)})
 
-    def do_POST(self):  # noqa: N802 - stdlib handler name
+    def _post(self):
         path = self.path.split("?", 1)[0].rstrip("/")
         parts = [p for p in path.split("/") if p]
         if parts == ["v1", "batches"]:
@@ -208,7 +233,11 @@ class ServeHandler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            raise EclError("bad Content-Length header %r" % header)
         if length <= 0:
             raise EclError("request body required")
         if length > MAX_BODY_BYTES:

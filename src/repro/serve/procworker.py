@@ -2,12 +2,15 @@
 
 :func:`child_main` is the entry point each
 :class:`~repro.serve.pool.WorkerProcess` spawns into: a request/reply
-loop over one pipe, holding a per-tenant
-:class:`~repro.farm.worker.WorkerState` exactly like the parent's
-:class:`~repro.serve.service.TenantSpace` does — same namespaced
-artifact cache, same tenant ledger shard, same
+loop over one pipe, holding one
+:class:`~repro.farm.worker.WorkerState` per tenant, built by the
+picklable factory its config carries.  The service's factory yields
+exactly what the parent's :class:`~repro.serve.service.TenantSpace`
+holds — same namespaced artifact cache, same tenant ledger shard, same
 ``raise_storage_errors`` escalation — so a job produces the identical
-stable result row no matter which side of the pipe ran it.
+stable result row no matter which side of the pipe ran it; the pooled
+:class:`~repro.farm.farm.SimulationFarm` ships one that builds its
+own farm state (root ledger index, its code cache and options).
 
 Warmth without shared memory: the state compiles against the
 service's *persistent* artifact cache and marshal-backed native code
@@ -37,11 +40,11 @@ import traceback
 def child_main(conn, config):
     """Serve dispatch groups over ``conn`` until ``exit`` or EOF.
 
-    ``config``: ``data_root`` (tenant artifact/ledger layout root,
-    None = in-memory), ``cache_dir`` (marshal-backed native code
-    cache), ``options`` (:class:`~repro.pipeline.stages.
-    CompileOptions`) and the test seam ``ledger_fault_hook`` (a
-    picklable ``TraceLedger.fault_hook`` for this child's ledgers).
+    ``config``: ``worker_state`` (picklable ``factory(tenant=...)``
+    returning a tenant's :class:`~repro.farm.worker.WorkerState`),
+    ``cache_dir`` (marshal-backed native code cache, optional) and the
+    test seam ``ledger_fault_hook`` (a picklable
+    ``TraceLedger.fault_hook`` for this child's ledgers).
 
     A ``(tenant, designs, jobs)`` request runs through one
     :meth:`~repro.farm.worker.WorkerState.stream`; each unit it yields
@@ -50,7 +53,6 @@ def child_main(conn, config):
     # Imports live here, not at module top: the parent imports this
     # module only to name the spawn target, and must not pay (or
     # re-enter) the heavier runtime imports while holding pool state.
-    from ..farm.worker import WorkerState
     from ..runtime.native import enable_code_cache
 
     if config.get("cache_dir"):
@@ -73,11 +75,7 @@ def child_main(conn, config):
             try:
                 state = states.get(tenant)
                 if state is None:
-                    state = WorkerState.for_tenant(
-                        tenant,
-                        data_root=config.get("data_root"),
-                        options=config.get("options"),
-                    )
+                    state = config["worker_state"](tenant=tenant)
                     if state.ledger is not None:
                         state.ledger.fault_hook = config.get(
                             "ledger_fault_hook")

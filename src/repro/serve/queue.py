@@ -52,17 +52,13 @@ from time import monotonic
 from typing import Dict, List, Optional
 
 from .. import telemetry
-from ..errors import EclError
+from ..errors import EclError, QueueFullError
 
 #: Default bound on queued (not yet executing) jobs.
 DEFAULT_QUEUE_DEPTH = 1024
 
 #: Weight of a tenant with no configured weight.
 DEFAULT_TENANT_WEIGHT = 1.0
-
-
-class QueueFullError(EclError):
-    """A submission exceeded the queue's bounded depth."""
 
 
 class ServiceClosedError(EclError):
@@ -305,6 +301,16 @@ class JobQueue:
             ).inc(len(entries))
             self._not_empty.notify(len(entries))
             return entries
+
+    def refuse(self, jobs):
+        """Count ``jobs`` a batch was refused with before reaching
+        :meth:`put_batch` (spec expansion already saw it cannot fit)."""
+        with self._lock:
+            self.rejected += jobs
+        telemetry.counter(
+            "ecl_serve_rejected_total",
+            help="Jobs rejected by queue backpressure.",
+        ).inc(jobs)
 
     def requeue(self, entry):
         """Re-admit a retried entry, bypassing the depth bound and the

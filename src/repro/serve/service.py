@@ -55,6 +55,7 @@ regenerate it.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import uuid
@@ -64,7 +65,7 @@ from time import monotonic, perf_counter
 from typing import Dict, Iterator, List, Optional
 
 from .. import telemetry
-from ..errors import EclError
+from ..errors import EclError, QueueFullError
 from ..farm.jobs import STATUS_ERROR, SimResult
 from ..farm.ledger import TraceLedger, check_tenant
 from ..farm.spec import expand_document, load_designs
@@ -88,6 +89,59 @@ DEFAULT_FUSION_LIMIT = 16
 #: streaming.  Past it the oldest finished batches are forgotten (their
 #: ids then answer "unknown batch"); open batches are never dropped.
 RETAINED_ROWS = 4096
+
+
+def take_group(queue, entry, limit):
+    """Claim the queued entries riding along with ``entry`` (at most
+    ``limit`` in all) — the one grouping rule of every pool dispatch,
+    the service's and the pooled farm's.  A sweepable vector job takes
+    jobs sharing its sweep key from *any* batch of the tenant; any
+    other job takes same (design, module, engine) jobs of its *own*
+    batch, one more than the rows that batch has landed — a batch's
+    first dispatch runs alone, so its first row is never held back.
+    Each member keeps its own job id, batch and row."""
+    if limit <= 1:
+        return []
+    job = entry.job
+    key = WorkerState.sweep_key(job)
+    if key is not None:
+        return queue.take_matching(
+            entry,
+            lambda other: WorkerState.sweep_key(other) == key,
+            limit - 1,
+        )
+    batch = entry.batch
+    if batch is None:
+        return []
+    scalar = (job.design, job.module, job.engine)
+    landed = len(batch.results)
+    return queue.take_matching(
+        entry,
+        lambda other: (other in batch
+                       and (other.design, other.module,
+                            other.engine) == scalar
+                       and WorkerState.sweep_key(other) is None),
+        min(limit, 1 + landed, batch.total - landed) - 1,
+    )
+
+
+def synthetic_result(entry, error_text):
+    """An error row for a queue entry that produced none of its own."""
+    job = entry.job
+    return SimResult(
+        job_id=job.job_id,
+        design=job.design,
+        module=job.module,
+        engine=job.engine,
+        index=job.index,
+        status=STATUS_ERROR,
+        error=error_text,
+    )
+
+
+def quarantine_result(entry, error_text):
+    """The row of a poison job whose retry budget ran out."""
+    return synthetic_result(entry, "quarantined: " + error_text)
 
 
 class Batch:
@@ -308,9 +362,11 @@ class SimulationService:
             execute_group=self._execute_entry,
             take_group=self._take_group,
             process_config={
-                "data_root": data_root,
+                "worker_state": functools.partial(
+                    WorkerState.for_tenant, data_root=data_root,
+                    options=options,
+                ),
                 "cache_dir": self.cache_dir,
-                "options": options,
             },
         )
         self._tenants: Dict[str, TenantSpace] = {}
@@ -363,7 +419,14 @@ class SimulationService:
             document.get("designs"), base=None, spec_path=origin,
             allow_paths=False,
         )
-        jobs = expand_document(document, designs, origin)
+        try:
+            # Bounded before any job exists: a batch larger than the
+            # whole queue could never be admitted.
+            jobs = expand_document(document, designs, origin,
+                                   limit=self.queue.depth)
+        except QueueFullError as error:
+            self.queue.refuse(error.jobs)
+            raise
         ttl_s = self._check_ttl(document, origin)
         space = self._space(tenant)
         # Adopt by source equality: an identical design keeps its warm
@@ -424,36 +487,7 @@ class SimulationService:
     # -- execution (pool callbacks) ------------------------------------
 
     def _take_group(self, entry):
-        """Claim the queued entries riding along with ``entry`` (at most
-        ``fusion_limit`` in all).  A sweepable vector job takes jobs
-        sharing its sweep key from *any* batch of the tenant; any other
-        job takes same (design, module, engine) jobs of its *own*
-        batch, one more than the rows that batch has landed — a
-        batch's first dispatch runs alone, so its first row is never
-        held back.  Each member keeps its own job id, batch and row."""
-        if self.fusion_limit <= 1:
-            return []
-        job = entry.job
-        key = WorkerState.sweep_key(job)
-        if key is not None:
-            return self.queue.take_matching(
-                entry,
-                lambda other: WorkerState.sweep_key(other) == key,
-                self.fusion_limit - 1,
-            )
-        batch = entry.batch
-        if batch is None:
-            return []
-        scalar = (job.design, job.module, job.engine)
-        landed = len(batch.results)
-        return self.queue.take_matching(
-            entry,
-            lambda other: (other in batch
-                           and (other.design, other.module,
-                                other.engine) == scalar
-                           and WorkerState.sweep_key(other) is None),
-            min(self.fusion_limit, 1 + landed, batch.total - landed) - 1,
-        )
+        return take_group(self.queue, entry, self.fusion_limit)
 
     def _execute_entry(self, group, worker, visit, settled):
         """The pool's group callback: dedup and refusal checks, then one
@@ -479,7 +513,7 @@ class SimulationService:
             if refusal is not None:
                 visit(member)
                 self._record_result(
-                    member.batch, self._synthetic_result(member, refusal),
+                    member.batch, synthetic_result(member, refusal),
                 )
                 settled(member)
                 continue
@@ -593,7 +627,7 @@ class SimulationService:
         ).inc()
         self._record_result(
             entry.batch,
-            self._synthetic_result(entry, "quarantined: " + error_text),
+            quarantine_result(entry, error_text),
         )
 
     def _record_result(self, batch, result):
@@ -649,19 +683,6 @@ class SimulationService:
                 help="Journal appends that failed (durability degraded).",
                 kind=kind,
             ).inc()
-
-    @staticmethod
-    def _synthetic_result(entry, error_text):
-        job = entry.job
-        return SimResult(
-            job_id=job.job_id,
-            design=job.design,
-            module=job.module,
-            engine=job.engine,
-            index=job.index,
-            status=STATUS_ERROR,
-            error=error_text,
-        )
 
     # -- recovery ------------------------------------------------------
 
@@ -880,8 +901,8 @@ class SimulationService:
             for entry in self.queue.drain():
                 self._record_result(
                     entry.batch,
-                    self._synthetic_result(entry, "cancelled: service "
-                                           "shutdown without drain"),
+                    synthetic_result(entry, "cancelled: service "
+                                     "shutdown without drain"),
                 )
             idle = self.pool.wait_idle(timeout=timeout)
         self.queue.close()

@@ -154,7 +154,6 @@ class VerifyCampaign:
         present_prob=0.5,
         value_range=(0, 255),
         workers=None,
-        chunk_size=None,
         ledger_root=None,
         target=100.0,
         seeds=(),
@@ -191,7 +190,6 @@ class VerifyCampaign:
         self.present_prob = float(present_prob)
         self.value_range = value_range_of(value_range, "campaign")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.ledger_root = ledger_root
         self.target = float(target)
         self.seeds = [list(seed) for seed in seeds]
@@ -332,7 +330,6 @@ class VerifyCampaign:
             self.designs,
             ledger_root=self.ledger_root,
             workers=self.workers,
-            chunk_size=self.chunk_size,
         )
         result = CampaignResult(coverage=merged, target=self.target)
         corpus = [list(seed) for seed in self.seeds]

@@ -70,10 +70,9 @@ def load_campaign_spec(path):
         rounds=_number(document, "rounds", 6, int, where),
         jobs_per_round=_number(document, "jobs_per_round", 16, int, where),
         length=_number(document, "length", 32, int, where),
-        present_prob=_number(document, "present_prob", 0.5, float, where, minimum=None),
+        present_prob=_number(document, "present_prob", 0.5, float, where, maximum=1),
         value_range=document.get("value_range", (0, 255)),
         workers=document.get("workers"),
-        chunk_size=document.get("chunk_size"),
         ledger_root=ledger,
         target=_number(document, "target", 100.0, float, where),
         seeds=seeds,

@@ -8,6 +8,7 @@ byte-identical to a direct ``eclc farm run`` of the same spec.
 
 import http.client
 import json
+import time
 
 import pytest
 
@@ -135,6 +136,35 @@ class TestHttpSurface:
         finally:
             service.shutdown(drain=False, timeout=5)
 
+    def test_oversized_batch_refused_before_expansion(self, served):
+        """600 000 jobs against depth 1024: refused while counting the
+        matrix, before any job is built."""
+        service, client = served
+        document = {"designs": {"d": {"text": DOOR_CTRL_ECL}},
+                    "jobs": [{"design": "d", "traces": 300000}]}
+        started = time.perf_counter()
+        got, payload = post_raw(client, {"spec": document})
+        assert time.perf_counter() - started < 1.0
+        assert (got, payload["error"]) == (429, "queue_full")
+        assert client.status()["queue"]["rejected"] >= service.queue.depth
+        assert client.status()["queue"]["queued"] == 0
+
+    def test_unexpected_failure_is_a_json_500(self, served, monkeypatch):
+        service, client = served
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "submit", broken)
+        got, payload = post_raw(client, {"spec": batch_document()})
+        assert got == 500
+        assert payload == {"error": "internal_error",
+                           "detail": "RuntimeError: boom"}
+        monkeypatch.setattr(service, "status_dict", broken)
+        with pytest.raises(Exception, match="internal_error"):
+            client.status()
+        assert client.healthz()
+
     def test_tenant_quota_maps_to_429_tenant_quota(self, tmp_path,
                                                    http_server):
         from repro.serve import TenantQuotaError
@@ -159,13 +189,16 @@ class TestHttpSurface:
             service.shutdown(drain=False, timeout=5)
 
 
-def post_raw(client, body):
-    """``(status, decoded JSON)`` of one raw ``POST /v1/batches``."""
+def post_raw(client, body, headers=None):
+    """``(status, decoded JSON)`` of one raw ``POST /v1/batches``
+    (``body=None`` sends only ``headers``)."""
     connection = http.client.HTTPConnection(client.host, client.port,
                                             timeout=10)
     try:
-        connection.request("POST", "/v1/batches", body=json.dumps(body),
-                           headers={"Content-Type": "application/json"})
+        connection.request("POST", "/v1/batches",
+                           body=None if body is None else json.dumps(body),
+                           headers=headers or {
+                               "Content-Type": "application/json"})
         response = connection.getresponse()
         return response.status, json.loads(response.read())
     finally:
@@ -191,6 +224,13 @@ BAD_SUBMISSIONS = [
     ("tasks_short", {"tasks": [[1]]}, 400),
     ("vcd_word", {"vcd": "no"}, 400),
     ("engines_string", {"engines": "native"}, 400),
+    ("design_list", {"design": ["stack"]}, 400),
+    ("content_length_word", {"Content-Length": "abc"}, 400),
+    ("present_prob_five", {"present_prob": 5}, 400),
+    ("present_prob_nan", {"present_prob": float("nan")}, 400),
+    ("deadline_infinite", {"deadline_s": float("inf")}, 400),
+    ("traces_bool", {"traces": True}, 400),
+    ("length_fraction", {"length": 2.7}, 400),
     ("draining", {}, 503),
     ("queue_closed", {}, 503),
 ]
@@ -213,7 +253,10 @@ class TestAdmissionBoundary:
             service._accepting = False
         elif case == "queue_closed":
             service.queue.close()
-        got, payload = post_raw(client, body)
+        if case == "content_length_word":
+            got, payload = post_raw(client, None, headers=edit)
+        else:
+            got, payload = post_raw(client, body)
         assert got == status
         assert payload["error"]
         if status == 400:

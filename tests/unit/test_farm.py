@@ -282,19 +282,8 @@ class TestSimulationFarm:
         assert report.status_counts() == {"error": 1, "ok": 1}
         assert len(report.errors) == 1
 
-    def test_chunking_groups_by_design(self):
-        farm = SimulationFarm(DESIGNS, chunk_size=3)
-        jobs = expand_jobs([("echo", "echo"), ("once", "once")],
-                           traces=4)
-        chunks = farm._chunk(jobs, workers=2)
-        assert all(len({j.design for j in chunk}) == 1
-                   for chunk in chunks)
-        assert sorted(j.index for chunk in chunks for j in chunk) == \
-            list(range(8))
-        assert max(len(chunk) for chunk in chunks) <= 3
-
     def test_process_pool_run(self, tmp_path):
-        farm = SimulationFarm(DESIGNS, workers=2, chunk_size=2,
+        farm = SimulationFarm(DESIGNS, workers=2,
                               ledger_root=str(tmp_path / "ledger"))
         jobs = expand_jobs([("echo", "echo"), ("once", "once")],
                            traces=3, length=4)

@@ -586,17 +586,25 @@ class TestJournalRecovery:
 
     def test_rejected_batch_is_closed_in_journal(self, tmp_path):
         service = make_service(data_root=str(tmp_path), workers=0,
-                               queue_depth=1)
+                               queue_depth=4)
+        held = service.submit(document(traces=3))
+        # fits the depth but not the room left: admitted, then closed
         with pytest.raises(QueueFullError):
             service.submit(document(traces=3))
+        # past the depth itself: refused before expansion, unjournaled
+        with pytest.raises(QueueFullError, match="expands to"):
+            service.submit(document(traces=5))
         shard = tmp_path / "journal" / "default.jsonl"
         kinds = [(json.loads(line)["kind"],
                   json.loads(line).get("reason"))
                  for line in shard.read_text().splitlines() if line]
-        assert kinds == [("admit", None), ("end", "rejected")]
-        # nothing to resurrect on restart
+        assert kinds == [("admit", None), ("admit", None),
+                         ("end", "rejected")]
+        assert service.queue.stats_dict()["rejected"] == 3 + 5
+        # only the held batch resurrects on restart
         revived = make_service(data_root=str(tmp_path), workers=0)
-        assert revived.recovery["recovered_batches"] == 0
+        assert revived.recovery["recovered_batches"] == 1
+        assert revived.recovery["resumed_jobs"] == held.total
         revived.shutdown(drain=False, timeout=5)
 
 

@@ -118,7 +118,7 @@ class TestCampaignOnFarm:
             {"door": DOOR_CTRL_BUGGY_ECL}, "door", "door_ctrl",
             properties=[INTERLOCK],
             rounds=4, jobs_per_round=8, length=48, workers=2,
-            chunk_size=1, salt=3, ledger_root=ledger_root)
+            salt=3, ledger_root=ledger_root)
         result = campaign.run()
         assert result.reached_target
         assert result.report.transition_percent == 100.0
@@ -240,7 +240,8 @@ class TestVerifyCli:
         assert "VIOLATION" in capsys.readouterr().out
 
     @pytest.mark.parametrize("field, value", [
-        ("rounds", "x"), ("present_prob", "half"), ("seeds", [[5]])])
+        ("rounds", "x"), ("present_prob", "half"), ("seeds", [[5]]),
+        ("present_prob", 5), ("rounds", 2.5)])
     def test_verify_run_spec_bad_field_is_named(self, tmp_path, capsys,
                                                 field, value):
         (tmp_path / "door.ecl").write_text(DOOR_CTRL_ECL)
