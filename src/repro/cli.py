@@ -38,6 +38,7 @@ import sys
 from .core.compiler import EclCompiler
 from .engines import adapter_names, engine_names, names_with
 from .errors import EclError
+from .farm.spec import load_batch, module_names, read_document
 from .pipeline import ArtifactCache, CompileOptions, Pipeline
 from .pipeline.registry import DEFAULT_REGISTRY
 
@@ -49,7 +50,9 @@ def main(argv=None):
         return args.handler(args)
     except EclError as error:
         print("eclc: error: %s" % error, file=sys.stderr)
-        return 1
+        # a spec field a flag set is a usage error, as argparse's own
+        usage = getattr(error, "field", None) in getattr(args, "flagged", ())
+        return 2 if usage else 1
     except OSError as error:
         print("eclc: error: %s" % error, file=sys.stderr)
         return 1
@@ -114,7 +117,7 @@ def _build_parser():
     run.add_argument("-m", "--module", action="append", default=None,
                      help="restrict to this module (repeatable; "
                           "default: every module of every design)")
-    run.add_argument("--engines", default="efsm",
+    run.add_argument("--engines", default=None,
                      help="comma-separated engines (%s; vector "
                           "jobs fuse into numpy sweeps, needs numpy)"
                           % ", ".join(engine_names()))
@@ -128,13 +131,13 @@ def _build_parser():
                      help="persistent shared code cache (compiled "
                           "artifacts + native bytecode survive the "
                           "batch; spawn-based workers warm-start)")
-    run.add_argument("--traces", type=int, default=1,
+    run.add_argument("--traces", type=int, default=None,
                      help="random traces per design x module x engine")
-    run.add_argument("--length", type=int, default=32,
+    run.add_argument("--length", type=int, default=None,
                      help="instants per random trace")
-    run.add_argument("--horizon", type=int, default=0,
+    run.add_argument("--horizon", type=int, default=None,
                      help="max instants per job (0 = trace length)")
-    run.add_argument("--seed", type=int, default=0,
+    run.add_argument("--seed", type=int, default=None,
                      help="batch seed folded into every job's "
                           "derived seed (via the job index offset)")
     run.add_argument("-j", "--workers", type=int, default=None)
@@ -259,9 +262,9 @@ def _build_parser():
                         help="service address (default 127.0.0.1)")
     submit.add_argument("--port", type=int, default=None,
                         help="service port (default 8732)")
-    submit.add_argument("--tenant", default="default",
+    submit.add_argument("--tenant", default=None,
                         help="tenant namespace (default: 'default')")
-    submit.add_argument("--priority", type=int, default=0,
+    submit.add_argument("--priority", type=int, default=None,
                         help="batch priority (higher runs earlier)")
     submit.add_argument("--retries", type=int, default=0,
                         help="retry a 429/503 rejection (or a connection "
@@ -336,30 +339,28 @@ def _build_parser():
 
 
 def _campaign_flags(parser, engines=None):
-    # Defaults are None so `verify run --spec` can tell "flag given"
-    # (override the spec) from "flag omitted" (keep the spec's value);
-    # _flag_campaign fills the real defaults for the flags-only path.
+    # Defaults are None: a flag overlays the campaign document only when
+    # given, and the defaults live in the spec schema (README, "Spec
+    # reference").
     parser.add_argument("--engine", default=None,
                         choices=engines or adapter_names(),
-                        help="simulation engine (default: native; rtos "
-                             "checks properties under the kernel but "
-                             "collects record-level emit coverage only; "
-                             "vector fuses each round into one numpy "
-                             "sweep, needs numpy)")
+                        help="simulation engine (rtos checks properties "
+                             "under the kernel but collects record-level "
+                             "emit coverage only; vector fuses each round "
+                             "into one numpy sweep, needs numpy)")
     parser.add_argument("--task-engine", default=None,
                         choices=names_with("step"),
                         help="rtos engine only: what runs inside each "
                              "task (default: efsm)")
     parser.add_argument("--rounds", type=int, default=None,
-                        help="campaign rounds (default 6)")
+                        help="campaign rounds")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="jobs per round (default 16)")
+                        help="jobs per round")
     parser.add_argument("--length", type=int, default=None,
-                        help="instants per generated trace "
-                             "(default 32)")
+                        help="instants per generated trace")
     parser.add_argument("--target", type=float, default=None,
                         help="transition coverage %% that ends the "
-                             "campaign early (default 100)")
+                             "campaign early")
     parser.add_argument("--seed", type=int, default=None,
                         help="campaign salt (deterministic fuzzing)")
     parser.add_argument("-j", "--workers", type=int, default=None)
@@ -527,57 +528,28 @@ def _parse_instant(line, lineno):
 
 
 def _cmd_farm_run(args):
-    from .farm import (SimulationFarm, default_ledger_root, expand_jobs,
-                       load_spec)
-    from .pipeline import Pipeline
+    from .farm import SimulationFarm
 
-    settings = {"workers": args.workers, "ledger": None,
-                "cache_dir": args.cache_dir}
-    if args.spec:
-        designs, jobs, spec_settings = load_spec(args.spec)
-        for key, value in spec_settings.items():
-            if settings.get(key) is None:
-                settings[key] = value
-    else:
-        if not args.files:
-            print("eclc: error: farm run needs design files or --spec",
-                  file=sys.stderr)
-            return 2
-        designs = {}
-        for path in args.files:
-            label = os.path.basename(path)
-            with open(path) as handle:
-                designs[label] = handle.read()
-        engines = [name.strip() for name in args.engines.split(",")
-                   if name.strip()]
-        pairs = []
-        for label, source in designs.items():
-            names = Pipeline().compile_text(
-                source, filename=label).module_names
-            wanted = args.module if args.module else names
-            for module in wanted:
-                if module in names:
-                    pairs.append((label, module))
-        if not pairs:
-            print("eclc: error: no matching modules to simulate",
-                  file=sys.stderr)
-            return 2
-        jobs = expand_jobs(pairs, engines=engines, traces=args.traces,
-                           length=args.length, horizon=args.horizon,
-                           record_vcd=args.vcd, salt=args.seed,
-                           task_engine=args.task_engine or "")
-    ledger_root = settings["ledger"]
-    if args.ledger == "auto":
-        ledger_root = default_ledger_root()
-    elif args.ledger:
-        ledger_root = args.ledger
+    if not args.spec and not args.files:
+        print("eclc: error: farm run needs design files or --spec",
+              file=sys.stderr)
+        return 2
+    document, base, origin = _document(args.spec, args.files)
+    flags = _given(workers=args.workers, cache_dir=_abspath(args.cache_dir),
+                   ledger=_abspath(_resolve_ledger(args.ledger)))
+    args.flagged = set(flags)
+    if not args.spec:
+        document["jobs"] = _flag_entries(args, document["designs"])
+        args.flagged.update(*document["jobs"])
+    designs, jobs, settings = load_batch(dict(document, **flags), base,
+                                         origin)
     if args.profile:
         _profile_enable()
         if settings["workers"] is None or settings["workers"] > 1:
             print("eclc: --profile runs inline (workers=1): spans do "
                   "not cross process boundaries", file=sys.stderr)
         settings["workers"] = 1
-    farm = SimulationFarm(designs, ledger_root=ledger_root,
+    farm = SimulationFarm(designs, ledger_root=settings["ledger"],
                           workers=settings["workers"],
                           cache_dir=settings["cache_dir"])
     from time import perf_counter
@@ -594,6 +566,49 @@ def _cmd_farm_run(args):
                       sort_keys=True)
         print("wrote %s" % args.report)
     return 0 if report.ok else 1
+
+
+def _document(spec, files):
+    """``(document, base, origin)`` of a spec file, or of a document
+    holding the design files inline."""
+    if spec:
+        base = os.path.dirname(os.path.abspath(spec))
+        return read_document(spec), base, spec
+    designs = {}
+    for path in files:
+        with open(path) as handle:
+            designs[os.path.basename(path)] = {"text": handle.read()}
+    return {"designs": designs}, os.getcwd(), "<flags>"
+
+
+def _flag_entries(args, designs):
+    """``farm run`` flags as v2 job entries, one per design file.  ``-m``
+    keeps the modules each design has; a name no design has stays in
+    every entry, where the spec schema refuses it."""
+    engines = args.engines and [name.strip() for name in
+                                args.engines.split(",") if name.strip()]
+    names = {label: module_names(design["text"], label)
+             for label, design in designs.items()}
+    known = set().union(*names.values())
+    entries = []
+    for label in designs:
+        modules = args.module and [
+            module for module in args.module
+            if module in names[label] or module not in known]
+        entries.append(_given(
+            design=label, modules=modules, engines=engines,
+            traces=args.traces, length=args.length, horizon=args.horizon,
+            seed=args.seed, vcd=args.vcd, task_engine=args.task_engine))
+    return entries
+
+
+def _given(**values):
+    """The flag values that were given (argparse leaves the rest None)."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _abspath(path):
+    return path if path is None else os.path.abspath(path)
 
 
 def _parse_tenant_weights(pairs):
@@ -843,51 +858,25 @@ def _resolve_ledger(text):
     return text
 
 
-def _flag_campaign(args, properties):
-    from .verify import VerifyCampaign
+def _campaign(args, **given):
+    """The campaign of ``--spec`` (or of the design file and ``-m``) with
+    the campaign flags that were given overlaid; ``given`` are constructor
+    arguments (flag-built properties)."""
+    from .verify.spec import campaign_from_document
 
-    if not args.file or not args.module:
+    spec = getattr(args, "spec", None)
+    if not spec and not args.file:
         raise EclError("verify/cover needs a design file and -m MODULE "
                        "(or --spec)")
-    label = os.path.basename(args.file)
-    with open(args.file) as handle:
-        designs = {label: handle.read()}
-    return VerifyCampaign(
-        designs, label, args.module,
-        engine=args.engine if args.engine is not None else "native",
-        task_engine=args.task_engine or "",
-        properties=properties,
-        rounds=args.rounds if args.rounds is not None else 6,
-        jobs_per_round=args.jobs if args.jobs is not None else 16,
-        length=args.length if args.length is not None else 32,
-        workers=args.workers,
-        ledger_root=_resolve_ledger(args.ledger),
-        target=args.target if args.target is not None else 100.0,
-        salt=args.seed if args.seed is not None else 0,
-    )
-
-
-def _apply_spec_overrides(args, campaign):
-    """Flags given next to ``--spec`` override the spec's values
-    (omitted flags keep the spec's)."""
-    if args.engine is not None:
-        campaign.engine = args.engine
-    if args.task_engine is not None:
-        campaign.task_engine = args.task_engine
-    if args.rounds is not None:
-        campaign.rounds = max(1, args.rounds)
-    if args.jobs is not None:
-        campaign.jobs_per_round = max(1, args.jobs)
-    if args.length is not None:
-        campaign.length = max(1, args.length)
-    if args.target is not None:
-        campaign.target = args.target
-    if args.seed is not None:
-        campaign.salt = args.seed
-    if args.workers is not None:
-        campaign.workers = args.workers
-    if args.ledger is not None:
-        campaign.ledger_root = _resolve_ledger(args.ledger)
+    document, base, origin = _document(spec, [args.file])
+    flags = _given(module=args.module, engine=args.engine,
+                   task_engine=args.task_engine, rounds=args.rounds,
+                   jobs_per_round=args.jobs, length=args.length,
+                   target=args.target, seed=args.seed, workers=args.workers,
+                   ledger=_abspath(_resolve_ledger(args.ledger)))
+    args.flagged = set(flags)
+    return campaign_from_document(dict(document, **flags), base, origin,
+                                  **given)
 
 
 def _run_campaign(args, campaign):
@@ -927,13 +916,7 @@ def _cmd_verify_run(args):
                   "--spec (declare properties in the spec)",
                   file=sys.stderr)
             return 2
-        if args.module:
-            print("eclc: error: -m/--module cannot be combined with "
-                  "--spec (the spec names its module)", file=sys.stderr)
-            return 2
-        from .verify import load_campaign_spec
-        campaign = load_campaign_spec(args.spec)
-        _apply_spec_overrides(args, campaign)
+        campaign = _campaign(args)
     else:
         properties = _flag_properties(args)
         if not properties:
@@ -942,14 +925,14 @@ def _cmd_verify_run(args):
                   "or --spec); for bare coverage use 'eclc cover'",
                   file=sys.stderr)
             return 2
-        campaign = _flag_campaign(args, properties)
+        campaign = _campaign(args, properties=properties)
     result = _run_campaign(args, campaign)
     _write_campaign_report(args, result)
     return 0 if result.ok else 1
 
 
 def _cmd_cover(args):
-    campaign = _flag_campaign(args, ())
+    campaign = _campaign(args)
     result = _run_campaign(args, campaign)
     _write_campaign_report(args, result)
     if result.errors:

@@ -101,3 +101,11 @@ class QueueFullError(EclError):
     def __init__(self, message, jobs=0):
         super().__init__(message)
         self.jobs = jobs
+
+
+class SpecError(EclError):
+    """A spec value failed its schema ``field`` (HTTP 400)."""
+
+    def __init__(self, message, field):
+        super().__init__(message)
+        self.field = field

@@ -364,6 +364,8 @@ def expand_jobs(
     start_index=0,
     salt=0,
     task_engine="",
+    tasks=(),
+    deadline_s=0.0,
 ):
     """Cartesian job expansion: every (design, module) x engine x trace
     replicate, with batch-unique indices (the index feeds each job's
@@ -395,6 +397,8 @@ def expand_jobs(
                         index=index,
                         record_vcd=record_vcd,
                         task_engine=task_engine if runs_tasks else "",
+                        tasks=tasks,
+                        deadline_s=deadline_s,
                     )
                 )
                 index += 1

@@ -43,6 +43,7 @@ jobs through :func:`repro.farm.spec.expand_document` and seeds derive
 from job identity alone.
 """
 
+from ..farm.spec import DEFAULT_TENANT
 from .api import DEFAULT_HOST, DEFAULT_PORT, make_server, serve_forever
 from .chaos import FaultPlan, InjectedCrash
 from .client import ServeClient
@@ -51,9 +52,8 @@ from .pool import (DEFAULT_MAX_ATTEMPTS, POOL_MODES, ProcessDeath,
                    WorkerPool, WorkerProcess, backoff_delay)
 from .queue import (DEFAULT_QUEUE_DEPTH, JobQueue, QueueEntry,
                     QueueFullError, ServiceClosedError, TenantQuotaError)
-from .service import (DEFAULT_FUSION_LIMIT, DEFAULT_TENANT,
-                      DEFAULT_WORKERS, Batch, SimulationService,
-                      TenantSpace)
+from .service import (DEFAULT_FUSION_LIMIT, DEFAULT_WORKERS, Batch,
+                      SimulationService, TenantSpace)
 
 __all__ = [
     "Batch",

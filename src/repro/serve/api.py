@@ -66,6 +66,25 @@ def result_line(result, stable=False):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _NonJson(str):
+    """NaN or Infinity: ``json.loads`` takes them, strict JSON does not."""
+
+
+def _strict_object(pairs):
+    """A decoded JSON object; NaN or Infinity anywhere in a value is
+    refused by key, before it could reach the journal."""
+    for key, value in pairs:
+        pending = [value]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, list):
+                pending.extend(item)
+            elif isinstance(item, _NonJson):
+                raise ValueError('"%s" holds NaN or Infinity, which JSON '
+                                 "does not allow" % key)
+    return dict(pairs)
+
+
 class ServeHandler(BaseHTTPRequestHandler):
     """Routes one connection's request against ``server.service``."""
 
@@ -182,12 +201,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         except EclError as error:
             self._send_json(400, {"error": str(error)})
             return
-        spec = body.get("spec")
-        tenant = body.get("tenant", "default")
-        priority = body.get("priority", 0)
         try:
-            batch = self.service.submit(spec, tenant=tenant,
-                                        priority=priority)
+            batch = self.service.submit(body.get("spec"),
+                                        tenant=body.get("tenant"),
+                                        priority=body.get("priority"))
         except TenantQuotaError as error:
             # Same 429 backpressure contract as queue_full, but the
             # structured error names the *tenant's* quota: a client
@@ -243,7 +260,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise EclError("request body too large (%d bytes)" % length)
         try:
-            body = json.loads(self.rfile.read(length))
+            body = json.loads(self.rfile.read(length),
+                              parse_constant=_NonJson,
+                              object_pairs_hook=_strict_object)
         except ValueError as error:
             raise EclError("bad JSON body: %s" % error)
         if not isinstance(body, dict):

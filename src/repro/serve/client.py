@@ -149,10 +149,11 @@ class ServeClient:
     def status(self) -> dict:
         return self._check(*self._request("GET", "/v1/status"))
 
-    def submit(self, spec, tenant="default", priority=0, retries=0,
+    def submit(self, spec, tenant=None, priority=None, retries=0,
                retry_backoff=None) -> dict:
         """Submit one batch document (designs inline); returns the
-        service's ``{"batch": ..., "jobs": ...}`` admission record.
+        service's ``{"batch": ..., "jobs": ...}`` admission record.  A
+        ``tenant`` or ``priority`` left None takes the service default.
 
         ``retries`` > 0 opts in to retrying the two retryable
         rejections — ``429 queue_full`` (backpressure) and ``503``

@@ -129,12 +129,12 @@ class BatchJournal:
         record = {
             "kind": KIND_ADMIT,
             "batch": batch_id,
-            "priority": int(priority),
+            "priority": priority,
             "spec": spec,
             "job_ids": list(job_ids),
         }
         if ttl_s is not None:
-            record["ttl_s"] = float(ttl_s)
+            record["ttl_s"] = ttl_s
         self._append(tenant, record, key=batch_id)
 
     def row(self, tenant, batch_id, result):
@@ -360,7 +360,7 @@ class BatchJournal:
                     batch_id,
                     record.get("spec") or {},
                     record.get("job_ids") or (),
-                    priority=int(record.get("priority") or 0),
+                    priority=record.get("priority"),
                     ttl_s=record.get("ttl_s"),
                 )
             return

@@ -68,7 +68,7 @@ from .. import telemetry
 from ..errors import EclError, QueueFullError
 from ..farm.jobs import STATUS_ERROR, SimResult
 from ..farm.ledger import TraceLedger, check_tenant
-from ..farm.spec import expand_document, load_designs
+from ..farm.spec import expand_document, load_designs, submission
 from ..farm.worker import WorkerState
 from .journal import BatchJournal
 from .pool import DEFAULT_MAX_ATTEMPTS, WorkerPool
@@ -76,9 +76,6 @@ from .queue import DEFAULT_QUEUE_DEPTH, JobQueue, ServiceClosedError
 
 #: Default number of resident worker threads.
 DEFAULT_WORKERS = 2
-
-#: Tenant used when a submission names none.
-DEFAULT_TENANT = "default"
 
 #: Most jobs one dispatch group may carry (lead entry plus
 #: companions).  Bounds both the latency a grouped job can add to its
@@ -396,7 +393,7 @@ class SimulationService:
 
     # -- intake --------------------------------------------------------
 
-    def submit(self, document, tenant=DEFAULT_TENANT, priority=0) -> Batch:
+    def submit(self, document, tenant=None, priority=None) -> Batch:
         """Admit one batch document (the farm spec schema, designs
         inline).  Returns the :class:`Batch`; raises
         :class:`~repro.serve.queue.QueueFullError` on backpressure,
@@ -405,16 +402,11 @@ class SimulationService:
         if not self._accepting:
             raise ServiceClosedError(
                 "service is shutting down (not accepting jobs)")
-        tenant = check_tenant(tenant)
-        try:
-            priority = int(priority)
-        except (TypeError, ValueError, OverflowError):
-            raise EclError('"priority" must be an integer, got %r'
-                           % (priority,))
-        if not isinstance(document, dict):
-            raise EclError("batch submission must be a JSON object")
         batch_id = uuid.uuid4().hex[:16]
         origin = "<batch %s>" % batch_id
+        envelope = submission(document, tenant, priority, origin)
+        tenant, priority = envelope["tenant"], envelope["priority"]
+        ttl_s = envelope["ttl_s"]
         designs = load_designs(
             document.get("designs"), base=None, spec_path=origin,
             allow_paths=False,
@@ -427,7 +419,6 @@ class SimulationService:
         except QueueFullError as error:
             self.queue.refuse(error.jobs)
             raise
-        ttl_s = self._check_ttl(document, origin)
         space = self._space(tenant)
         # Adopt by source equality: an identical design keeps its warm
         # build, a changed one drops only its own stale entry.
@@ -461,19 +452,6 @@ class SimulationService:
             tenant=tenant,
         ).inc()
         return batch
-
-    @staticmethod
-    def _check_ttl(document, origin):
-        ttl_s = document.get("ttl_s")
-        if ttl_s is None:
-            return None
-        if isinstance(ttl_s, bool) or not isinstance(ttl_s, (int, float)) \
-                or ttl_s <= 0:
-            raise EclError(
-                '%s: "ttl_s" must be a positive number of seconds, '
-                "got %r" % (origin, ttl_s)
-            )
-        return float(ttl_s)
 
     def _space(self, tenant) -> TenantSpace:
         with self._lock:
@@ -725,6 +703,7 @@ class SimulationService:
 
     def _recover_batch(self, tenant, record, summary):
         origin = "<journal %s>" % record.batch_id
+        envelope = submission(record.spec, tenant, record.priority, origin)
         designs = load_designs(
             record.spec.get("designs"), base=None, spec_path=origin,
             allow_paths=False,
@@ -733,8 +712,8 @@ class SimulationService:
         space = self._space(tenant)
         space.state.adopt_designs(designs)
         batch = Batch(record.batch_id, tenant, jobs,
-                      priority=record.priority, ttl_s=record.ttl_s,
-                      recovered=True)
+                      priority=envelope["priority"],
+                      ttl_s=envelope["ttl_s"], recovered=True)
         pending = []
         for job in jobs:
             row = record.rows.get(job.job_id)
@@ -749,7 +728,7 @@ class SimulationService:
             # force=True: the original admission already paid the
             # backpressure toll; recovery must never drop its jobs.
             self.queue.put_batch(pending, batch=batch, tenant=tenant,
-                                 priority=record.priority, force=True)
+                                 priority=envelope["priority"], force=True)
             summary["resumed_jobs"] += len(pending)
         else:
             # complete before the crash, just never marked: close it.

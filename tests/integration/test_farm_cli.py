@@ -11,8 +11,8 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.designs import AUDIO_BUFFER_ECL, PROTOCOL_STACK_ECL
-from repro.farm import TraceLedger
+from repro.designs import AUDIO_BUFFER_ECL, DOOR_CTRL_ECL, PROTOCOL_STACK_ECL
+from repro.farm import TraceLedger, expand_jobs
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +91,24 @@ class TestFarmRunAcceptance:
     def test_exit_one_on_failing_job(self, tmp_path, capsys):
         bad = tmp_path / "bad.ecl"
         bad.write_text("""
-module fine (input pure go, output pure done)
+module div (input int v, output int q)
 {
-    while (1) { await (go); emit (done); }
+    while (1) { await (v); emit_v (q, 100 / v); }
 }
 """)
-        # Restricting to a module that exists plus asking a second
-        # design-less module is fine; instead force a runtime error by
-        # requesting a module that does not exist via the spec path.
+        # An unknown module is refused before any job runs, so force a
+        # runtime error instead: every stimulus value is 0.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "designs": {"bad": str(bad)},
             "workers": 1,
-            "jobs": [{"design": "bad", "modules": ["ghost"],
-                      "engines": ["efsm"], "traces": 1, "length": 2}],
+            "jobs": [{"design": "bad", "engines": ["efsm"], "traces": 1,
+                      "length": 2, "present_prob": 1,
+                      "value_range": [0, 0]}],
         }))
         assert main(["farm", "run", "--spec", str(spec)]) == 1
         out = capsys.readouterr().out
-        assert "error=1" in out and "no module named" in out
+        assert "error=1" in out and "division by zero" in out
 
     def test_needs_files_or_spec(self, capsys):
         assert main(["farm", "run"]) == 2
@@ -187,3 +187,68 @@ class TestNativeTaskEngine:
         assert "2 job(s) over 1 design(s)" in out
         assert "rtos: dispatches=" in out
         assert os.path.isdir(str(tmp_path / "spec-cache"))
+
+
+#: Flag values the spec schema refuses: (argv after the design file,
+#: the field the error must name).  Each once ran silently clamped or
+#: dropped.
+FLAG_PROBES = [
+    (["farm", "run", "-m", "door_ctrl", "-m", "nope"], "modules"),
+    (["farm", "run", "--traces", "-3"], "traces"),
+    (["farm", "run", "--length", "-1"], "length"),
+    (["farm", "run", "--horizon", "-5"], "horizon"),
+    (["cover", "-m", "door_ctrl", "--rounds", "-2"], "rounds"),
+    (["cover", "-m", "door_ctrl", "--target", "-5"], "target"),
+]
+
+
+@pytest.mark.parametrize("argv, field", FLAG_PROBES,
+                         ids=[" ".join(argv) for argv, _ in FLAG_PROBES])
+def test_bad_flag_is_a_usage_error_naming_the_field(tmp_path, capsys,
+                                                    argv, field):
+    door = tmp_path / "door.ecl"
+    door.write_text(DOOR_CTRL_ECL)
+    command = argv[:2] if argv[0] == "farm" else argv[:1]
+    argv = command + [str(door)] + argv[len(command):] + ["-j", "1"]
+    assert main(argv) == 2
+    assert '"%s"' % field in capsys.readouterr().err
+
+
+def test_flags_and_equivalent_spec_expand_identically(design_files,
+                                                      tmp_path, capsys):
+    """``farm run`` flags are a v2 document: the same batch as the
+    equivalent spec file and as ``expand_jobs``, down to job ids and
+    stable report rows."""
+    stack, buffer_ = design_files
+    matrix = {"engines": ["efsm", "native"], "traces": 2, "length": 5,
+              "horizon": 4, "seed": 7}
+    reports = []
+    for name, argv in (
+        ("flags", [stack, buffer_, "-m", "toplevel", "-m", "audio_buffer",
+                   "--engines", "efsm,native", "--traces", "2",
+                   "--length", "5", "--horizon", "4", "--seed", "7"]),
+        ("spec", ["--spec", str(tmp_path / "batch.json")]),
+    ):
+        (tmp_path / "batch.json").write_text(json.dumps({
+            "spec_version": 2,
+            "designs": {"stack.ecl": stack, "buffer.ecl": buffer_},
+            "jobs": [dict(matrix, design="stack.ecl", modules=["toplevel"]),
+                     dict(matrix, design="buffer.ecl",
+                          modules=["audio_buffer"])],
+        }))
+        report = str(tmp_path / ("%s.json" % name))
+        assert main(["farm", "run"] + argv + ["-j", "1",
+                                              "--report", report]) == 0
+        with open(report) as handle:
+            reports.append([
+                {key: value for key, value in row.items()
+                 if key not in ("elapsed", "trace_path", "worker_pid")}
+                for row in json.load(handle)["results"]])
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    jobs = expand_jobs([("stack.ecl", "toplevel"),
+                        ("buffer.ecl", "audio_buffer")],
+                       engines=("efsm", "native"), traces=2, length=5,
+                       horizon=4, salt=7)
+    assert [row["job_id"] for row in reports[0]] == \
+        [job.job_id for job in jobs]

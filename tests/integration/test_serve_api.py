@@ -195,8 +195,9 @@ def post_raw(client, body, headers=None):
     connection = http.client.HTTPConnection(client.host, client.port,
                                             timeout=10)
     try:
-        connection.request("POST", "/v1/batches",
-                           body=None if body is None else json.dumps(body),
+        if body is not None and not isinstance(body, str):
+            body = json.dumps(body)
+        connection.request("POST", "/v1/batches", body=body,
                            headers=headers or {
                                "Content-Type": "application/json"})
         response = connection.getresponse()
@@ -204,6 +205,10 @@ def post_raw(client, body, headers=None):
     finally:
         connection.close()
 
+
+#: Keys a probe sets on the spec document itself rather than on its
+#: first job entry.
+TOP_LEVEL_KEYS = ("ttl_s", "workers", "ledger", "cache_dir", "note")
 
 #: Submissions that once escaped the handler as a non-EclError (no
 #: response at all) or were wrongly admitted: (case, body edit, status).
@@ -231,6 +236,17 @@ BAD_SUBMISSIONS = [
     ("deadline_infinite", {"deadline_s": float("inf")}, 400),
     ("traces_bool", {"traces": True}, 400),
     ("length_fraction", {"length": 2.7}, 400),
+    ("module_unknown", {"modules": ["nope"]}, 400),
+    ("task_module_unknown", {"tasks": [["t", "nope"]]}, 400),
+    ("ttl_nan", {"ttl_s": float("nan")}, 400),
+    ("ttl_huge", {"ttl_s": 1e999}, 400),
+    ("priority_bool", {"priority": True}, 400),
+    ("priority_fraction", {"priority": 1.9}, 400),
+    ("priority_string", {"priority": "3"}, 400),
+    ("workers_word", {"workers": "many"}, 400),
+    ("workers_zero", {"workers": 0}, 400),
+    ("ledger_number", {"ledger": 5}, 400),
+    ("cache_dir_list", {"cache_dir": ["x"]}, 400),
     ("draining", {}, 503),
     ("queue_closed", {}, 503),
 ]
@@ -247,6 +263,8 @@ class TestAdmissionBoundary:
         for key, value in edit.items():
             if key in body:
                 body[key] = value
+            elif key in TOP_LEVEL_KEYS:
+                document[key] = value
             else:
                 document["jobs"][0][key] = value
         if case == "draining":
@@ -255,6 +273,10 @@ class TestAdmissionBoundary:
             service.queue.close()
         if case == "content_length_word":
             got, payload = post_raw(client, None, headers=edit)
+        elif case == "ttl_huge":
+            # a finite literal past the float range, not an Infinity token
+            text = json.dumps(body).replace("Infinity", "1e999")
+            got, payload = post_raw(client, text)
         else:
             got, payload = post_raw(client, body)
         assert got == status
@@ -264,6 +286,24 @@ class TestAdmissionBoundary:
             assert client.health()["ok"] is True
         else:
             assert client.healthz()
+
+
+    @pytest.mark.parametrize("where, key", [
+        ("spec", "note"), ("spec", "ttl_s"), ("jobs", "present_prob")])
+    def test_non_json_constants_are_refused_unjournaled(self, served,
+                                                        where, key):
+        """``json.loads`` takes NaN and Infinity; strict JSON readers of
+        the journal do not, so the body parse refuses them by name."""
+        service, client = served
+        document = batch_document()
+        target = document if where == "spec" else document["jobs"][0]
+        target[key] = float("nan")
+        got, payload = post_raw(client, {"spec": document,
+                                         "tenant": "probe"})
+        assert got == 400
+        assert key in payload["error"]
+        assert service.journal.replay("probe").batches == {}
+        assert client.health()["ok"] is True
 
 
 class TestAcceptance:

@@ -179,6 +179,41 @@ class TestCampaignSpec:
             load_campaign_spec(str(path))
 
 
+    def test_spec_plus_flags_equals_merged_spec(self, tmp_path):
+        """Flags overlay the spec document before it is parsed, so a
+        spec plus flags is the campaign of the merged spec."""
+        from repro.cli import _build_parser, _campaign
+
+        ledger = str(tmp_path / "flag-ledger")
+        args = _build_parser().parse_args([
+            "verify", "run", "--spec", self._write(tmp_path),
+            "--engine", "efsm", "--rounds", "2", "--jobs", "5",
+            "--length", "9", "--target", "50", "--seed", "4", "-j", "2",
+            "--ledger", ledger])
+        from_flags = _campaign(args)
+        merged = json.load(open(self._write(tmp_path)))
+        merged.update(engine="efsm", rounds=2, jobs_per_round=5, length=9,
+                      target=50, seed=4, workers=2, ledger=ledger)
+        path = tmp_path / "merged.json"
+        path.write_text(json.dumps(merged))
+        from_spec = load_campaign_spec(str(path))
+
+        def fields(campaign):
+            return {key: value for key, value in vars(campaign).items()
+                    if not key.startswith("_")}
+
+        assert fields(from_flags) == fields(from_spec)
+        assert (from_flags.rounds, from_flags.salt,
+                from_flags.ledger_root) == (2, 4, ledger)
+
+    @pytest.mark.parametrize("field, value", [
+        ("stop_on_violation", "no"), ("workers", "many"), ("workers", -3),
+        ("design", ["door"]), ("ledger", 5), ("module", "nope")])
+    def test_bad_campaign_field_is_named(self, tmp_path, field, value):
+        with pytest.raises(EclError, match='"%s"' % field):
+            load_campaign_spec(self._write(tmp_path,
+                                           json.dumps({field: value})))
+
     @pytest.mark.parametrize("value_range", [[10, 5], "ab", [1, 2, 3],
                                              [0, 2.5], 7])
     def test_bad_value_range_is_named(self, tmp_path, value_range):
