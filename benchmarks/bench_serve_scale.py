@@ -1,25 +1,17 @@
-"""Scale-out serving benchmark: process pool vs threads, fused sweeps.
+"""Scale-out serving benchmark: process pool vs threads.
 
-Operational data for the scale-out rung of :mod:`repro.serve`, two
-paired comparisons:
-
-* **thread vs process pool** — the identical two-tenant stream of
-  CPU-bound native batches drained by ``pool_mode="thread"`` and
-  ``pool_mode="process"`` at ``min(4, cores)`` workers each (one
-  untimed warm-up batch per tenant pays compile and child spawn).
-  Thread workers serialize native stepping behind the GIL; process
-  workers run it in parallel, so throughput should scale with cores.
-  The gate's process-over-thread floor applies only from its minimum
-  core count up; below that the numbers are still recorded for the
-  regression gate but a single-core box cannot demonstrate parallel
-  speedup.
-* **fused vs unfused vector sweeps** — the identical stream of
-  single-tenant vector batches drained with cross-batch sweep fusion
-  on (default window) and off (``fusion_limit=1``).  Fusion groups
-  queued sweepable jobs into one vectorized dispatch, so the fused
-  side replaces per-job dispatch cycles with a few wide numpy sweeps;
-  the gate's fusion floor holds on any machine: fusion must never be a
-  pessimization.
+Operational data for the scale-out rung of :mod:`repro.serve`: the
+identical two-tenant stream of CPU-bound native batches drained by
+``pool_mode="thread"`` and ``pool_mode="process"`` at ``min(4,
+cores)`` workers each (one untimed warm-up batch per tenant pays
+compile and child spawn).  Thread workers serialize native stepping
+behind the GIL; process workers run it in parallel, so throughput
+should scale with cores.  The gate's process-over-thread floor applies
+only from its minimum core count up; below that the numbers are still
+recorded for the regression gate but a single-core box cannot
+demonstrate parallel speedup.  (The service groups vector jobs by the
+same per-batch rule and runs them on the native driver, so they need
+no section of their own.)
 
 Results land in ``benchmarks/out/BENCH_serve_scale.json`` for the CI
 regression gate (:mod:`benchmarks.check_regression`), whose floors
@@ -58,11 +50,6 @@ SCALE_BATCHES = int(os.environ.get("SERVE_SCALE_BATCHES", "3"))
 
 TENANTS = ("acme", "blue")
 
-#: Vector fusion workload: batches of sweepable single-stimulus jobs.
-FUSION_BATCHES = int(os.environ.get("SERVE_SCALE_FUSION_BATCHES", "4"))
-FUSION_TRACES = int(os.environ.get("SERVE_SCALE_FUSION_TRACES", "8"))
-FUSION_LENGTH = int(os.environ.get("SERVE_SCALE_FUSION_LENGTH", "64"))
-
 
 def scale_document():
     return {
@@ -71,17 +58,6 @@ def scale_document():
             {"design": "stack", "modules": ["toplevel"],
              "engines": ["native"], "traces": SCALE_TRACES,
              "length": SCALE_LENGTH},
-        ],
-    }
-
-
-def vector_document():
-    return {
-        "designs": {"stack": {"text": PROTOCOL_STACK_ECL}},
-        "jobs": [
-            {"design": "stack", "modules": ["toplevel"],
-             "engines": ["vector"], "traces": FUSION_TRACES,
-             "length": FUSION_LENGTH},
         ],
     }
 
@@ -119,60 +95,12 @@ def run_mode(mode, workers):
     }
 
 
-def run_fusion(fusion_limit, root):
-    """Drain queued-ahead vector batches under one fusion window.
-
-    The service starts with its pool stopped so every batch queues
-    before the first dispatch — the cross-batch backlog the fusion
-    window exists for (a busy service reaches the same state whenever
-    submissions outpace workers).
-    """
-    service = SimulationService(data_root=root, workers=1,
-                                fusion_limit=fusion_limit, start=False)
-    try:
-        batches = [service.submit(vector_document())
-                   for _ in range(FUSION_BATCHES)]
-        started = perf_counter()
-        service.pool.start()
-        for batch in batches:
-            assert batch.wait(timeout=300)
-        elapsed = perf_counter() - started
-        for batch in batches:
-            assert all(r.ok for r in batch.results)
-        jobs = sum(batch.total for batch in batches)
-        # a batch completes when its last row records, a beat before
-        # the dispatcher's counters settle — wait for idle first
-        assert service.pool.wait_idle(timeout=30)
-        dispatches = service.pool.dispatches
-    finally:
-        service.shutdown(drain=True, timeout=60)
-    return {
-        "batches": len(batches),
-        "jobs": jobs,
-        "dispatches": dispatches,
-        "elapsed": elapsed,
-        "jobs_per_sec": jobs / max(1e-9, elapsed),
-    }
-
-
 def measure():
     cores = os.cpu_count() or 1
     workers = min(4, cores)
 
     thread = run_mode("thread", workers)
     process = run_mode("process", workers)
-
-    with tempfile.TemporaryDirectory(prefix="bench-serve-fusion-") as root:
-        # one throwaway batch warms the persistent artifact cache so
-        # neither timed side pays the vector lowering
-        warm = SimulationService(data_root=root, workers=1)
-        try:
-            assert warm.submit(vector_document()).wait(timeout=300)
-        finally:
-            warm.shutdown(drain=True, timeout=60)
-        unfused = run_fusion(1, root)
-        fused = run_fusion(0x10, root)
-
     return {
         "benchmark": "serve_scale",
         "cores": cores,
@@ -183,10 +111,6 @@ def measure():
         "process": process,
         "process_vs_thread": process["jobs_per_sec"]
         / max(1e-9, thread["jobs_per_sec"]),
-        "unfused": unfused,
-        "fused": fused,
-        "fused_speedup": fused["jobs_per_sec"]
-        / max(1e-9, unfused["jobs_per_sec"]),
     }
 
 
@@ -199,14 +123,6 @@ def test_serve_scale_and_floors():
              data["process"]["jobs_per_sec"],
              data["process_vs_thread"], data["workers"], data["cores"],
              path))
-    print("sweep fusion: unfused %.0f jobs/s (%d dispatches), "
-          "fused %.0f jobs/s (%d dispatches), x%.2f"
-          % (data["unfused"]["jobs_per_sec"],
-             data["unfused"]["dispatches"],
-             data["fused"]["jobs_per_sec"], data["fused"]["dispatches"],
-             data["fused_speedup"]))
-    # fusion really collapsed the dispatch count
-    assert data["fused"]["dispatches"] < data["unfused"]["dispatches"]
     failures = check_regression.check("BENCH_serve_scale.json", data)
     assert not failures, failures
 

@@ -40,7 +40,6 @@ GATES = {
     "BENCH_serve.json": [("*/jobs_per_sec", "higher", BAND, 0),
                          ("warm_speedup", ">=", 1.5, 0)],
     "BENCH_serve_scale.json": [("*/jobs_per_sec", "higher", BAND, 0),
-                               ("fused_speedup", ">=", 1.0, 0),
                                ("process_vs_thread", ">=", 2.0, 4)],
     "BENCH_vector.json": [("workloads/*/*/native", "higher", BAND, 0),
                           ("workloads/*/*/vector", "higher", BAND, 0),

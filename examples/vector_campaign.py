@@ -8,11 +8,12 @@ every instance sitting in that state at once.  Three views of it:
 1. the unified registry (``repro.engines.get_engine``): the same
    ``run_spec`` call sweeps N instances on any engine, so a vector
    sweep is checked lane-for-lane against scalar native runs;
-2. a farm batch with ``engine="vector"``: workers fuse same-sweep jobs
-   into one matrix sweep, results stay per-job;
-3. a coverage campaign with ``engine="vector"``: each fuzzing round
-   becomes one sweep and the round's coverage bitmaps merge through a
-   vectorized prefix-OR.
+2. a farm batch with ``engine="vector"``: the inline worker sweeps a
+   group of 128+ record-free same-sweep jobs as one matrix sweep,
+   results stay per-job;
+3. a coverage campaign with ``engine="vector"``: each property-free
+   fuzzing round of 128+ jobs becomes one sweep and the round's
+   coverage bitmaps merge through a vectorized prefix-OR.
 
 Run:  python examples/vector_campaign.py   (needs numpy)
 """

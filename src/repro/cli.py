@@ -118,8 +118,9 @@ def _build_parser():
                      help="restrict to this module (repeatable; "
                           "default: every module of every design)")
     run.add_argument("--engines", default=None,
-                     help="comma-separated engines (%s; vector "
-                          "jobs fuse into numpy sweeps, needs numpy)"
+                     help="comma-separated engines (%s; wide "
+                          "record-free vector rounds sweep in numpy, "
+                          "needs numpy)"
                           % ", ".join(engine_names()))
     run.add_argument("--task-engine", default=None,
                      choices=names_with("step"),
@@ -198,12 +199,6 @@ def _build_parser():
                        help="per-tenant executing-jobs cap; excess "
                             "entries wait without blocking other "
                             "tenants")
-    serve.add_argument("--fusion-limit", type=int, default=None,
-                       metavar="N",
-                       help="most jobs one grouped dispatch may carry: "
-                            "same-batch scalar jobs, or vector sweeps "
-                            "fused across batches (default 16; 1 "
-                            "dispatches every job alone)")
     serve.add_argument("--journal-compact", action="store_true",
                        help="compact per-tenant journal WALs on "
                             "startup (post-recovery) and graceful "
@@ -346,8 +341,9 @@ def _campaign_flags(parser, engines=None):
                         choices=engines or adapter_names(),
                         help="simulation engine (rtos checks properties "
                              "under the kernel but collects record-level "
-                             "emit coverage only; vector fuses each round "
-                             "into one numpy sweep, needs numpy)")
+                             "emit coverage only; vector sweeps a round "
+                             "of 128+ property-free jobs in numpy, needs "
+                             "numpy)")
     parser.add_argument("--task-engine", default=None,
                         choices=names_with("step"),
                         help="rtos engine only: what runs inside each "
@@ -636,9 +632,9 @@ def _parse_tenant_weights(pairs):
 
 
 def _cmd_serve(args):
-    from .serve import (DEFAULT_FUSION_LIMIT, DEFAULT_HOST, DEFAULT_PORT,
-                        DEFAULT_QUEUE_DEPTH, DEFAULT_WORKERS,
-                        SimulationService, make_server, serve_forever)
+    from .serve import (DEFAULT_HOST, DEFAULT_PORT, DEFAULT_QUEUE_DEPTH,
+                        DEFAULT_WORKERS, SimulationService, make_server,
+                        serve_forever)
     from .serve.pool import DEFAULT_MAX_ATTEMPTS
 
     if args.telemetry:
@@ -667,8 +663,6 @@ def _cmd_serve(args):
         tenant_weights=_parse_tenant_weights(args.tenant_weight),
         max_queued_per_tenant=args.max_queued_per_tenant,
         max_in_flight_per_tenant=args.max_in_flight_per_tenant,
-        fusion_limit=args.fusion_limit if args.fusion_limit is not None
-        else DEFAULT_FUSION_LIMIT,
         journal_compact=args.journal_compact,
     )
     compacted = service.compactions

@@ -39,7 +39,8 @@ from .errors import CompileError, EclError
 # reactor (``react()``); "step_many" / "trace_driver" — batched and
 # compiled whole-trace job loops; "coverage" — reactors mark
 # state/transition bitmaps; "compiled" / "reference"; "vector_sweep" —
-# workers fuse same-sweep jobs into one numpy sweep; "requires_numpy";
+# workers sweep a wide group of same-sweep, record-free jobs through
+# one numpy sweep (farm/worker.py, SWEEP_MIN_LANES); "requires_numpy";
 # "tasks" / "kernel_stats" — task networks under the RTOS kernel;
 # "lockstep" — the equivalence job mode; "resident" — the per-job
 # adapter restores to its just-bound state (``restore()``), so a
@@ -456,12 +457,15 @@ class Engine:
         """The per-job adapter (``step``/``terminated``/
         ``input_alphabet`` protocol).  ``handles(module_name)`` returns
         a :class:`~repro.pipeline.pipeline.ModuleHandle` of the job's
-        design (workers pass their per-process cached provider)."""
+        design (workers pass their per-process cached provider).
+        Raises :class:`~repro.errors.EngineUnavailable` where the
+        engine cannot run (vector without numpy)."""
         if "adapter" not in self.tags:
             raise EclError(
                 "engine %r has no job adapter (it is a farm job mode)"
                 % self.name
             )
+        self.require()
         return self._adapter(handles, job)
 
     def _adapter(self, handles, job):
@@ -612,14 +616,16 @@ class VectorEngine(NativeEngine):
 
     Per-job semantics are scalar-exact — one vector job run alone
     produces the native engine's records, coverage and status for the
-    same seed — but the farm worker fuses jobs that share a sweep key
-    into one :meth:`~repro.runtime.vector.VectorReactor.run_specs`
-    call, so a 1000-job campaign round costs one vectorized sweep
-    instead of 1000 driver loops.  Its reactor is the sweep-oriented
+    same seed — and the farm worker sweeps a wide group of record-free
+    jobs sharing a sweep key through one
+    :meth:`~repro.runtime.vector.VectorReactor.run_specs` call, so a
+    1000-job campaign round costs one vectorized sweep instead of 1000
+    driver loops.  Its reactor is the sweep-oriented
     :class:`~repro.runtime.vector.VectorReactor` (``run_specs``, no
-    ``react()``); its per-job adapter *is* the native one, so single-job
-    paths — serving-layer entries, campaign replays, minimization — run
-    vector jobs without special cases.
+    ``react()``); its per-job adapter *is* the resident native one, so
+    every other vector job — a serving-layer group, a narrow or
+    record-bearing round, a campaign replay — runs on the native
+    driver without special cases.
     """
 
     name = "vector"
@@ -638,14 +644,6 @@ class VectorEngine(NativeEngine):
 
         return VectorReactor(handle.efsm(), code=handle.native_code(),
                              vcode=handle.vector_code())
-
-    def _adapter(self, handles, job):
-        self.require()
-        adapter = super()._adapter(handles, job)
-        # Warm the content-addressed bundle so pooled workers compile
-        # the vector twin once per design, not once per sweep.
-        adapter.handle.vector_code()
-        return adapter
 
     def run_spec(self, handle, spec, n_instances=1, seeds=None, budget=0,
                  coverage=False, records=True):

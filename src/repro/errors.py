@@ -103,6 +103,11 @@ class QueueFullError(EclError):
         self.jobs = jobs
 
 
+class NotFoundError(EclError):
+    """A lookup named something that does not exist: an unknown batch
+    id, or a trace the ledger does not hold (HTTP 404)."""
+
+
 class SpecError(EclError):
     """A spec value failed its schema ``field`` (HTTP 400)."""
 

@@ -205,8 +205,8 @@ class SimulationFarm:
                     ledger_root=self.ledger_root,
                     cache_dir=self.cache_dir,
                 )
-            # run_jobs (not a per-job loop) so the inline path fuses
-            # vector jobs into sweeps exactly like a pooled dispatch.
+            # run_jobs (not a per-job loop): a wide, record-free round
+            # of vector jobs sweeps as one numpy sweep here.
             with telemetry.span("farm.run", mode="inline"):
                 results = self._inline_state.run_jobs(jobs)
         else:
@@ -236,12 +236,7 @@ class SimulationFarm:
         # Imported here: the serving layer imports this package.
         from ..serve.pool import WorkerPool
         from ..serve.queue import JobQueue
-        from ..serve.service import (
-            DEFAULT_FUSION_LIMIT,
-            Batch,
-            quarantine_result,
-            take_group,
-        )
+        from ..serve.service import Batch, quarantine_result, take_group
 
         unique = list({job.job_id: job for job in jobs}.values())
         batch = Batch("farm", None, unique)
@@ -284,7 +279,7 @@ class SimulationFarm:
             workers=workers,
             mode="process",
             execute_group=execute_group,
-            take_group=lambda entry: take_group(queue, entry, DEFAULT_FUSION_LIMIT),
+            take_group=functools.partial(take_group, queue),
             process_config={"worker_state": factory},
         )
         pool.start()

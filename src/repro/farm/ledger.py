@@ -63,7 +63,7 @@ from time import perf_counter
 from typing import Iterator, List, Optional
 
 from .. import telemetry
-from ..errors import EclError
+from ..errors import EclError, NotFoundError
 from ..pipeline.cache import default_cache_root
 
 #: Name of the append-only index file at the ledger root (the
@@ -122,7 +122,10 @@ def _append_fd(path, exclusive=False):
 
 
 class TraceLedger:
-    """Append-only, content-addressed store of simulation traces."""
+    """Append-only, content-addressed store of simulation traces.
+
+    Opening one writes nothing: its directories appear with the first
+    ``put``, so an instance doubles as a read-only view of a shard."""
 
     def __init__(self, root=None, tenant=None):
         self.root = root or default_ledger_root()
@@ -131,7 +134,6 @@ class TraceLedger:
         #: and may raise OSError to simulate a failed ledger write (the
         #: chaos harness's storage-fault injection point).
         self.fault_hook = None
-        os.makedirs(os.path.join(self.root, PACK_DIR), exist_ok=True)
         self._lock = threading.Lock()
         #: this process's segment: [pid, fd, file name, next offset].
         self._pack = None
@@ -244,7 +246,8 @@ class TraceLedger:
         an offline load finds any trace the root holds (servability is
         :meth:`locate`'s check, not this one's).  The object's length
         and sha256 are checked before anything is decoded: corrupt or
-        missing bytes raise :class:`EclError`.
+        missing bytes raise :class:`EclError`, a digest no shard
+        records :class:`~repro.errors.NotFoundError`.
         """
         if entry is None:
             entry = self.locate(digest) or self._locate_anywhere(digest)
@@ -255,8 +258,8 @@ class TraceLedger:
                 with open(self._object_path(digest), "rb") as handle:
                     blob = handle.read()
             except FileNotFoundError:
-                raise EclError("ledger %s has no trace %s"
-                               % (self.root, digest))
+                raise NotFoundError("ledger %s has no trace %s"
+                                    % (self.root, digest))
         if ("length" in entry and len(blob) != entry["length"]) \
                 or hashlib.sha256(blob).hexdigest() != digest:
             raise EclError("trace %s in ledger %s is corrupt (digest "
@@ -358,6 +361,7 @@ class TraceLedger:
                 if self._pack is not None:
                     os.close(self._pack[1])
                 name = "%d-%s.pack" % (pid, uuid.uuid4().hex[:12])
+                os.makedirs(os.path.join(self.root, PACK_DIR), exist_ok=True)
                 fd = _append_fd(self._pack_path(name), exclusive=True)
                 self._pack = [pid, fd, name, 0]
             pack = self._pack

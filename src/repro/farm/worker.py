@@ -13,13 +13,16 @@ mode) and inside each spawned worker child of
 :mod:`repro.serve.procworker`, which the service and the pooled farm
 share.
 
-Vector jobs fuse: :meth:`WorkerState.stream` — the one run loop under
-both :meth:`~WorkerState.run_jobs` and the serving worker children —
-partitions a job list into sweep groups (vector-engine jobs sharing
-one :meth:`~WorkerState.sweep_key`) and advances each group through a
-single :meth:`~repro.runtime.vector.VectorReactor.run_specs` call
-(:meth:`~WorkerState.run_sweep`), emitting one scalar-identical
-:class:`SimResult` per job.  Everything else runs per job.
+Vector jobs sweep only where a sweep wins: :meth:`WorkerState.stream`
+— the one run loop under both :meth:`~WorkerState.run_jobs` and the
+serving worker children — advances a group of at least
+:data:`SWEEP_MIN_LANES` vector jobs sharing one
+:meth:`~WorkerState.sweep_key` through a single
+:meth:`~repro.runtime.vector.VectorReactor.run_specs` call
+(:meth:`~WorkerState.run_sweep`).  A job sweeps only when nothing
+needs its records: no trace ledger, no properties.  Every other job,
+a lone or narrow vector job included, runs per job, vector ones on the
+resident native driver; either path yields the same stable row.
 
 Binding is per worker, not per job: a job of a "resident" engine
 (native, and vector outside a sweep) checks out an idle bound adapter
@@ -51,6 +54,11 @@ from .jobs import (
     SimResult,
 )
 from .ledger import TraceLedger
+
+#: Fewest record-free vector jobs one numpy sweep carries.  Measured on
+#: stack ``toplevel`` (2 vCPU, numpy 2.4): below 128 lanes the resident
+#: native driver beat the sweep at every stimulus length.
+SWEEP_MIN_LANES = 128
 
 
 class _Bound:
@@ -233,49 +241,53 @@ class WorkerState:
 
     # -- job execution -------------------------------------------------
 
-    @staticmethod
-    def sweep_key(job):
-        """The fusion key of a sweep-capable job (None = not sweepable).
+    def sweep_key(self, job):
+        """The sweep key of a job that may share a numpy sweep (None =
+        it runs per job).
 
-        Jobs sharing a key differ only in index/seed (and possibly
-        ``record_vcd``), so one :meth:`run_sweep` drives them all; a
-        vector job with an explicit stimulus or task list falls back to
-        the per-job scalar path, which is observably identical."""
-        engine = get_engine(job.engine)
-        if "vector_sweep" not in engine.capabilities() or job.tasks:
+        Jobs sharing a key differ only in index and seed, so one
+        :meth:`run_sweep` drives them all.  A job sweeps only when
+        nothing consumes its records — this worker keeps no ledger and
+        the job checks no properties — and when its stimulus is random:
+        a vector job with an explicit stimulus or a task list runs per
+        job, which is observably identical."""
+        if self.ledger is not None or job.properties or job.tasks:
+            return None
+        if "vector_sweep" not in get_engine(job.engine).capabilities():
             return None
         if job.stimulus.kind != "random":
             return None
         return (job.design, job.module, job.stimulus, job.horizon,
-                job.properties, job.collect_coverage)
+                job.collect_coverage)
 
     def stream(self, jobs):
         """Run ``jobs`` lazily, yielding one list of ``(position,
-        result)`` pairs per dispatch unit as soon as it exists: a
-        sweepable job together with every later job sharing its
-        :meth:`sweep_key` (one fused sweep), any other job alone.
+        result)`` pairs per dispatch unit as soon as it exists: at least
+        :data:`SWEEP_MIN_LANES` jobs sharing a :meth:`sweep_key` as one
+        sweep (at the position of the first), any other job alone.
         Nothing runs until the next unit is asked for, so a consumer
         can act on job *k*'s row before job *k+1* starts."""
         jobs = list(jobs)
-        sweeps: Dict[object, List[int]] = {}
-        keys = [self.sweep_key(job) for job in jobs]
-        for position, key in enumerate(keys):
+        groups: Dict[object, List[int]] = {}
+        for position, job in enumerate(jobs):
+            key = self.sweep_key(job)
             if key is not None:
-                sweeps.setdefault(key, []).append(position)
-        for position, (job, key) in enumerate(zip(jobs, keys)):
-            if key is None:
+                groups.setdefault(key, []).append(position)
+        sweeps = {positions[0]: positions for positions in groups.values()
+                  if len(positions) >= SWEEP_MIN_LANES}
+        swept = {p for positions in sweeps.values() for p in positions}
+        for position, job in enumerate(jobs):
+            positions = sweeps.get(position)
+            if positions is not None:
+                results = self.run_sweep([jobs[p] for p in positions])
+                yield list(zip(positions, results))
+            elif position not in swept:
                 yield [(position, self.run_job(job))]
-            elif key in sweeps:
-                positions = sweeps.pop(key)
-                swept = self.run_sweep([jobs[p] for p in positions])
-                yield list(zip(positions, swept))
 
     def run_jobs(self, jobs):
-        """Execute a list of jobs through :meth:`stream` (sweepable
-        vector jobs sharing a :meth:`sweep_key` fuse into single
-        vectorized sweeps).  Results come back in job order; per-job
-        failures become ``status="error"`` rows exactly as
-        :meth:`run_job` reports them."""
+        """Execute a list of jobs through :meth:`stream`.  Results come
+        back in job order; per-job failures become ``status="error"``
+        rows exactly as :meth:`run_job` reports them."""
         jobs = list(jobs)
         results: List[Optional[SimResult]] = [None] * len(jobs)
         for pairs in self.stream(jobs):
@@ -300,17 +312,14 @@ class WorkerState:
     def run_job(self, job) -> SimResult:
         """Execute one job to completion; never raises on job failure —
         errors become ``status="error"`` results."""
-        if self.sweep_key(job) is not None:
-            # A lone vector job is a one-lane sweep: same code path as
-            # fused execution, so results match the batch bit for bit.
-            return self.run_sweep([job])[0]
         with telemetry.span("farm.job", engine=job.engine):
             result = self._run_job_scalar(job)
         self._observe_result(result)
         return result
 
-    def _run_job_scalar(self, job) -> SimResult:
-        result = SimResult(
+    @staticmethod
+    def _result(job):
+        return SimResult(
             job_id=job.job_id,
             design=job.design,
             module=job.module,
@@ -318,6 +327,9 @@ class WorkerState:
             index=job.index,
             worker_pid=os.getpid(),
         )
+
+    def _run_job_scalar(self, job) -> SimResult:
+        result = self._result(job)
         started = perf_counter()
         try:
             coverage = self._coverage_for(job) if job.collect_coverage else None
@@ -361,12 +373,15 @@ class WorkerState:
     def run_sweep(self, jobs) -> List[SimResult]:
         """One vectorized sweep for vector jobs sharing a
         :meth:`sweep_key`; returns one :class:`SimResult` per job, in
-        job order, mirroring what :meth:`run_job` reports for the
-        native engine on the same seed.  Never raises on job failure:
-        a sweep-wide problem (no numpy, compile error) becomes a
+        job order, equal to what :meth:`run_job` reports for each.
+        Jobs whose records something needs (a ledger, properties) have
+        no sweep key and run per job.  Never raises on job failure: a
+        sweep-wide problem (no numpy, compile error) becomes a
         ``status="error"`` row per job, a per-lane runtime fault errors
         only its own row."""
         jobs = list(jobs)
+        if self.sweep_key(jobs[0]) is None:
+            return [self.run_job(job) for job in jobs]
         telemetry.histogram(
             "ecl_farm_sweep_lanes",
             help="Lanes fused per vectorized sweep.",
@@ -379,110 +394,40 @@ class WorkerState:
         return results
 
     def _run_sweep_fused(self, jobs) -> List[SimResult]:
-        results = [
-            SimResult(
-                job_id=job.job_id,
-                design=job.design,
-                module=job.module,
-                engine=job.engine,
-                index=job.index,
-                worker_pid=os.getpid(),
-            )
-            for job in jobs
-        ]
+        """The record-free sweep: each lane's row is its counts and,
+        when asked for, its coverage."""
+        results = [self._result(job) for job in jobs]
         lead = jobs[0]
         started = perf_counter()
         try:
             reactor = self.vector_reactor(lead.design, lead.module)
-            # Records cost decode time per lane; only pay for them when
-            # something consumes them (monitors, trace persistence).
-            need_records = bool(lead.properties) or self.ledger is not None
             outcome = reactor.run_specs(
                 lead.stimulus,
                 seeds=[job.seed for job in jobs],
                 budget=lead.instant_budget,
                 coverage="raw" if lead.collect_coverage else False,
-                records=need_records,
+                records=False,
             )
-            program = None
-            if lead.properties:
-                handle = self.build(lead.design).module(lead.module)
-                program = handle.monitor_bundle(lead.properties)
+            errors = outcome.errors
         except EclError as error:
-            return self._sweep_failed(results, str(error), started)
+            errors = [str(error)] * len(jobs)
         except Exception:
-            return self._sweep_failed(
-                results, traceback.format_exc(limit=4), started
-            )
-        module_name = reactor.efsm.name
+            errors = [traceback.format_exc(limit=4)] * len(jobs)
         share = (perf_counter() - started) / len(jobs)
-        for lane, (job, result) in enumerate(zip(jobs, results)):
+        for lane, result in enumerate(results):
             result.elapsed = share
-            if outcome.errors[lane] is not None:
+            if errors[lane] is not None:
                 result.status = STATUS_ERROR
-                result.error = outcome.errors[lane]
+                result.error = errors[lane]
                 continue
-            try:
-                self._sweep_result(
-                    job, result, outcome, lane, module_name, program
+            terminated = outcome.terminated[lane]
+            result.status = STATUS_TERMINATED if terminated else STATUS_OK
+            result.instants = outcome.instants[lane]
+            result.emitted_events = outcome.emitted_events[lane]
+            if outcome.raw_coverage is not None:
+                result.coverage = self._raw_payload(
+                    reactor.efsm.name, outcome.raw_coverage, lane
                 )
-            except EclError as error:
-                result.status = STATUS_ERROR
-                result.error = str(error)
-            except OSError:
-                if self.raise_storage_errors:
-                    raise
-                result.status = STATUS_ERROR
-                result.error = traceback.format_exc(limit=4)
-            except Exception:
-                result.status = STATUS_ERROR
-                result.error = traceback.format_exc(limit=4)
-        return results
-
-    def _sweep_result(self, job, result, outcome, lane, module_name,
-                      program):
-        """Fill one job's result row from its sweep lane (the vector
-        counterpart of :meth:`run_job`'s success path)."""
-        records = None
-        if outcome.records is not None:
-            records = outcome.records[lane]
-        status = STATUS_TERMINATED if outcome.terminated[lane] else STATUS_OK
-        if outcome.raw_coverage is not None:
-            result.coverage = self._raw_payload(
-                module_name, outcome.raw_coverage, lane
-            )
-        if job.properties and records is not None:
-            from ..verify.monitor import Monitor
-
-            started = perf_counter()
-            monitor = Monitor(program)
-            for record in records:
-                monitor.step_record(record)
-            telemetry.histogram(
-                "ecl_verify_monitor_seconds",
-                help="Monitor stepping overhead per property-checked job.",
-            ).observe(perf_counter() - started)
-            violation = monitor.first_violation
-            if violation is not None:
-                status = STATUS_VIOLATED
-                result.violation = violation.property_text
-                result.violation_instant = violation.instant
-        result.status = status
-        result.instants = outcome.instants[lane]
-        result.emitted_events = outcome.emitted_events[lane]
-        if self.ledger is not None and records is not None:
-            vcd_text = self._render_vcd(job, records)
-            result.trace_digest, result.trace_path = self.ledger.put(
-                job, records, vcd_text=vcd_text
-            )
-
-    @staticmethod
-    def _sweep_failed(results, error_text, started):
-        share = (perf_counter() - started) / max(1, len(results))
-        for result in results:
-            result.status = STATUS_ERROR
-            result.error = error_text
-            result.elapsed = share
         return results
 
     @staticmethod

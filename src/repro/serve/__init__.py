@@ -52,13 +52,12 @@ from .pool import (DEFAULT_MAX_ATTEMPTS, POOL_MODES, ProcessDeath,
                    WorkerPool, WorkerProcess, backoff_delay)
 from .queue import (DEFAULT_QUEUE_DEPTH, JobQueue, QueueEntry,
                     QueueFullError, ServiceClosedError, TenantQuotaError)
-from .service import (DEFAULT_FUSION_LIMIT, DEFAULT_WORKERS, Batch,
-                      SimulationService, TenantSpace)
+from .service import (DEFAULT_WORKERS, Batch, SimulationService,
+                      TenantSpace)
 
 __all__ = [
     "Batch",
     "BatchJournal",
-    "DEFAULT_FUSION_LIMIT",
     "DEFAULT_HOST",
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_PORT",

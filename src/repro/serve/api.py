@@ -47,7 +47,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .. import telemetry
-from ..errors import EclError
+from ..errors import EclError, NotFoundError
 from .queue import QueueFullError, ServiceClosedError, TenantQuotaError
 from .service import SimulationService
 
@@ -174,8 +174,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             else:
                 self._send_json(404, {"error": "not_found", "path": path})
         except EclError as error:
-            missing = "unknown batch" in str(error) or "has no trace" in str(error)
-            status = 404 if missing else 400
+            status = 404 if isinstance(error, NotFoundError) else 400
             self._send_json(status, {"error": str(error)})
 
     def _post(self):

@@ -130,9 +130,9 @@ class WorkerProcess:
     def run(self, tenant, designs, jobs, on_rows):
         """One streamed round trip for a dispatch group: ship ``jobs``,
         then hand each reply's ``(position, row)`` pairs to
-        ``on_rows`` as it arrives — a scalar job's row the moment the
-        child has it, a sweep's rows in one message — so the caller
-        journals row *k* while the child already runs job *k+1*.
+        ``on_rows`` as it arrives — each row the moment the child has
+        it — so the caller journals row *k* while the child already
+        runs job *k+1*.
         Raises :class:`ProcessDeath` when the child dies (or was
         killed) before its last row, or reports a worker fault."""
         replies = self._replies((tenant, designs, jobs), len(jobs))

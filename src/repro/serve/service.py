@@ -65,7 +65,7 @@ from time import monotonic, perf_counter
 from typing import Dict, Iterator, List, Optional
 
 from .. import telemetry
-from ..errors import EclError, QueueFullError
+from ..errors import EclError, NotFoundError, QueueFullError
 from ..farm.jobs import STATUS_ERROR, SimResult
 from ..farm.ledger import TraceLedger, check_tenant
 from ..farm.spec import expand_document, load_designs, submission
@@ -78,9 +78,11 @@ from .queue import DEFAULT_QUEUE_DEPTH, JobQueue, ServiceClosedError
 DEFAULT_WORKERS = 2
 
 #: Most jobs one dispatch group may carry (lead entry plus
-#: companions).  Bounds both the latency a grouped job can add to its
-#: groupmates and the work one dispatch holds out of the queue.
-DEFAULT_FUSION_LIMIT = 16
+#: companions), the service's and the pooled farm's.  Bounds both the
+#: latency a grouped job can add to its groupmates and the work one
+#: dispatch holds out of the queue.  Far below the worker's
+#: ``SWEEP_MIN_LANES``, so a dispatch group never sweeps.
+GROUP_LIMIT = 16
 
 #: Result rows of *finished* batches kept in memory for polling and
 #: streaming.  Past it the oldest finished batches are forgotten (their
@@ -88,37 +90,26 @@ DEFAULT_FUSION_LIMIT = 16
 RETAINED_ROWS = 4096
 
 
-def take_group(queue, entry, limit):
+def take_group(queue, entry):
     """Claim the queued entries riding along with ``entry`` (at most
-    ``limit`` in all) — the one grouping rule of every pool dispatch,
-    the service's and the pooled farm's.  A sweepable vector job takes
-    jobs sharing its sweep key from *any* batch of the tenant; any
-    other job takes same (design, module, engine) jobs of its *own*
-    batch, one more than the rows that batch has landed — a batch's
-    first dispatch runs alone, so its first row is never held back.
-    Each member keeps its own job id, batch and row."""
-    if limit <= 1:
-        return []
-    job = entry.job
-    key = WorkerState.sweep_key(job)
-    if key is not None:
-        return queue.take_matching(
-            entry,
-            lambda other: WorkerState.sweep_key(other) == key,
-            limit - 1,
-        )
+    :data:`GROUP_LIMIT` in all) — the one grouping rule of every pool
+    dispatch, the service's and the pooled farm's, for every engine:
+    same (design, module, engine) jobs of ``entry``'s own batch, one
+    more than the rows that batch has landed — a batch's first
+    dispatch runs alone, so its first row is never held back.  Each
+    member keeps its own job id, batch and row."""
     batch = entry.batch
     if batch is None:
         return []
-    scalar = (job.design, job.module, job.engine)
+    job = entry.job
+    key = (job.design, job.module, job.engine)
     landed = len(batch.results)
     return queue.take_matching(
         entry,
         lambda other: (other in batch
                        and (other.design, other.module,
-                            other.engine) == scalar
-                       and WorkerState.sweep_key(other) is None),
-        min(limit, 1 + landed, batch.total - landed) - 1,
+                            other.engine) == key),
+        min(GROUP_LIMIT, 1 + landed, batch.total - landed) - 1,
     )
 
 
@@ -298,7 +289,6 @@ class SimulationService:
         tenant_weights=None,
         max_queued_per_tenant=None,
         max_in_flight_per_tenant=None,
-        fusion_limit=DEFAULT_FUSION_LIMIT,
         journal_compact=False,
     ):
         """``data_root=None`` keeps everything in memory (no trace
@@ -320,10 +310,8 @@ class SimulationService:
         CPU-bound scaling mode.  ``tenant_weights`` /
         ``max_queued_per_tenant`` / ``max_in_flight_per_tenant``
         configure the queue's weighted-fair rotation and quotas;
-        ``fusion_limit`` bounds the jobs one dispatch group may carry
-        (1 dispatches every job alone); ``journal_compact=True``
-        compacts per-tenant WALs at startup (post-recovery) and on
-        graceful shutdown."""
+        ``journal_compact=True`` compacts per-tenant WALs at startup
+        (post-recovery) and on graceful shutdown."""
         self.data_root = data_root
         self.options = options
         if data_root:
@@ -343,7 +331,6 @@ class SimulationService:
         self.journal = BatchJournal(journal_root) if journal_root else None
         self.journal_compact = bool(journal_compact)
         self.compactions: Optional[dict] = None
-        self.fusion_limit = max(1, int(fusion_limit))
         self.queue = JobQueue(
             depth=queue_depth,
             tenant_weights=tenant_weights,
@@ -357,7 +344,7 @@ class SimulationService:
             max_attempts=max_attempts,
             mode=pool_mode,
             execute_group=self._execute_entry,
-            take_group=self._take_group,
+            take_group=functools.partial(take_group, self.queue),
             process_config={
                 "worker_state": functools.partial(
                     WorkerState.for_tenant, data_root=data_root,
@@ -464,9 +451,6 @@ class SimulationService:
 
     # -- execution (pool callbacks) ------------------------------------
 
-    def _take_group(self, entry):
-        return take_group(self.queue, entry, self.fusion_limit)
-
     def _execute_entry(self, group, worker, visit, settled):
         """The pool's group callback: dedup and refusal checks, then one
         dispatch whose rows are journaled and delivered as each
@@ -502,8 +486,7 @@ class SimulationService:
         space = self._space(lead.tenant)
 
         def on_rows(pairs):
-            # Units arrive in position order: a scalar group is never
-            # sweepable, a sweep is one unit.
+            # Units arrive in position order, one row each.
             with self._lock:
                 space.jobs_run += len(pairs)
             for position, result in pairs:
@@ -524,10 +507,7 @@ class SimulationService:
                     buckets=telemetry.SIZE_BUCKETS,
                 ).observe(len(jobs))
             visit(lead)
-            if WorkerState.sweep_key(lead.job) is None:
-                self._dispatch_job(space, jobs, worker, on_rows)
-            else:
-                self._dispatch_sweep(space, jobs, worker, on_rows)
+            self._dispatch_job(space, jobs, worker, on_rows)
         telemetry.histogram(
             "ecl_serve_execute_seconds",
             help="Job execution time on the warm pool, by tenant.",
@@ -560,8 +540,8 @@ class SimulationService:
                                    for position, row in pairs]),
         )
 
-    #: A fused sweep takes the same streamed path (its rows arrive as
-    #: one unit); the second name keeps sweeps apart in traces.
+    #: The name sweeps once dispatched under; the service no longer
+    #: sweeps, but ``servebench/launcher.py`` still wraps it by name.
     _dispatch_sweep = _dispatch_job
 
     def _refusal(self, entry):
@@ -742,29 +722,41 @@ class SimulationService:
         with self._lock:
             batch = self._batches.get(batch_id)
         if batch is None:
-            raise EclError("unknown batch %r" % (batch_id,))
+            raise NotFoundError("unknown batch %r" % (batch_id,))
         return batch
+
+    def _ledger(self, tenant) -> Optional[TraceLedger]:
+        """``tenant``'s ledger shard, for reading: its resident space's,
+        else a fresh view of the shard on disk (a tenant from before a
+        restart) — a read never creates a tenant space.  None without a
+        ``data_root``."""
+        check_tenant(tenant)
+        with self._lock:
+            space = self._tenants.get(tenant)
+        if space is not None:
+            return space.ledger
+        if not self.data_root:
+            return None
+        return TraceLedger(os.path.join(self.data_root, "traces"),
+                           tenant=tenant)
 
     def fetch_trace(self, tenant, digest):
         """``(header, records)`` of a trace *this tenant's* ledger
         shard recorded; other tenants' digests are not servable even
         when the shared object store holds them."""
-        space = self._space(check_tenant(tenant))
-        ledger = space.ledger
+        ledger = self._ledger(tenant)
         if ledger is None:
             raise EclError("service has no trace ledger (no data_root)")
         entry = ledger.locate(digest)
         if entry is None:
-            raise EclError(
+            raise NotFoundError(
                 "tenant %r has no trace %s" % (tenant, digest)
             )
         return ledger.load(digest, entry)
 
     def ledger_entries(self, tenant) -> List[dict]:
-        space = self._space(check_tenant(tenant))
-        if space.ledger is None:
-            return []
-        return space.ledger.entries()
+        ledger = self._ledger(tenant)
+        return [] if ledger is None else ledger.entries()
 
     def status_dict(self):
         with self._lock:

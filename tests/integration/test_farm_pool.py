@@ -49,8 +49,9 @@ RUN_BOUND = 180
 
 def paper_jobs():
     """The three paper designs plus a terminating one, over every farm
-    engine: scalar efsm/native/equivalence jobs, vector jobs that fuse
-    into sweeps, and rtos jobs running a task partition."""
+    engine: scalar efsm/native/equivalence jobs, vector jobs (grouped
+    per batch, run on the native driver), and rtos jobs running a task
+    partition."""
     cells = [("stack", "toplevel"), ("buffer", "audio_buffer"),
              ("door", "door_ctrl"), ("once", "once")]
     jobs = expand_jobs(cells, engines=("efsm", "native", "equivalence"),

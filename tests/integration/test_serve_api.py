@@ -8,6 +8,7 @@ byte-identical to a direct ``eclc farm run`` of the same spec.
 
 import http.client
 import json
+import os
 import time
 
 import pytest
@@ -149,6 +150,25 @@ class TestHttpSurface:
         assert client.status()["queue"]["rejected"] >= service.queue.depth
         assert client.status()["queue"]["queued"] == 0
 
+    def test_not_found_is_chosen_by_error_type(self, served, monkeypatch):
+        from repro.errors import EclError, NotFoundError
+
+        service, client = served
+
+        def raising(error):
+            def batch(batch_id):
+                raise error
+            return batch
+
+        monkeypatch.setattr(service, "batch",
+                            raising(NotFoundError("batch is gone")))
+        status, payload = client._request("GET", "/v1/batches/b1")
+        assert (status, payload) == (404, {"error": "batch is gone"})
+        monkeypatch.setattr(service, "batch",
+                            raising(EclError("unknown batch has no trace")))
+        status, payload = client._request("GET", "/v1/batches/b1")
+        assert status == 400
+
     def test_unexpected_failure_is_a_json_500(self, served, monkeypatch):
         service, client = served
 
@@ -250,6 +270,54 @@ BAD_SUBMISSIONS = [
     ("draining", {}, 503),
     ("queue_closed", {}, 503),
 ]
+
+
+class TestReadOnlyGets:
+    """Ledger and trace reads answer from the tenant's shard on disk;
+    they never create a tenant space, an artifact namespace or a
+    shard."""
+
+    def test_unknown_tenants_get_404_and_create_nothing(self, served):
+        service, client = served
+        root = service.data_root
+        ghosts = ["ghost%d" % number for number in range(4)]
+        for tenant in ghosts:
+            status, payload = client._request(
+                "GET", "/v1/tenants/%s/ledger" % tenant)
+            assert (status, payload) == (200, {"entries": []})
+            status, payload = client._request(
+                "GET", "/v1/tenants/%s/traces/%s" % (tenant, "0" * 64))
+            assert status == 404
+            assert "no trace" in payload["error"]
+        assert client.status()["tenants"] == []
+        for tenant in ghosts:
+            assert not os.path.exists(
+                os.path.join(root, "artifacts", "ns", tenant))
+            assert not os.path.exists(
+                os.path.join(root, "traces", "index", tenant + ".jsonl"))
+
+    def test_traces_from_before_a_restart_stay_servable(self, tmp_path,
+                                                         http_server):
+        root = str(tmp_path / "serve-data")
+        first = SimulationService(data_root=root, workers=1)
+        try:
+            batch = first.submit(batch_document(), tenant="alice")
+            assert batch.wait(timeout=60)
+        finally:
+            first.shutdown(drain=True, timeout=30)
+        service = SimulationService(data_root=root, workers=1)
+        client = ServeClient(port=http_server(service).server_address[1])
+        try:
+            entries = client.ledger("alice")
+            assert len(entries) == batch.total
+            trace = client.fetch_trace("alice", entries[0]["trace"])
+            assert trace["header"]["job_id"] == entries[0]["job_id"]
+            status, _payload = client._request(
+                "GET", "/v1/tenants/bob/traces/" + entries[0]["trace"])
+            assert status == 404
+            assert client.status()["tenants"] == []
+        finally:
+            service.shutdown(drain=False, timeout=10)
 
 
 class TestAdmissionBoundary:

@@ -181,8 +181,8 @@ class TestMetricsEndpoint:
 
 
 class TestScaleOutMetrics:
-    """Metric-name contract for the scale-out rung: pool mode, fused
-    sweep sizes, per-tenant fair-share and quota counters, process
+    """Metric-name contract for the scale-out rung: pool mode, dispatch
+    group sizes, per-tenant fair-share and quota counters, process
     worker crash/restart counters."""
 
     def test_fairness_and_quota_metric_names(self, tmp_path,
@@ -218,11 +218,11 @@ class TestScaleOutMetrics:
         finally:
             service.shutdown(drain=False, timeout=5)
 
-    def test_fused_sweep_sizes_observed(self, tmp_path, telemetry_on):
+    def test_group_sizes_observed(self, tmp_path, telemetry_on):
         doc = {
             "designs": {"e": {"text": ECHO}},
             "jobs": [{"design": "e", "modules": ["echo"],
-                      "engines": ["vector"], "traces": 2, "length": 6}],
+                      "engines": ["vector"], "traces": 4, "length": 6}],
         }
         service = SimulationService(workers=1, start=False)
         try:
@@ -230,12 +230,14 @@ class TestScaleOutMetrics:
             service.pool.start()
             for batch in batches:
                 assert batch.wait(timeout=30)
+            assert service.pool.wait_idle(timeout=30)
             snapshot = telemetry.snapshot()
             families = {f["name"]: f for f in snapshot["metrics"]}
             assert "ecl_serve_fused_jobs" in families
             (sample,) = families["ecl_serve_fused_jobs"]["samples"]
-            assert sample["count"] == 1
-            assert sample["sum"] == 4  # two 2-job batches, one dispatch
+            # per batch: groups of 1, 2 and 1; only the pair observes
+            assert sample["count"] == 2
+            assert sample["sum"] == 4
         finally:
             service.shutdown(drain=False, timeout=10)
 

@@ -8,7 +8,7 @@ coverage bitmaps, monitor verdicts.  This suite holds it to that over
 the example designs plus a data-heavy "torture" module (signed
 arithmetic, division on negatives, variable shifts, casts, array
 reads/writes), at sweep widths 1, 7 and 256, standalone and through
-the farm worker's fused-sweep path, and inside a verify campaign.
+the farm worker's sweep path, and inside a verify campaign.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.designs import (AUDIO_BUFFER_ECL, DOOR_CTRL_BUGGY_ECL,
                            DOOR_CTRL_ECL, PROTOCOL_STACK_ECL)
 from repro.engines import derive_spec_seed, get_engine
 from repro.farm import SimJob, SimulationFarm, StimulusSpec, WorkerState
+from repro.farm.worker import SWEEP_MIN_LANES
 from repro.pipeline import Pipeline
 from repro.verify import VerifyCampaign, never, present
 from repro.verify.coverage import CoverageMap
@@ -135,14 +136,15 @@ def test_sweep_is_deterministic_and_seed_derived():
 
 
 def test_farm_fuses_vector_jobs_identically():
-    """Vector jobs through the farm (fused into one sweep per group)
-    produce the same rows a scalar native driver produces for the same
-    per-job seeds — coverage payloads included."""
+    """Vector jobs through the farm (a group of SWEEP_MIN_LANES per
+    design, so each sweeps as one) produce the same rows a scalar
+    native driver produces for the same per-job seeds — coverage
+    payloads included."""
     designs = {label: source for label, (source, _m) in DESIGNS.items()}
     jobs = []
     for position, label in enumerate(sorted(DESIGNS)):
         _source, module = DESIGNS[label]
-        for replica in range(5):
+        for replica in range(SWEEP_MIN_LANES):
             jobs.append(SimJob(
                 design=label, module=module, engine="vector",
                 stimulus=StimulusSpec.random(length=24, salt=3),

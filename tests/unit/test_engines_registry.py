@@ -130,6 +130,19 @@ def test_run_spec_is_engine_uniform(echo_handle):
     assert efsm_cov.as_payload() == native_cov.as_payload()
 
 
+def test_build_refuses_an_engine_that_cannot_run_here(monkeypatch,
+                                                      echo_handle):
+    """``Engine.build`` checks availability, so a per-job vector run
+    without numpy is an EngineUnavailable error, not a crash."""
+    from repro.errors import EngineUnavailable
+    from repro.runtime import vector
+
+    monkeypatch.setattr(vector, "NUMPY_AVAILABLE", False)
+    job = SimJob(design="echo", module="echo", engine="vector")
+    with pytest.raises(EngineUnavailable, match="vector"):
+        get_engine("vector").build(echo_handle.design.module, job)
+
+
 def test_run_spec_derived_seeds_are_canonical():
     spec = StimulusSpec.random(length=5, salt=3)
     assert derive_spec_seed(spec, 0) != derive_spec_seed(spec, 1)

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EclError
+from repro.errors import EclError, NotFoundError
 from repro.farm import SimJob, StimulusSpec, TraceLedger
 from repro.engines import make_record
 from repro.farm.ledger import PACK_DIR, canonical_json
@@ -261,8 +261,17 @@ class TestPackSegments:
             assert reader.load(digest)[1] == sample_records()
 
     def test_unknown_digest_raises(self, ledger):
-        with pytest.raises(EclError, match="has no trace"):
+        with pytest.raises(NotFoundError, match="has no trace"):
             ledger.load("0" * 64)
+
+    def test_opening_a_ledger_creates_nothing(self, tmp_path):
+        root = tmp_path / "traces"
+        reader = TraceLedger(str(root), tenant="ghost")
+        assert reader.entries() == []
+        assert reader.locate("0" * 64) is None
+        assert not root.exists()
+        reader.put(sample_job(), sample_records())
+        assert (root / PACK_DIR).is_dir()
 
     def test_threads_sharing_one_ledger_keep_offsets_exact(self, ledger):
         import threading

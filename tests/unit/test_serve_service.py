@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from repro.errors import EclError
+from repro.errors import EclError, NotFoundError
 from repro.serve import QueueFullError, SimulationService
 
 ECHO = """
@@ -88,7 +88,7 @@ class TestSubmission:
 
     def test_unknown_batch_raises(self):
         service = make_service(workers=0)
-        with pytest.raises(EclError, match="unknown batch"):
+        with pytest.raises(NotFoundError, match="unknown batch"):
             service.batch("nope")
 
 
@@ -159,9 +159,10 @@ class TestWarmPool:
             service.shutdown()
 
 
-class TestSweepFusion:
-    """Cross-batch vector sweep fusion: queued sweepable jobs from
-    separate batches of one tenant dispatch as one fused sweep."""
+class TestVectorDispatch:
+    """Vector jobs group by the one per-batch rule and run per job on
+    the resident native driver: the service never builds a sweep.
+    Without numpy every vector row is the same error row either way."""
 
     def _direct_rows(self, doc):
         from repro.farm import WorkerState
@@ -173,93 +174,94 @@ class TestSweepFusion:
         return [r.to_dict(volatile=False)
                 for r in (state.run_job(j) for j in jobs)]
 
-    def test_cross_batch_jobs_fuse_into_one_dispatch(self):
-        doc = document(engines=("vector",), traces=2)
+    def test_vector_jobs_group_within_their_batch(self):
+        doc = document(engines=("vector",), traces=4)
         service = make_service(workers=1, start=False)
+        log = log_dispatches(service)
         try:
             batches = [service.submit(doc) for _ in range(3)]
-            # six sweepable entries queued before any worker runs
             service.pool.start()
             for batch in batches:
                 assert batch.wait(timeout=30)
-            # one fused dispatch executed all six jobs (settle first:
-            # the counters bump a beat after the last row)
             assert service.pool.wait_idle(timeout=30)
-            assert service.pool.dispatches == 1
-            assert service.pool.jobs_executed == 6
-            truth = self._direct_rows(doc)
-            for batch in batches:
-                rows = sorted(batch.results, key=lambda r: r.index)
-                assert all(r.engine == "vector" and r.ok for r in rows)
-                # per-job identity and stable payloads survive fusion
-                assert [r.to_dict(volatile=False) for r in rows] == truth
         finally:
             service.shutdown()
+        # per batch: the first job alone, then 2, then the last one
+        assert [len(jobs) for _, jobs in log] == [1, 2, 1] * 3
+        for _, jobs in log:
+            owners = {batch.id for batch in batches
+                      for job in jobs if job in batch}
+            assert len(owners) == 1
+        truth = self._direct_rows(doc)
+        for batch in batches:
+            rows = sorted(batch.results, key=lambda r: r.index)
+            assert all(r.engine == "vector" for r in rows)
+            assert [r.to_dict(volatile=False) for r in rows] == truth
 
-    def test_fusion_limit_one_disables_fusion(self):
-        doc = document(engines=("vector",), traces=2)
-        service = make_service(workers=1, start=False, fusion_limit=1)
+    def test_wide_record_free_batch_never_sweeps(self, monkeypatch):
+        """Even a batch of SWEEP_MIN_LANES record-free vector jobs (no
+        ledger: no data_root) runs per job through the service."""
+        from repro.farm.worker import SWEEP_MIN_LANES, WorkerState
+
+        def no_sweep(state, jobs):
+            raise AssertionError("the service built a sweep")
+
+        monkeypatch.setattr(WorkerState, "run_sweep", no_sweep)
+        doc = document(engines=("vector",), traces=SWEEP_MIN_LANES,
+                       length=4)
+        service = make_service(workers=1)
         try:
-            batches = [service.submit(doc) for _ in range(2)]
-            service.pool.start()
-            for batch in batches:
-                assert batch.wait(timeout=30)
-            assert service.pool.wait_idle(timeout=30)
-            assert service.pool.dispatches == 4  # one per job
-            truth = self._direct_rows(doc)
-            for batch in batches:
-                rows = sorted(batch.results, key=lambda r: r.index)
-                assert [r.to_dict(volatile=False) for r in rows] == truth
+            batch = service.submit(doc)
+            assert batch.wait(timeout=60)
         finally:
             service.shutdown()
+        assert len(batch.results) == SWEEP_MIN_LANES
+        assert all(r.engine == "vector" for r in batch.results)
 
-    def test_fusion_window_is_bounded(self):
-        doc = document(engines=("vector",), traces=1)
-        service = make_service(workers=1, start=False, fusion_limit=2)
-        try:
-            batches = [service.submit(doc) for _ in range(5)]
-            service.pool.start()
-            for batch in batches:
-                assert batch.wait(timeout=30)
-            # five jobs, fused at most two at a time: >= 3 dispatches
-            assert service.pool.wait_idle(timeout=30)
-            assert service.pool.dispatches >= 3
-        finally:
-            service.shutdown()
+    def test_vector_groups_are_capped_by_group_limit(self):
+        from repro.serve.service import GROUP_LIMIT
 
-    def test_non_sweepable_jobs_never_fuse(self):
-        doc = document(traces=2)  # efsm: no sweep key
+        doc = document(engines=("vector",), traces=4 * GROUP_LIMIT)
         service = make_service(workers=1, start=False)
+        log = log_dispatches(service)
         try:
-            batches = [service.submit(doc) for _ in range(2)]
+            batch = service.submit(doc)
             service.pool.start()
-            for batch in batches:
-                assert batch.wait(timeout=30)
+            assert batch.wait(timeout=60)
             assert service.pool.wait_idle(timeout=30)
-            assert service.pool.jobs_executed == 4
         finally:
             service.shutdown()
+        sizes = [len(jobs) for _, jobs in log]
+        assert sizes[0] == 1
+        assert max(sizes) == GROUP_LIMIT
+        assert sum(sizes) == 4 * GROUP_LIMIT
+        rows = sorted(batch.results, key=lambda r: r.index)
+        assert [r.to_dict(volatile=False) for r in rows] \
+            == self._direct_rows(doc)
 
 
 def log_dispatches(service):
-    """Wrap the service's dispatch entry points; returns the list each
+    """Wrap the service's dispatch entry point; returns the list each
     dispatch appends its jobs to."""
     log = []
-    for name in ("_dispatch_job", "_dispatch_sweep"):
-        def logged(space, jobs, worker, on_rows,
-                   dispatch=getattr(service, name)):
-            log.append((space.name, list(jobs)))
-            return dispatch(space, jobs, worker, on_rows)
-        setattr(service, name, logged)
+    dispatch = service._dispatch_job
+
+    def logged(space, jobs, worker, on_rows):
+        log.append((space.name, list(jobs)))
+        return dispatch(space, jobs, worker, on_rows)
+
+    service._dispatch_job = logged
     return log
 
 
 class TestDispatchGroups:
-    """Scalar jobs of one batch share a dispatch: a group holds one job
-    more than the rows its batch has landed, capped by fusion_limit."""
+    """Jobs of one batch share a dispatch: a group holds one job more
+    than the rows its batch has landed, capped by GROUP_LIMIT."""
 
     def test_first_dispatch_alone_and_groups_bounded(self):
-        service = make_service(workers=1, start=False, fusion_limit=8)
+        from repro.serve.service import GROUP_LIMIT
+
+        service = make_service(workers=1, start=False)
         log = log_dispatches(service)
         try:
             batch = service.submit(document(engines=("native",),
@@ -271,7 +273,7 @@ class TestDispatchGroups:
             service.shutdown()
         sizes = [len(jobs) for _, jobs in log]
         assert sizes[0] == 1
-        assert max(sizes) == 8
+        assert max(sizes) == GROUP_LIMIT
         assert sum(sizes) == 64
         assert service.pool.dispatches == len(sizes)
         assert service.pool.jobs_executed == 64
@@ -318,11 +320,11 @@ class TestDispatchGroups:
         finally:
             service.shutdown()
 
-    def test_fusion_limit_one_dispatches_every_job_alone(self):
+    def test_every_engine_groups_by_one_rule(self):
         from repro.engines import adapter_names
 
         for engine in adapter_names():
-            service = make_service(workers=1, start=False, fusion_limit=1)
+            service = make_service(workers=1, start=False)
             try:
                 batches = [service.submit(document(engines=(engine,),
                                                    traces=3))
@@ -331,7 +333,8 @@ class TestDispatchGroups:
                 for batch in batches:
                     assert batch.wait(timeout=60)
                 assert service.pool.wait_idle(timeout=30)
-                assert service.pool.dispatches == 6, engine
+                # per batch: the first job alone, then the other two
+                assert service.pool.dispatches == 4, engine
                 assert service.pool.jobs_executed == 6, engine
             finally:
                 service.shutdown()
@@ -718,6 +721,26 @@ class TestTenancy:
                 service.fetch_trace("bob", digest)
         finally:
             service.shutdown()
+
+    def test_missing_trace_is_not_found_but_no_ledger_is_not(
+            self, tmp_path):
+        service = make_service(data_root=str(tmp_path))
+        try:
+            batch = service.submit(document(traces=1), tenant="alice")
+            assert batch.wait(timeout=30)
+            with pytest.raises(NotFoundError, match="no trace"):
+                service.fetch_trace("alice", "0" * 64)
+            with pytest.raises(NotFoundError, match="no trace"):
+                service.fetch_trace("ghost", "0" * 64)
+        finally:
+            service.shutdown()
+        bare = make_service(workers=0)
+        try:
+            with pytest.raises(EclError, match="no trace ledger") as info:
+                bare.fetch_trace("alice", "0" * 64)
+            assert not isinstance(info.value, NotFoundError)
+        finally:
+            bare.shutdown()
 
     def test_tenant_caches_are_namespaced_on_disk(self, tmp_path):
         service = make_service(data_root=str(tmp_path))
