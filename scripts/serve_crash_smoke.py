@@ -4,15 +4,15 @@ Two phases against real ``eclc serve`` processes:
 
 1. **Server crash + journal replay** — starts ``eclc serve`` with a
    durable data root, submits a batch over HTTP, SIGKILLs the server
-   while the batch is partially complete, and restarts it with
-   ``--recover`` (the default) on the same data root.  The revived
+   while the batch is partially complete, and restarts it on the same
+   data root, whose journal it replays on startup.  The revived
    service must re-admit the unfinished batch from its journal, replay
    the rows that were already recorded, re-execute only the missing
    jobs, and stream a stable NDJSON serialization byte-identical to
    ``eclc farm run`` of the same spec — as if the crash never
    happened.
-2. **Worker-process crash** — starts ``eclc serve -j 2`` (which
-   auto-selects the process-backed pool), SIGKILLs one of the worker
+2. **Worker-process crash** — starts ``eclc serve -j 2`` (more than
+   one worker runs the process-backed pool), SIGKILLs one of the worker
    children mid-batch, and asserts the *same* batch still completes
    with the same byte-identical rows, no restart required: a dead
    child degrades one dispatch, never the service.
@@ -154,7 +154,7 @@ def run(direct):
         if not killed and process.poll() is None:
             process.kill()
 
-    # restart on the same data root: --recover is the default
+    # restart on the same data root: its journal replays on startup
     process, port, banner = start_server(data_root)
     try:
         recovery = [line for line in banner if "recovered" in line]
@@ -183,7 +183,7 @@ def run_worker_kill(direct):
     workdir = tempfile.mkdtemp(prefix="serve-proc-smoke-")
     data_root = os.path.join(workdir, "serve-data")
 
-    # -j 2 auto-selects the process-backed pool
+    # -j 2 runs the process-backed pool
     process, port, banner = start_server(data_root, jobs=2)
     try:
         assert any("process workers" in line for line in banner), (

@@ -47,7 +47,7 @@ from repro.telemetry import parse_prometheus  # noqa: E402
 
 #: Series every instrumented service run must expose (the stable
 #: metric-name contract; see the README catalog).  This smoke runs
-#: ``-j 2``, which auto-selects the process-backed pool: compile and
+#: ``-j 2``, which runs the process-backed pool: compile and
 #: execute counters (``ecl_pipeline_cache_requests_total``,
 #: ``ecl_farm_jobs_total``) then live in the worker children's own
 #: registries, not the parent exposition — the thread-mode

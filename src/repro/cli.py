@@ -129,9 +129,9 @@ def _build_parser():
                           "closure-compiled reactors from a "
                           "partition bundle)")
     run.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="persistent shared code cache (compiled "
-                          "artifacts + native bytecode survive the "
-                          "batch; spawn-based workers warm-start)")
+                     help="persistent shared artifact cache (compiled "
+                          "designs and native code survive the batch; "
+                          "spawn-based workers warm-start)")
     run.add_argument("--traces", type=int, default=None,
                      help="random traces per design x module x engine")
     run.add_argument("--length", type=int, default=None,
@@ -165,22 +165,14 @@ def _build_parser():
                        help="bind port (default 8732; 0 = pick free)")
     serve.add_argument("--data-root", default=None, metavar="DIR",
                        help="persistence root: per-tenant artifact "
-                            "namespaces, trace-ledger shards and native "
-                            "bytecode live here (default: in-memory)")
+                            "namespaces, trace-ledger shards and the "
+                            "batch journal live here; a journal found "
+                            "there replays on startup (default: "
+                            "in-memory)")
     serve.add_argument("-j", "--workers", type=int, default=None,
-                       help="resident workers (default 2)")
-    serve.add_argument("--pool-mode", default="auto",
-                       choices=("auto", "thread", "process"),
-                       help="worker pool backing: process = long-lived "
-                            "spawned workers sharing the persistent "
-                            "code cache (CPU-bound scaling), thread = "
-                            "in-process; auto (default) picks process "
-                            "when workers > 1")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persistent native code cache shared with "
-                            "worker processes (default: "
-                            "$ECL_CODE_CACHE_DIR, else "
-                            "<data-root>/native-pyc)")
+                       help="resident workers (default 2); more than "
+                            "one runs each in a spawned child process, "
+                            "one runs in-process")
     serve.add_argument("--queue-depth", type=int, default=None,
                        help="bounded job-queue depth; a batch that "
                             "does not fit is rejected queue_full "
@@ -203,14 +195,6 @@ def _build_parser():
                        help="compact per-tenant journal WALs on "
                             "startup (post-recovery) and graceful "
                             "shutdown, dropping closed batches")
-    serve.add_argument("--recover", dest="recover", action="store_true",
-                       default=True,
-                       help="replay the batch journal on startup, "
-                            "resuming batches interrupted by a crash "
-                            "(default with a --data-root)")
-    serve.add_argument("--no-recover", dest="recover",
-                       action="store_false",
-                       help="skip journal replay on startup")
     serve.add_argument("--max-attempts", type=int, default=None,
                        help="total tries a job gets across "
                             "worker-death retries (default 3)")
@@ -644,12 +628,6 @@ def _cmd_serve(args):
     port = args.port if args.port is not None else DEFAULT_PORT
     workers = (args.workers if args.workers is not None
                else DEFAULT_WORKERS)
-    pool_mode = args.pool_mode
-    if pool_mode == "auto":
-        # Process workers are the default whenever parallelism is
-        # actually requested: CPU-bound tenants then scale with cores
-        # instead of serializing on the GIL.
-        pool_mode = "process" if workers > 1 else "thread"
     service = SimulationService(
         data_root=args.data_root,
         workers=workers,
@@ -657,9 +635,10 @@ def _cmd_serve(args):
         else DEFAULT_QUEUE_DEPTH,
         max_attempts=args.max_attempts if args.max_attempts is not None
         else DEFAULT_MAX_ATTEMPTS,
-        recover=args.recover,
-        pool_mode=pool_mode,
-        cache_dir=args.cache_dir,
+        # Process workers whenever parallelism is actually requested:
+        # CPU-bound tenants then scale with cores instead of
+        # serializing on the GIL.
+        pool_mode="process" if workers > 1 else "thread",
         tenant_weights=_parse_tenant_weights(args.tenant_weight),
         max_queued_per_tenant=args.max_queued_per_tenant,
         max_in_flight_per_tenant=args.max_in_flight_per_tenant,

@@ -21,7 +21,7 @@ constructs the generator emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from ..ecl.rename import rewrite_name_reads
 from ..efsm.machine import (
@@ -32,10 +32,13 @@ from ..efsm.machine import (
     TestData,
     TestSignal,
 )
-from ..errors import CodegenError
+from ..errors import CodegenError, EvalError
 from ..lang import ast
 from ..lang.printer import Printer, type_definition_text, type_text
-from ..lang.types import PureType
+from ..lang.types import BoolType, PureType
+from ..runtime.ceval import Env, Evaluator
+from ..runtime.memory import AddressSpace
+from ..runtime.signals import SignalSlot, SignalTable
 
 _INDENT = "    "
 
@@ -140,7 +143,8 @@ class CBackend:
             "",
         ]
         for function in self._plain_functions():
-            lines.append(self.printer.function(function))
+            lines.append(self.printer.function(
+                self._bool_not(function, function.params)))
             lines.append("")
         for block in self.module.data_blocks:
             lines.extend(self._data_function(block))
@@ -156,6 +160,8 @@ class CBackend:
 
     def _redirect(self, node):
         """Rewrite module-scope identifier uses to ctx-> accesses."""
+        node = self._bool_not(node)
+
         def rewrite(identifier):
             if identifier not in self._module_names:
                 return None
@@ -164,6 +170,35 @@ class CBackend:
             # Signal read in a C expression = its value (paper, stmt 4).
             return _ctx_field(identifier + "_value")
         return rewrite_name_reads(node, rewrite)
+
+    def _bool_not(self, node, params=()):
+        """Print ``~`` on a bool as C's ``!``: ECL reads it as logical
+        negation (DESIGN.md §4), and C's ``~`` on a bool is never 0."""
+        if not any(isinstance(child, ast.Unary) and child.op == "~"
+                   for child in ast.walk(node)):
+            return node
+        space = AddressSpace("<c-typing>")
+        signals = SignalTable()
+        for param in self.module.params:
+            signals.add(SignalSlot(param.name, param.type, space,
+                                   param.direction))
+        for name, sig_type in self.module.local_signals:
+            signals.add(SignalSlot(name, sig_type, space, "local"))
+        env = Env(space=space, functions=dict(self.module.functions),
+                  signal_resolver=signals.get)
+        for name, var_type in self.module.variables:
+            env.declare(name, var_type)
+        # The parameters and every local of ``node`` share one inner
+        # scope: of two same-named locals, the first declared types both.
+        local_types = {}
+        for decl in tuple(params) + tuple(
+                child for child in ast.walk(node)
+                if isinstance(child, ast.VarDecl)):
+            local_types.setdefault(decl.name, decl.type)
+        env.push_scope()
+        for name, local_type in local_types.items():
+            env.declare(name, local_type)
+        return _logical_not(node, Evaluator(env))
 
     def _data_function(self, block):
         name = self.module.name
@@ -309,6 +344,29 @@ class CBackend:
             if block.stmt == stmt or block.stmt is stmt:
                 return block
         return None
+
+
+def _logical_not(node, typer):
+    """``node`` with every ``~`` whose operand ``typer`` types as bool
+    turned into ``!`` (an untypable operand keeps ``~``)."""
+    if isinstance(node, tuple):
+        return tuple(_logical_not(item, typer) for item in node)
+    if not isinstance(node, ast.Node):
+        return node
+    updates = {}
+    for field_info in fields(node):
+        value = getattr(node, field_info.name)
+        if field_info.name != "span" and isinstance(value, (ast.Node, tuple)):
+            new_value = _logical_not(value, typer)
+            if new_value is not value:
+                updates[field_info.name] = new_value
+    if isinstance(node, ast.Unary) and node.op == "~":
+        try:
+            if isinstance(typer.type_of(node.operand), BoolType):
+                updates["op"] = "!"
+        except EvalError:
+            pass
+    return replace(node, **updates) if updates else node
 
 
 def _ctx_field(field_name):

@@ -189,7 +189,7 @@ class CostModel:
         if isinstance(node, ast.IntLit):
             return 1       # immediate
         if isinstance(node, ast.Call):
-            return 3       # args marshalling + jal + delay
+            return 3       # argument passing + jal + delay
         if isinstance(node, ast.Cast):
             return 1
         return 0

@@ -171,9 +171,10 @@ class SimulationFarm:
     ):
         """``designs`` maps batch labels to ECL source text;
         ``ledger_root=None`` disables trace persistence;
-        ``cache_dir`` enables the persistent shared code cache (compiled
-        artifacts and native bytecode survive the batch, so pooled
-        children and future runs warm-start)."""
+        ``cache_dir`` enables the persistent shared artifact cache
+        (EFSMs, native code, trace drivers and partition bundles
+        survive the batch, so pooled children and future runs
+        warm-start)."""
         self.designs = dict(designs)
         self.options = options
         self.ledger_root = ledger_root

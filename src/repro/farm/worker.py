@@ -93,27 +93,16 @@ class WorkerState:
         #: design label -> ECL source text
         self.designs = dict(designs)
         self.options = options if options is not None else CompileOptions()
-        # cache=None: build one from cache_dir; otherwise the caller
-        # owns it (the serving layer hands every tenant worker its
-        # namespace's ArtifactCache and manages the process-global
-        # bytecode cache itself).
+        # cache=None: build one from cache_dir (a persistent one holds
+        # every EFSM, NativeCode, partition bundle and trace driver, so
+        # spawned workers warm-start without re-running codegen);
+        # otherwise the caller owns it (the serving layer hands every
+        # tenant worker its namespace's ArtifactCache).
         if cache is None:
-            from ..runtime.native import enable_code_cache
-
             if cache_dir:
-                # Persistent shared cache: compiled artifacts (EFSMs,
-                # NativeCode, partition bundles, trace drivers) land on
-                # disk, and the native engine's compiled *bytecode* is
-                # marshalled next to them — spawn-based workers warm-start
-                # without re-running codegen or re-exec'ing sources.
                 cache = ArtifactCache.persistent(cache_dir)
-                enable_code_cache(os.path.join(cache_dir, "native-pyc"))
             else:
-                # The bytecode cache location is process-global: reset it
-                # so a cache-less farm never inherits an earlier run's
-                # directory (the ECL_CODE_CACHE_DIR fallback still applies).
                 cache = ArtifactCache.memory()
-                enable_code_cache(None)
         self.cache_dir = cache_dir
         self.tenant = tenant
         #: serving mode: let storage-layer OSErrors (ledger writes)

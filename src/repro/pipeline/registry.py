@@ -79,11 +79,13 @@ class Backend:
     @functools.cached_property
     def fingerprint(self):
         """Hex digest identifying this emitter's behaviour: its
-        metadata plus (best effort) the emit function's source.  Folded
-        into emit-stage cache keys so replacing a backend under the
-        same name invalidates its persisted artifacts."""
+        metadata plus (best effort) the source of the module defining
+        the emit function.  Folded into emit-stage cache keys so
+        replacing a backend under the same name, or fixing the
+        generator behind it, invalidates its persisted artifacts."""
         try:
-            body = inspect.getsource(self.emit)
+            body = inspect.getsource(
+                inspect.getmodule(self.emit) or self.emit)
         except (OSError, TypeError):
             body = "%s.%s" % (getattr(self.emit, "__module__", ""),
                               getattr(self.emit, "__qualname__",

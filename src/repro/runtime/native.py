@@ -51,12 +51,7 @@ counts ``react`` instants.
 
 from __future__ import annotations
 
-import hashlib
-import marshal
-import os
 import re
-import sys
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -252,77 +247,16 @@ class NativeCode:
         )
 
 
-#: source text -> compiled code object (state functions compile once
-#: per process no matter how many reactors bind the same design).
+#: source text -> compiled code object: every generated source in the
+#: package (reaction states, trace drivers, vector code, monitors)
+#: compiles once per process no matter how many reactors bind it.
 _CODE_CACHE: Dict[str, object] = {}
-
-#: Optional on-disk layer under _CODE_CACHE: marshalled code objects
-#: keyed by source digest, shared by every worker process on the
-#: machine.  Spawn-based farm workers (which inherit nothing) load the
-#: marshalled bytecode instead of re-running ``compile`` on warm
-#: starts.  Enabled via :func:`enable_code_cache` or the
-#: ``ECL_CODE_CACHE_DIR`` environment variable.
-_CODE_CACHE_DIR = None
-
-CODE_CACHE_ENV = "ECL_CODE_CACHE_DIR"
-
-
-def enable_code_cache(root):
-    """Persist compiled reaction code under ``root`` (None disables)."""
-    global _CODE_CACHE_DIR
-    _CODE_CACHE_DIR = root
-    if root is not None:
-        os.makedirs(root, exist_ok=True)
-    return root
-
-
-def _code_cache_root():
-    if _CODE_CACHE_DIR is not None:
-        return _CODE_CACHE_DIR
-    return os.environ.get(CODE_CACHE_ENV) or None
-
-
-def _code_cache_path(root, source):
-    # The cache tag isolates bytecode across interpreter versions —
-    # marshal is not stable between them.
-    tag = sys.implementation.cache_tag or "python"
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:32]
-    return os.path.join(root, "%s-%s.nrc" % (tag, digest))
 
 
 def _compiled(source):
     code = _CODE_CACHE.get(source)
-    if code is not None:
-        return code
-    root = _code_cache_root()
-    path = _code_cache_path(root, source) if root else None
-    if path is not None:
-        try:
-            with open(path, "rb") as handle:
-                code = marshal.load(handle)
-        except (OSError, ValueError, EOFError, TypeError):
-            code = None
-        if code is not None:
-            _CODE_CACHE[source] = code
-            return code
-    code = compile(source, "<native-reactions>", "exec")
-    _CODE_CACHE[source] = code
-    if path is not None:
-        try:
-            os.makedirs(root, exist_ok=True)
-            fd, temp = tempfile.mkstemp(dir=root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    marshal.dump(code, handle)
-                os.replace(temp, path)
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
-        except (OSError, ValueError):
-            pass  # the cache is an optimization, never a failure
+    if code is None:
+        code = _CODE_CACHE[source] = compile(source, "<ecl-generated>", "exec")
     return code
 
 

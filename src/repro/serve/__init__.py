@@ -13,7 +13,7 @@ compile tax dominates.  This package keeps the farm *resident*:
   429), never unbounded memory growth;
 * :mod:`repro.serve.pool` — self-healing workers, thread- or
   process-backed (``mode="process"``: long-lived spawned children
-  warm-started from the persistent artifact/code caches, so CPU-bound
+  warm-started from the persistent artifact cache, so CPU-bound
   tenants scale with cores instead of the GIL); a worker death — even
   a SIGKILLed child — requeues its in-hand job (bounded attempts) and
   replaces the worker, so a crash degrades one batch instead of the

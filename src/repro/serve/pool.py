@@ -15,9 +15,9 @@ worker subprocess (:class:`WorkerProcess`, spawn-start so no live lock
 or thread state is forked mid-operation) and ships each group to it in
 one streamed pipe round trip.  CPU-bound tenants then scale with cores
 instead of serializing on the GIL, and warmth survives differently:
-the children warm-start from the persistent artifact cache and the
-marshal-backed native code cache, so a replacement child skips codegen
-even though it shares no memory with its predecessor.
+the children warm-start from the persistent artifact cache, so a
+replacement child skips codegen even though it shares no memory with
+its predecessor.
 
 Worker death is the fault model the pool exists to contain.
 ``WorkerState.run_job`` already converts *job-level* failures into
@@ -102,7 +102,7 @@ class WorkerProcess:
     deadlock the child on a lock its copied owner will never release.
     Spawn children pay an interpreter start per (re)spawn — amortized
     away by being long-lived and by warm-starting from the persistent
-    artifact/native-code caches.
+    artifact cache.
     """
 
     def __init__(self, config, name="serve-proc"):
@@ -205,34 +205,24 @@ class WorkerProcess:
 class WorkerPool:
     """Self-healing worker pool over a :class:`~repro.serve.queue.JobQueue`."""
 
-    def __init__(self, queue, execute=None, on_dead_job=None,
+    def __init__(self, queue, execute_group, on_dead_job=None,
                  workers=2, max_attempts=DEFAULT_MAX_ATTEMPTS,
                  backoff_base=DEFAULT_BACKOFF_BASE,
                  backoff_cap=DEFAULT_BACKOFF_CAP,
-                 mode="thread", execute_group=None, take_group=None,
-                 process_config=None):
-        """``execute(entry)`` runs one queue entry to completion
-        (recording its result); ``on_dead_job(entry, error)`` reports
-        an entry whose retry budget is exhausted.  Or dispatch groups:
-        ``take_group(entry)`` pops the companions riding along with an
-        entry, and ``execute_group(group, worker, visit, settled)``
-        runs them all (``worker``: the slot's :class:`WorkerProcess`,
-        None in thread mode), calling ``visit(member)`` before it
-        records a member's result and ``settled(member)`` after.
-        ``mode="process"`` needs ``execute_group``; ``process_config``
-        is shipped to each spawned child."""
+                 mode="thread", take_group=None, process_config=None):
+        """``execute_group(group, worker, visit, settled)`` runs one
+        dispatch group — an entry plus the companions
+        ``take_group(entry)`` pops to ride along with it — to
+        completion (``worker``: the slot's :class:`WorkerProcess`, None
+        in thread mode), calling ``visit(member)`` before it records a
+        member's result and ``settled(member)`` after;
+        ``on_dead_job(entry, error)`` reports an entry whose retry
+        budget is exhausted.  ``process_config`` is shipped to each
+        spawned child."""
         if mode not in POOL_MODES:
             raise ValueError(
                 "pool mode must be one of %r, got %r" % (POOL_MODES, mode)
             )
-        if mode == "process" and execute_group is None:
-            raise ValueError('mode="process" requires execute_group')
-        if execute_group is None:
-            def execute_group(group, worker, visit, settled):
-                for member in group:
-                    visit(member)
-                    execute(member)
-                    settled(member)
         self.queue = queue
         self.execute_group = execute_group
         self.take_group = take_group

@@ -10,13 +10,14 @@ holds — same namespaced artifact cache, same tenant ledger shard, same
 ``raise_storage_errors`` escalation — so a job produces the identical
 stable result row no matter which side of the pipe ran it; the pooled
 :class:`~repro.farm.farm.SimulationFarm` ships one that builds its
-own farm state (root ledger index, its code cache and options).
+own farm state (root ledger index, artifact cache and options).
 
 Warmth without shared memory: the state compiles against the
-service's *persistent* artifact cache and marshal-backed native code
-cache, so a freshly spawned child (first boot or post-crash
-replacement) serves repeat designs from disk instead of re-running
-codegen.  Trace objects are content-addressed and ledger shards are
+service's *persistent* artifact cache, so a freshly spawned child
+(first boot or post-crash replacement) loads every repeat design's
+compiled artifacts from disk instead of re-running codegen; only the
+``compile()`` of their generated source runs again, once per child.
+Trace objects are content-addressed and ledger shards are
 O_APPEND-atomic (the farm's established multi-process discipline), so
 children write them directly; only result rows travel back over the
 pipe, each as soon as its job finishes, so the parent journals and
@@ -41,22 +42,14 @@ def child_main(conn, config):
     """Serve dispatch groups over ``conn`` until ``exit`` or EOF.
 
     ``config``: ``worker_state`` (picklable ``factory(tenant=...)``
-    returning a tenant's :class:`~repro.farm.worker.WorkerState`),
-    ``cache_dir`` (marshal-backed native code cache, optional) and the
-    test seam ``ledger_fault_hook`` (a picklable
+    returning a tenant's :class:`~repro.farm.worker.WorkerState`)
+    and the test seam ``ledger_fault_hook`` (a picklable
     ``TraceLedger.fault_hook`` for this child's ledgers).
 
     A ``(tenant, designs, jobs)`` request runs through one
     :meth:`~repro.farm.worker.WorkerState.stream`; each unit it yields
     goes back at once as ``("ok", [(position, row), ...])``.
     """
-    # Imports live here, not at module top: the parent imports this
-    # module only to name the spawn target, and must not pay (or
-    # re-enter) the heavier runtime imports while holding pool state.
-    from ..runtime.native import enable_code_cache
-
-    if config.get("cache_dir"):
-        enable_code_cache(config["cache_dir"])
     if hasattr(os, "nice"):
         # The parent coordinates every child and serves the HTTP
         # streams: under CPU contention it goes first, so children

@@ -157,19 +157,31 @@ class Batch:
 
     # -- recording -----------------------------------------------------
 
-    def add_result(self, result):
+    def add_result(self, result, on_complete=None):
         """Record one job's result; returns True when this call
-        completed the batch, so exactly one caller closes it out.
-        Records nothing when a result for that job id already landed —
-        the dedup that makes crash-after-record retries and journal
+        completed the batch, so exactly one caller closes it out —
+        through ``on_complete()``, which runs before the completing row
+        becomes visible to :meth:`wait` and :meth:`stream`, so a reader
+        holding every row also sees the batch closed out.  Records
+        nothing when a result for that job id already landed — the
+        dedup that makes crash-after-record retries and journal
         replays idempotent."""
         with self._cond:
             if result.job_id in self._recorded:
                 return False
             self._recorded.add(result.job_id)
-            self.results.append(result)
-            self._cond.notify_all()
-            return len(self.results) == self.total
+            if len(self._recorded) < self.total:
+                self.results.append(result)
+                self._cond.notify_all()
+                return False
+        try:
+            if on_complete is not None:
+                on_complete()
+        finally:
+            with self._cond:
+                self.results.append(result)
+                self._cond.notify_all()
+        return True
 
     def __contains__(self, job):
         return id(job) in self._members
@@ -283,9 +295,7 @@ class SimulationService:
         options=None,
         start=True,
         journal_root=None,
-        recover=True,
         pool_mode="thread",
-        cache_dir=None,
         tenant_weights=None,
         max_queued_per_tenant=None,
         max_in_flight_per_tenant=None,
@@ -296,17 +306,15 @@ class SimulationService:
         With a directory, artifacts live under ``<data_root>/artifacts``
         (per-tenant namespaces), traces under ``<data_root>/traces``
         (per-tenant index shards), the batch journal under
-        ``<data_root>/journal`` (per-tenant WAL shards) and native
-        bytecode under the code cache directory (``cache_dir``, the
-        ``ECL_CODE_CACHE_DIR`` environment override, or the
-        auto-provisioned ``<data_root>/native-pyc``).  ``journal_root``
-        overrides (or, without a data_root, solely enables) the
-        journal location.  ``recover=True`` replays the journal on
-        startup: incomplete batches are resurrected and their
-        unfinished jobs re-admitted before the worker pool starts.
+        ``<data_root>/journal`` (per-tenant WAL shards).
+        ``journal_root`` overrides (or, without a data_root, solely
+        enables) the journal location.  Whenever there is a journal,
+        startup replays it: incomplete batches are resurrected and
+        their unfinished jobs re-admitted before the worker pool
+        starts.
 
         ``pool_mode="process"`` runs jobs in long-lived spawned worker
-        processes sharing the persistent artifact/code caches — the
+        processes sharing the persistent artifact cache — the
         CPU-bound scaling mode.  ``tenant_weights`` /
         ``max_queued_per_tenant`` / ``max_in_flight_per_tenant``
         configure the queue's weighted-fair rotation and quotas;
@@ -316,16 +324,6 @@ class SimulationService:
         self.options = options
         if data_root:
             os.makedirs(data_root, exist_ok=True)
-        self.cache_dir = (
-            cache_dir
-            or os.environ.get("ECL_CODE_CACHE_DIR")
-            or (os.path.join(data_root, "native-pyc") if data_root
-                else None)
-        )
-        if self.cache_dir:
-            from ..runtime.native import enable_code_cache
-
-            enable_code_cache(self.cache_dir)
         if journal_root is None and data_root:
             journal_root = os.path.join(data_root, "journal")
         self.journal = BatchJournal(journal_root) if journal_root else None
@@ -350,7 +348,6 @@ class SimulationService:
                     WorkerState.for_tenant, data_root=data_root,
                     options=options,
                 ),
-                "cache_dir": self.cache_dir,
             },
         )
         self._tenants: Dict[str, TenantSpace] = {}
@@ -368,7 +365,7 @@ class SimulationService:
         self.journal_errors = 0
         self.recovery: Optional[dict] = None
         self.started = monotonic()
-        if recover and self.journal is not None:
+        if self.journal is not None:
             self._recover()
         if self.journal_compact and self.journal is not None:
             # Post-recovery, pre-pool: the WAL is quiescent, and the
@@ -590,13 +587,13 @@ class SimulationService:
 
     def _record_result(self, batch, result):
         """The single recording path: journal first (durability), then
-        deliver to the batch (dedup by job id), then close the journal
-        entry when the batch is complete."""
+        deliver to the batch (dedup by job id); the row completing the
+        batch closes its journal entry, retires it and lands its
+        metrics before any reader sees that row."""
         if batch is None:
             return
-        if not batch.has_result(result.job_id):
-            self._journal("row", batch.tenant, batch.id, result)
-        if batch.add_result(result):
+
+        def close_out():
             self._journal("end", batch.tenant, batch.id)
             self._retire(batch)
             telemetry.counter(
@@ -609,6 +606,10 @@ class SimulationService:
                 help="Batch latency, admission to last result, by tenant.",
                 tenant=batch.tenant,
             ).observe(monotonic() - batch.created)
+
+        if not batch.has_result(result.job_id):
+            self._journal("row", batch.tenant, batch.id, result)
+        batch.add_result(result, on_complete=close_out)
 
     def _retire(self, batch):
         """Keep a finished batch for polling and streaming, forgetting

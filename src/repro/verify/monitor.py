@@ -17,8 +17,9 @@ a single Python function — the same compile-to-source discipline as
 The result of lowering is a picklable :class:`MonitorProgram`; the
 pipeline content-addresses it per design in the ``ArtifactCache``
 (:meth:`repro.pipeline.pipeline.ModuleHandle.monitor_bundle`), and the
-compiled code object is memoized per source text, so farm workers bind
-thousands of monitors without re-compiling anything.
+compiled code object is memoized per source text (by the one memo in
+:mod:`repro.runtime.native`), so farm workers bind thousands of
+monitors without re-compiling anything.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import EclError
+from ..runtime.native import _compiled
 from .props import (
     Always,
     And,
@@ -72,18 +74,6 @@ class MonitorProgram:
         for index, text in enumerate(self.descriptions):
             lines.append("  [%d] %s" % (index, text))
         return "\n".join(lines)
-
-
-#: source text -> compiled code object (one compile per process).
-_CODE_CACHE = {}
-
-
-def _compiled(source):
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source, "<monitor-step>", "exec")
-        _CODE_CACHE[source] = code
-    return code
 
 
 class _MonitorLowerer:
@@ -313,7 +303,7 @@ def bind_native(program, reactor):
         header + lowerer.prologue + lowerer.lines + ["    return r", ""]
     )
     namespace = {"P": present, "S": slots}
-    exec(compile(source, "<monitor-step-bound>", "exec"), namespace)
+    exec(_compiled(source), namespace)
     return namespace["_monitor_step_bound"]
 
 

@@ -84,6 +84,18 @@ module fifo (input byte push, input pure pop, output byte head,
 }
 """
 
+#: ``~`` on a bool is logical negation in every engine (DESIGN.md §4),
+#: where C's ``~`` on a bool is always non-zero.
+NEG = """
+module neg (input bool ok, output pure bad)
+{
+    while (1) {
+        await (ok);
+        if (~ok) emit (bad);
+    }
+}
+"""
+
 
 def _scalar_outputs(module):
     return [p for p in module.kernel.output_params
@@ -169,6 +181,8 @@ def _run_c(module, trace, tmp_path):
      [{}, {"push": 11}, {"push": 22}, {"pop": None},
       {"push": 33, "pop": None}, {"pop": None}, {"pop": None},
       {"pop": None}]),
+    (NEG, "neg",
+     [{}, {"ok": 1}, {"ok": 0}, {"ok": 1}, {"ok": 0}]),
 ])
 def test_generated_c_matches_python(tmp_path, source, name, trace):
     module = EclCompiler().compile_text(source).module(name)
@@ -218,7 +232,8 @@ def test_paper_module_c_compiles_as_c99(tmp_path, source, name):
     for filename, text in build.module(name).emit("c").items():
         (tmp_path / filename).write_text(text)
     result = subprocess.run(
-        [gcc, "-std=c99", "-c", str(tmp_path / ("%s.c" % name)),
+        [gcc, "-std=c99", "-Wall", "-Werror=bool-operation",
+         "-c", str(tmp_path / ("%s.c" % name)),
          "-o", str(tmp_path / ("%s.o" % name))],
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

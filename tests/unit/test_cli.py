@@ -229,3 +229,38 @@ class TestDot:
         assert main(["dot", echo_file, "-m", "echo"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph") and "echo" in out
+
+
+class TestServe:
+    @pytest.mark.parametrize("flags", [
+        ["--cache-dir", "x"], ["--pool-mode", "thread"], ["--no-recover"],
+    ], ids=["cache-dir", "pool-mode", "no-recover"])
+    def test_removed_options_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0"] + flags)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers, mode", [(2, "process"),
+                                               (1, "thread")])
+    def test_pool_mode_follows_workers(self, monkeypatch, capsys,
+                                       workers, mode):
+        import repro.serve as serve
+
+        built = []
+
+        class Unbound:
+            server_address = ("127.0.0.1", 0)
+
+        def make_server(service, **kwargs):
+            built.append(service.pool.mode)
+            return Unbound()
+
+        def serve_forever(service, server=None):
+            service.shutdown(drain=False, timeout=5)
+
+        monkeypatch.setattr(serve, "make_server", make_server)
+        monkeypatch.setattr(serve, "serve_forever", serve_forever)
+        assert main(["serve", "-j", str(workers), "--no-telemetry"]) == 0
+        assert built == [mode]
+        assert "%d %s workers" % (workers, mode) in capsys.readouterr().out

@@ -7,8 +7,6 @@ backend registration, code-bundle caching, the standalone emitted
 module, and the reactor conveniences.
 """
 
-import os
-
 import pytest
 
 from repro.designs import AUDIO_BUFFER_ECL, DOOR_CTRL_ECL, PROTOCOL_STACK_ECL
@@ -442,53 +440,25 @@ class TestRestore:
         assert any(outcomes) and not all(outcomes)
 
 
-class TestPersistentCodeCache:
-    """The marshal-backed on-disk layer under the source->code cache."""
+class TestCodeMemo:
+    """One per-process memo compiles every generated source."""
 
-    def test_warm_start_loads_marshalled_code(self, handle, tmp_path):
+    def test_compiling_twice_returns_one_code_object(self, handle):
         from repro.runtime import native
 
         source = handle.native_code().source
-        root = str(tmp_path / "pyc")
-        previous = native._CODE_CACHE_DIR
-        native.enable_code_cache(root)
-        try:
-            native._CODE_CACHE.pop(source, None)
-            first = native._compiled(source)
-            cached = [name for name in os.listdir(root)
-                      if name.endswith(".nrc")]
-            assert cached, "no marshalled code written"
-            # A cold process (simulated: drop the memory layer) must
-            # load the marshalled bytecode, not recompile.
-            native._CODE_CACHE.pop(source, None)
-            compile_calls = []
+        native._CODE_CACHE.pop(source, None)
+        assert native._compiled(source) is native._compiled(source)
 
-            def counting_compile(*args, **kwargs):
-                compile_calls.append(args)
-                return compile(*args, **kwargs)
-
-            native.compile = counting_compile
-            try:
-                warm = native._compiled(source)
-            finally:
-                del native.compile
-            assert not compile_calls
-            assert warm.co_names == first.co_names
-        finally:
-            native.enable_code_cache(previous)
-
-    def test_corrupt_cache_entry_recompiles(self, handle, tmp_path):
+    def test_monitors_compile_through_the_native_memo(self):
         from repro.runtime import native
+        from repro.verify import monitor
+        from repro.verify.props import never
 
-        source = handle.native_code().source
-        root = str(tmp_path / "pyc")
-        previous = native._CODE_CACHE_DIR
-        native.enable_code_cache(root)
-        try:
-            path = native._code_cache_path(root, source)
-            with open(path, "wb") as out:
-                out.write(b"not marshal data")
-            native._CODE_CACHE.pop(source, None)
-            assert native._compiled(source) is not None
-        finally:
-            native.enable_code_cache(previous)
+        program = monitor.compile_bundle([never("bad")])
+        native._CODE_CACHE.pop(program.source, None)
+        monitor.Monitor(program)
+        code = native._CODE_CACHE[program.source]
+        monitor.Monitor(program)
+        assert native._CODE_CACHE[program.source] is code
+        assert monitor._compiled is native._compiled

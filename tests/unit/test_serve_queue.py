@@ -370,15 +370,18 @@ class TestWorkerPool:
         dead = []
         lock = threading.Lock()
 
-        def execute(entry):
-            with lock:
-                done.append(entry.job)
+        def execute_group(group, worker, visit, settled):
+            for entry in group:
+                visit(entry)
+                with lock:
+                    done.append(entry.job)
+                settled(entry)
 
         def on_dead(entry, error):
             with lock:
                 dead.append((entry.job, error))
 
-        pool = WorkerPool(queue, execute, on_dead_job=on_dead,
+        pool = WorkerPool(queue, execute_group, on_dead_job=on_dead,
                           workers=workers, max_attempts=max_attempts)
         return queue, pool, done, dead
 

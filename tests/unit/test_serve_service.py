@@ -551,20 +551,47 @@ class TestJournalRecovery:
         assert third.recovery["recovered_batches"] == 0
         third.shutdown(drain=False, timeout=5)
 
-    def test_no_recover_flag_skips_replay(self, tmp_path):
-        service = make_service(data_root=str(tmp_path))
+    def test_last_row_is_visible_only_after_batch_close_out(self,
+                                                             tmp_path):
+        """While the ``end`` append is stalled, no reader holds the
+        completing row; once it lands, the batch's completion metrics
+        already have."""
+        import threading
+
+        from repro import telemetry
+
+        entered, release = threading.Event(), threading.Event()
+
+        def stall_end(kind, key):
+            if kind == "end":
+                entered.set()
+                release.wait(timeout=30)
+
+        telemetry.reset()
+        telemetry.enable()
+        service = make_service(data_root=str(tmp_path), workers=1)
+        service.journal.fault_hook = stall_end
         try:
-            service.submit(document(traces=1)).wait(timeout=30)
+            batch = service.submit(document(traces=2))
+            assert entered.wait(timeout=30)
+            assert not batch.done
+            assert batch.wait(timeout=0) is False
+            assert len(list(batch.stream(timeout=0.05))) == 1
+            release.set()
+            assert batch.wait(timeout=30)
+            families = {family["name"]: family for family in
+                        telemetry.snapshot()["metrics"]}
+            (latency,) = families["ecl_serve_batch_seconds"]["samples"]
+            assert latency["count"] == 1
+            (closed,) = families[
+                "ecl_serve_batches_completed_total"]["samples"]
+            assert closed["value"] == 1
         finally:
+            release.set()
+            service.journal.fault_hook = None
             service.shutdown()
-        shard = tmp_path / "journal" / "default.jsonl"
-        lines = shard.read_text().splitlines()
-        shard.write_text("\n".join(lines[:1]) + "\n")  # admit only
-        cold = make_service(data_root=str(tmp_path), workers=0,
-                            recover=False)
-        assert cold.recovery is None
-        assert len(cold.queue) == 0
-        cold.shutdown(drain=False, timeout=5)
+            telemetry.disable()
+            telemetry.reset()
 
     def test_journal_failure_degrades_durability_not_results(self,
                                                              tmp_path):
@@ -671,6 +698,47 @@ class TestRetention:
             assert service._finished_rows == len(jobs)
         finally:
             service.shutdown(drain=False, timeout=5)
+
+    def test_racing_rows_close_out_once_before_completion_shows(self):
+        import sys
+        import threading
+
+        from repro.farm import SimJob, StimulusSpec
+        from repro.farm.jobs import STATUS_ERROR, SimResult
+        from repro.serve.service import Batch
+
+        jobs = [SimJob(design="d", module="m", index=index,
+                       stimulus=StimulusSpec.random(length=2))
+                for index in range(64)]
+        rows = [SimResult(job_id=job.job_id, design=job.design,
+                          module=job.module, engine=job.engine,
+                          index=job.index, status=STATUS_ERROR, error="x")
+                for job in jobs]
+        batch = Batch("b", "default", jobs)
+        seen_done = []
+
+        def land(chunk):
+            for row in chunk + chunk:  # every row twice: dedup races too
+                batch.add_result(
+                    row, on_complete=lambda: seen_done.append(batch.done))
+
+        threads = [threading.Thread(target=land, args=(rows[i::8],))
+                   for i in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        # one close-out, run while the batch still showed incomplete
+        assert seen_done == [False]
+        assert batch.wait(timeout=0)
+        assert sorted(r.job_id for r in batch.results) == sorted(
+            job.job_id for job in jobs)
 
 
 class TestHealth:
