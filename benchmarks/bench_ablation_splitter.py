@@ -11,8 +11,8 @@ identical results.
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.cost import CostModel, CycleCounter
+from repro.pipeline import Pipeline
 
 from workloads import GOOD_PACKET, crc_of
 
@@ -55,7 +55,7 @@ module checkcrc (input packet_t inpkt, output int crc)
 
 
 def _compile(source):
-    return EclCompiler().compile_text(source).module("checkcrc")
+    return Pipeline().compile_text(source).module("checkcrc")
 
 
 def _run(module, rounds=20):
@@ -105,8 +105,8 @@ def test_ablation_splitter_shape(benchmark):
     assert counter_r.counts["react"] > 40 * counter_e.counts["react"]
 
     # Split reports agree with the story.
-    assert extracted.kernel.data_blocks, "CRC loop should be extracted"
-    assert not reactive.kernel.data_blocks, \
+    assert extracted.kernel().data_blocks, "CRC loop should be extracted"
+    assert not reactive.kernel().data_blocks, \
         "await() must keep the loop reactive"
 
     print("\nextracted: react=%d  reactive: react=%d  (x%.1f)"

@@ -5,11 +5,12 @@ Not a paper table — operational data for users of the reproduction
 """
 
 
-from repro.core import EclCompiler
+from repro.codegen.c_backend import generate_c
 from repro.designs import PROTOCOL_STACK_ECL
 from repro.ecl import translate_module
 from repro.efsm import build_efsm
 from repro.lang import parse_text
+from repro.pipeline import Pipeline
 
 
 def test_phase0_parse(benchmark):
@@ -33,16 +34,15 @@ def test_phase2_build_efsm(benchmark):
 
 
 def test_phase3_c_backend(benchmark):
-    design = EclCompiler().compile_text(PROTOCOL_STACK_ECL)
-    module = design.module("toplevel")
-    module.efsm()  # pre-build phase 2
-    bundle = benchmark(module.c_code)
+    design = Pipeline().compile_text(PROTOCOL_STACK_ECL)
+    efsm = design.module("toplevel").efsm()  # pre-build phase 2
+    bundle = benchmark(lambda: generate_c(efsm, design.types))
     assert "toplevel_react" in bundle.source
 
 
 def test_full_pipeline(benchmark):
     def pipeline():
-        design = EclCompiler().compile_text(PROTOCOL_STACK_ECL)
+        design = Pipeline().compile_text(PROTOCOL_STACK_ECL)
         return design.module("toplevel").efsm().state_count
 
     states = benchmark(pipeline)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 
-from repro.core import EclCompiler, PartitionSpec, TaskSpec
+from repro.core import PartitionSpec, TaskSpec
+from repro.pipeline import Pipeline
 
 HDRSIZE = 6
 PKTSIZE = 64
@@ -93,7 +94,7 @@ STACK_SPECS = [
 
 def stack_design():
     from repro.designs import PROTOCOL_STACK_ECL
-    return EclCompiler().compile_text(PROTOCOL_STACK_ECL, "stack.ecl")
+    return Pipeline().compile_text(PROTOCOL_STACK_ECL, "stack.ecl")
 
 
 # ----------------------------------------------------------------------
@@ -138,4 +139,4 @@ BUFFER_SPECS = [
 
 def buffer_design():
     from repro.designs import AUDIO_BUFFER_ECL
-    return EclCompiler().compile_text(AUDIO_BUFFER_ECL, "audio.ecl")
+    return Pipeline().compile_text(AUDIO_BUFFER_ECL, "audio.ecl")

@@ -8,14 +8,10 @@ the memory/time comparison the paper's Section 4 makes.
 Run:  python examples/audio_buffer.py
 """
 
-from repro.core import (
-    EclCompiler,
-    PartitionSpec,
-    TaskSpec,
-    explore_partitions,
-)
+from repro.core import PartitionSpec, TaskSpec, explore_partitions
 from repro.cost import Table1, format_table1, shape_checks
 from repro.designs import AUDIO_BUFFER_ECL
+from repro.pipeline import Pipeline
 
 SPECS = [
     PartitionSpec("1 task", [TaskSpec("audio", "audio_buffer")]),
@@ -49,7 +45,7 @@ def session(kernel, frames=60):
 
 
 def main():
-    design = EclCompiler().compile_text(AUDIO_BUFFER_ECL, "audio.ecl")
+    design = Pipeline().compile_text(AUDIO_BUFFER_ECL, "audio.ecl")
 
     print("== Synchronous product vs separate tasks")
     results = explore_partitions(design, SPECS, session, "Buffer")

@@ -12,8 +12,8 @@ correctly refused by the hardware back-ends.
 Run:  python examples/hardware_synthesis.py
 """
 
-from repro.core import EclCompiler
 from repro.errors import CodegenError
+from repro.pipeline import Pipeline
 
 TRAFFIC = """
 module crossing (input pure tick, input pure request,
@@ -65,7 +65,7 @@ module checksum (input int word, output int sum)
 
 
 def main():
-    design = EclCompiler().compile_text(TRAFFIC, "crossing.ecl")
+    design = Pipeline().compile_text(TRAFFIC, "crossing.ecl")
     module = design.module("crossing")
     efsm = module.efsm()
     print("crossing: %d states, %d reaction leaves"
@@ -82,22 +82,22 @@ def main():
     print("light sequence:", " | ".join(lights))
 
     print("\n-- C (software implementation), first lines:")
-    for line in module.c_code().source.splitlines()[:12]:
+    for line in module.emit("c")["crossing.c"].splitlines()[:12]:
         print("   " + line)
     print("\n-- VHDL (hardware implementation), first lines:")
-    for line in module.vhdl().splitlines()[:12]:
+    for line in module.emit("vhdl")["crossing.vhd"].splitlines()[:12]:
         print("   " + line)
     print("\n-- Verilog (hardware implementation), first lines:")
-    for line in module.verilog().splitlines()[:12]:
+    for line in module.emit("verilog")["crossing.v"].splitlines()[:12]:
         print("   " + line)
 
     print("\n-- A module with a data part is software-only:")
-    software = EclCompiler().compile_text(SOFTWARE_ONLY, "checksum.ecl")
+    software = Pipeline().compile_text(SOFTWARE_ONLY, "checksum.ecl")
     checksum = software.module("checksum")
-    checksum.c_code()
+    checksum.emit("c")
     print("   C synthesis: ok")
     try:
-        checksum.vhdl()
+        checksum.emit("vhdl")
     except CodegenError as error:
         print("   VHDL synthesis refused: %s" % error)
 

@@ -16,7 +16,7 @@ mid-stream, which the monolith cannot express.
 Run:  python examples/legacy_migration.py
 """
 
-from repro.core import EclCompiler
+from repro.pipeline import Pipeline
 
 # The "legacy" version: one module wrapping the original C body.  The
 # entire computation is a data block; only the I/O is reactive.
@@ -130,9 +130,9 @@ def run(design, with_reset_at=None):
 
 
 def main():
-    compiler = EclCompiler()
-    legacy = compiler.compile_text(MONOLITHIC, "legacy.ecl")
-    migrated = compiler.compile_text(PARTITIONED, "migrated.ecl")
+    pipeline = Pipeline()
+    legacy = pipeline.compile_text(MONOLITHIC, "legacy.ecl")
+    migrated = pipeline.compile_text(PARTITIONED, "migrated.ecl")
 
     legacy_frames = run(legacy)
 

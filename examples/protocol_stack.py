@@ -10,8 +10,9 @@ prints the phase-1 Esterel artifact.
 Run:  python examples/protocol_stack.py
 """
 
-from repro.core import EclCompiler, PartitionSpec, TaskSpec, run_partition
+from repro.core import PartitionSpec, TaskSpec, run_partition
 from repro.designs import PROTOCOL_STACK_ECL
+from repro.pipeline import Pipeline
 
 HDRSIZE = 6
 PKTSIZE = 64
@@ -40,7 +41,7 @@ def _crc(packet):
 
 
 def main():
-    design = EclCompiler().compile_text(PROTOCOL_STACK_ECL, "stack.ecl")
+    design = Pipeline().compile_text(PROTOCOL_STACK_ECL, "stack.ecl")
 
     print("== Split report (phase 1)")
     for name in ["assemble", "checkcrc", "prochdr"]:
@@ -89,7 +90,8 @@ def main():
     print("  kernel stats: %s" % result.kernel_stats)
 
     print("\n== Phase-1 Esterel artifact for 'checkcrc' (first lines)")
-    for line in design.module("checkcrc").glue().esterel_text.splitlines()[:14]:
+    esterel = design.module("checkcrc").emit("esterel")["checkcrc.strl"]
+    for line in esterel.splitlines()[:14]:
         print("    " + line)
 
 

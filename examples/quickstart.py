@@ -8,7 +8,7 @@ button is still down two clock ticks later.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import EclCompiler
+from repro.pipeline import Pipeline
 
 SOURCE = """
 module debounce (input pure tick, input pure button,
@@ -29,7 +29,7 @@ module debounce (input pure tick, input pure button,
 
 
 def main():
-    design = EclCompiler().compile_text(SOURCE, "debounce.ecl")
+    design = Pipeline().compile_text(SOURCE, "debounce.ecl")
     module = design.module("debounce")
 
     # Phase 2: the reactive part becomes an extended FSM.
@@ -56,14 +56,14 @@ def main():
                  ",".join(sorted(out.emitted)) or "-", marker))
 
     # The same module as generated C (what phase 3 ships to the target).
-    c_code = module.c_code()
+    c_source = module.emit("c")["debounce.c"]
     print("\nGenerated C (first lines of %s.c):" % module.name)
-    for line in c_code.source.splitlines()[:16]:
+    for line in c_source.splitlines()[:16]:
         print("    " + line)
 
     # ... and, since the data part is empty, as hardware.
     print("\nGenerated Verilog (first lines):")
-    for line in module.verilog().splitlines()[:10]:
+    for line in module.emit("verilog")["debounce.v"].splitlines()[:10]:
         print("    " + line)
 
 

@@ -34,8 +34,8 @@ from repro.analysis import (
     compare_on_trace,
     verify_with_observer,
 )
-from repro.core import EclCompiler
 from repro.designs import DOOR_CTRL_BUGGY_ECL, DOOR_CTRL_ECL
+from repro.pipeline import Pipeline
 from repro.rtos import RtosKernel, RtosTask, TraceRecorder
 from repro.runtime import record_run
 from repro.verify import MonitoredReactor, compile_bundle, never, present
@@ -44,15 +44,15 @@ STIMULUS = [{}, {"call_btn": None}] + [{"tick": None}] * 5
 
 
 def main():
-    compiler = EclCompiler()
+    pipeline = Pipeline()
 
     print("== 1a. Property verification with an observer module")
-    good = compiler.compile_text(DOOR_CTRL_ECL, "door.ecl")
+    good = pipeline.compile_text(DOOR_CTRL_ECL, "door.ecl")
     result = verify_with_observer(good, "door_ctrl", "interlock")
     print("   correct controller: %s"
           % ("property holds" if result is None else "VIOLATED"))
 
-    buggy = compiler.compile_text(DOOR_CTRL_BUGGY_ECL, "door_buggy.ecl")
+    buggy = pipeline.compile_text(DOOR_CTRL_BUGGY_ECL, "door_buggy.ecl")
     counterexample = verify_with_observer(buggy, "door_ctrl", "interlock")
     print("   buggy controller:   violation found, %d-instant witness:"
           % counterexample.length)
@@ -84,7 +84,7 @@ def main():
     print("\n== 2. Implementation verification + waveform dump")
     module = good.module("door_ctrl")
     for engine in ("efsm", "native"):
-        mismatch = compare_on_trace(module.kernel, module.efsm(),
+        mismatch = compare_on_trace(module.kernel(), module.efsm(),
                                     STIMULUS, engine=engine)
         print("   %s vs interpreter on stimulus: %s"
               % (engine, "equivalent" if mismatch is None

@@ -7,8 +7,8 @@ Public API (stable):
 * :class:`repro.pipeline.Pipeline` — the staged compiler: named stages,
   content-addressed artifact cache, pluggable backend registry, and
   batched parallel design builds.
-* :class:`repro.core.EclCompiler` — the legacy three-phase façade
-  (split, Esterel, EFSM, back-ends), now a shim over the pipeline.
+* :mod:`repro.core` — the Section 4 partition runner (Table 1's
+  synchronous/asynchronous trade-off).
 * :mod:`repro.runtime` / :mod:`repro.rtos` — synchronous and RTOS-based
   execution substrates.
 * :mod:`repro.cost` — the MIPS-R3000-style memory/timing model behind the

@@ -2,10 +2,10 @@
 
 The paper claims "implementation verification" as one of the FSM-level
 payoffs.  In this reproduction the kernel interpreter is the semantic
-reference (DESIGN.md §7); this module checks that a compiled engine
-produces identical observable behaviour on input traces — used by the
-integration and property-based tests and available to users as a
-sanity check after optimization.
+reference (README, "Semantics and deviations"); this module checks that
+a compiled engine produces identical observable behaviour on input
+traces — used by the integration and property-based tests and available
+to users as a sanity check after optimization.
 
 Both sides are selectable by engine name (any engine tagged ``step``
 in :mod:`repro.engines`: ``interp``, ``efsm`` or ``native``), so

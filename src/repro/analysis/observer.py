@@ -58,7 +58,7 @@ def verify_with_observer(design, module_name, observer_name,
                          engine=None, trace=None):
     """Check a safety property expressed as an observer module.
 
-    ``design`` is a :class:`~repro.core.compiler.CompiledDesign`
+    ``design`` is a :class:`~repro.pipeline.DesignBuild`
     containing both the module under verification and the observer.
     Signals are wired **by name**: every observer input must match an
     input or output of the design module (plus fresh environment inputs

@@ -35,7 +35,6 @@ import os
 import re
 import sys
 
-from .core.compiler import EclCompiler
 from .engines import adapter_names, engine_names, names_with
 from .errors import EclError
 from .farm.spec import load_batch, module_names, read_document
@@ -381,27 +380,35 @@ def _load(args):
     options = CompileOptions()
     if getattr(args, "no_optimize", False):
         options.optimize = False
-    compiler = EclCompiler(options)
-    return compiler.compile_file(args.file)
+    return Pipeline(options).compile_file(args.file)
+
+
+def _checked(design, name):
+    """The handle of module ``name`` once its checker and phase 1 ran:
+    a handle is lazy, so nothing raises their errors before this (and
+    ``compile --emit all`` would report them as backend skips)."""
+    handle = design.module(name)
+    handle.check()
+    handle.kernel()
+    return handle
 
 
 def _cmd_info(args):
     design = _load(args)
     for name in design.module_names:
-        module = design.module(name)
+        module = _checked(design, name)
         efsm = module.efsm()
         report = module.split_report()
         print("module %s: %d states, %d reaction leaves, %s"
               % (name, efsm.state_count, efsm.transition_count(),
                  report.summary()))
-        for warning in module.warnings:
+        for warning in module.warnings():
             print("  %s" % warning)
     return 0
 
 
 def _cmd_compile(args):
-    design = _load(args)
-    module = design.module(args.module)
+    module = _checked(_load(args), args.module)
     os.makedirs(args.outdir, exist_ok=True)
     wanted = DEFAULT_REGISTRY.names() if args.emit == "all" \
         else [args.emit]
@@ -451,8 +458,7 @@ def _write(outdir, filename, text):
 
 
 def _cmd_simulate(args):
-    design = _load(args)
-    module = design.module(args.module)
+    module = _checked(_load(args), args.module)
     reactor = module.reactor(engine=args.engine)
     recorder = None
     if args.vcd:
@@ -921,8 +927,8 @@ def _cmd_cover(args):
 
 
 def _cmd_dot(args):
-    design = _load(args)
-    print(design.module(args.module).dot(), end="")
+    files = _checked(_load(args), args.module).emit("dot")
+    print(files[args.module + ".dot"], end="")
     return 0
 
 

@@ -15,8 +15,9 @@ Generates a self-contained C translation unit per module:
   generator produced.
 
 The generated code is also the basis of the cost model's code-size
-estimate (DESIGN.md S9): :func:`generated_code_metrics` counts the same
-constructs the generator emits.
+estimate (README, "Semantics and deviations"):
+:meth:`repro.cost.CostModel.efsm_code_bytes` counts the same constructs
+the generator emits.
 """
 
 from __future__ import annotations
@@ -34,13 +35,53 @@ from ..efsm.machine import (
 )
 from ..errors import CodegenError, EvalError
 from ..lang import ast
-from ..lang.printer import Printer, type_definition_text, type_text
-from ..lang.types import BoolType, PureType
+from ..lang.printer import (
+    _PRECEDENCE,
+    Printer,
+    type_definition_text,
+    type_text,
+)
+from ..lang.types import BoolType, IntType, PureType
 from ..runtime.ceval import Env, Evaluator
 from ..runtime.memory import AddressSpace
 from ..runtime.signals import SignalSlot, SignalTable
 
 _INDENT = "    "
+
+#: Operators whose binary operands of another operator are printed in
+#: parentheses, as gcc's -Wparentheses asks (``(64 + j) & 255``).
+_PAREN_PARENTS = frozenset(("||", "|", "^", "&", "<<", ">>"))
+
+#: Reads an aggregate's leading bytes as a scalar (ECL's
+#: aggregate-to-scalar cast, see the README's "Semantics and
+#: deviations"): one static helper per target type the module uses.
+_LEAD_HELPER = """\
+static %(ctype)s %(name)s(const void *object)
+{
+    %(load)s value;
+    memcpy(&value, object, sizeof value);
+    return %(result)s;
+}
+"""
+
+
+class CPrinter(Printer):
+    """The ECL printer plus the parentheses ``gcc -Wall`` asks for
+    around mixed-precedence operands.  It lives here, not in
+    :mod:`repro.lang.printer`, so the ``c`` emitter's fingerprint (its
+    module source) changes with it."""
+
+    def _expr(self, node):
+        if not (isinstance(node, ast.Binary)
+                and node.op in _PAREN_PARENTS):
+            return super()._expr(node)
+        precedence = _PRECEDENCE[node.op]
+        left, right = (
+            "(%s)" % self.expr(side)
+            if isinstance(side, ast.Binary) and side.op != node.op
+            else self.expr(side, precedence + bump)
+            for side, bump in ((node.left, 0), (node.right, 1)))
+        return "%s %s %s" % (left, node.op, right), precedence
 
 
 @dataclass
@@ -59,8 +100,9 @@ class CBackend:
         self.efsm = efsm
         self.module = efsm.module
         self.types = types if types is not None else self.module.types
-        self.printer = Printer()
+        self.printer = CPrinter()
         self._module_names = self._context_names()
+        self._leads = {}
 
     def _context_names(self):
         names = {name for name, _t in self.module.variables}
@@ -87,6 +129,8 @@ class CBackend:
         lines = [
             "/* Generated by the ECL compiler (reproduction) — module %s. */"
             % name,
+            "/* Assumes a little-endian target, the memory model's byte "
+            "order. */",
             "#ifndef %s" % guard,
             "#define %s" % guard,
             "",
@@ -137,22 +181,23 @@ class CBackend:
     # Source
 
     def _source(self):
-        name = self.module.name
-        lines = [
-            '#include "%s.h"' % name,
-            "",
-        ]
+        body = []
         for function in self._plain_functions():
-            lines.append(self.printer.function(
-                self._bool_not(function, function.params)))
-            lines.append("")
+            body.append(self.printer.function(
+                self._lower(function, function.params)))
+            body.append("")
         for block in self.module.data_blocks:
-            lines.extend(self._data_function(block))
-            lines.append("")
-        lines.extend(self._reset_function())
+            body.extend(self._data_function(block))
+            body.append("")
+        body.extend(self._reset_function())
+        body.append("")
+        body.extend(self._react_function())
+        lines = ['#include "%s.h"' % self.module.name]
+        if self._leads:
+            lines.append("#include <string.h>")
         lines.append("")
-        lines.extend(self._react_function())
-        return "\n".join(lines) + "\n"
+        lines.extend(self._leads.values())
+        return "\n".join(lines + body) + "\n"
 
     def _plain_functions(self):
         return [f for f in self.module.functions.values()
@@ -160,7 +205,7 @@ class CBackend:
 
     def _redirect(self, node):
         """Rewrite module-scope identifier uses to ctx-> accesses."""
-        node = self._bool_not(node)
+        node = self._lower(node)
 
         def rewrite(identifier):
             if identifier not in self._module_names:
@@ -171,10 +216,15 @@ class CBackend:
             return _ctx_field(identifier + "_value")
         return rewrite_name_reads(node, rewrite)
 
-    def _bool_not(self, node, params=()):
-        """Print ``~`` on a bool as C's ``!``: ECL reads it as logical
-        negation (DESIGN.md §4), and C's ``~`` on a bool is never 0."""
-        if not any(isinstance(child, ast.Unary) and child.op == "~"
+    def _lower(self, node, params=()):
+        """Rewrite what C would read differently from ECL (README,
+        "Semantics and deviations"), typing operands in the module's
+        scope: ``~`` on a bool prints as ``!`` (ECL's logical negation;
+        C's ``~`` on a bool is never 0), and a cast of an aggregate to
+        an integer or bool reads the aggregate's leading bytes through a
+        helper (C would cast the array's decayed address)."""
+        if not any(isinstance(child, ast.Cast)
+                   or isinstance(child, ast.Unary) and child.op == "~"
                    for child in ast.walk(node)):
             return node
         space = AddressSpace("<c-typing>")
@@ -198,7 +248,26 @@ class CBackend:
         env.push_scope()
         for name, local_type in local_types.items():
             env.declare(name, local_type)
-        return _logical_not(node, Evaluator(env))
+        return _lower(node, Evaluator(env), self._lead)
+
+    def _lead(self, target, operand_type):
+        """Name of the helper reading ``target`` from an aggregate of
+        ``operand_type``, registering it on first use."""
+        if target.size > operand_type.size:
+            raise CodegenError(
+                "module %s: cast of a %d-byte %s to %d-byte %s would "
+                "read past the object in C"
+                % (self.module.name, operand_type.size, operand_type,
+                   target.size, target))
+        ctype = type_text(target)
+        name = "ecl_lead_" + ctype.replace(" ", "_")
+        if name not in self._leads:
+            boolean = isinstance(target, BoolType)
+            self._leads[name] = _LEAD_HELPER % {
+                "ctype": ctype, "name": name,
+                "load": "unsigned char" if boolean else ctype,
+                "result": "value != 0" if boolean else "value"}
+        return name
 
     def _data_function(self, block):
         name = self.module.name
@@ -346,27 +415,40 @@ class CBackend:
         return None
 
 
-def _logical_not(node, typer):
+def _lower(node, typer, lead):
     """``node`` with every ``~`` whose operand ``typer`` types as bool
-    turned into ``!`` (an untypable operand keeps ``~``)."""
+    turned into ``!``, and every cast of an aggregate to an integer or
+    bool into a call of the helper ``lead(target, operand_type)`` names
+    (an untypable operand keeps its operator)."""
     if isinstance(node, tuple):
-        return tuple(_logical_not(item, typer) for item in node)
+        return tuple(_lower(item, typer, lead) for item in node)
     if not isinstance(node, ast.Node):
         return node
     updates = {}
     for field_info in fields(node):
         value = getattr(node, field_info.name)
         if field_info.name != "span" and isinstance(value, (ast.Node, tuple)):
-            new_value = _logical_not(value, typer)
+            new_value = _lower(value, typer, lead)
             if new_value is not value:
                 updates[field_info.name] = new_value
     if isinstance(node, ast.Unary) and node.op == "~":
-        try:
-            if isinstance(typer.type_of(node.operand), BoolType):
-                updates["op"] = "!"
-        except EvalError:
-            pass
+        if isinstance(_type_of(typer, node.operand), BoolType):
+            updates["op"] = "!"
+    elif isinstance(node, ast.Cast) \
+            and isinstance(node.type, (IntType, BoolType)):
+        operand_type = _type_of(typer, node.operand)
+        if operand_type is not None and operand_type.is_aggregate():
+            operand = updates.get("operand", node.operand)
+            return ast.Call(func=lead(node.type, operand_type),
+                            args=(ast.Unary(op="&", operand=operand),))
     return replace(node, **updates) if updates else node
+
+
+def _type_of(typer, node):
+    try:
+        return typer.type_of(node)
+    except EvalError:
+        return None
 
 
 def _ctx_field(field_name):

@@ -1,13 +1,10 @@
-"""The paper's primary contribution, end to end.
+"""The synchronous/asynchronous implementation trade-off of Section 4.
 
-:class:`EclCompiler` drives parse → split → Esterel kernel → EFSM →
-back-ends (as a compatibility shim over :mod:`repro.pipeline`, which
-adds artifact caching, pluggable emitters and batched parallel builds);
-:func:`run_partition` reproduces the synchronous/asynchronous
-implementation trade-off of Section 4.
+:func:`run_partition` runs one partition of a compiled design (a
+:class:`repro.pipeline.DesignBuild`) as RTOS tasks and measures it;
+:func:`explore_partitions` runs several.
 """
 
-from .compiler import CompiledDesign, CompiledModule, CompileOptions, EclCompiler
 from .partition import (
     PartitionResult,
     PartitionSpec,
@@ -17,10 +14,6 @@ from .partition import (
 )
 
 __all__ = [
-    "CompiledDesign",
-    "CompiledModule",
-    "CompileOptions",
-    "EclCompiler",
     "PartitionResult",
     "PartitionSpec",
     "TaskSpec",

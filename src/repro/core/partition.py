@@ -70,7 +70,7 @@ def run_partition(design, spec, testbench, example_name,
                   cost_model=None, engine="efsm"):
     """Execute one partition and return a :class:`PartitionResult`.
 
-    ``design`` is a :class:`~repro.core.compiler.CompiledDesign`;
+    ``design`` is a :class:`~repro.pipeline.DesignBuild`;
     ``testbench(kernel)`` drives environment events (via
     ``kernel.post_input`` + ``kernel.run_until_idle``) and returns any
     result object it likes (e.g. a match count used for validation).
@@ -83,6 +83,7 @@ def run_partition(design, spec, testbench, example_name,
     efsm_sizes = {}
     for task_spec in spec.tasks:
         compiled = design.module(task_spec.module)
+        compiled.check()
         efsm = compiled.efsm()
         reactor = compiled.reactor(engine=engine, counter=counter)
         kernel.add_task(RtosTask(task_spec.name, reactor,

@@ -1,4 +1,4 @@
-"""MIPS-R3000-style cost model (DESIGN.md substitution S9).
+"""MIPS-R3000-style cost model (README, "Semantics and deviations").
 
 Table 1 of the paper reports, per example and partition, the code and
 data memory of the tasks and of the RTOS, and the execution time split

@@ -1,8 +1,8 @@
 """ECL source text of the paper's designs.
 
 ``PROTOCOL_STACK_ECL`` is Figures 1-4 of the paper, assembled into one
-translation unit.  Differences from the listings, each documented in
-DESIGN.md:
+translation unit.  Differences from the listings (README, "Semantics and
+deviations"):
 
 * the typographic ``˜`` of the PDF is ASCII ``~`` (the lexer also accepts
   the original glyph);

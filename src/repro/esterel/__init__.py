@@ -1,9 +1,10 @@
 """The Esterel substrate: kernel IR, semantics, interpreter, printer.
 
 This package stands in for the CMA Esterel compiler the paper builds on
-(DESIGN.md, substitution S4): the ECL translator emits kernel terms, the
-interpreter executes them with the synchronous fixed-point semantics, and
-:mod:`repro.efsm` compiles them to extended finite state machines.
+(README, "Semantics and deviations"): the ECL translator emits kernel
+terms, the interpreter executes them with the synchronous fixed-point
+semantics, and :mod:`repro.efsm` compiles them to extended finite state
+machines.
 """
 
 from . import kernel

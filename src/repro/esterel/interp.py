@@ -1,8 +1,9 @@
 """Concrete execution of kernel programs: one instant at a time.
 
-This is the reference semantics of the reproduction (DESIGN.md §7): the
-EFSM path is cross-checked against it.  A reaction resolves signal
-presence by iterating to a fixed point of *presence assumptions*:
+This is the reference semantics of the reproduction (README, "Semantics
+and deviations"): the EFSM path is cross-checked against it.  A reaction
+resolves signal presence by iterating to a fixed point of *presence
+assumptions*:
 
 1. run the instant assuming every not-yet-justified non-input signal is
    absent, recording every assumption actually consulted and every
@@ -16,7 +17,8 @@ Programs with no self-consistent assignment raise
 :class:`~repro.errors.CausalityError` (the iteration either stops making
 progress or exceeds its round budget).  Signal *values* follow program
 order: a reader that runs before the writer in the final round sees the
-previous instant's value (DESIGN.md §4, the paper's shared-signal rule).
+previous instant's value (the paper's shared-signal rule; README,
+"Semantics and deviations").
 """
 
 from __future__ import annotations

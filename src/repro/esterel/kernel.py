@@ -19,7 +19,7 @@ Completion codes follow Berry's encoding:
 k+2   ``exit`` of the trap ``k`` levels up
 ====  ==========================================
 
-Design notes (deviations documented in DESIGN.md §4):
+Design notes (deviations: README, "Semantics and deviations"):
 
 * ``Await``/``Abort``/``Suspend`` conditions are *signal expressions*
   (:class:`repro.lang.ast.SigExpr`) over presence bits.

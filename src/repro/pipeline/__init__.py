@@ -16,8 +16,9 @@ The driver layer of the reproduction, redesigned around three ideas:
   :meth:`Pipeline.compile_design` compiles whole designs concurrently,
   returning a structured :class:`BuildReport`.
 
-The legacy :class:`repro.core.EclCompiler` API is a compatibility shim
-over this package.
+It is the one compile API: ``Pipeline(options).compile_text(...)``
+returns a :class:`DesignBuild`, whose :class:`ModuleHandle` objects
+run the checker, the three phases and every registered emitter.
 """
 
 from .artifacts import (

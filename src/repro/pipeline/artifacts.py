@@ -160,9 +160,9 @@ class ArtifactKey:
     @property
     def reusable(self):
         """False for keys under a one-shot digest (unresolvable
-        includes, adopted pre-parsed programs): they can never be hit
-        again, so persisting them would only grow the disk cache."""
-        return not self.source.startswith(("uncacheable:", "adopted:"))
+        includes): they can never be hit again, so persisting them
+        would only grow the disk cache."""
+        return not self.source.startswith("uncacheable:")
 
     @property
     def cache_id(self):

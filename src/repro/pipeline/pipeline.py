@@ -19,8 +19,8 @@
   warm recompile of an unchanged design touches no parser, no
   translator and no EFSM builder — only the cache.
 
-The legacy :class:`repro.core.EclCompiler` facade is a thin shim over
-this module.
+This is the one compile API: ``eclc``, the examples, the benchmarks
+and the tests all reach every phase through a :class:`ModuleHandle`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, List
@@ -168,7 +167,7 @@ class DesignBuild:
     """
 
     def __init__(self, pipeline, text, filename="<string>",
-                 include_paths=(), predefined=None, parsed=None):
+                 include_paths=(), predefined=None):
         self.pipeline = pipeline
         self.text = text
         self.filename = filename
@@ -179,17 +178,11 @@ class DesignBuild:
         # translation unit's inputs invalidate its artifacts.
         self.source_digest = digest_design_inputs(
             text, filename, include_paths=self.include_paths,
-            predefined=predefined) if text is not None \
-            else "adopted:" + uuid.uuid4().hex
-        self._parsed = parsed
+            predefined=predefined)
+        self._parsed = None
         self._parse_lock = threading.Lock()
         self._handles: Dict[str, ModuleHandle] = {}
         self._handles_lock = threading.Lock()
-
-    @classmethod
-    def from_parsed(cls, pipeline, program, types, filename="<parsed>"):
-        """Adopt an already-parsed program (legacy driver entry)."""
-        return cls(pipeline, None, filename, parsed=(program, types))
 
     # -- parse stage ---------------------------------------------------
 
@@ -226,8 +219,8 @@ class DesignBuild:
                            self.pipeline.options_digest, stage, "")
 
     def require_module(self, name):
-        """Parse if needed and fail with the legacy message when the
-        module does not exist."""
+        """Parse if needed and raise :class:`CompileError` naming the
+        available modules when ``name`` is not one of them."""
         program = self.program
         if not any(m.name == name for m in program.modules()):
             raise CompileError(
@@ -394,7 +387,7 @@ class ModuleHandle:
         def compute():
             build = EmitInput(name=self.name)
             if "source" in backend.requires:
-                build.source = self.design.text or ""
+                build.source = self.design.text
             if "types" in backend.requires:
                 build.types = self.design.types
             if "kernel" in backend.requires:

@@ -12,7 +12,8 @@ into Esterel kernel statements, and only the residual data actions
 
 Operation counting: when the environment carries a
 :class:`repro.cost.model.CycleCounter`, every evaluated operation reports
-its class so the cost model can derive execution cycles (DESIGN.md S9).
+its class so the cost model can derive execution cycles (README,
+"Semantics and deviations").
 """
 
 from __future__ import annotations
@@ -372,7 +373,8 @@ class Evaluator:
         if expr.op == "+":
             return operand
         if expr.op == "~":
-            # DESIGN.md Section 4: ~ on bool is logical negation (Fig. 3).
+            # ~ on bool is logical negation (Fig. 3; README, "Semantics
+            # and deviations").
             if isinstance(operand_type, BoolType):
                 return 0 if operand else 1
             return _wrap(~operand, _promote(operand_type))
@@ -462,7 +464,8 @@ class Evaluator:
     def _eval_cast(self, expr):
         target = expr.type
         operand_type = self.type_of(expr.operand)
-        # Aggregate -> integer: reinterpret leading bytes (DESIGN.md §4).
+        # Aggregate -> integer: reinterpret leading bytes (README,
+        # "Semantics and deviations").
         if operand_type.is_aggregate() and target.is_scalar() \
                 and not isinstance(target, PointerType):
             lvalue = self.eval_lvalue(expr.operand)

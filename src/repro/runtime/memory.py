@@ -10,8 +10,8 @@ real C storage semantics:
   ``packet_view_2_t`` views of the same packet);
 * pointers are plain integer addresses into the space;
 * casting an aggregate to an integer reinterprets its leading bytes
-  (DESIGN.md, Section 4), making Figure 2's ``(int) inpkt.cooked.crc``
-  meaningful;
+  (README, "Semantics and deviations"), making Figure 2's
+  ``(int) inpkt.cooked.crc`` meaningful;
 * ``sizeof``-accurate data-memory accounting for the cost model falls out
   of the allocator's high-water mark.
 

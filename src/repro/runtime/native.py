@@ -772,7 +772,7 @@ class _Lowerer:
         target = expr.type
         operand_type = self._type_of(expr.operand)
         if operand_type.is_aggregate() and target.is_scalar():
-            # Reinterpret leading bytes (DESIGN.md Section 4).
+            # Reinterpret leading bytes (README, "Semantics and deviations").
             _kind, addr, _ctype = self._memory_location(expr.operand)
             if isinstance(target, BoolType):
                 return "(1 if D[%s] else 0)" % addr

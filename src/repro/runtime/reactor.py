@@ -9,7 +9,8 @@ slots and its control state, and advances one synchronous instant per
 * the EFSM engine (:class:`repro.codegen.py_backend.EfsmReactor`) runs
   the compiled automaton — what generated software would do.
 
-Tests cross-check the two on identical input traces (DESIGN.md §7).
+Tests cross-check the two on identical input traces (README,
+"Semantics and deviations").
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Integration tests: the paper's figures, compiled and executed.
 
-Figure artifacts (DESIGN.md experiment index): each listing must compile
+Figure artifacts (Figures 1-4, ``repro.designs``): each listing must compile
 through the full pipeline; the functional stack must accept matching
 packets and reject others; the synchronous and asynchronous compositions
 must agree on the testbench.
@@ -8,44 +8,20 @@ must agree on the testbench.
 
 import pytest
 
-from repro.core import EclCompiler, PartitionSpec, TaskSpec, run_partition
+from repro.core import PartitionSpec, TaskSpec, run_partition
 from repro.designs import (
     AUDIO_BUFFER_ECL,
     PROTOCOL_STACK_ECL,
     PROTOCOL_STACK_FIGURES_ECL,
 )
+from repro.pipeline import Pipeline
 
-HDRSIZE = 6
-PKTSIZE = 64
-MYADDR = 0x40
-
-
-def crc_of(packet):
-    crc = 0
-    for byte in packet:
-        crc = ((crc ^ byte) << 1) & 0xFFFFFFFF
-    return crc
-
-
-def make_packet(good_header=True, good_crc=True):
-    header = [(MYADDR + j) & 0xFF if good_header else 0x77
-              for j in range(HDRSIZE)]
-    body = [0] * (PKTSIZE - HDRSIZE - 2)
-    if good_crc:
-        for c0 in range(256):
-            for c1 in range(256):
-                candidate = header + body + [c0, c1]
-                if crc_of(candidate) & 0xFFFF == c0 | (c1 << 8):
-                    return candidate
-        raise AssertionError("no CRC trailer")
-    packet = header + body + [0xAB, 0xCD]
-    assert crc_of(packet) & 0xFFFF != 0xAB | (0xCD << 8)
-    return packet
+from stack_packets import HDRSIZE, make_packet
 
 
 @pytest.fixture(scope="module")
 def design():
-    return EclCompiler().compile_text(PROTOCOL_STACK_ECL, "stack.ecl")
+    return Pipeline().compile_text(PROTOCOL_STACK_ECL, "stack.ecl")
 
 
 class TestFigureArtifacts:
@@ -54,7 +30,7 @@ class TestFigureArtifacts:
     def test_figures_verbatim_compile(self):
         # The listings exactly as printed (including Figure 2's
         # same-instant crc_ok emission and its (int) cast).
-        figures = EclCompiler().compile_text(
+        figures = Pipeline().compile_text(
             PROTOCOL_STACK_FIGURES_ECL, "figures.ecl")
         for name in ["assemble", "checkcrc", "prochdr", "toplevel"]:
             efsm = figures.module(name).efsm()
@@ -70,22 +46,22 @@ class TestFigureArtifacts:
         assert report.extracted_count == 1
 
     def test_figure3_prochdr_uses_local_signal(self, design):
-        kernel = design.module("prochdr").kernel
+        kernel = design.module("prochdr").kernel()
         assert any(name == "kill_check" for name, _t in
                    kernel.local_signals)
 
     def test_figure4_toplevel_is_product(self, design):
-        kernel = design.module("toplevel").kernel
+        kernel = design.module("toplevel").kernel()
         assert len(kernel.inlined_instances) == 3
 
     def test_esterel_artifacts_generated(self, design):
         for name in ["assemble", "checkcrc", "prochdr"]:
-            glue = design.module(name).glue()
-            assert glue.esterel_text.startswith("module %s:" % name)
+            esterel = design.module(name).emit("esterel")[name + ".strl"]
+            assert esterel.startswith("module %s:" % name)
 
     def test_c_artifacts_generated(self, design):
-        bundle = design.module("toplevel").c_code()
-        assert "toplevel_react" in bundle.source
+        source = design.module("toplevel").emit("c")["toplevel.c"]
+        assert "toplevel_react" in source
 
 
 class TestStackBehaviour:
@@ -182,7 +158,7 @@ class TestSyncAsyncAgreement:
 class TestAudioBufferBehaviour:
     @pytest.fixture(scope="class")
     def audio(self):
-        return EclCompiler().compile_text(AUDIO_BUFFER_ECL, "audio.ecl")
+        return Pipeline().compile_text(AUDIO_BUFFER_ECL, "audio.ecl")
 
     def warmed_reactor(self, audio):
         reactor = audio.module("audio_buffer").reactor()

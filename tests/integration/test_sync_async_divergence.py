@@ -11,7 +11,7 @@ the reset skew is observable.
 """
 
 
-from repro.core import EclCompiler
+from repro.pipeline import Pipeline
 from repro.rtos import RtosKernel, RtosTask
 
 COUNTER_PAIR = """
@@ -53,7 +53,7 @@ module pair (input pure tick, input pure reset_all,
 
 class TestSimultaneousReset:
     def test_synchronous_reset_hits_both_in_same_instant(self):
-        design = EclCompiler().compile_text(COUNTER_PAIR)
+        design = Pipeline().compile_text(COUNTER_PAIR)
         reactor = design.module("pair").reactor()
         reactor.react()
         for _ in range(3):
@@ -64,7 +64,7 @@ class TestSimultaneousReset:
         assert out.values == {"total_a": 0, "total_b": 0}
 
     def test_asynchronous_reset_reaches_tasks_at_different_times(self):
-        design = EclCompiler().compile_text(COUNTER_PAIR)
+        design = Pipeline().compile_text(COUNTER_PAIR)
         kernel = RtosKernel()
         kernel.add_task(RtosTask("a", design.module("count_a").reactor(),
                                  priority=2))
@@ -102,7 +102,7 @@ class TestEventLoss:
     """One-place CFSM buffers lose bursts that synchrony would see."""
 
     def test_synchronous_composition_sees_every_value(self):
-        design = EclCompiler().compile_text(BURSTY)
+        design = Pipeline().compile_text(BURSTY)
         reactor = design.module("slowpoke").reactor()
         reactor.react()
         seen = []
@@ -116,7 +116,7 @@ class TestEventLoss:
         assert seen == [1, 2, 3]
 
     def test_asynchronous_burst_overwrites_mailbox(self):
-        design = EclCompiler().compile_text(BURSTY)
+        design = Pipeline().compile_text(BURSTY)
         kernel = RtosKernel()
         kernel.add_task(RtosTask("slow", design.module("slowpoke")
                                  .reactor(), priority=1))
@@ -133,7 +133,7 @@ class TestEventLoss:
 
     def test_lost_events_surface_in_partition_row(self):
         from repro.core import PartitionSpec, TaskSpec, run_partition
-        design = EclCompiler().compile_text(BURSTY)
+        design = Pipeline().compile_text(BURSTY)
         spec = PartitionSpec("1 task", [TaskSpec("slow", "slowpoke")])
 
         def bench(kernel):

@@ -1,8 +1,9 @@
 """Property-based cross-validation of the two execution engines.
 
-The central invariant of the reproduction (DESIGN.md §7): for any input
-trace, the compiled EFSM behaves exactly like the reference kernel
-interpreter — and optimization must not change that.
+The central invariant of the reproduction (README, "Semantics and
+deviations"): for any input trace, the compiled EFSM behaves exactly
+like the reference kernel interpreter — and optimization must not
+change that.
 """
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import compare_on_trace
 from repro.codegen.py_backend import EfsmReactor
-from repro.core import EclCompiler
 from repro.efsm.optimize import optimize
+from repro.pipeline import Pipeline
 
 MODULES = {
     "debounce": """
@@ -84,8 +85,8 @@ def trace_strategy():
 def compiled():
     designs = {}
     for name, source in MODULES.items():
-        module = EclCompiler().compile_text(source).module("m")
-        designs[name] = (module.kernel, module.efsm(optimized=False),
+        module = Pipeline().compile_text(source).module("m")
+        designs[name] = (module.kernel(), module.efsm(optimized=False),
                          optimize(module.efsm(optimized=False)))
     return designs
 

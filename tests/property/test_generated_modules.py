@@ -15,9 +15,9 @@ signal).  For every generated module:
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import compare_on_trace
-from repro.core import EclCompiler
 from repro.errors import EclError
 from repro.lang import parse_text, to_text
+from repro.pipeline import Pipeline
 
 INPUTS = ["i0", "i1", "i2"]
 OUTPUTS = ["o0", "o1"]
@@ -103,8 +103,9 @@ class TestGeneratedModules:
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_pipeline_never_crashes_internally(self, source):
         try:
-            design = EclCompiler().compile_text(source)
-            design.module("gen").efsm()
+            module = Pipeline().compile_text(source).module("gen")
+            module.check()
+            module.efsm()
         except EclError:
             # Library-defined rejections (causality, state budget, ...)
             # are legitimate outcomes; anything else is a bug.
@@ -115,13 +116,13 @@ class TestGeneratedModules:
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_engines_agree_on_generated_module(self, source, trace):
         try:
-            design = EclCompiler().compile_text(source)
-            module = design.module("gen")
+            module = Pipeline().compile_text(source).module("gen")
+            module.check()
             efsm = module.efsm()
         except EclError:
             return  # legitimately rejected program
         trace_dicts = [{name: None for name in instant}
                        for instant in trace]
-        mismatch = compare_on_trace(module.kernel, efsm, trace_dicts)
+        mismatch = compare_on_trace(module.kernel(), efsm, trace_dicts)
         assert mismatch is None, "\n%s\n%s" % (source,
                                                mismatch.describe())

@@ -11,11 +11,11 @@ from repro.analysis import (
     possible_emissions,
     quiescent_states,
 )
-from repro.core import EclCompiler
+from repro.pipeline import Pipeline
 
 
 def efsm_of(src, name="m"):
-    return EclCompiler().compile_text(src).module(name).efsm()
+    return Pipeline().compile_text(src).module(name).efsm()
 
 
 SERVER = """
@@ -110,7 +110,7 @@ class TestEmissionsAndSinks:
 class TestPaperDesignProperties:
     def test_stack_no_match_without_input(self):
         from repro.designs import PROTOCOL_STACK_ECL
-        design = EclCompiler().compile_text(PROTOCOL_STACK_ECL)
+        design = Pipeline().compile_text(PROTOCOL_STACK_ECL)
         efsm = design.module("toplevel").efsm()
         # addr_match is reachable (the design works)...
         assert check_never_emitted(efsm, "addr_match") is not None
@@ -119,7 +119,7 @@ class TestPaperDesignProperties:
 
     def test_audio_buffer_dac_needs_pop(self):
         from repro.designs import AUDIO_BUFFER_ECL
-        design = EclCompiler().compile_text(AUDIO_BUFFER_ECL)
+        design = Pipeline().compile_text(AUDIO_BUFFER_ECL)
         efsm = design.module("fifo_ctrl").efsm()
         # Every dac_out emission happens in an instant with fifo_level
         # re-emitted (the bookkeeping invariant of the FIFO).
@@ -128,60 +128,60 @@ class TestPaperDesignProperties:
 
 class TestEquivalenceChecker:
     def test_detects_divergence(self):
-        design_a = EclCompiler().compile_text(SERVER)
+        design_a = Pipeline().compile_text(SERVER)
         module = design_a.module("m")
-        other = EclCompiler().compile_text(
+        other = Pipeline().compile_text(
             SERVER.replace("emit (ack)", "emit(ack); emit (ack)"))
         # Compare module A's kernel against itself: no mismatch.
         trace = [{}, {"req": None}, {}, {"req": None}]
-        assert compare_on_trace(module.kernel, module.efsm(), trace) is None
+        assert compare_on_trace(module.kernel(), module.efsm(), trace) is None
 
     def test_mismatch_reported(self):
         from repro.efsm.machine import Efsm, Leaf, State
-        design = EclCompiler().compile_text(SERVER)
+        design = Pipeline().compile_text(SERVER)
         module = design.module("m")
         # A bogus machine that never emits anything.
         dead = Efsm(name="m", states=[State(0, Leaf(0))], initial=0,
                     inputs=("req",), outputs=("ack",),
-                    module=module.kernel)
-        mismatch = compare_on_trace(module.kernel, dead,
+                    module=module.kernel())
+        mismatch = compare_on_trace(module.kernel(), dead,
                                     [{}, {"req": None}])
         assert mismatch is not None
         assert "ack" in mismatch.describe()
 
     def test_any_engine_pair_selectable(self):
-        design = EclCompiler().compile_text(SERVER)
+        design = Pipeline().compile_text(SERVER)
         module = design.module("m")
         trace = [{}, {"req": None}, {}, {"req": None}]
         for engine in ("interp", "efsm", "native"):
-            assert compare_on_trace(module.kernel, module.efsm(), trace,
+            assert compare_on_trace(module.kernel(), module.efsm(), trace,
                                     engine=engine) is None
         # compiled vs compiled, no interpreter anywhere
-        assert compare_on_trace(module.kernel, module.efsm(), trace,
+        assert compare_on_trace(module.kernel(), module.efsm(), trace,
                                 engine="native",
                                 reference="efsm") is None
 
     def test_engine_names_appear_in_mismatch(self):
         from repro.efsm.machine import Efsm, Leaf, State
-        design = EclCompiler().compile_text(SERVER)
+        design = Pipeline().compile_text(SERVER)
         module = design.module("m")
         dead = Efsm(name="m", states=[State(0, Leaf(0))], initial=0,
                     inputs=("req",), outputs=("ack",),
-                    module=module.kernel)
-        mismatch = compare_on_trace(module.kernel, dead,
+                    module=module.kernel())
+        mismatch = compare_on_trace(module.kernel(), dead,
                                     [{}, {"req": None}],
                                     engine="native")
         assert mismatch is None or "native" in mismatch.describe()
         # the dead machine also fails under the efsm engine; the text
         # names whichever side diverged
-        mismatch = compare_on_trace(module.kernel, dead,
+        mismatch = compare_on_trace(module.kernel(), dead,
                                     [{}, {"req": None}], engine="efsm")
         assert "efsm" in mismatch.describe()
 
     def test_unknown_engine_rejected(self):
         from repro.errors import EclError
-        design = EclCompiler().compile_text(SERVER)
+        design = Pipeline().compile_text(SERVER)
         module = design.module("m")
         with pytest.raises(EclError):
-            compare_on_trace(module.kernel, module.efsm(), [{}],
+            compare_on_trace(module.kernel(), module.efsm(), [{}],
                              engine="warp")

@@ -3,8 +3,8 @@ synchronous composition on pipeline workloads)."""
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.errors import RtosError
+from repro.pipeline import Pipeline
 from repro.rtos.network import AsyncNetwork
 from repro.runtime.network import SyncNetwork
 
@@ -33,7 +33,7 @@ module consumer (input int data, output int twice)
 
 
 def reactor_of(src, name):
-    return EclCompiler().compile_text(src).module(name).reactor()
+    return Pipeline().compile_text(src).module(name).reactor()
 
 
 def build_async():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core import CompileOptions, EclCompiler
 from repro.ecl.check import check_module, errors_of, warnings_of
 from repro.errors import CompileError
 from repro.lang import parse_text
+from repro.pipeline import CompileOptions, Pipeline
 
 
 def diagnostics_for(body, signals="input pure s, input int v, "
@@ -143,36 +143,36 @@ class TestWarnings:
 
 class TestCompilerIntegration:
     def test_errors_block_compilation(self):
-        design = EclCompiler().compile_text(
+        design = Pipeline().compile_text(
             "module m (input pure s, output pure t) { emit(zz); }")
         with pytest.raises(CompileError) as failure:
-            design.module("m")
+            design.module("m").check()
         assert "zz" in str(failure.value)
 
     def test_warnings_exposed(self):
-        design = EclCompiler().compile_text(
+        design = Pipeline().compile_text(
             "module m (input pure s, input pure unused, output pure t)"
             " { while (1) { await(s); emit(t); } }")
         module = design.module("m")
-        assert any("unused" in w.message for w in module.warnings)
+        assert any("unused" in w for w in module.warnings())
 
     def test_strict_mode_promotes_warnings(self):
-        design = EclCompiler(CompileOptions(strict=True)).compile_text(
+        design = Pipeline(CompileOptions(strict=True)).compile_text(
             "module m (input pure s, input pure unused, output pure t)"
             " { while (1) { await(s); emit(t); } }")
         with pytest.raises(CompileError):
-            design.module("m")
+            design.module("m").check()
 
     def test_check_can_be_disabled(self):
-        design = EclCompiler(CompileOptions(check=False)).compile_text(
+        design = Pipeline(CompileOptions(check=False)).compile_text(
             "module m (input pure s, input pure unused, output pure t)"
             " { while (1) { await(s); emit(t); } }")
-        assert design.module("m").diagnostics == []
+        assert design.module("m").diagnostics() == []
 
     def test_paper_designs_are_clean(self):
         from repro.designs import AUDIO_BUFFER_ECL, PROTOCOL_STACK_ECL
         for source in (PROTOCOL_STACK_ECL, AUDIO_BUFFER_ECL):
-            design = EclCompiler().compile_text(source)
+            design = Pipeline().compile_text(source)
             for name in design.module_names:
-                module = design.module(name)  # raises on errors
-                assert not errors_of(module.diagnostics)
+                diagnostics = design.module(name).check()  # raises on errors
+                assert not errors_of(diagnostics)

@@ -51,6 +51,27 @@ class TestInfo:
         assert "eclc: error" in capsys.readouterr().err
 
 
+#: ``zz`` is undeclared: the checker rejects module m.
+UNDECLARED_EMIT = "module m (input pure s) { emit(zz); }"
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "bad.ecl"],
+    ["compile", "bad.ecl", "-m", "m", "-o", "out"],
+    ["simulate", "bad.ecl", "-m", "m", "--trace", "trace.txt"],
+    ["dot", "bad.ecl", "-m", "m"],
+], ids=lambda argv: argv[0])
+def test_checker_error_fails_every_command(argv, tmp_path, monkeypatch,
+                                           capsys):
+    """A module handle is lazy: every command must run the checker
+    before it uses the module."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.ecl").write_text(UNDECLARED_EMIT)
+    (tmp_path / "trace.txt").write_text("s\n")
+    assert main(argv) == 1
+    assert "module m has 1 problem(s)" in capsys.readouterr().err
+
+
 class TestCompile:
     #: backend name -> files expected for a pure module named "echo"
     EXPECTED = {
@@ -97,6 +118,17 @@ class TestCompile:
         assert main(["compile", counter_file, "-m", "counter",
                      "--emit", "vhdl", "-o", str(tmp_path)]) == 1
         assert "eclc: error" in capsys.readouterr().err
+
+    def test_all_fails_on_translation_error(self, tmp_path, capsys):
+        # Two parallel writers of one pure signal: phase 1 rejects the
+        # module, which is an error, not a skip of every backend.
+        path = tmp_path / "writers.ecl"
+        path.write_text("module m (input pure s, output pure t) {"
+                        " par { { await (s); emit (t); }"
+                        " { await (s); emit (t); } } }")
+        assert main(["compile", str(path), "-m", "m", "--emit", "all",
+                     "-o", str(tmp_path / "out")]) == 1
+        assert "skipping" not in capsys.readouterr().err
 
     def test_unknown_module(self, echo_file, tmp_path, capsys):
         assert main(["compile", echo_file, "-m", "nope",

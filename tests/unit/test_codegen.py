@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.errors import CodegenError
+from repro.pipeline import Pipeline
 
 SCALAR = """
 module blink (input pure tick, output pure led)
@@ -51,127 +51,136 @@ module pick (input pair_t p, output int a)
 
 
 def module_of(src, name):
-    return EclCompiler().compile_text(src).module(name)
+    return Pipeline().compile_text(src).module(name)
+
+
+def emitted(src, name, backend, suffix):
+    """One file of ``backend``'s bundle for module ``name``."""
+    return module_of(src, name).emit(backend)[name + suffix]
 
 
 class TestCBackend:
     def test_header_has_context_struct(self):
-        bundle = module_of(SCALAR, "blink").c_code()
-        assert "blink_ctx_t" in bundle.header
-        assert "tick_present" in bundle.header
-        assert "led_present" in bundle.header
+        header = emitted(SCALAR, "blink", "c", ".h")
+        assert "blink_ctx_t" in header
+        assert "tick_present" in header
+        assert "led_present" in header
 
     def test_source_has_react_and_reset(self):
-        bundle = module_of(SCALAR, "blink").c_code()
-        assert "void blink_reset(" in bundle.source
-        assert "void blink_react(" in bundle.source
-        assert "switch (ctx->__state)" in bundle.source
+        source = emitted(SCALAR, "blink", "c", ".c")
+        assert "void blink_reset(" in source
+        assert "void blink_react(" in source
+        assert "switch (ctx->__state)" in source
 
     def test_variables_redirected_to_ctx(self):
-        bundle = module_of(VALUED, "scale").c_code()
-        assert "ctx->gain" in bundle.source
-        assert "ctx->x_value" in bundle.source
-        assert "ctx->y_value" in bundle.source
+        source = emitted(VALUED, "scale", "c", ".c")
+        assert "ctx->gain" in source
+        assert "ctx->x_value" in source
+        assert "ctx->y_value" in source
 
     def test_data_loop_emitted_as_function(self):
-        bundle = module_of(WITH_DATA_LOOP, "summer").c_code()
-        assert "static void ecl_summer_data_1" in bundle.source
-        assert "ecl_summer_data_1(ctx);" in bundle.source
+        source = emitted(WITH_DATA_LOOP, "summer", "c", ".c")
+        assert "static void ecl_summer_data_1" in source
+        assert "ecl_summer_data_1(ctx);" in source
 
     def test_struct_typedef_reproduced(self):
-        bundle = module_of(WITH_STRUCT, "pick").c_code()
-        assert "typedef struct" in bundle.header
-        assert "pair_t" in bundle.header
+        header = emitted(WITH_STRUCT, "pick", "c", ".h")
+        assert "typedef struct" in header
+        assert "pair_t" in header
 
     def test_every_state_has_case(self):
         module = module_of(SCALAR, "blink")
-        bundle = module.c_code()
+        source = module.emit("c")["blink.c"]
         for state in module.efsm().states:
-            assert "case %d:" % state.index in bundle.source
+            assert "case %d:" % state.index in source
 
     def test_reactions_exit_via_common_epilogue(self):
-        bundle = module_of(SCALAR, "blink").c_code()
-        assert "ecl_done:" in bundle.source
-        assert "goto ecl_done;" in bundle.source
+        source = emitted(SCALAR, "blink", "c", ".c")
+        assert "ecl_done:" in source
+        assert "goto ecl_done;" in source
 
     def test_shared_subtrees_emitted_once(self):
         # The paper's protocol-stack product machine shares reaction
         # code between states; the back-end must emit it behind labels.
         from repro.designs import PROTOCOL_STACK_ECL
-        from repro.core import EclCompiler
-        design = EclCompiler().compile_text(PROTOCOL_STACK_ECL)
-        source = design.module("toplevel").c_code().source
+        source = emitted(PROTOCOL_STACK_ECL, "toplevel", "c", ".c")
         assert "ecl_shared_0:" in source
         assert source.count("goto ecl_shared_0;") >= 2
 
 
+    def test_aggregate_cast_wider_than_object_refused(self):
+        # Figure 2 as printed casts the 2-byte crc field to int: C would
+        # read past the object, so the back-end refuses.
+        from repro.designs import PROTOCOL_STACK_FIGURES_ECL
+        with pytest.raises(CodegenError, match="module checkcrc"):
+            emitted(PROTOCOL_STACK_FIGURES_ECL, "checkcrc", "c", ".c")
+
+
 class TestHardwareBackends:
     def test_verilog_for_scalar_design(self):
-        text = module_of(SCALAR, "blink").verilog()
+        text = emitted(SCALAR, "blink", "verilog", ".v")
         assert "module blink (" in text
         assert "input wire tick_present" in text
         assert "output reg led_present" in text
         assert "endmodule" in text
 
     def test_vhdl_for_scalar_design(self):
-        text = module_of(SCALAR, "blink").vhdl()
+        text = emitted(SCALAR, "blink", "vhdl", ".vhd")
         assert "entity blink is" in text
         assert "architecture rtl of blink" in text
 
     def test_valued_signals_get_vectors(self):
-        text = module_of(VALUED, "scale").verilog()
+        text = emitted(VALUED, "scale", "verilog", ".v")
         assert "[31:0] x_value" in text
         assert "[31:0] y_value" in text
 
     def test_data_loop_refused(self):
         # "hardware only when the data-dominated C part is empty".
         with pytest.raises(CodegenError) as err:
-            module_of(WITH_DATA_LOOP, "summer").verilog()
+            emitted(WITH_DATA_LOOP, "summer", "verilog", ".v")
         assert "data" in str(err.value)
 
     def test_aggregate_signal_refused(self):
         with pytest.raises(CodegenError):
-            module_of(WITH_STRUCT, "pick").vhdl()
+            emitted(WITH_STRUCT, "pick", "vhdl", ".vhd")
 
 
 class TestGlueBundle:
     def test_esterel_text_structure(self):
-        glue = module_of(SCALAR, "blink").glue()
-        assert glue.esterel_text.startswith("module blink:")
-        assert "input tick;" in glue.esterel_text
-        assert "await [tick]" in glue.esterel_text
-        assert "emit led" in glue.esterel_text
-        assert glue.esterel_text.rstrip().endswith("end module")
+        esterel = emitted(SCALAR, "blink", "esterel", ".strl")
+        assert esterel.startswith("module blink:")
+        assert "input tick;" in esterel
+        assert "await [tick]" in esterel
+        assert "emit led" in esterel
+        assert esterel.rstrip().endswith("end module")
 
     def test_local_signals_declared_in_esterel(self):
         src = ("module m (input pure s, output pure t) {"
                " signal pure mid;"
                " while (1) { await(s); par { emit(mid);"
                " present (mid) emit(t); } } }")
-        glue = module_of(src, "m").glue()
-        assert "signal mid in" in glue.esterel_text
+        assert "signal mid in" in emitted(src, "m", "esterel", ".strl")
 
     def test_c_file_contains_data_functions(self):
-        glue = module_of(WITH_DATA_LOOP, "summer").glue()
-        assert "ecl_summer_data_1" in glue.c_text
-        assert "ecl_summer_data_1" in glue.header_text
+        glue = module_of(WITH_DATA_LOOP, "summer").emit("esterel")
+        assert "ecl_summer_data_1" in glue["summer_data.c"]
+        assert "ecl_summer_data_1" in glue["summer_data.h"]
 
     def test_header_declares_valued_signals(self):
-        glue = module_of(VALUED, "scale").glue()
-        assert "x_value" in glue.header_text
-        assert "y_value" in glue.header_text
+        header = emitted(VALUED, "scale", "esterel", "_data.h")
+        assert "x_value" in header
+        assert "y_value" in header
 
     def test_user_functions_preserved_verbatim_shape(self):
         src = ("int helper(int a) { return a * 2; }\n"
                "module m (input int x, output int y) {"
                " while (1) { await(x); emit_v(y, helper(x)); } }")
-        glue = module_of(src, "m").glue()
-        assert "helper" in glue.c_text
+        assert "helper" in emitted(src, "m", "esterel", "_data.c")
 
 
 class TestDotExport:
     def test_dot_shape(self):
-        text = module_of(SCALAR, "blink").dot()
+        text = emitted(SCALAR, "blink", "dot", ".dot")
         assert text.startswith("digraph blink")
         assert "->" in text
         assert "led" in text

@@ -1,18 +1,13 @@
-"""Unit tests for the compiler driver, partition runner and CLI."""
+"""Unit tests for the compile API, partition runner and CLI."""
 
 import os
 
 import pytest
 
 from repro.cli import main as eclc_main
-from repro.core import (
-    CompileOptions,
-    EclCompiler,
-    PartitionSpec,
-    TaskSpec,
-    run_partition,
-)
+from repro.core import PartitionSpec, TaskSpec, run_partition
 from repro.errors import CompileError
+from repro.pipeline import CompileOptions, Pipeline
 
 SRC = """
 module echo (input pure ping, output pure pong)
@@ -22,48 +17,48 @@ module echo (input pure ping, output pure pong)
 """
 
 
-class TestCompilerFacade:
+class TestCompileApi:
     def test_compile_and_list(self):
-        design = EclCompiler().compile_text(SRC)
+        design = Pipeline().compile_text(SRC)
         assert design.module_names == ["echo"]
 
     def test_unknown_module(self):
-        design = EclCompiler().compile_text(SRC)
+        design = Pipeline().compile_text(SRC)
         with pytest.raises(CompileError):
-            design.module("nope")
+            design.module("nope").check()
 
     def test_module_products_cached(self):
-        design = EclCompiler().compile_text(SRC)
+        design = Pipeline().compile_text(SRC)
         module = design.module("echo")
         assert module.efsm() is module.efsm()
         assert design.module("echo") is module
 
     def test_optimization_toggle(self):
-        design = EclCompiler(CompileOptions(optimize=False)) \
+        design = Pipeline(CompileOptions(optimize=False)) \
             .compile_text(SRC)
         module = design.module("echo")
         assert module.efsm() is module.efsm(optimized=False)
 
     def test_bad_engine_name(self):
-        module = EclCompiler().compile_text(SRC).module("echo")
+        module = Pipeline().compile_text(SRC).module("echo")
         with pytest.raises(CompileError):
             module.reactor(engine="jit")
 
     def test_compile_file(self, tmp_path):
         path = tmp_path / "echo.ecl"
         path.write_text(SRC)
-        design = EclCompiler().compile_file(str(path))
+        design = Pipeline().compile_file(str(path))
         assert design.module_names == ["echo"]
 
     def test_split_report_accessible(self):
-        design = EclCompiler().compile_text(SRC)
+        design = Pipeline().compile_text(SRC)
         report = design.module("echo").split_report()
         assert report.module_name == "echo"
 
 
 class TestPartitionRunner:
     def test_run_partition_row(self):
-        design = EclCompiler().compile_text(SRC)
+        design = Pipeline().compile_text(SRC)
         spec = PartitionSpec("1 task", [TaskSpec("echo", "echo")])
 
         def bench(kernel):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.cost import (
     CostModel,
     CycleCounter,
@@ -12,6 +11,7 @@ from repro.cost import (
     format_table1,
     shape_checks,
 )
+from repro.pipeline import Pipeline
 from repro.rtos.kernel import KernelStats
 
 
@@ -37,7 +37,7 @@ module m (input int v, output int w)
 
 
 def efsm_of(src):
-    return EclCompiler().compile_text(src).module("m").efsm()
+    return Pipeline().compile_text(src).module("m").efsm()
 
 
 class TestCycleCounter:
@@ -90,7 +90,7 @@ class TestStaticEstimates:
     def test_shared_subtrees_counted_once(self):
         # Optimized machine (hash-consed) must not cost more than the
         # raw one.
-        module = EclCompiler().compile_text(SIMPLE).module("m")
+        module = Pipeline().compile_text(SIMPLE).module("m")
         model = CostModel()
         assert model.efsm_code_bytes(module.efsm(optimized=True)) <= \
             model.efsm_code_bytes(module.efsm(optimized=False))

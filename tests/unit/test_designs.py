@@ -1,7 +1,6 @@
 """Unit tests for the packaged paper designs."""
 
 
-from repro.core import EclCompiler
 from repro.designs import (
     ASSEMBLE_ECL,
     AUDIO_BUFFER_ECL,
@@ -14,6 +13,7 @@ from repro.designs import (
     TOPLEVEL_ECL,
 )
 from repro.lang import parse_text
+from repro.pipeline import Pipeline
 
 
 class TestSourceText:
@@ -51,7 +51,7 @@ class TestSourceText:
 
 class TestDesignSizes:
     def test_stack_module_state_counts(self):
-        design = EclCompiler().compile_text(PROTOCOL_STACK_ECL)
+        design = Pipeline().compile_text(PROTOCOL_STACK_ECL)
         counts = {name: design.module(name).efsm().state_count
                   for name in design.module_names}
         assert counts["assemble"] == 2
@@ -67,7 +67,7 @@ class TestDesignSizes:
 
     def test_audio_buffer_product_explosion(self):
         from repro.cost import CostModel
-        design = EclCompiler().compile_text(AUDIO_BUFFER_ECL)
+        design = Pipeline().compile_text(AUDIO_BUFFER_ECL)
         model = CostModel()
         parts = sum(
             model.efsm_code_bytes(design.module(name).efsm())
@@ -80,6 +80,6 @@ class TestDesignSizes:
     def test_audio_buffer_data_is_small(self):
         # Paper: Buffer task data is tiny (80 bytes for one task).
         from repro.cost import CostModel
-        design = EclCompiler().compile_text(AUDIO_BUFFER_ECL)
+        design = Pipeline().compile_text(AUDIO_BUFFER_ECL)
         module = design.module("audio_buffer")
-        assert CostModel().module_data_bytes(module.kernel) < 128
+        assert CostModel().module_data_bytes(module.kernel()) < 128

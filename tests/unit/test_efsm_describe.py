@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.efsm import count_leaves, to_dot, walk_reaction
 from repro.efsm.machine import DoEmit, Leaf, TestSignal
+from repro.pipeline import Pipeline
 
 SRC = """
 module gate (input pure open_cmd, input pure close_cmd,
@@ -22,7 +22,7 @@ module gate (input pure open_cmd, input pure close_cmd,
 
 @pytest.fixture(scope="module")
 def efsm():
-    return EclCompiler().compile_text(SRC).module("gate").efsm()
+    return Pipeline().compile_text(SRC).module("gate").efsm()
 
 
 class TestDescribe:

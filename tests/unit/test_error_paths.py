@@ -3,7 +3,6 @@ located message (diagnostics are part of the product)."""
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.errors import (
     CausalityError,
     CompileError,
@@ -14,6 +13,7 @@ from repro.errors import (
     ScopeError,
 )
 from repro.lang import parse_text
+from repro.pipeline import CompileOptions, Pipeline
 
 
 class TestErrorHierarchy:
@@ -29,7 +29,7 @@ class TestErrorHierarchy:
 
     def test_one_catch_for_everything(self):
         try:
-            EclCompiler().compile_text("module m (").module("m")
+            Pipeline().compile_text("module m (").module("m").check()
         except EclError:
             pass
         else:
@@ -57,7 +57,7 @@ class TestCausalityMessages:
         source = ("module m (input pure s, output pure t) {"
                   " signal pure p;"
                   " while (1) { await(s); present (~p) emit(p); } }")
-        design = EclCompiler().compile_text(source)
+        design = Pipeline().compile_text(source)
         with pytest.raises(EclError) as failure:
             design.module("m").efsm()
         assert "m" in str(failure.value)
@@ -65,9 +65,9 @@ class TestCausalityMessages:
     def test_instantaneous_loop_suggests_fix(self):
         source = ("module m (input pure s, output pure t) {"
                   " while (1) { emit(t); } }")
-        design = EclCompiler().compile_text(source)
+        design = Pipeline().compile_text(source)
         with pytest.raises(EclError) as failure:
-            design.module("m")
+            design.module("m").kernel()
         message = str(failure.value)
         assert "await()" in message or "data" in message
 
@@ -76,9 +76,9 @@ class TestCompileErrorAggregation:
     def test_multiple_problems_listed(self):
         source = ("module m (input pure s, output pure t) {"
                   " emit(zz); emit(yy); }")
-        design = EclCompiler().compile_text(source)
+        design = Pipeline().compile_text(source)
         with pytest.raises(CompileError) as failure:
-            design.module("m")
+            design.module("m").check()
         message = str(failure.value)
         assert "zz" in message and "yy" in message
         assert "2 problem(s)" in message
@@ -86,10 +86,9 @@ class TestCompileErrorAggregation:
 
 class TestRuntimeGuards:
     def test_efsm_state_budget_message(self):
-        from repro.core import CompileOptions
         source = ("module m (input pure s, output pure t) { %s }"
                   % " ".join("await(s);" for _ in range(8)))
-        design = EclCompiler(CompileOptions(max_states=3)) \
+        design = Pipeline(CompileOptions(max_states=3)) \
             .compile_text(source)
         with pytest.raises(CompileError) as failure:
             design.module("m").efsm()
@@ -105,7 +104,7 @@ class TestDataRuntimeErrors:
         source = ("module m (input pure s, output int w) {"
                   " int a[4]; int x;"
                   " while (1) { await(s); %s emit_v(w, x); } }" % body)
-        reactor = EclCompiler().compile_text(source).module("m").reactor()
+        reactor = Pipeline().compile_text(source).module("m").reactor()
         reactor.react()
         return reactor.react(inputs={"s"})
 

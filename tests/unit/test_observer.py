@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis import verify_with_observer
-from repro.core import EclCompiler
 from repro.errors import EclError
+from repro.pipeline import Pipeline
 
 #: A traffic light with a mutual-exclusion property that holds.
 GOOD = """
@@ -33,11 +33,11 @@ BAD = GOOD.replace("emit (red);", "emit (red); emit (green);", 1)
 
 class TestVerifyWithObserver:
     def test_property_holds(self):
-        design = EclCompiler().compile_text(GOOD)
+        design = Pipeline().compile_text(GOOD)
         assert verify_with_observer(design, "light", "exclusion") is None
 
     def test_violation_found_with_counterexample(self):
-        design = EclCompiler().compile_text(BAD)
+        design = Pipeline().compile_text(BAD)
         counterexample = verify_with_observer(design, "light", "exclusion")
         assert counterexample is not None
         assert "error" in counterexample.describe()
@@ -45,7 +45,7 @@ class TestVerifyWithObserver:
     def test_missing_error_signal_rejected(self):
         src = GOOD.replace("output pure error", "output pure oops") \
                   .replace("emit (error)", "emit (oops)")
-        design = EclCompiler().compile_text(src)
+        design = Pipeline().compile_text(src)
         with pytest.raises(EclError):
             verify_with_observer(design, "light", "exclusion")
 
@@ -56,7 +56,7 @@ class TestVerifyWithObserver:
             "module exclusion (input pure green, output pure red, "
             "output pure error)").replace("await (green & red)",
                                           "await (green)")
-        design = EclCompiler().compile_text(meddling)
+        design = Pipeline().compile_text(meddling)
         with pytest.raises(EclError):
             verify_with_observer(design, "light", "exclusion")
 
@@ -79,7 +79,7 @@ module armed_check (input pure arm, input pure green,
     }
 }
 """
-        design = EclCompiler().compile_text(src)
+        design = Pipeline().compile_text(src)
         # green *is* emittable while armed: violation found.
         assert verify_with_observer(design, "light", "armed_check") \
             is not None
@@ -112,7 +112,7 @@ module server (input pure req, input pure tick, output pure ack)
     }
 }
 """ + self.DEADLINE_OBSERVER
-        design = EclCompiler().compile_text(src)
+        design = Pipeline().compile_text(src)
         # The server answers on the first tick after every request it
         # accepts; the observer tracks requests with the same
         # one-at-a-time discipline, so the deadline always aborts it.
@@ -132,7 +132,7 @@ module server (input pure req, input pure tick, output pure ack)
     }
 }
 """ + self.DEADLINE_OBSERVER
-        design = EclCompiler().compile_text(src)
+        design = Pipeline().compile_text(src)
         counterexample = verify_with_observer(design, "server", "deadline")
         assert counterexample is not None
         # The witness needs a request and at least three tick instants.
@@ -149,14 +149,14 @@ class TestObserverOnEngines:
 
     @pytest.mark.parametrize("engine", ["interp", "efsm", "native"])
     def test_good_design_stays_silent_on_every_engine(self, engine):
-        design = EclCompiler().compile_text(GOOD)
+        design = Pipeline().compile_text(GOOD)
         assert verify_with_observer(design, "light", "exclusion",
                                     engine=engine,
                                     trace=self.TRACE) is None
 
     @pytest.mark.parametrize("engine", ["interp", "efsm", "native"])
     def test_buggy_design_caught_with_located_witness(self, engine):
-        design = EclCompiler().compile_text(BAD)
+        design = Pipeline().compile_text(BAD)
         witness = verify_with_observer(design, "light", "exclusion",
                                        engine=engine, trace=self.TRACE)
         assert witness is not None
@@ -167,7 +167,7 @@ class TestObserverOnEngines:
         assert "<-- error" in witness.describe()
 
     def test_engines_agree_on_the_witness_instant(self):
-        design = EclCompiler().compile_text(BAD)
+        design = Pipeline().compile_text(BAD)
         instants = [
             verify_with_observer(design, "light", "exclusion",
                                  engine=engine, trace=self.TRACE).instant
@@ -175,13 +175,13 @@ class TestObserverOnEngines:
         assert len(set(instants)) == 1
 
     def test_engine_without_trace_rejected(self):
-        design = EclCompiler().compile_text(GOOD)
+        design = Pipeline().compile_text(GOOD)
         with pytest.raises(EclError):
             verify_with_observer(design, "light", "exclusion",
                                  engine="native")
 
     def test_unknown_engine_rejected(self):
-        design = EclCompiler().compile_text(GOOD)
+        design = Pipeline().compile_text(GOOD)
         with pytest.raises(EclError):
             verify_with_observer(design, "light", "exclusion",
                                  engine="warp", trace=self.TRACE)
@@ -199,9 +199,9 @@ module m (input pure s, output pure t)
     }
 }
 """
-        design = EclCompiler().compile_text(src)
+        design = Pipeline().compile_text(src)
         with pytest.raises(TranslationError):
-            design.module("m")
+            design.module("m").kernel()
 
     def test_sequential_writers_allowed(self):
         src = """
@@ -210,5 +210,5 @@ module m (input pure s, output pure t)
     while (1) { await (s); emit (t); emit (t); }
 }
 """
-        design = EclCompiler().compile_text(src)
+        design = Pipeline().compile_text(src)
         assert design.module("m").efsm().state_count >= 2

@@ -6,7 +6,9 @@ import threading
 import pytest
 
 from repro import designs
-from repro.core import CompileOptions, EclCompiler
+from repro.codegen.c_backend import generate_c
+from repro.ecl.glue import generate_glue
+from repro.efsm.dot import to_dot
 from repro.errors import CompileError
 from repro.pipeline import (
     Artifact,
@@ -14,6 +16,7 @@ from repro.pipeline import (
     ArtifactKey,
     Backend,
     BackendRegistry,
+    CompileOptions,
     DEFAULT_REGISTRY,
     Pipeline,
     digest_options,
@@ -148,15 +151,15 @@ class TestModuleHandle:
         assert handle.efsm() is handle.efsm()
         assert handle.efsm(optimized=False) is handle.raw_efsm()
 
-    def test_emit_matches_legacy_products(self):
-        design = EclCompiler().compile_text(ECHO)
+    def test_emit_matches_generators(self):
+        design = Pipeline().compile_text(ECHO)
         module = design.module("echo")
         files = module.emit("c")
-        bundle = module.c_code()
+        bundle = generate_c(module.efsm(), design.types)
         assert files["echo.c"] == bundle.source
         assert files["echo.h"] == bundle.header
-        assert module.emit("dot")["echo.dot"] == module.dot()
-        glue = module.glue()
+        assert module.emit("dot")["echo.dot"] == to_dot(module.efsm())
+        glue = generate_glue(module.kernel(), design.types)
         assert module.emit("esterel")["echo.strl"] == glue.esterel_text
 
     def test_unknown_module_message(self):
@@ -416,36 +419,24 @@ module fixed (input pure go, output int level)
         assert cache.get(keys[2]).payload == "m2"
 
 
-class TestLegacyShim:
-    def test_shim_shares_pipeline_cache(self):
-        compiler = EclCompiler()
-        first = compiler.compile_text(ECHO).module("echo").efsm()
-        second = compiler.compile_text(ECHO).module("echo").efsm()
+class TestPipelineReuse:
+    def test_recompile_shares_pipeline_cache(self):
+        pipeline = Pipeline()
+        first = pipeline.compile_text(ECHO).module("echo").efsm()
+        second = pipeline.compile_text(ECHO).module("echo").efsm()
         assert first is second   # same source+options → same artifact
 
-    def test_shim_strict_mode(self):
+    def test_strict_mode_check_raises(self):
         unused = """
 module quiet (input pure go, input pure unused, output pure done)
 {
     while (1) { await (go); emit (done); }
 }
 """
-        design = EclCompiler(CompileOptions(strict=True)) \
+        design = Pipeline(CompileOptions(strict=True)) \
             .compile_text(unused)
         with pytest.raises(CompileError):
-            design.module("quiet")
-
-    def test_options_and_pipeline_conflict_rejected(self):
-        with pytest.raises(ValueError):
-            EclCompiler(CompileOptions(optimize=False),
-                        pipeline=Pipeline())
-
-    def test_options_reassignment_writes_through(self):
-        compiler = EclCompiler()
-        compiler.options = CompileOptions(optimize=False)
-        module = compiler.compile_text(ECHO).module("echo")
-        assert module.efsm() is module.efsm(optimized=False)
-        assert compiler.pipeline.options.optimize is False
+            design.module("quiet").check()
 
 
 class TestPartitionBundles:

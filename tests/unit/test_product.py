@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.efsm import Connection, product_reachable_size
 from repro.errors import CompileError
+from repro.pipeline import Pipeline
 
 PING = """
 module ping (input pure kick, output pure out_a)
@@ -22,7 +22,7 @@ module pong (input pure in_a, output pure out_b)
 
 
 def efsm_of(src, name):
-    return EclCompiler().compile_text(src).module(name).efsm()
+    return Pipeline().compile_text(src).module(name).efsm()
 
 
 class TestProductSize:
@@ -70,7 +70,7 @@ class TestProductSize:
 
     def test_paper_stack_product_info(self):
         from repro.designs import PROTOCOL_STACK_ECL
-        design = EclCompiler().compile_text(PROTOCOL_STACK_ECL)
+        design = Pipeline().compile_text(PROTOCOL_STACK_ECL)
         connections = [
             Connection(design.module("assemble").efsm(),
                        binding={"outpkt": "packet"}),

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.errors import EclError, EvalError
+from repro.pipeline import Pipeline
 from repro.runtime.network import SyncNetwork
 
 
 def design(src):
-    return EclCompiler().compile_text(src)
+    return Pipeline().compile_text(src)
 
 
 COUNTER = """
@@ -103,7 +103,7 @@ class TestEngineEquivalence:
         trace = [{}, {"tick": None}, {"tick": None},
                  {"reset_cnt": None}, {"tick": None},
                  {"tick": None, "reset_cnt": None}, {}]
-        assert compare_on_trace(module.kernel, module.efsm(), trace) is None
+        assert compare_on_trace(module.kernel(), module.efsm(), trace) is None
 
 
 PRODUCER = """

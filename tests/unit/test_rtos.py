@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import EclCompiler
 from repro.errors import RtosError
+from repro.pipeline import Pipeline
 from repro.rtos import EventFlag, Mailbox, MessageQueue, RtosKernel, RtosTask
 
 
@@ -109,7 +109,7 @@ module stepper (input pure go, output pure done)
 def make_kernel(*sources_and_names):
     kernel = RtosKernel()
     for source, module_name, task_name, priority in sources_and_names:
-        reactor = EclCompiler().compile_text(source) \
+        reactor = Pipeline().compile_text(source) \
             .module(module_name).reactor()
         kernel.add_task(RtosTask(task_name, reactor, priority))
     return kernel
@@ -160,7 +160,7 @@ class TestKernel:
 
     def test_duplicate_task_name_rejected(self):
         kernel = make_kernel((PING, "ping", "ping", 1))
-        reactor = EclCompiler().compile_text(PING).module("ping").reactor()
+        reactor = Pipeline().compile_text(PING).module("ping").reactor()
         with pytest.raises(RtosError):
             kernel.add_task(RtosTask("ping", reactor, 1))
 
@@ -172,7 +172,7 @@ class TestKernel:
         class Probe:
             def __init__(self, name, module):
                 self.name = name
-                self._reactor = EclCompiler().compile_text(PING) \
+                self._reactor = Pipeline().compile_text(PING) \
                     .module("ping").reactor()
                 self.module = self._reactor.module
 
@@ -203,10 +203,10 @@ class TestKernel:
     def test_pipeline_of_tasks(self):
         """ping's pong feeds adder bound to signal 'a'."""
         kernel = RtosKernel()
-        ping = EclCompiler().compile_text(PING).module("ping").reactor()
+        ping = Pipeline().compile_text(PING).module("ping").reactor()
         adder_src = ADDER.replace("input int a", "input pure a") \
             .replace("acc = acc + a;", "acc = acc + 1;")
-        adder = EclCompiler().compile_text(adder_src) \
+        adder = Pipeline().compile_text(adder_src) \
             .module("adder").reactor()
         kernel.add_task(RtosTask("ping", ping, 2,
                                  bindings={"pong": "a"}))
@@ -242,7 +242,7 @@ module looper (input pure go, output pure never)
     def test_add_task_after_start_rejected(self):
         kernel = make_kernel((PING, "ping", "ping", 1))
         kernel.start()
-        reactor = EclCompiler().compile_text(PING).module("ping").reactor()
+        reactor = Pipeline().compile_text(PING).module("ping").reactor()
         with pytest.raises(RtosError):
             kernel.add_task(RtosTask("late", reactor, 1))
 
@@ -261,7 +261,7 @@ module looper (input pure go, output pure never)
 def make_native_kernel(*sources_and_names):
     kernel = RtosKernel()
     for source, module_name, task_name, priority in sources_and_names:
-        reactor = EclCompiler().compile_text(source) \
+        reactor = Pipeline().compile_text(source) \
             .module(module_name).reactor(engine="native")
         kernel.add_task(RtosTask(task_name, reactor, priority))
     return kernel

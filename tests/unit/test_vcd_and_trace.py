@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EclCompiler
+from repro.pipeline import Pipeline
 from repro.rtos import RtosKernel, RtosTask, TraceRecorder
 from repro.runtime import VcdRecorder, record_run
 
@@ -23,7 +23,7 @@ module scale (input int x, output int y)
 
 class TestVcd:
     def reactor(self, src, name):
-        return EclCompiler().compile_text(src).module(name).reactor()
+        return Pipeline().compile_text(src).module(name).reactor()
 
     def test_header_declares_signals(self):
         reactor = self.reactor(BLINK, "blink")
@@ -70,7 +70,7 @@ class TestVcd:
 class TestTraceRecorder:
     def make_kernel(self):
         kernel = RtosKernel()
-        reactor = EclCompiler().compile_text(BLINK) \
+        reactor = Pipeline().compile_text(BLINK) \
             .module("blink").reactor()
         kernel.add_task(RtosTask("blink", reactor, 1))
         recorder = TraceRecorder().attach(kernel)
