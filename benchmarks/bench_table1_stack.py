@@ -55,7 +55,8 @@ def test_table1_stack(design, benchmark):
     print()
     print(rendered)
 
-    # Shape claims of Section 4 (see EXPERIMENTS.md).
+    # Shape claims of Section 4 (README, "Semantics and deviations":
+    # Table 1 is compared with the paper by shape).
     checks = shape_checks(table)
     failed = [claim for claim, ok in checks.items() if not ok]
     assert not failed, "shape claims failed: %s" % failed

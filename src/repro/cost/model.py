@@ -19,8 +19,8 @@ for a MIPS R3000 board; offline we estimate:
 The RTOS base-size and per-service constants are calibrated against the
 POLIS kernel figures the paper itself reports (5-6 KB code, ~1.5 KB
 data); the dynamic weights are classic single-issue R3000 latencies.
-Absolute outputs are estimates — EXPERIMENTS.md compares shapes, not
-digits, against the paper.
+Absolute outputs are estimates, compared with the paper by shape, not
+digits (README, "Semantics and deviations").
 """
 
 from __future__ import annotations

@@ -101,7 +101,8 @@ def format_table1(table, include_paper=True):
 def shape_checks(table):
     """The qualitative claims of Section 4, evaluated on measured rows.
 
-    Returns ``{claim: bool}`` — what EXPERIMENTS.md reports.
+    Returns ``{claim: bool}``; Table 1 is compared with the paper by
+    these shapes (README, "Semantics and deviations").
     """
     checks = {}
 

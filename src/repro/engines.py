@@ -174,23 +174,26 @@ class NativeAdapter(ReactorAdapter):
         :meth:`~repro.runtime.native.NativeReactor.restore`)."""
         self.reactor.restore()
 
-    def run_spec(self, job, seed=None):
+    def run_spec(self, job, seed=None, lines=False):
         """The job's *random* stimulus through the compiled driver loop
         (pipeline stage ``trace-driver``, one per (design,
-        stimulus-spec) pair — no per-instant dict handling on the
-        injection side).  Returns the record list, or None when the
+        stimulus-spec, sink) triple — no per-instant dict handling on
+        the injection side).  Returns the record list — with
+        ``lines=True`` the canonical ledger lines, a
+        :class:`~repro.runtime.native.TraceLines` — or None when the
         stimulus is not driver-shaped (explicit traces replay through
         :meth:`step_many`)."""
         spec = job.stimulus
         if spec.kind != "random":
             return None
+        sink = "lines" if lines else "dict"
         shape = (spec.length, spec.present_prob, spec.value_range,
-                 job.instant_budget)
+                 job.instant_budget, sink)
         driver = self._drivers.get(shape)
         if driver is None:
             driver = self.handle.trace_driver(
                 spec.length, spec.present_prob, spec.value_range,
-                budget=job.instant_budget,
+                budget=job.instant_budget, sink=sink,
             )
             self._drivers[shape] = driver
         return self.reactor.run_trace(driver, job.seed if seed is None else seed)
@@ -344,13 +347,27 @@ class _ModuleParts:
 
 @dataclass
 class JobRun:
-    """What :meth:`Engine.run_job` produced for one job."""
+    """What :meth:`Engine.run_job` produced for one job: one farm
+    record per instant, or — from a line-sink trace driver — one
+    canonical ledger line per instant (:attr:`encoded`)."""
 
     records: list
     terminated: bool
     kernel_stats: Optional[dict] = None
     #: lockstep jobs only: the first cross-engine mismatch.
     divergence: Optional[str] = None
+
+    @property
+    def encoded(self):
+        """True when :attr:`records` are canonical ledger lines."""
+        return hasattr(self.records, "emitted")
+
+    @property
+    def emitted_events(self):
+        """Emitted events over every instant of the run."""
+        if self.encoded:
+            return self.records.emitted
+        return sum(len(record["emitted"]) for record in self.records)
 
 
 def derive_spec_seed(spec, index):
@@ -475,17 +492,22 @@ class Engine:
     # -- execution -----------------------------------------------------
 
     def run_job(self, handles, job, coverage=None, seed=None,
-                adapter=None) -> JobRun:
+                adapter=None, lines=False) -> JobRun:
         """Run one job to its budget or termination.  ``coverage`` (a
         map, or ``{module: map}`` for a partitioned rtos job) collects
         state/transition marks where the reactors can, emits from the
         records otherwise; ``seed`` overrides ``job.seed``.  ``adapter``
         is a bound adapter in its just-bound state (a worker's resident
-        one, see the "resident" tag); None binds a new one."""
+        one, see the "resident" tag); None binds a new one.
+        ``lines=True`` says the records go nowhere but the trace
+        ledger: an engine with a trace driver then returns canonical
+        ledger lines for a random stimulus (:attr:`JobRun.encoded`);
+        every other run returns records as usual."""
         if adapter is None:
             adapter = self.build(handles, job)
         attached = coverage is not None and adapter.enable_coverage(coverage)
-        records = self._drive(adapter, job, job.seed if seed is None else seed)
+        records = self._drive(adapter, job, job.seed if seed is None else seed,
+                              lines)
         if coverage is not None and not attached:
             # Uninstrumented reactors (interp, rtos with interp tasks)
             # still yield observable emit coverage; instrumented ones
@@ -493,7 +515,7 @@ class Engine:
             _mark_emits(coverage, records)
         return JobRun(records, adapter.terminated, adapter.kernel_stats())
 
-    def _drive(self, adapter, job, seed):
+    def _drive(self, adapter, job, seed, lines=False):
         records = []
         for instant in _stimulus(adapter, job, seed):
             records.append(adapter.step(instant))
@@ -604,8 +626,8 @@ class NativeEngine(Engine):
         handle = handles(job.module)
         return NativeAdapter(NativeEngine.reactor(self, handle), handle)
 
-    def _drive(self, adapter, job, seed):
-        records = adapter.run_spec(job, seed)
+    def _drive(self, adapter, job, seed, lines=False):
+        records = adapter.run_spec(job, seed, lines)
         if records is None:
             records = adapter.step_many(_stimulus(adapter, job, seed))
         return records
@@ -676,7 +698,7 @@ class EquivalenceEngine(Engine):
     tags = frozenset(("lockstep",))
 
     def run_job(self, handles, job, coverage=None, seed=None,
-                adapter=None) -> JobRun:
+                adapter=None, lines=False) -> JobRun:
         reference = _REGISTRY["interp"].build(handles, job)
         candidates = [
             (name, _REGISTRY[name].build(handles, job))

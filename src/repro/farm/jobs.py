@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 
 from ..engines import get_engine, names_with
 from ..errors import EclError
+from .ledger import compact_json
 
 #: Job outcome classes.  "ok" and "terminated" count as success.
 STATUS_OK = "ok"
@@ -315,6 +316,19 @@ class SimResult:
             for name in RESULT_VOLATILE_FIELDS:
                 payload[name] = getattr(self, name)
         return payload
+
+    def stable_json(self):
+        """The stable row (``to_dict(volatile=False)``) as compact,
+        key-sorted JSON bytes: what the serving API streams for
+        ``?stable=1`` and the batch journal embeds.  Encoded on first
+        use and kept, so a landed row is serialized once; a result
+        must not change after that.  Two threads racing the first call
+        both compute the same bytes."""
+        line = self.__dict__.get("_stable_json")
+        if line is None:
+            line = compact_json(self.to_dict(volatile=False)).encode("utf-8")
+            self._stable_json = line
+        return line
 
     @classmethod
     def from_dict(cls, payload):

@@ -80,8 +80,9 @@ PACK_DIR = "packs"
 TENANT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
-def _canonical_encoder():
-    encoder = json.JSONEncoder(sort_keys=True)
+def _canonical_encoder(item_separator=", ", key_separator=": "):
+    separators = (item_separator, key_separator)
+    encoder = json.JSONEncoder(sort_keys=True, separators=separators)
     make = getattr(json.encoder, "c_make_encoder", None)
     if make is None:
         return encoder.encode
@@ -89,13 +90,24 @@ def _canonical_encoder():
     # minus the circular-reference markers: a markers dict shared
     # between threads would raise spurious "circular reference" errors.
     encode = make(None, encoder.default, json.encoder.encode_basestring_ascii,
-                  None, ": ", ", ", True, False, True)
+                  None, key_separator, item_separator, True, False, True)
     return lambda obj: "".join(encode(obj, 0))
 
 
 #: ``canonical_json(obj)`` is ``json.dumps(obj, sort_keys=True)`` byte
 #: for byte, without building a new encoder per call.
 canonical_json = _canonical_encoder()
+
+#: ``compact_json(obj)`` is ``json.dumps(obj, sort_keys=True,
+#: separators=(",", ":"))`` byte for byte: the result-row form.
+compact_json = _canonical_encoder(",", ":")
+
+
+def encode_records(records):
+    """Ledger lines of farm records (:func:`repro.engines.make_record`):
+    the one encoder of every trace the native line sink does not
+    write itself."""
+    return [canonical_json(record) for record in records]
 
 
 def check_tenant(tenant):
@@ -156,14 +168,14 @@ class TraceLedger:
 
     # -- writing -------------------------------------------------------
 
-    def put(self, job, records, vcd_text=None):
+    def put(self, job, lines, vcd_text=None):
         """Persist one job's trace; returns ``(digest, path)`` with
         ``path`` the pack segment holding the object.
 
-        ``records`` is the list of per-instant dicts the engines
-        produce (:func:`repro.engines.make_record`).  The object
-        is appended to the segment first; the index gains one line
-        after it.
+        ``lines`` holds one pre-encoded canonical line per instant: a
+        native line-sink driver's output, or :func:`encode_records` of
+        the engines' per-instant dicts.  The object is appended to the
+        segment first; the index gains one line after it.
         """
         if self.fault_hook is not None:
             self.fault_hook("put", job.job_id)
@@ -176,11 +188,12 @@ class TraceLedger:
             "index": job.index,
             "seed": job.seed,
             "stimulus": job.stimulus.describe(),
-            "instants": len(records),
+            "instants": len(lines),
         }
-        lines = [canonical_json(header)]
-        lines.extend(map(canonical_json, records))
-        blob = ("\n".join(lines) + "\n").encode("utf-8")
+        text = canonical_json(header)
+        if lines:
+            text += "\n" + "\n".join(lines)
+        blob = (text + "\n").encode("utf-8")
         digest = hashlib.sha256(blob).hexdigest()
         if vcd_text is not None:
             vcd_path = self.vcd_path(digest)
@@ -194,7 +207,7 @@ class TraceLedger:
                 "module": job.module,
                 "engine": job.engine,
                 "index": job.index,
-                "instants": len(records),
+                "instants": len(lines),
                 "trace": digest,
                 "pack": pack,
                 "offset": offset,

@@ -53,7 +53,7 @@ from .jobs import (
     STATUS_VIOLATED,
     SimResult,
 )
-from .ledger import TraceLedger
+from .ledger import TraceLedger, encode_records
 
 #: Fewest record-free vector jobs one numpy sweep carries.  Measured on
 #: stack ``toplevel`` (2 vCPU, numpy 2.4): below 128 lanes the resident
@@ -206,12 +206,15 @@ class WorkerState:
     def _drive(self, job, coverage):
         """Run one scalar job through its engine: on a checked-out
         resident adapter when the engine has one, else binding per
-        job."""
+        job.  A job whose records go nowhere but this worker's ledger
+        (no properties, no VCD) asks for canonical ledger lines."""
         engine = get_engine(job.engine)
         bound = self._bound(job.design)
         handles = bound.build.module
+        lines = (self.ledger is not None and not job.properties
+                 and not job.record_vcd)
         if "resident" not in engine.capabilities():
-            return engine.run_job(handles, job, coverage)
+            return engine.run_job(handles, job, coverage, lines=lines)
         key = (job.module, job.engine)
         with self._lock:
             idle = bound.idle.get(key)
@@ -221,7 +224,8 @@ class WorkerState:
         else:
             adapter.restore()
         try:
-            return engine.run_job(handles, job, coverage, adapter=adapter)
+            return engine.run_job(handles, job, coverage, adapter=adapter,
+                                  lines=lines)
         finally:
             # Whatever the drive left behind, the next checkout's
             # restore() undoes it.
@@ -339,11 +343,12 @@ class WorkerState:
                     result.violation_instant = violation.instant
             result.status = status
             result.instants = len(records)
-            result.emitted_events = sum(len(r["emitted"]) for r in records)
+            result.emitted_events = run.emitted_events
             if self.ledger is not None:
                 vcd_text = self._render_vcd(job, records)
+                lines = records if run.encoded else encode_records(records)
                 result.trace_digest, result.trace_path = self.ledger.put(
-                    job, records, vcd_text=vcd_text
+                    job, lines, vcd_text=vcd_text
                 )
         except EclError as error:
             result.status = STATUS_ERROR

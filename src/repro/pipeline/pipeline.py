@@ -433,23 +433,26 @@ class ModuleHandle:
         return self._stage("vector", compute, kind="vector-code",
                            key_stage="vector@v1+%s" % NATIVE_STAGE_TAG)
 
-    def trace_driver(self, length, present_prob, value_range, budget=0):
+    def trace_driver(self, length, present_prob, value_range, budget=0,
+                     sink="dict"):
         """Stage ``trace-driver``: the compiled whole-trace driver loop
-        for one (design, stimulus-spec) pair
+        for one (design, stimulus-spec, sink) triple
         (:func:`repro.runtime.native.compile_trace_driver`) — the
         farm's native engine runs a whole random trace through it with
-        zero per-instant dict handling on the injection side."""
+        zero per-instant dict handling on the injection side.  The
+        sink is part of the key: ``"dict"`` drivers return farm
+        records, ``"lines"`` drivers canonical ledger lines."""
         def compute():
             from ..runtime.native import compile_trace_driver
             return compile_trace_driver(
                 self.efsm(), self.native_code(), length,
-                present_prob, tuple(value_range), budget=budget)
-        shape = "%d:%r:%r:%d" % (length, present_prob,
-                                 tuple(value_range), budget)
+                present_prob, tuple(value_range), budget=budget, sink=sink)
+        shape = "%d:%r:%r:%d:%s" % (length, present_prob,
+                                    tuple(value_range), budget, sink)
         digest = hashlib.sha256(shape.encode("utf-8")).hexdigest()[:16]
         return self._stage(
             "trace-driver", compute, kind="trace-driver",
-            key_stage="trace-driver@v2+%s:%s" % (NATIVE_STAGE_TAG, digest))
+            key_stage="trace-driver@v3+%s:%s" % (NATIVE_STAGE_TAG, digest))
 
     def monitor_bundle(self, properties):
         """Stage ``monitor``: the compiled

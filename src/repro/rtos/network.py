@@ -33,8 +33,10 @@ class AsyncNetwork:
         """Register ``reactor`` as a task.
 
         Without an explicit ``priority``, registration order decides:
-        earlier nodes get higher priority (useful for the
-        consumer-before-producer arming described in EXPERIMENTS.md).
+        earlier nodes get higher priority.  Registering a consumer
+        before its producer therefore arms the consumer's ``await``
+        first, so it sees an event its producer posts in the same
+        cascade.
         """
         if self._started:
             raise RtosError("cannot add nodes after the network started")

@@ -51,6 +51,7 @@ counts ``react`` instants.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -1387,9 +1388,11 @@ class NativeReactor:
     def run_trace(self, driver, seed):
         """Run one compiled whole-trace driver (see
         :func:`compile_trace_driver`) with the job's derived ``seed``;
-        returns one farm-format record per executed instant."""
+        returns one entry per executed instant: a farm-format record
+        from a dict-sink driver, a canonical ledger line (in a
+        :class:`TraceLines`) from a line-sink one."""
         if self.terminated:
-            return []
+            return TraceLines() if driver.sink == SINK_LINES else []
         import random
 
         return _driver_func(driver)(random.Random(seed), self)
@@ -1413,6 +1416,27 @@ class NativeReactor:
 # draw is ``randint``'s own rejection loop over ``getrandbits`` with
 # the range's width burned in: bit-identical to random.Random.randint,
 # which the vector engine's Mersenne Twister emulation mirrors too.
+#
+# Each driver writes its instants to one of two sinks, burned into its
+# source.  The dict sink appends one farm record per instant (what
+# monitors, VCD rendering and every explicit caller consume).  The
+# line sink appends the instant's canonical ledger line instead — byte
+# for byte ``canonical_json(make_record(...))`` — from static
+# fragments (the sorted input keys, and per emitted mask its sorted
+# name list and value keys), and counts the emitted events: a trace
+# whose records go only to the ledger is encoded once, inside the
+# drive.
+
+#: The two record sinks of a trace driver.
+SINK_DICT = "dict"
+SINK_LINES = "lines"
+
+
+class TraceLines(list):
+    """A line-sink driver's output: one canonical ledger line per
+    executed instant, plus the emitted events of those instants."""
+
+    emitted = 0
 
 
 @dataclass
@@ -1429,6 +1453,9 @@ class TraceDriverCode:
     alphabet: Tuple[tuple, ...] = ()
     present_prob: float = 0.5
     value_range: Tuple[int, int] = (0, 255)
+    #: :data:`SINK_DICT` (farm records) or :data:`SINK_LINES`
+    #: (canonical ledger lines in a :class:`TraceLines`).
+    sink: str = SINK_DICT
 
     def describe(self):
         return "trace-driver %s: %d drawn + %d padded instants, %d inputs" % (
@@ -1442,6 +1469,9 @@ class TraceDriverCode:
 #: driver source -> bound _drive function (exec'd once per process).
 _DRIVER_FUNCS: Dict[str, object] = {}
 
+#: JSON text of a string, as ``canonical_json`` writes it.
+_json_str = json.encoder.encode_basestring_ascii
+
 
 def _hex_loader(signal):
     def load():
@@ -1450,19 +1480,34 @@ def _hex_loader(signal):
     return load
 
 
+def _value_text(signal):
+    """A line-sink loader: the JSON text of a valued output's current
+    value — the int of a scalar, the ``"0x…"`` string of an aggregate
+    (what ``canonical_json`` writes for the dict sink's value)."""
+    load = signal.load
+    if signal.type.is_scalar():
+        return lambda: "%d" % load()
+    return lambda: '"0x' + bytes(load()).hex() + '"'
+
+
 def _driver_func(driver):
     func = _DRIVER_FUNCS.get(driver.source)
     if func is None:
-        namespace = {"_hex_loader": _hex_loader}
+        namespace = {
+            "_hex_loader": _hex_loader,
+            "_value_text": _value_text,
+            "_str": _json_str,
+            "TraceLines": TraceLines,
+        }
         exec(_compiled(driver.source), namespace)
         func = namespace["_drive"]
         _DRIVER_FUNCS[driver.source] = func
     return func
 
 
-#: The per-reactor prologue of every generated driver (hot references
-#: hoisted into locals, plus the emitted-mask decoder).
-_DRIVER_PRELUDE = '''\
+#: The per-reactor prologue of every generated driver: hot references
+#: hoisted into locals.
+_DRIVER_HOISTS = '''\
     random = rng.random
     getrandbits = rng.getrandbits
     P = reactor._present
@@ -1474,9 +1519,14 @@ _DRIVER_PRELUDE = '''\
     cov = reactor.coverage
     mark = reactor._mark_coverage
     state = reactor.state
+    mask_cache = {}
+'''
+
+#: The dict sink's prologue: the record list and the emitted-mask
+#: decoder.
+_DICT_PRELUDE = '''\
     records = []
     append = records.append
-    mask_cache = {}
 
     def _decode(m):
         names = []
@@ -1496,10 +1546,33 @@ _DRIVER_PRELUDE = '''\
         return entry
 '''
 
-#: The per-instant epilogue: run the state function, decode the mask
-#: into a farm record, handle termination.  Indented for the driver's
-#: instant loop body.
-_DRIVER_INSTANT_TAIL = '''\
+#: The line sink's prologue: the line list, the emitted count, and a
+#: decoder from an emitted mask to its static line fragments.
+_LINES_PRELUDE = '''\
+    lines = TraceLines()
+    append = lines.append
+    emitted = 0
+
+    def _decode(m):
+        names = []
+        valued = []
+        for bit, name in OUT_BITS:
+            if m & bit:
+                names.append(name)
+                s = signals[name]
+                if not s.is_pure:
+                    valued.append((name, _str(name) + ": ", _value_text(s)))
+        names.sort()
+        valued.sort()
+        head = '{"emitted": [' + ", ".join(map(_str, names)) + '], "inputs": {'
+        entry = (head, tuple((key, ld) for _n, key, ld in valued), len(names))
+        mask_cache[m] = entry
+        return entry
+'''
+
+#: The per-instant reaction: run the state function and mark coverage.
+#: Indented for the driver's instant loop body.
+_DRIVER_STEP = '''\
         if counter is not None:
             counter.count("react", 1)
         entry = state
@@ -1507,6 +1580,10 @@ _DRIVER_INSTANT_TAIL = '''\
         reactor.instants += 1
         if cov is not None:
             mark(cov, entry, packed)
+'''
+
+#: The dict sink's per-instant record and termination.
+_DICT_RECORD = '''\
         if m:
             e = mask_cache.get(m)
             if e is None:
@@ -1525,6 +1602,30 @@ _DRIVER_INSTANT_TAIL = '''\
             reactor.terminated = True
             reactor.state = state
             return records
+        state = target
+'''
+
+#: The line sink's per-instant line and termination (``ins``: the
+#: instant's sorted input members).
+_LINES_RECORD = '''\
+        if m:
+            e = mask_cache.get(m)
+            if e is None:
+                e = _decode(m)
+            head, valued, n = e
+            emitted += n
+            if valued:
+                append(head + ins + '}, "values": {'
+                       + ", ".join([key + ld() for key, ld in valued]) + "}}")
+            else:
+                append(head + ins + '}, "values": {}}')
+        else:
+            append('{"emitted": [], "inputs": {' + ins + '}, "values": {}}')
+        if target < 0:
+            reactor.terminated = True
+            reactor.state = state
+            lines.emitted = emitted
+            return lines
         state = target
 '''
 
@@ -1569,14 +1670,37 @@ def _driver_alphabet(module, code):
     return entries
 
 
-def compile_trace_driver(efsm, code, length, present_prob, value_range, budget=0):
+def _sorted_inputs(alphabet):
+    """The line sink's statements that join the drawn members ``_x<k>``
+    (declaration index ``k``, ``""`` when absent) in sorted name order
+    into ``ins``."""
+    order = sorted(range(len(alphabet)), key=lambda k: alphabet[k][0])
+    members = ["_x%d" % k for k in order]
+    if not members:
+        return ['        ins = ""']
+    statements = ["        ins = %s" % members[0]]
+    for member in members[1:]:
+        statements.append("        if %s:" % member)
+        statements.append(
+            '            ins = ins + ", " + %s if ins else %s' % (member, member)
+        )
+    return statements
+
+
+def compile_trace_driver(
+    efsm, code, length, present_prob, value_range, budget=0, sink=SINK_DICT
+):
     """Generate the whole-trace driver source for one stimulus shape.
 
     ``length``/``present_prob``/``value_range`` mirror a random
     :class:`~repro.farm.jobs.StimulusSpec`; ``budget`` is the job's
     instant budget (horizon): when larger than ``length`` the driver
     appends empty instants, when smaller it clips the drawn prefix.
+    ``sink`` picks what the driver returns per instant: a farm record
+    (:data:`SINK_DICT`) or its canonical ledger line
+    (:data:`SINK_LINES`).
     """
+    lines_sink = sink == SINK_LINES
     budget = budget if budget > 0 else length
     drawn = min(length, budget)
     low, high = value_range
@@ -1597,19 +1721,26 @@ def compile_trace_driver(efsm, code, length, present_prob, value_range, budget=0
         "",
         "def _drive(rng, reactor):",
     ]
-    lines.extend(_DRIVER_PRELUDE.splitlines())
+    lines.extend(_DRIVER_HOISTS.splitlines())
+    lines.extend((_LINES_PRELUDE if lines_sink else _DICT_PRELUDE).splitlines())
+    record = _DRIVER_STEP + (_LINES_RECORD if lines_sink else _DICT_RECORD)
     for name, _pure, _pidx, sidx, ctype in alphabet:
         if sidx < 0 and ctype is not None:
             lines.append("    _st_%s = signals[%r].store" % (name, name))
     if drawn:
         lines.append("    for _i in range(%d):" % drawn)
         lines.append("        P[:] = PZERO")
-        lines.append("        inputs = {}")
-        for name, pure, pidx, sidx, ctype in alphabet:
+        if not lines_sink:
+            lines.append("        inputs = {}")
+        for k, (name, pure, pidx, sidx, ctype) in enumerate(alphabet):
+            key = _json_str(name) + ": "
             lines.append("        if random() < %r:" % present_prob)
             if pure:
                 lines.append("            P[%d] = 1" % pidx)
-                lines.append("            inputs[%r] = None" % name)
+                if lines_sink:
+                    lines.append("            _x%d = %r" % (k, key + "null"))
+                else:
+                    lines.append("            inputs[%r] = None" % name)
             else:
                 lines.append("            v = getrandbits(%d)" % draw_bits)
                 lines.append("            while v >= %d:" % width)
@@ -1622,15 +1753,30 @@ def compile_trace_driver(efsm, code, length, present_prob, value_range, budget=0
                     lines.append(store % (sidx, _wrap_text("v", ctype)))
                 else:
                     lines.append("            _st_%s(v)" % name)
-                lines.append("            inputs[%r] = v" % name)
-        lines.extend(_DRIVER_INSTANT_TAIL.splitlines())
+                if lines_sink:
+                    lines.append("            _x%d = %r %% v" % (k, key + "%d"))
+                else:
+                    lines.append("            inputs[%r] = v" % name)
+            if lines_sink:
+                lines.append("        else:")
+                lines.append('            _x%d = ""' % k)
+        if lines_sink:
+            lines.extend(_sorted_inputs(alphabet))
+        lines.extend(record.splitlines())
     if budget > drawn:
+        if lines_sink:
+            lines.append('    ins = ""')
         lines.append("    for _i in range(%d):" % (budget - drawn))
         lines.append("        P[:] = PZERO")
-        lines.append("        inputs = {}")
-        lines.extend(_DRIVER_INSTANT_TAIL.splitlines())
+        if not lines_sink:
+            lines.append("        inputs = {}")
+        lines.extend(record.splitlines())
     lines.append("    reactor.state = state")
-    lines.append("    return records")
+    if lines_sink:
+        lines.append("    lines.emitted = emitted")
+        lines.append("    return lines")
+    else:
+        lines.append("    return records")
     source = "\n".join(lines) + "\n"
     return TraceDriverCode(
         module=efsm.name,
@@ -1640,6 +1786,7 @@ def compile_trace_driver(efsm, code, length, present_prob, value_range, budget=0
         alphabet=tuple((name, pure) for name, pure, _p, _s, _t in alphabet),
         present_prob=present_prob,
         value_range=(low, high),
+        sink=sink,
     )
 
 

@@ -45,9 +45,11 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 from .. import telemetry
 from ..errors import EclError, NotFoundError
+from ..farm.ledger import compact_json
 from .queue import QueueFullError, ServiceClosedError, TenantQuotaError
 from .service import SimulationService
 
@@ -60,10 +62,13 @@ MAX_BODY_BYTES = 8 << 20
 
 
 def result_line(result, stable=False):
-    """One NDJSON line for a result: compact separators, sorted keys —
-    the canonical byte form the acceptance comparison relies on."""
-    payload = result.to_dict(volatile=not stable)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """One NDJSON line (bytes) for a result: compact separators, sorted
+    keys — the canonical byte form the acceptance comparison relies
+    on.  A stable line reuses the row's cached
+    :meth:`~repro.farm.jobs.SimResult.stable_json`."""
+    if stable:
+        return result.stable_json() + b"\n"
+    return (compact_json(result.to_dict()) + "\n").encode("utf-8")
 
 
 class _NonJson(str):
@@ -234,13 +239,20 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _stream_results(self, batch_id):
         batch = self.service.batch(batch_id)
-        stable = "stable=1" in (self.path.split("?", 1) + [""])[1]
+        query = parse_qs(urlsplit(self.path).query)
+        stable = query.get("stable", [""])[-1] == "1"
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        for result in batch.stream():
-            self.wfile.write(result_line(result, stable=stable).encode())
-            self.wfile.flush()
+        # One write per wake-up: the rows that landed while this
+        # handler waited go out together, once it has caught up.
+        pending = []
+        for served, result in enumerate(batch.stream(), 1):
+            pending.append(result_line(result, stable=stable))
+            if served >= len(batch.results):
+                self.wfile.write(b"".join(pending))
+                self.wfile.flush()
+                pending = []
 
     def _shutdown_server(self):
         self.service.shutdown(drain=True)

@@ -12,10 +12,13 @@ WAL at ``<root>/<tenant>.jsonl`` recording three kinds of line:
   *before* results can land, so a row never references an unknown
   batch on replay;
 * ``row`` — one job completed: the batch id, the job id, and the
-  job's **stable** result serialization
-  (:meth:`~repro.farm.jobs.SimResult.to_dict` with ``volatile=False``)
-  — the byte-reproducible payload, so a replayed row is
-  indistinguishable from a re-executed one;
+  job's **stable** result serialization — the bytes of
+  :meth:`~repro.farm.jobs.SimResult.stable_json`, embedded verbatim
+  (the row the results stream sends, encoded once) — the
+  byte-reproducible payload, so a replayed row is indistinguishable
+  from a re-executed one.  Lines written before rows were embedded
+  carry the same row as a ``canonical_json`` object; replay reads
+  both;
 * ``end`` — the batch closed (completed, cancelled, or rejected after
   its admit line was already durable); replay skips ended batches
   entirely.
@@ -55,6 +58,11 @@ from ..farm.ledger import canonical_json, check_tenant
 KIND_ADMIT = "admit"
 KIND_ROW = "row"
 KIND_END = "end"
+
+
+def _encode(record):
+    """One journal line: the record's canonical JSON."""
+    return (canonical_json(record) + "\n").encode("utf-8")
 
 
 class BatchRecord:
@@ -135,43 +143,38 @@ class BatchJournal:
         }
         if ttl_s is not None:
             record["ttl_s"] = ttl_s
-        self._append(tenant, record, key=batch_id)
+        self._append(tenant, KIND_ADMIT, batch_id, _encode(record))
 
     def row(self, tenant, batch_id, result):
-        """Journal one job's completion as its stable result row."""
-        self._append(
-            tenant,
-            {
-                "kind": KIND_ROW,
-                "batch": batch_id,
-                "job_id": result.job_id,
-                "row": result.to_dict(volatile=False),
-            },
-            key=result.job_id,
+        """Journal one job's completion: its stable row bytes
+        (:meth:`~repro.farm.jobs.SimResult.stable_json`) embedded
+        verbatim in a ``row`` record with canonically ordered keys."""
+        line = b'{"batch": %s, "job_id": %s, "kind": "row", "row": %s}\n' % (
+            canonical_json(batch_id).encode("utf-8"),
+            canonical_json(result.job_id).encode("utf-8"),
+            result.stable_json(),
         )
+        self._append(tenant, KIND_ROW, result.job_id, line)
 
     def end(self, tenant, batch_id, reason="complete"):
         """Journal a batch's close; replay skips ended batches."""
-        self._append(
-            tenant,
-            {"kind": KIND_END, "batch": batch_id, "reason": reason},
-            key=batch_id,
-        )
+        record = {"kind": KIND_END, "batch": batch_id, "reason": reason}
+        self._append(tenant, KIND_END, batch_id, _encode(record))
 
-    def _append(self, tenant, record, key=""):
+    def _append(self, tenant, kind, key, line):
+        """Append one encoded record line (one ``O_APPEND`` write)."""
         if self.fault_hook is not None:
-            self.fault_hook(record["kind"], key)
+            self.fault_hook(kind, key)
         started = perf_counter()
-        line = (canonical_json(record) + "\n").encode("utf-8")
         os.write(self._shard_fd(tenant), line)
         telemetry.counter(
             "ecl_serve_journal_appends_total",
             help="Durable journal lines appended, by record kind.",
-            kind=record["kind"],
+            kind=kind,
         ).inc()
         telemetry.histogram(
             "ecl_serve_journal_append_seconds",
-            help="Journal append latency (serialize + O_APPEND write).",
+            help="Journal append latency (one O_APPEND write).",
         ).observe(perf_counter() - started)
 
     def _shard_fd(self, tenant):
@@ -277,9 +280,9 @@ class BatchJournal:
                             "row": row,
                         })
             tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
+            with open(tmp, "wb") as handle:
                 for record in lines:
-                    handle.write(canonical_json(record) + "\n")
+                    handle.write(_encode(record))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)

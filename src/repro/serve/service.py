@@ -592,6 +592,9 @@ class SimulationService:
         metrics before any reader sees that row."""
         if batch is None:
             return
+        # Encode the stable row once: the journal embeds these bytes,
+        # and every ?stable=1 stream writes them.
+        result.stable_json()
 
         def close_out():
             self._journal("end", batch.tenant, batch.id)

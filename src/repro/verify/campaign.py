@@ -34,7 +34,7 @@ from ..engines import adapter_names, get_engine
 from ..errors import EclError
 from ..farm.farm import SimulationFarm
 from ..farm.jobs import SimJob, StimulusSpec, random_instant, value_range_of
-from ..farm.ledger import TraceLedger
+from ..farm.ledger import TraceLedger, encode_records
 from ..pipeline import Pipeline
 from .coverage import CoverageMap, CoverageReport
 from .minimize import minimize_stimulus
@@ -522,5 +522,6 @@ class VerifyCampaign:
                 properties=self.properties,
             )
             ledger = TraceLedger(self.ledger_root)
-            violation.trace_digest, _path = ledger.put(witness, records)
+            violation.trace_digest, _path = ledger.put(
+                witness, encode_records(records))
         return violation

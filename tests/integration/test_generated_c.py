@@ -197,7 +197,7 @@ def _run_c(module, trace, tmp_path):
     (PROTOCOL_STACK_ECL, "toplevel",
      _packet_trace(make_packet(), make_packet(good_crc=False),
                    make_packet())),
-])
+], ids=["counter", "crossing", "fifo", "neg", "toplevel_packets"])
 def test_generated_c_matches_python(tmp_path, source, name, trace):
     module = Pipeline().compile_text(source).module(name)
     c_events = _run_c(module, trace, tmp_path)

@@ -80,6 +80,26 @@ class TestHttpSurface:
         assert trace["header"]["design"] == "stack"
         assert len(trace["records"]) == trace["header"]["instants"]
 
+    @pytest.mark.parametrize("query, stable", [
+        ("stable=1", True), ("x=2&stable=1", True), ("unstable=1", False),
+        ("stable=10", False), ("stable=0", False), ("", False)])
+    def test_stable_query_is_parsed_not_matched(self, served, query,
+                                                stable):
+        _service, client = served
+        admitted = client.submit(batch_document())
+        list(client.stream_results(admitted["batch"]))
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=10)
+        try:
+            connection.request("GET", "/v1/batches/%s/results?%s"
+                               % (admitted["batch"], query))
+            rows = [json.loads(line)
+                    for line in connection.getresponse().read().splitlines()]
+        finally:
+            connection.close()
+        assert len(rows) == 6
+        assert all(("elapsed" in row) is not stable for row in rows)
+
     def test_cross_tenant_trace_fetch_is_404(self, served):
         _service, client = served
         admitted = client.submit(batch_document(), tenant="alice")

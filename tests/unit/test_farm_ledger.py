@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import EclError, NotFoundError
 from repro.farm import SimJob, StimulusSpec, TraceLedger
 from repro.engines import make_record
-from repro.farm.ledger import PACK_DIR, canonical_json
+from repro.farm.ledger import PACK_DIR, canonical_json, encode_records
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -33,10 +33,14 @@ def sample_records():
             make_record({}, set(), {})]
 
 
+def sample_lines():
+    return encode_records(sample_records())
+
+
 class TestTraceLedger:
     def test_put_then_load_roundtrips(self, ledger):
         job = sample_job()
-        digest, path = ledger.put(job, sample_records())
+        digest, path = ledger.put(job, sample_lines())
         assert os.path.exists(path)
         header, records = ledger.load(digest)
         assert header["job_id"] == job.job_id
@@ -44,8 +48,8 @@ class TestTraceLedger:
         assert records == sample_records()
 
     def test_content_addressing_dedupes_objects(self, ledger):
-        digest_a, path_a = ledger.put(sample_job(), sample_records())
-        digest_b, path_b = ledger.put(sample_job(), sample_records())
+        digest_a, path_a = ledger.put(sample_job(), sample_lines())
+        digest_b, path_b = ledger.put(sample_job(), sample_lines())
         # a repeat appends again to the same segment; the digest still
         # proves identity and the index keeps both runs
         assert digest_a == digest_b and path_a == path_b
@@ -53,12 +57,12 @@ class TestTraceLedger:
         assert ledger.load(digest_a)[1] == sample_records()
 
     def test_different_traces_get_different_addresses(self, ledger):
-        digest_a, _ = ledger.put(sample_job(), sample_records())
-        digest_b, _ = ledger.put(sample_job(index=1), sample_records())
+        digest_a, _ = ledger.put(sample_job(), sample_lines())
+        digest_b, _ = ledger.put(sample_job(index=1), sample_lines())
         assert digest_a != digest_b  # header includes the job identity
 
     def test_index_records_are_jsonl(self, ledger):
-        ledger.put(sample_job(), sample_records())
+        ledger.put(sample_job(), sample_lines())
         index_path = os.path.join(ledger.root, "ledger.jsonl")
         lines = [json.loads(line)
                  for line in open(index_path) if line.strip()]
@@ -69,26 +73,26 @@ class TestTraceLedger:
     def test_find_returns_latest_entry_for_job(self, ledger):
         job = sample_job()
         assert ledger.find(job.job_id) is None
-        ledger.put(job, sample_records())
+        ledger.put(job, sample_lines())
         entry = ledger.find(job.job_id)
         assert entry is not None and entry["module"] == "m"
 
     def test_vcd_sidecar_written_once(self, ledger):
-        digest, path = ledger.put(sample_job(), sample_records(),
+        digest, path = ledger.put(sample_job(), sample_lines(),
                                   vcd_text="$date x $end\n")
         with open(ledger.vcd_path(digest)) as handle:
             assert handle.read().startswith("$date")
 
     def test_objects_shard_by_digest_prefix(self, ledger):
-        digest, _ = ledger.put(sample_job(), sample_records(),
+        digest, _ = ledger.put(sample_job(), sample_lines(),
                                vcd_text="$date x $end\n")
         vcd_path = ledger.vcd_path(digest)
         assert os.path.exists(vcd_path)
         assert os.path.basename(os.path.dirname(vcd_path)) == digest[:2]
 
     def test_torn_index_tail_is_skipped_with_warning(self, ledger):
-        ledger.put(sample_job(), sample_records())
-        ledger.put(sample_job(index=1), sample_records())
+        ledger.put(sample_job(), sample_lines())
+        ledger.put(sample_job(index=1), sample_lines())
         index_path = os.path.join(ledger.root, "ledger.jsonl")
         with open(index_path, "a") as handle:
             handle.write('{"job_id": "cut-by-a-cra')
@@ -108,11 +112,11 @@ class TestTraceLedger:
 
         ledger.fault_hook = hook
         with pytest.raises(OSError):
-            ledger.put(sample_job(), sample_records())
+            ledger.put(sample_job(), sample_lines())
         assert calls == [("put", sample_job().job_id)]
         assert len(ledger) == 0  # the failed put left no index entry
         ledger.fault_hook = None
-        ledger.put(sample_job(), sample_records())
+        ledger.put(sample_job(), sample_lines())
         assert len(ledger) == 1
 
     def test_storage_fault_escalates_only_when_asked(self, tmp_path):
@@ -179,7 +183,7 @@ class TestPackSegments:
         lines = [json.dumps(line, sort_keys=True)
                  for line in [header] + records]
         blob = ("\n".join(lines) + "\n").encode("utf-8")
-        digest, path = ledger.put(job, records)
+        digest, path = ledger.put(job, encode_records(records))
         assert digest == hashlib.sha256(blob).hexdigest()
         entry = ledger.find(job.job_id)
         with open(path, "rb") as handle:
@@ -188,7 +192,7 @@ class TestPackSegments:
 
     def test_warm_puts_append_to_one_segment(self, ledger):
         for index in range(5):
-            ledger.put(sample_job(index=index), sample_records())
+            ledger.put(sample_job(index=index), sample_lines())
         (segment,) = pack_files(ledger)
         assert segment.startswith("%d-" % os.getpid())
         entries = ledger.entries()
@@ -198,7 +202,7 @@ class TestPackSegments:
         assert not os.path.exists(os.path.join(ledger.root, "objects"))
 
     def test_torn_pack_tail_without_index_line_is_ignored(self, ledger):
-        digests = [ledger.put(sample_job(index=i), sample_records())[0]
+        digests = [ledger.put(sample_job(index=i), sample_lines())[0]
                    for i in range(2)]
         (segment,) = pack_files(ledger)
         # a crash mid-append: object bytes landed, the index line never
@@ -208,11 +212,11 @@ class TestPackSegments:
         assert len(reopened) == 2
         for digest in digests:
             assert reopened.load(digest)[1] == sample_records()
-        digest, _ = reopened.put(sample_job(index=2), sample_records())
+        digest, _ = reopened.put(sample_job(index=2), sample_lines())
         assert reopened.load(digest)[0]["index"] == 2
 
     def test_flipped_byte_makes_load_raise(self, ledger):
-        digest, path = ledger.put(sample_job(), sample_records())
+        digest, path = ledger.put(sample_job(), sample_lines())
         entry = ledger.find(sample_job().job_id)
         with open(path, "r+b") as handle:
             handle.seek(entry["offset"] + entry["length"] // 2)
@@ -223,7 +227,7 @@ class TestPackSegments:
             ledger.load(digest)
 
     def test_truncated_segment_makes_load_raise(self, ledger):
-        digest, path = ledger.put(sample_job(), sample_records())
+        digest, path = ledger.put(sample_job(), sample_lines())
         os.truncate(path, os.path.getsize(path) - 3)
         with pytest.raises(EclError, match="corrupt"):
             ledger.load(digest)
@@ -231,7 +235,7 @@ class TestPackSegments:
     def test_old_objects_layout_still_loads(self, tmp_path):
         job, records = sample_job(), sample_records()
         packed = TraceLedger(str(tmp_path / "new"))
-        digest, path = packed.put(job, records)
+        digest, path = packed.put(job, encode_records(records))
         entry = packed.find(job.job_id)
         with open(path, "rb") as handle:
             blob = handle.read()[entry["offset"]:][:entry["length"]]
@@ -248,12 +252,12 @@ class TestPackSegments:
         header, loaded = old.load(digest)
         assert header["job_id"] == job.job_id and loaded == records
         # new puts land in a pack next to the old objects
-        fresh, _ = old.put(sample_job(index=1), records)
+        fresh, _ = old.put(sample_job(index=1), encode_records(records))
         assert old.load(fresh)[0]["index"] == 1
 
     def test_offline_load_finds_traces_in_any_shard(self, ledger):
         digest, _ = ledger.for_tenant("alice").put(sample_job(),
-                                                  sample_records())
+                                                  sample_lines())
         # the root ledger and another tenant's shard do not *record* it
         # (not servable to them), but an offline load still finds it
         for reader in (ledger, ledger.for_tenant("bob")):
@@ -270,7 +274,7 @@ class TestPackSegments:
         assert reader.entries() == []
         assert reader.locate("0" * 64) is None
         assert not root.exists()
-        reader.put(sample_job(), sample_records())
+        reader.put(sample_job(), sample_lines())
         assert (root / PACK_DIR).is_dir()
 
     def test_threads_sharing_one_ledger_keep_offsets_exact(self, ledger):
@@ -278,7 +282,7 @@ class TestPackSegments:
 
         def writer(base):
             for index in range(base, base + 25):
-                ledger.put(sample_job(index=index), sample_records())
+                ledger.put(sample_job(index=index), sample_lines())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -302,13 +306,14 @@ class TestPackSegments:
             "import sys\n"
             "from repro.farm import SimJob, StimulusSpec, TraceLedger\n"
             "from repro.engines import make_record\n"
+            "from repro.farm.ledger import encode_records\n"
             "ledger = TraceLedger(sys.argv[1])\n"
             "base = int(sys.argv[2])\n"
             "for i in range(base, base + 20):\n"
             "    job = SimJob(design='d', module='m', index=i,\n"
             "                 stimulus=StimulusSpec.random(length=2))\n"
-            "    ledger.put(job, [make_record({'ping': None}, {'pong'},"
-            " {'v': i})])\n"
+            "    ledger.put(job, encode_records([make_record("
+            "{'ping': None}, {'pong'}, {'v': i})]))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
         children = [subprocess.Popen([sys.executable, "-c", script,

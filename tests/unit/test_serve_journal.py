@@ -8,7 +8,9 @@ import pytest
 
 from repro.errors import EclError
 from repro.farm.jobs import SimResult
+from repro.farm.ledger import canonical_json
 from repro.serve import BatchJournal
+from repro.serve.api import result_line
 
 
 @pytest.fixture
@@ -75,6 +77,54 @@ class TestWriting:
         replay = journal.replay("t")
         assert replay.batches["b1"].rows == {}
         assert replay.torn_lines == 0
+
+
+def parent_row_line(batch_id, row):
+    """A ``row`` line as journals wrote it before rows were embedded:
+    the whole record through ``canonical_json``."""
+    return canonical_json({"kind": "row", "batch": batch_id,
+                           "job_id": row.job_id,
+                           "row": row.to_dict(volatile=False)}) + "\n"
+
+
+class TestRowFormats:
+    def test_row_line_embeds_the_stable_bytes_verbatim(self, journal):
+        row = result("j1")
+        journal.admit("t", "b1", {}, ["j1"])
+        journal.row("t", "b1", row)
+        with open(journal.shard_path("t"), "rb") as handle:
+            line = handle.read().splitlines()[1]
+        stable = json.dumps(row.to_dict(volatile=False), sort_keys=True,
+                            separators=(",", ":")).encode()
+        assert row.stable_json() == stable
+        assert result_line(row, stable=True) == stable + b"\n"
+        assert line == (b'{"batch": "b1", "job_id": "j1", "kind": "row", '
+                        b'"row": ' + stable + b"}")
+        # the record's keys keep canonical order
+        assert json.dumps(json.loads(line), sort_keys=True).encode() \
+            .startswith(b'{"batch": "b1", "job_id": "j1", "kind": "row"')
+
+    def test_mixed_formats_replay_and_compact_to_the_same_rows(self,
+                                                               journal):
+        rows = [result("j%d" % i, index=i) for i in range(4)]
+        expected = {row.job_id: row.to_dict(volatile=False) for row in rows}
+        journal.admit("t", "closed", {}, ["x"])
+        journal.row("t", "closed", result("x"))
+        journal.end("t", "closed")
+        journal.admit("t", "b1", {"jobs": []}, sorted(expected))
+        with open(journal.shard_path("t"), "a") as handle:
+            handle.write(parent_row_line("b1", rows[0]))
+        journal.row("t", "b1", rows[1])
+        with open(journal.shard_path("t"), "a") as handle:
+            handle.write(parent_row_line("b1", rows[2]))
+        journal.row("t", "b1", rows[3])
+        replayed = journal.replay("t").batches["b1"].rows
+        assert replayed == expected
+        summary = journal.compact("t")
+        assert summary["dropped_batches"] == 1
+        assert summary["rewritten_shards"] == 1
+        (record,) = journal.replay("t").open_batches()
+        assert record.batch_id == "b1" and record.rows == expected
 
 
 class TestReplay:

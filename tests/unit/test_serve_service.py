@@ -1,13 +1,15 @@
 """Unit tests for SimulationService: warmth, tenancy, faults, drain."""
 
 import json
+import threading
 import time
 import warnings
 
 import pytest
 
 from repro.errors import EclError, NotFoundError
-from repro.serve import QueueFullError, SimulationService
+from repro.farm.ledger import canonical_json
+from repro.serve import BatchJournal, QueueFullError, SimulationService
 
 ECHO = """
 module echo (input pure ping, output pure pong)
@@ -240,14 +242,18 @@ class TestVectorDispatch:
             == self._direct_rows(doc)
 
 
-def log_dispatches(service):
+def log_dispatches(service, gate=None):
     """Wrap the service's dispatch entry point; returns the list each
-    dispatch appends its jobs to."""
+    dispatch appends its tenant and jobs to.  ``gate(tenant)`` runs
+    after a dispatch is logged and before it executes, so a test can
+    hold a dispatch there."""
     log = []
     dispatch = service._dispatch_job
 
     def logged(space, jobs, worker, on_rows):
         log.append((space.name, list(jobs)))
+        if gate is not None:
+            gate(space.name)
         return dispatch(space, jobs, worker, on_rows)
 
     service._dispatch_job = logged
@@ -300,25 +306,38 @@ class TestDispatchGroups:
         assert sum(len(jobs) for _, jobs in log) == 24
 
     def test_light_tenant_lands_within_two_heavy_dispatches(self):
+        # The third heavy dispatch is held in the wrapper until the
+        # light batch is queued: the test depends on dispatch order
+        # alone, never on how fast the heavy jobs run.
+        held, release = threading.Event(), threading.Event()
+
+        def gate(tenant):
+            heavy_dispatches = sum(name == "heavy" for name, _ in log)
+            if tenant == "heavy" and heavy_dispatches == 3:
+                held.set()
+                release.wait(timeout=60)
+
         service = make_service(workers=1)
-        log = log_dispatches(service)
+        log = log_dispatches(service, gate)
         try:
             heavy = service.submit(document(engines=("native",),
                                             traces=256, length=64),
                                    tenant="heavy")
-            deadline = time.monotonic() + 60
-            while len(heavy.results) < 8 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert not heavy.done, "heavy batch finished too early"
+            assert held.wait(timeout=60)
             before = len(log)
             light = service.submit(document(engines=("native",),
                                             traces=1), tenant="light")
+            release.set()
             assert light.wait(timeout=60)
-            assert not heavy.done
-            tenants = [tenant for tenant, _ in log[before:]]
-            assert tenants.index("light") <= 2
         finally:
+            release.set()
             service.shutdown()
+        tenants = [tenant for tenant, _ in log[before:]]
+        assert tenants.index("light") <= 2
+        heavy_first = sum(len(jobs) for tenant, jobs
+                          in log[:before + tenants.index("light")]
+                          if tenant == "heavy")
+        assert heavy_first < heavy.total
 
     def test_every_engine_groups_by_one_rule(self):
         from repro.engines import adapter_names
@@ -524,6 +543,37 @@ class TestJournalRecovery:
                 for r in recovered.results) == stable
         finally:
             revived.shutdown()
+
+    def test_journal_with_parent_format_rows_recovers(self, tmp_path):
+        """A data root whose rows were journaled as ``canonical_json``
+        objects (before rows embedded their stable bytes) recovers,
+        and its shard then mixes both formats."""
+        service = make_service(data_root=str(tmp_path))
+        try:
+            batch = service.submit(document(traces=4))
+            assert batch.wait(timeout=30)
+            stable = sorted(r.stable_json() for r in batch.results)
+        finally:
+            service.shutdown()
+        shard = tmp_path / "journal" / "default.jsonl"
+        lines = shard.read_text().splitlines()
+        old = [canonical_json(json.loads(line)) for line in lines[1:3]]
+        shard.write_text("\n".join([lines[0]] + old) + "\n")
+        revived = make_service(data_root=str(tmp_path))
+        try:
+            assert revived.recovery["replayed_rows"] == 2
+            assert revived.recovery["resumed_jobs"] == 2
+            recovered = revived.batch(json.loads(lines[0])["batch"])
+            assert recovered.wait(timeout=30)
+            assert sorted(r.stable_json() for r in recovered.results) \
+                == stable
+        finally:
+            revived.shutdown()
+        replay = BatchJournal(str(tmp_path / "journal")).replay("default")
+        (record,) = replay.batches.values()
+        assert record.ended
+        assert sorted(json.dumps(row, sort_keys=True, separators=(",", ":"))
+                      .encode() for row in record.rows.values()) == stable
 
     def test_recovered_complete_batch_is_closed_not_rerun(self, tmp_path):
         service = make_service(data_root=str(tmp_path))

@@ -166,10 +166,10 @@ class TestResidentAdapters:
         (stale,) = state._builds["mixed"].idle[("once", "native")]
         run_spec = engines.NativeAdapter.run_spec
 
-        def rebinding(adapter, job, seed=None):
+        def rebinding(adapter, job, *args):
             # the label is re-bound while this adapter is checked out
             state.adopt_designs({"mixed": OTHER})
-            return run_spec(adapter, job, seed)
+            return run_spec(adapter, job, *args)
 
         monkeypatch.setattr(engines.NativeAdapter, "run_spec", rebinding)
         state.run_job(job)
