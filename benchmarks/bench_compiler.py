@@ -6,7 +6,7 @@ Not a paper table — operational data for users of the reproduction
 
 
 from repro.codegen.c_backend import generate_c
-from repro.designs import PROTOCOL_STACK_ECL
+from repro.designs import AUDIO_BUFFER_ECL, PROTOCOL_STACK_ECL
 from repro.ecl import translate_module
 from repro.efsm import build_efsm
 from repro.lang import parse_text
@@ -29,6 +29,14 @@ def test_phase1_translate(benchmark):
 def test_phase2_build_efsm(benchmark):
     program, types = parse_text(PROTOCOL_STACK_ECL, "stack.ecl")
     kernel = translate_module(program, types, "toplevel")
+    efsm = benchmark(lambda: build_efsm(kernel))
+    assert efsm.state_count > 1
+
+
+def test_phase2_build_efsm_audio_buffer(benchmark):
+    """The slowest paper module to build (about 2000 symbolic paths)."""
+    program, types = parse_text(AUDIO_BUFFER_ECL, "buffer.ecl")
+    kernel = translate_module(program, types, "audio_buffer")
     efsm = benchmark(lambda: build_efsm(kernel))
     assert efsm.state_count > 1
 

@@ -25,6 +25,7 @@ or through pytest::
 
 import os
 import sys
+from statistics import median
 from time import perf_counter
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -39,6 +40,9 @@ STACK_PACKETS = int(os.environ.get("NATIVE_BENCH_PACKETS", "50"))
 BUFFER_FRAMES = int(os.environ.get("NATIVE_BENCH_FRAMES", "1000"))
 
 ENGINES = ("interp", "efsm", "native")
+
+#: Off-on-on-off rounds behind the telemetry ratio.
+TELEMETRY_ROUNDS = 10
 
 
 def drive_stack(reactor, packets):
@@ -107,6 +111,51 @@ def _best_rate(module, engine, drive, size, repeats=2):
     return best, result
 
 
+def telemetry_ratio(stack):
+    """Native stack rate with the metrics registry live over the rate
+    with it off.  The inner reaction loop is not instrumented
+    (instrumentation sits at job granularity), so the rate must hold
+    within measurement noise.
+
+    Each round drives four fresh reactors in the order off, on, on,
+    off, and its ratio is the off time over the on time.  The mirrored
+    order cancels a linear drift in host speed within the round and
+    gives neither side the first slot.  The median over the rounds is
+    reported, so a burst of host load skews one round rather than the
+    whole ratio."""
+    from repro import telemetry
+
+    def drive(on):
+        telemetry.reset()
+        if on:
+            telemetry.enable()
+        try:
+            reactor = stack.reactor(engine="native")
+            started = perf_counter()
+            instants, matches = drive_stack(reactor, STACK_PACKETS)
+            elapsed = perf_counter() - started
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert matches == STACK_PACKETS
+        return instants, elapsed
+
+    ratios, rates = [], {False: [], True: []}
+    for _ in range(TELEMETRY_ROUNDS):
+        elapsed = {False: 0.0, True: 0.0}
+        for on in (False, True, True, False):
+            instants, seconds = drive(on)
+            elapsed[on] += seconds
+            rates[on].append(instants / seconds)
+        ratios.append(elapsed[False] / elapsed[True])
+    return {
+        "rounds": TELEMETRY_ROUNDS,
+        "native_rate_on": median(rates[True]),
+        "native_rate_off": median(rates[False]),
+        "ratio": median(ratios),
+    }
+
+
 def measure_workload(module, drive, size):
     rates = {}
     results = {}
@@ -159,26 +208,7 @@ def measure():
     assert matches == STACK_PACKETS
     data["workloads"]["stack"]["native_react_many"] = batched
 
-    # Telemetry-on row: the same native stack workload with the metrics
-    # registry live.  The inner reaction loop is not instrumented
-    # (instrumentation sits at job granularity), so the rate must hold
-    # within measurement noise; the gate's floor absorbs only that.
-    from repro import telemetry
-
-    telemetry.reset()
-    telemetry.enable()
-    try:
-        rate_on, matches_on = _best_rate(stack, "native", drive_stack, STACK_PACKETS)
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-    assert matches_on == STACK_PACKETS
-    rate_off = data["workloads"]["stack"]["engines"]["native"]
-    data["telemetry"] = {
-        "native_rate_on": rate_on,
-        "native_rate_off": rate_off,
-        "ratio": rate_on / rate_off,
-    }
+    data["telemetry"] = telemetry_ratio(stack)
 
     # Vectorized multi-instance sweep, informational; needs numpy (the
     # gated native-vs-vector comparison lives in bench_vector_sweep).

@@ -16,6 +16,11 @@ test it cannot resolve:
   causality deadlock, two or more means nondeterminism — both rejected,
   exactly as the Esterel compiler rejects non-constructive programs.
 
+A fork runs in place: the test takes its true branch at once, and the
+false branch's decision prefix goes on the explorer's stack, to be
+replayed from the state's residue when popped.  Each complete path of
+an instant therefore runs exactly once, in true-first depth-first order.
+
 Valid paths of one state are merged into a decision tree (assumption
 tests collapse — local signals are compiled away), and every leaf's
 residue becomes a new state for the worklist.
@@ -46,15 +51,6 @@ from .machine import (
 _DEFAULT_MAX_STATES = 4096
 
 
-class _NeedDecision(Exception):
-    """Replay ran past the oracle: a new test needs both branches."""
-
-    def __init__(self, kind, key):
-        self.kind = kind
-        self.key = key
-        super().__init__()
-
-
 @dataclass
 class _Path:
     """One completed symbolic execution of an instant."""
@@ -81,8 +77,11 @@ class _SymbolicContext(ReactContext):
     paper's Figure 1 loop as instantaneous.
     """
 
-    def __init__(self, oracle, input_names, signal_dirs, var_types):
-        self.oracle = oracle
+    def __init__(self, oracle, pending, input_names, signal_dirs,
+                 var_types):
+        self.trail = list(oracle)
+        self.replay = len(oracle)
+        self.pending = pending
         self.position = 0
         self.input_names = input_names
         self.signal_dirs = signal_dirs
@@ -94,16 +93,26 @@ class _SymbolicContext(ReactContext):
         self.delta = False
 
     def _decide(self, kind, key):
-        if self.position < len(self.oracle):
-            o_kind, o_key, value = self.oracle[self.position]
+        """Replay the oracle; past its end, fork in place.
+
+        A new test takes its true branch now and leaves the false one
+        (the decisions so far plus ``False``) on the explorer's stack, so
+        each complete path runs once, in true-first depth-first order.
+        """
+        trail = self.trail
+        position = self.position
+        self.position = position + 1
+        if position < self.replay:
+            o_kind, o_key, value = trail[position]
             if o_kind != kind or o_key is not key and o_key != key:
                 raise CompileError(
                     "symbolic replay diverged (internal error): "
                     "expected %s %r, got %s %r"
                     % (o_kind, o_key, kind, key))
-            self.position += 1
             return value
-        raise _NeedDecision(kind, key)
+        self.pending.append(tuple(trail) + ((kind, key, False),))
+        trail.append((kind, key, True))
+        return True
 
     def signal_status(self, name):
         if name in self.input_names:
@@ -308,15 +317,9 @@ class EfsmBuilder:
         pending = [()]
         raw_paths = []
         while pending:
-            oracle = pending.pop()
-            ctx = _SymbolicContext(oracle, self.input_names,
+            ctx = _SymbolicContext(pending.pop(), pending, self.input_names,
                                    self.signal_dirs, self.var_types)
-            try:
-                code, next_residue = react(residue, ctx)
-            except _NeedDecision as need:
-                pending.append(oracle + ((need.kind, need.key, False),))
-                pending.append(oracle + ((need.kind, need.key, True),))
-                continue
+            code, next_residue = react(residue, ctx)
             valid = all(
                 (name in ctx.emitted) == assumed
                 for name, assumed in ctx.assumptions.items()

@@ -40,7 +40,7 @@ from ..lang import ast
 
 
 @dataclass(frozen=True)
-class KStmt:
+class KStmt(ast.Term):
     """Base class of kernel statements."""
 
     def is_residue(self):
@@ -210,6 +210,9 @@ class ParActive(KStmt):
 
     def is_residue(self):
         return True
+
+
+ast.memoize_hashes(KStmt)
 
 
 # ----------------------------------------------------------------------

@@ -66,99 +66,98 @@ def react(stmt, ctx):
     """Run ``stmt`` for one instant; return ``(code, residue)``.
 
     The residue is only meaningful when ``code == 1``; by convention it is
-    :data:`~repro.esterel.kernel.NOTHING` otherwise.
+    :data:`~repro.esterel.kernel.NOTHING` otherwise.  Dispatch is one
+    lookup of ``type(stmt)`` in :data:`_REACT`.
     """
-    if isinstance(stmt, k.Nothing):
+    handler = _REACT.get(type(stmt))
+    if handler is None:
+        raise TypeError("unknown kernel statement %r" % (stmt,))
+    return handler(stmt, ctx)
+
+
+def _react_nothing(stmt, ctx):
+    return 0, k.NOTHING
+
+
+def _react_pause(stmt, ctx):
+    if stmt.delta:
+        ctx.delta_pause()
+    return 1, k.NOTHING
+
+
+def _react_halt(stmt, ctx):
+    return 1, stmt
+
+
+def _react_emit(stmt, ctx):
+    ctx.emit(stmt.signal, stmt.value)
+    return 0, k.NOTHING
+
+
+def _react_action(stmt, ctx):
+    ctx.action(stmt.stmt)
+    return 0, k.NOTHING
+
+
+def _react_exit(stmt, ctx):
+    return stmt.depth + 2, k.NOTHING
+
+
+def _react_if_data(stmt, ctx):
+    branch = stmt.then if ctx.data_test(stmt.cond) else stmt.otherwise
+    return react(branch, ctx)
+
+
+def _react_present(stmt, ctx):
+    branch = stmt.then if eval_sig_expr(ctx, stmt.cond) else stmt.otherwise
+    return react(branch, ctx)
+
+
+def _react_await(stmt, ctx):
+    # Non-immediate: the first instant always pauses.
+    return 1, k.AwaitActive(stmt.cond)
+
+
+def _react_await_active(stmt, ctx):
+    if eval_sig_expr(ctx, stmt.cond):
         return 0, k.NOTHING
+    return 1, stmt
 
-    if isinstance(stmt, k.Pause):
-        if stmt.delta:
-            ctx.delta_pause()
-        return 1, k.NOTHING
 
-    if isinstance(stmt, k.Halt):
-        return 1, stmt
+def _react_abort(stmt, ctx):
+    # First instant: the body runs unconditionally.
+    return _arm_abort(react(stmt.body, ctx), stmt.cond, stmt.handler,
+                      stmt.weak)
 
-    if isinstance(stmt, k.Emit):
-        ctx.emit(stmt.signal, stmt.value)
-        return 0, k.NOTHING
 
-    if isinstance(stmt, k.Action):
-        ctx.action(stmt.stmt)
-        return 0, k.NOTHING
-
-    if isinstance(stmt, k.Exit):
-        return stmt.depth + 2, k.NOTHING
-
-    if isinstance(stmt, k.IfData):
-        branch = stmt.then if ctx.data_test(stmt.cond) else stmt.otherwise
-        return react(branch, ctx)
-
-    if isinstance(stmt, k.Present):
-        branch = stmt.then if eval_sig_expr(ctx, stmt.cond) else stmt.otherwise
-        return react(branch, ctx)
-
-    if isinstance(stmt, k.Seq):
-        return _react_seq(stmt.stmts, ctx)
-
-    if isinstance(stmt, k.Loop):
-        return _react_loop(stmt, stmt.body, ctx, started=False)
-
-    if isinstance(stmt, k.Await):
-        # Non-immediate: the first instant always pauses.
-        return 1, k.AwaitActive(stmt.cond)
-
-    if isinstance(stmt, k.AwaitActive):
-        if eval_sig_expr(ctx, stmt.cond):
-            return 0, k.NOTHING
-        return 1, stmt
-
-    if isinstance(stmt, k.Par):
-        return _react_par([(b, True) for b in stmt.branches], ctx)
-
-    if isinstance(stmt, k.ParActive):
-        return _react_par(
-            [(b, False) for b in stmt.branches], ctx)
-
-    if isinstance(stmt, k.Trap):
-        return _react_trap(stmt.body, ctx)
-
-    if isinstance(stmt, k.Abort):
-        # First instant: the body runs unconditionally.
-        return _arm_abort(react(stmt.body, ctx), stmt.cond, stmt.handler,
-                          stmt.weak)
-
-    if isinstance(stmt, k.AbortActive):
-        if not stmt.weak and eval_sig_expr(ctx, stmt.cond):
-            # Strong abort: the body does not run this instant; the
-            # handler (if any) runs immediately.
-            handler = stmt.handler if stmt.handler is not None else k.NOTHING
+def _react_abort_active(stmt, ctx):
+    if not stmt.weak and eval_sig_expr(ctx, stmt.cond):
+        # Strong abort: the body does not run this instant; the
+        # handler (if any) runs immediately.
+        handler = stmt.handler if stmt.handler is not None else k.NOTHING
+        return react(handler, ctx)
+    code, residue = react(stmt.body, ctx)
+    if stmt.weak and eval_sig_expr(ctx, stmt.cond):
+        # Weak abort: the body ran for the last time this instant.
+        if code == 1:
+            handler = stmt.handler if stmt.handler is not None \
+                else k.NOTHING
             return react(handler, ctx)
-        code, residue = react(stmt.body, ctx)
-        if stmt.weak and eval_sig_expr(ctx, stmt.cond):
-            # Weak abort: the body ran for the last time this instant.
-            if code == 1:
-                handler = stmt.handler if stmt.handler is not None \
-                    else k.NOTHING
-                return react(handler, ctx)
-            return code, k.NOTHING
-        return _arm_abort((code, residue), stmt.cond, stmt.handler, stmt.weak)
-
-    if isinstance(stmt, k.Suspend):
-        code, residue = react(stmt.body, ctx)
-        if code == 1:
-            return 1, k.SuspendActive(residue, stmt.cond)
         return code, k.NOTHING
+    return _arm_abort((code, residue), stmt.cond, stmt.handler, stmt.weak)
 
-    if isinstance(stmt, k.SuspendActive):
-        if eval_sig_expr(ctx, stmt.cond):
-            return 1, stmt  # frozen this instant
-        code, residue = react(stmt.body, ctx)
-        if code == 1:
-            return 1, k.SuspendActive(residue, stmt.cond)
-        return code, k.NOTHING
 
-    raise TypeError("unknown kernel statement %r" % (stmt,))
+def _react_suspend(stmt, ctx):
+    code, residue = react(stmt.body, ctx)
+    if code == 1:
+        return 1, k.SuspendActive(residue, stmt.cond)
+    return code, k.NOTHING
+
+
+def _react_suspend_active(stmt, ctx):
+    if eval_sig_expr(ctx, stmt.cond):
+        return 1, stmt  # frozen this instant
+    return _react_suspend(stmt, ctx)
 
 
 def _arm_abort(result, cond, handler, weak):
@@ -168,7 +167,8 @@ def _arm_abort(result, cond, handler, weak):
     return code, k.NOTHING
 
 
-def _react_seq(stmts, ctx):
+def _react_seq(seq, ctx):
+    stmts = seq.stmts
     for index, stmt in enumerate(stmts):
         code, residue = react(stmt, ctx)
         if code == 0:
@@ -180,14 +180,13 @@ def _react_seq(stmts, ctx):
     return 0, k.NOTHING
 
 
-def _react_loop(loop, first, ctx, started):
-    """Run a loop: ``first`` is the body residue (on resume) or the body
-    itself (on start).  A body that terminates twice without consuming an
-    instant is an instantaneous loop."""
-    current = first
+def _react_loop(loop, ctx):
+    """Run a loop from its body.  (A resumed loop is ``seq(residue,
+    loop)``.)  A body that terminates twice without consuming an instant
+    is an instantaneous loop."""
     restarted = False
     while True:
-        code, residue = react(current, ctx)
+        code, residue = react(loop.body, ctx)
         if code == 1:
             return 1, k.seq(residue, loop)
         if code != 0:
@@ -198,14 +197,13 @@ def _react_loop(loop, first, ctx, started):
                 "the Esterel compiler rejects such loops (extract the loop "
                 "as a data function or add await())")
         restarted = True
-        current = loop.body
 
 
-def _react_par(branches, ctx):
+def _react_par(par, ctx):
     """Run parallel branches left to right; combine with max-code."""
     codes = []
     residues = []
-    for branch, _fresh in branches:
+    for branch in par.branches:
         if branch is None:  # already terminated in an earlier instant
             codes.append(0)
             residues.append(None)
@@ -220,10 +218,33 @@ def _react_par(branches, ctx):
     return top, k.NOTHING
 
 
-def _react_trap(body, ctx):
-    code, residue = react(body, ctx)
+def _react_trap(trap, ctx):
+    code, residue = react(trap.body, ctx)
     if code == 1:
         return 1, k.Trap(residue)
     if code == 0 or code == 2:
         return 0, k.NOTHING
     return code - 1, k.NOTHING
+
+
+_REACT = {
+    k.Nothing: _react_nothing,
+    k.Pause: _react_pause,
+    k.Halt: _react_halt,
+    k.Emit: _react_emit,
+    k.Action: _react_action,
+    k.Exit: _react_exit,
+    k.IfData: _react_if_data,
+    k.Present: _react_present,
+    k.Seq: _react_seq,
+    k.Loop: _react_loop,
+    k.Await: _react_await,
+    k.AwaitActive: _react_await_active,
+    k.Par: _react_par,
+    k.ParActive: _react_par,
+    k.Trap: _react_trap,
+    k.Abort: _react_abort,
+    k.AbortActive: _react_abort_active,
+    k.Suspend: _react_suspend,
+    k.SuspendActive: _react_suspend_active,
+}

@@ -18,8 +18,46 @@ from typing import Optional, Tuple
 from .source import SYNTHETIC, Span
 
 
+class Term:
+    """Base of frozen syntax terms whose structural hash is memoized.
+
+    Residue trees are hashed over and over (every EFSM state lookup),
+    so :func:`memoize_hashes` makes each term keep its hash in the
+    ``_hash`` slot after the first call.  The slot is not part of the
+    pickled state: string hashes depend on the process's hash seed, so
+    a memo carried into another process would break dict lookups.
+    Being a slot, it also leaves instance ``__dict__`` key sharing alone.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __getstate__(self):
+        return self.__dict__
+
+
+def memoize_hashes(root):
+    """Wrap the generated ``__hash__`` of every dataclass below ``root``
+    so that each instance computes its hash once."""
+    for cls in root.__subclasses__():
+        generated = cls.__dict__.get("__hash__")
+        if generated is not None:
+            cls.__hash__ = _memoized(generated)
+        memoize_hashes(cls)
+
+
+def _memoized(generated):
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+    return __hash__
+
+
 @dataclass(frozen=True)
-class Node:
+class Node(Term):
     """Common base: every AST node has a source span."""
 
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
@@ -392,9 +430,6 @@ class Program(Node):
 # ======================================================================
 # Traversal helpers
 
-_CHILD_FIELDS_CACHE = {}
-
-
 def children(node):
     """Yield the direct AST-node children of ``node`` (exprs and stmts)."""
     if node is None:
@@ -436,3 +471,6 @@ def contains_reactive(node):
 def names_read(expr):
     """All identifier names appearing in an expression subtree."""
     return {n.id for n in walk(expr) if isinstance(n, Name)}
+
+
+memoize_hashes(Node)

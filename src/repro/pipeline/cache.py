@@ -165,6 +165,18 @@ class ArtifactCache:
             self._disk_put(key, artifact)
         return artifact
 
+    def release(self, source):
+        """Drop one translation unit's entries (keys under the
+        ``source`` digest) from the memory layer, which the disk layer
+        serves again on the next lookup.  A memory-only cache keeps
+        them: it bounds itself by ``max_memory_entries``, and a
+        released entry would have to be recomputed."""
+        if self.root is None:
+            return
+        with self._lock:
+            for key in [key for key in self._memory if key.source == source]:
+                del self._memory[key]
+
     def _evict_locked(self):
         """LRU-evict the memory layer down to the bound (lock held)."""
         while len(self._memory) > self.max_memory_entries:

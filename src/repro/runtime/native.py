@@ -39,9 +39,10 @@ per state — and runs that natively:
 The result of lowering is a picklable :class:`NativeCode` bundle, which
 the pipeline content-addresses in its ``ArtifactCache`` (stage
 ``native``) — warm runs skip codegen entirely.  Binding a
-:class:`NativeReactor` to a code bundle is cheap: the compiled code
-object is memoized per source text, so a simulation farm instantiates
-thousands of reactors per worker without re-compiling anything.
+:class:`NativeReactor` to a code bundle is cheap: the bundle keeps its
+compiled code object (:class:`GeneratedCode`), so a simulation farm
+instantiates thousands of reactors per worker without re-compiling
+anything.
 
 Deliberate deviation: the native engine does not report per-operation
 :class:`~repro.cost.model.CycleCounter` classes (that bookkeeping *is*
@@ -54,7 +55,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..efsm.machine import (
     TERMINATED,
@@ -207,8 +208,40 @@ class NativeSignalTable(SignalTable):
 # The compiled-code bundle.
 
 
+class GeneratedCode:
+    """Base of the picklable payloads that carry generated Python
+    source (native reaction code, trace drivers, vector code, monitor
+    bundles).
+
+    :meth:`compiled` compiles a source once per payload object and
+    keeps the code object in the payload, so compiled code lives
+    exactly as long as the artifact that holds it: the artifact
+    cache's memory layer and a worker's resident builds bound both.
+    Pickling drops it (code objects and exec'd functions never cross
+    processes); an unpickled payload compiles again on first use.
+    """
+
+    def compiled(self, source=None):
+        """The code object of ``source`` (default: this payload's own
+        ``source``).  Two threads racing the first call both compile
+        and one result is kept."""
+        if source is None:
+            source = self.source
+        memo = self.__dict__.setdefault("_code", {})
+        code = memo.get(source)
+        if code is None:
+            code = memo[source] = compile(source, "<ecl-generated>", "exec")
+        return code
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_code", None)
+        state.pop("_drive", None)
+        return state
+
+
 @dataclass
-class NativeCode:
+class NativeCode(GeneratedCode):
     """Picklable result of lowering one EFSM (see :func:`compile_native`).
 
     ``source`` defines one function per state plus a ``STATE_FUNCS``
@@ -246,19 +279,6 @@ class NativeCode:
             max(1, total),
             self.fallback_ops,
         )
-
-
-#: source text -> compiled code object: every generated source in the
-#: package (reaction states, trace drivers, vector code, monitors)
-#: compiles once per process no matter how many reactors bind it.
-_CODE_CACHE: Dict[str, object] = {}
-
-
-def _compiled(source):
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = _CODE_CACHE[source] = compile(source, "<ecl-generated>", "exec")
-    return code
 
 
 def _oob(index, length, type_text):
@@ -1181,7 +1201,7 @@ class NativeReactor:
             else:
                 namespace[pyname] = self.signals[name].lvalue.address
         namespace["A"] = [self._bind_fallback(entry) for entry in code.fallbacks]
-        exec(_compiled(code.source), namespace)
+        exec(code.compiled(), namespace)
         self._funcs = namespace["STATE_FUNCS"]
 
         self._input_slots = {s.name: s for s in self.signals.inputs()}
@@ -1395,7 +1415,7 @@ class NativeReactor:
             return TraceLines() if driver.sink == SINK_LINES else []
         import random
 
-        return _driver_func(driver)(random.Random(seed), self)
+        return driver.function()(random.Random(seed), self)
 
     def reset(self):
         self.state = self.code.initial
@@ -1440,7 +1460,7 @@ class TraceLines(list):
 
 
 @dataclass
-class TraceDriverCode:
+class TraceDriverCode(GeneratedCode):
     """Picklable compiled driver for one (module, stimulus-spec) pair."""
 
     module: str
@@ -1457,6 +1477,21 @@ class TraceDriverCode:
     #: (canonical ledger lines in a :class:`TraceLines`).
     sink: str = SINK_DICT
 
+    def function(self):
+        """The exec'd ``_drive`` function, once per payload (kept
+        beside the code object, dropped with it on pickling)."""
+        func = self.__dict__.get("_drive")
+        if func is None:
+            namespace = {
+                "_hex_loader": _hex_loader,
+                "_value_text": _value_text,
+                "_str": _json_str,
+                "TraceLines": TraceLines,
+            }
+            exec(self.compiled(), namespace)
+            func = self._drive = namespace["_drive"]
+        return func
+
     def describe(self):
         return "trace-driver %s: %d drawn + %d padded instants, %d inputs" % (
             self.module,
@@ -1465,9 +1500,6 @@ class TraceDriverCode:
             len(self.alphabet),
         )
 
-
-#: driver source -> bound _drive function (exec'd once per process).
-_DRIVER_FUNCS: Dict[str, object] = {}
 
 #: JSON text of a string, as ``canonical_json`` writes it.
 _json_str = json.encoder.encode_basestring_ascii
@@ -1488,21 +1520,6 @@ def _value_text(signal):
     if signal.type.is_scalar():
         return lambda: "%d" % load()
     return lambda: '"0x' + bytes(load()).hex() + '"'
-
-
-def _driver_func(driver):
-    func = _DRIVER_FUNCS.get(driver.source)
-    if func is None:
-        namespace = {
-            "_hex_loader": _hex_loader,
-            "_value_text": _value_text,
-            "_str": _json_str,
-            "TraceLines": TraceLines,
-        }
-        exec(_compiled(driver.source), namespace)
-        func = namespace["_drive"]
-        _DRIVER_FUNCS[driver.source] = func
-    return func
 
 
 #: The per-reactor prologue of every generated driver: hot references

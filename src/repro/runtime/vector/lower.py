@@ -66,6 +66,7 @@ from ..native import (
     _INT_LITERAL,
     _INTEGERS,
     _PLAIN_BINOPS,
+    GeneratedCode,
     NativeCode,
     Unlowerable,
     _Lowerer,
@@ -80,7 +81,7 @@ class VectorFault(Exception):
 
 
 @dataclass
-class VectorCode:
+class VectorCode(GeneratedCode):
     """Picklable result of :func:`compile_vector` — the vector twin of
     :class:`~repro.runtime.native.NativeCode`.
 

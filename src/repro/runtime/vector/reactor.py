@@ -43,7 +43,7 @@ import numpy as np
 from ...errors import EclError, EvalError
 from ...lang.types import BoolType
 from ..memory import _BASE_ADDRESS, decode_scalar
-from ..native import NativeReactor, _compiled, _driver_alphabet
+from ..native import NativeReactor, _driver_alphabet
 from .lower import VectorFault, compile_vector
 from .vrandom import VecRandom, supports_range
 
@@ -223,7 +223,7 @@ class VectorReactor:
                 namespace[pyname] = self.template.env.lookup(name).lvalue.address
             else:
                 namespace[pyname] = self.template.signals[name].lvalue.address
-        exec(_compiled(vcode.source), namespace)
+        exec(vcode.compiled(), namespace)
         funcs = namespace["VSTATE_FUNCS"]
         # Which state bodies contain fault guards: only those need a
         # rollback snapshot before running on in-place views.

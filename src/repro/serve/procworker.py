@@ -16,7 +16,8 @@ Warmth without shared memory: the state compiles against the
 service's *persistent* artifact cache, so a freshly spawned child
 (first boot or post-crash replacement) loads every repeat design's
 compiled artifacts from disk instead of re-running codegen; only the
-``compile()`` of their generated source runs again, once per child.
+``compile()`` of their generated source runs again, once per loaded
+artifact.
 Trace objects are content-addressed and ledger shards are
 O_APPEND-atomic (the farm's established multi-process discipline), so
 children write them directly; only result rows travel back over the

@@ -17,9 +17,9 @@ a single Python function — the same compile-to-source discipline as
 The result of lowering is a picklable :class:`MonitorProgram`; the
 pipeline content-addresses it per design in the ``ArtifactCache``
 (:meth:`repro.pipeline.pipeline.ModuleHandle.monitor_bundle`), and the
-compiled code object is memoized per source text (by the one memo in
-:mod:`repro.runtime.native`), so farm workers bind thousands of
-monitors without re-compiling anything.
+program keeps its compiled code objects
+(:class:`repro.runtime.native.GeneratedCode`), so farm workers bind
+thousands of monitors without re-compiling anything.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import EclError
-from ..runtime.native import _compiled
+from ..runtime.native import GeneratedCode
 from .props import (
     Always,
     And,
@@ -51,7 +51,7 @@ MAX_PROPERTIES = 64
 
 
 @dataclass
-class MonitorProgram:
+class MonitorProgram(GeneratedCode):
     """Picklable result of lowering one property bundle."""
 
     source: str
@@ -303,7 +303,7 @@ def bind_native(program, reactor):
         header + lowerer.prologue + lowerer.lines + ["    return r", ""]
     )
     namespace = {"P": present, "S": slots}
-    exec(_compiled(source), namespace)
+    exec(program.compiled(source), namespace)
     return namespace["_monitor_step_bound"]
 
 
@@ -370,7 +370,7 @@ class Monitor:
     def __init__(self, program):
         self.program = program
         namespace = {}
-        exec(_compiled(program.source), namespace)
+        exec(program.compiled(), namespace)
         self._step = namespace["_monitor_step"]
         self.slots = list(program.initial)
         self.instant = 0

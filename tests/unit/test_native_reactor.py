@@ -7,6 +7,11 @@ backend registration, code-bundle caching, the standalone emitted
 module, and the reactor conveniences.
 """
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from repro.designs import AUDIO_BUFFER_ECL, DOOR_CTRL_ECL, PROTOCOL_STACK_ECL
@@ -441,24 +446,40 @@ class TestRestore:
 
 
 class TestCodeMemo:
-    """One per-process memo compiles every generated source."""
+    """Each generated-code payload compiles its source once and keeps
+    the code for exactly as long as the payload lives."""
 
     def test_compiling_twice_returns_one_code_object(self, handle):
-        from repro.runtime import native
-
-        source = handle.native_code().source
-        native._CODE_CACHE.pop(source, None)
-        assert native._compiled(source) is native._compiled(source)
+        code = handle.native_code()
+        assert code.compiled() is code.compiled()
+        assert handle.native_code().compiled() is code.compiled()
 
     def test_monitors_compile_through_the_native_memo(self):
-        from repro.runtime import native
+        from repro.runtime.native import GeneratedCode
         from repro.verify import monitor
         from repro.verify.props import never
 
         program = monitor.compile_bundle([never("bad")])
-        native._CODE_CACHE.pop(program.source, None)
-        monitor.Monitor(program)
-        code = native._CODE_CACHE[program.source]
-        monitor.Monitor(program)
-        assert native._CODE_CACHE[program.source] is code
-        assert monitor._compiled is native._compiled
+        assert isinstance(program, GeneratedCode)
+        first = monitor.Monitor(program)
+        second = monitor.Monitor(program)
+        assert first._step.__code__ is second._step.__code__
+
+    def test_memo_never_crosses_a_pickle(self, handle):
+        code = handle.native_code()
+        driver = handle.trace_driver(4, 0.5, (0, 255))
+        code.compiled()
+        driver.function()
+        for payload in (code, driver):
+            clone = pickle.loads(pickle.dumps(payload))
+            assert "_code" not in clone.__dict__
+            assert "_drive" not in clone.__dict__
+            assert clone == payload
+
+    def test_memo_lives_with_its_payload(self, handle):
+        driver = copy.copy(handle.trace_driver(4, 0.5, (0, 255)))
+        function = weakref.ref(driver.function())
+        assert driver.function() is function()
+        del driver
+        gc.collect()
+        assert function() is None

@@ -14,7 +14,7 @@ import pytest
 
 from repro import engines
 from repro.designs import AUDIO_BUFFER_ECL
-from repro.farm import SimJob, StimulusSpec, WorkerState
+from repro.farm import SimJob, StimulusSpec, WorkerState, worker
 from repro.farm.ledger import TraceLedger
 from repro.pipeline import ArtifactCache
 
@@ -219,6 +219,91 @@ class TestResidentAdapters:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in workers)
         assert [got.get(position) for position in range(len(jobs))] == expected
+
+
+def _job(label, module):
+    return SimJob(design=label, module=module, engine="native",
+                  stimulus=StimulusSpec.random(length=8, present_prob=0.7))
+
+
+def _memory_sources(cache):
+    return {key.source for key in cache._memory}
+
+
+class TestRetention:
+    """A long-lived worker keeps its last RESIDENT_BUILDS builds.  With
+    a disk layer a retired build's artifacts leave the memory layer; a
+    memory-only cache keeps them, so no revisit recompiles."""
+
+    DESIGNS = {"a": MIXED, "b": OTHER, "c": AUDIO_BUFFER_ECL}
+
+    def test_least_recently_used_build_is_retired(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(worker, "RESIDENT_BUILDS", 2)
+        state = WorkerState(self.DESIGNS, cache_dir=str(tmp_path))
+        state.run_job(_job("a", "once"))
+        state.run_job(_job("b", "once"))
+        assert list(state._builds) == ["a", "b"]
+        retired = state._builds["b"].build.source_digest
+        state.run_job(_job("a", "once"))
+        state.run_job(_job("c", "sampler"))
+        assert list(state._builds) == ["a", "c"]
+        assert retired not in _memory_sources(state.pipeline.cache)
+        again = state.run_job(_job("b", "once"))
+        expected = fresh_state(self.DESIGNS).run_job(_job("b", "once"))
+        assert stable(again) == stable(expected)
+        assert list(state._builds) == ["c", "b"]
+
+    def test_builds_under_the_bound_stay_resident(self, monkeypatch):
+        monkeypatch.setattr(worker, "RESIDENT_BUILDS", 4)
+        state = WorkerState(self.DESIGNS)
+        for label, module in (("a", "once"), ("b", "once"), ("c", "sampler")):
+            state.run_job(_job(label, module))
+        assert list(state._builds) == ["a", "b", "c"]
+
+    def test_revisits_past_the_bound_never_recompile(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(worker, "RESIDENT_BUILDS", 2)
+        for cache in (ArtifactCache.memory(),
+                      ArtifactCache.persistent(str(tmp_path))):
+            state = WorkerState(self.DESIGNS, cache=cache)
+            jobs = [_job("a", "once"), _job("b", "once"), _job("c", "sampler")]
+            first = [stable(state.run_job(job)) for job in jobs]
+            stores = cache.stats.stores
+            for _ in range(2):
+                assert [stable(state.run_job(job)) for job in jobs] == first
+                assert len(state._builds) == 2
+            assert cache.stats.stores == stores
+
+    def test_running_build_is_never_retired(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(worker, "RESIDENT_BUILDS", 1)
+        state = WorkerState(self.DESIGNS, cache_dir=str(tmp_path))
+        state.run_job(_job("a", "once"))
+        running = state._builds["a"].build.source_digest
+        with state._running_on("a"):
+            state.run_job(_job("b", "once"))
+            assert list(state._builds) == ["a", "b"]
+        assert running in _memory_sources(state.pipeline.cache)
+        state.run_job(_job("c", "sampler"))
+        assert list(state._builds) == ["c"]
+        assert running not in _memory_sources(state.pipeline.cache)
+
+    def test_shared_source_keeps_its_artifacts(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(worker, "RESIDENT_BUILDS", 2)
+        state = WorkerState({"a": MIXED, "twin": MIXED, "b": OTHER},
+                            cache_dir=str(tmp_path))
+        state.run_job(_job("a", "once"))
+        shared = state._builds["a"].build.source_digest
+        state.run_job(_job("twin", "once"))
+        state.run_job(_job("b", "once"))
+        assert list(state._builds) == ["twin", "b"]
+        assert shared in _memory_sources(state.pipeline.cache)
+
+    def test_rebinding_a_label_releases_the_old_source(self, tmp_path):
+        state = WorkerState({"a": MIXED}, cache_dir=str(tmp_path))
+        state.run_job(_job("a", "once"))
+        old = state._builds["a"].build.source_digest
+        state.adopt_designs({"a": OTHER})
+        assert "a" not in state._builds
+        assert old not in _memory_sources(state.pipeline.cache)
 
 
 def test_worker_state_type_hints_resolve():
