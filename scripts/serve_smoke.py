@@ -6,6 +6,14 @@ streams the stable result rows, runs the identical spec through
 byte-identical row for row — the serving layer's core determinism
 contract, exercised exactly the way a user would.
 
+At ``-j 2`` the worker children compile, not the service process, so
+the check that a repeat submission is cache-served reads the tenant's
+persisted artifacts (``<data_root>/artifacts/ns/<tenant>``): a repeat
+must leave every file untouched, and a changed source must add files.
+
+Two revisions of one design label, submitted back to back, must each
+stream the stable rows ``eclc farm run`` gives for its own source.
+
 After the three 8-job batches, ``GET /v1/health`` must report fewer
 dispatches than executed jobs (same-batch jobs share dispatch groups).
 
@@ -68,6 +76,20 @@ SPEC_JOBS = [
      "seed": 7},
 ]
 
+#: Two revisions of the design labelled ``rev``: the first emits ``x``
+#: at every ``tick``, the second never does.
+REVISIONS = (
+    "module beat (input pure tick, output pure x)\n"
+    "{\n    while (1) { await (tick); emit (x); }\n}\n",
+    "module beat (input pure tick, output pure x)\n"
+    "{\n    while (1) { await (tick); }\n}\n",
+)
+
+REV_JOBS = [
+    {"design": "rev", "modules": ["beat"], "engines": ["native"],
+     "traces": 3, "length": 8, "seed": 3},
+]
+
 STABLE_VOLATILE = ("elapsed", "trace_path", "worker_pid")
 
 
@@ -101,6 +123,67 @@ def check_packed_ledger(traces_root, rows, workers):
         rc = eclc(["stats", "--ledger", traces_root, "--tenant", "default"])
     assert rc == 0, "eclc stats --ledger exited %d" % rc
     assert "ledger: %d trace(s)" % rows in out.getvalue(), out.getvalue()
+
+
+def artifact_files(data_root, tenant="default"):
+    """``{path: (inode, mtime)}`` of the tenant's persisted artifacts:
+    a store replaces its file, so a recompile shows up even when it
+    writes the same keys again."""
+    root = os.path.join(data_root, "artifacts", "ns", tenant)
+    files = {}
+    for folder, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            stat = os.stat(path)
+            files[path] = (stat.st_ino, stat.st_mtime_ns)
+    return files
+
+
+def farm_rows(workdir, name, designs, jobs):
+    """The stable rows ``eclc farm run`` gives for one spec (designs:
+    label -> source), sorted by index."""
+    paths = {}
+    for label, text in designs.items():
+        paths[label] = os.path.join(workdir, "%s-%s.ecl" % (name, label))
+        with open(paths[label], "w") as handle:
+            handle.write(text)
+    spec_path = os.path.join(workdir, name + ".json")
+    with open(spec_path, "w") as handle:
+        json.dump({"workers": 1, "ledger": name + "-ledger",
+                   "designs": paths, "jobs": jobs}, handle)
+    report_path = os.path.join(workdir, name + "-report.json")
+    rc = eclc(["farm", "run", "--spec", spec_path,
+               "--report", report_path])
+    assert rc == 0, "eclc farm run exited %d" % rc
+    with open(report_path) as handle:
+        rows = json.load(handle)["results"]
+    return [stable_bytes(row)
+            for row in sorted(rows, key=lambda row: row["index"])]
+
+
+def check_revisions(client, workdir, data_root):
+    """Two revisions under one label, admitted back to back: each
+    batch streams its own source's rows, and the new sources add
+    artifact files."""
+    before = len(artifact_files(data_root))
+    batches = [client.submit({"designs": {"rev": {"text": text}},
+                              "jobs": REV_JOBS})["batch"]
+               for text in REVISIONS]
+    for number, (batch, text) in enumerate(zip(batches, REVISIONS)):
+        streamed = sorted(client.stream_results(batch, stable=True),
+                          key=lambda row: row["index"])
+        served = [json.dumps(row, sort_keys=True, separators=(",", ":"))
+                  for row in streamed]
+        direct = farm_rows(workdir, "rev%d" % number, {"rev": text},
+                           REV_JOBS)
+        assert served == direct, (
+            "revision %d diverged:\n  serve: %s\n  farm:  %s"
+            % (number, served, direct))
+        emitted = sum(json.loads(row)["emitted_events"] for row in direct)
+        assert (emitted > 0) == (number == 0), (number, emitted)
+    after = len(artifact_files(data_root))
+    assert after > before, (
+        "new sources persisted no artifacts: %d -> %d" % (before, after))
 
 
 def start_server(data_root):
@@ -171,18 +254,18 @@ def run():
             streamed = sorted(json.load(handle),
                               key=lambda row: row["index"])
 
-        # second identical submission must be fully cache-served
-        before = client.status()
+        # a second identical submission must be fully cache-served:
+        # no artifact is stored again
+        before = artifact_files(data_root)
+        assert before, "the first submissions persisted no artifacts"
         rc = eclc(["submit", spec_path, "--port", str(port), "--watch"])
         assert rc == 0, "second eclc submit exited %d" % rc
-        after = client.status()
-        misses = [(t["tenant"],
-                   t["cache"]["misses"]) for t in after["tenants"]]
-        misses_before = [(t["tenant"], t["cache"]["misses"])
-                         for t in before["tenants"]]
-        assert misses == misses_before, (
-            "repeat submission compiled: %r -> %r"
-            % (misses_before, misses))
+        after = artifact_files(data_root)
+        assert after == before, (
+            "repeat submission stored artifacts: %d files -> %d, %d "
+            "rewritten" % (len(before), len(after),
+                           sum(after.get(path) != stamp
+                               for path, stamp in before.items())))
 
         # 24 jobs in: same-batch jobs shared dispatches (the counters
         # settle a beat after the last row streams)
@@ -194,6 +277,8 @@ def run():
         assert health["jobs_executed"] >= 24, health
         assert health["dispatches"] < health["jobs_executed"], (
             "no dispatch carried a group: %r" % health)
+
+        check_revisions(client, workdir, data_root)
 
         # final scrape: every series in the contract exists and the
         # whole exposition round-trips through the stdlib parser;
@@ -222,31 +307,26 @@ def run():
     finally:
         if process.poll() is None:
             process.kill()
-    # three 8-job batches went through the default tenant
-    check_packed_ledger(os.path.join(data_root, "traces"), 24, workers=2)
+    # three 8-job batches and two 3-job revisions went through the
+    # default tenant
+    check_packed_ledger(os.path.join(data_root, "traces"), 30, workers=2)
 
     # the same spec, straight through the farm
-    report_path = os.path.join(workdir, "report.json")
-    rc = eclc(["farm", "run", "--spec", spec_path,
-               "--report", report_path])
-    assert rc == 0, "eclc farm run exited %d" % rc
-    with open(report_path) as handle:
-        direct = sorted(json.load(handle)["results"],
-                        key=lambda row: row["index"])
-
+    direct = farm_rows(workdir, "stack",
+                       {"stack": PROTOCOL_STACK_ECL}, SPEC_JOBS)
     assert len(streamed) == len(direct) == 8, (
         "expected 8 rows, got %d streamed / %d direct"
         % (len(streamed), len(direct)))
-    for service_row, farm_row in zip(streamed, direct):
+    for service_row, right in zip(streamed, direct):
         left = json.dumps(service_row, sort_keys=True,
                           separators=(",", ":"))
-        right = stable_bytes(farm_row)
         assert left == right, (
             "row %d diverged:\n  serve: %s\n  farm:  %s"
             % (service_row["index"], left, right))
     print("serve smoke: %d rows byte-identical to eclc farm run, "
-          "zero compile misses on repeat submission, %d metric "
-          "series scraped, packed ledger fetched and summarised"
+          "no artifact stored on repeat submission, two revisions of "
+          "one label each served its own rows, %d metric series "
+          "scraped, packed ledger fetched and summarised"
           % (len(streamed), len(series)))
 
 

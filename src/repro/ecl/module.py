@@ -43,6 +43,18 @@ class KernelModule:
     def output_params(self):
         return [p for p in self.params if p.direction == "output"]
 
+    def drivable_inputs(self):
+        """``(name, is_pure)`` of each input random stimulus drives, in
+        declaration order — the one rule every engine's stimulus draws
+        by, so all of them consume the rng alike.  Pure and
+        scalar-valued inputs are drivable; an aggregate one is not (a
+        random int is no sample of a struct, union or array)."""
+        return [
+            (p.name, isinstance(p.type, PureType))
+            for p in self.input_params
+            if isinstance(p.type, PureType) or p.type.is_scalar()
+        ]
+
     def signal_directions(self):
         """name -> 'input' | 'output' | 'local' for every signal."""
         table = {p.name: p.direction for p in self.params}

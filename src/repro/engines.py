@@ -140,17 +140,10 @@ class ReactorAdapter:
         return True
 
     def input_alphabet(self):
-        """``(name, is_pure)`` pairs for stimulus generation.
-
-        Aggregate-valued inputs (structs, unions, arrays) are excluded:
-        a random int is not a valid sample of those, so the generator
-        only drives pure and scalar-valued signals.
-        """
-        return [
-            (slot.name, slot.is_pure)
-            for slot in self.reactor.signals.inputs()
-            if slot.is_pure or slot.type.is_scalar()
-        ]
+        """``(name, is_pure)`` pairs for stimulus generation: the
+        module's drivable inputs
+        (:meth:`~repro.ecl.module.KernelModule.drivable_inputs`)."""
+        return self.reactor.module.drivable_inputs()
 
     def step(self, instant):
         pure = [name for name, value in instant.items() if value is None]

@@ -1,10 +1,15 @@
 """Worker-side execution: one process, one compiled-module cache.
 
-:class:`WorkerState` is what each farm worker process holds: the batch's
-design sources, a lazily-populated per-design
-:class:`~repro.pipeline.pipeline.DesignBuild` (so each design is
-compiled *once per worker* no matter how many of its jobs land there),
-and the process's handle on the shared :class:`TraceLedger` directory.
+:class:`WorkerState` is what each farm worker process holds: a
+lazily-populated :class:`~repro.pipeline.pipeline.DesignBuild` per
+``(label, source)`` pair (so each design is compiled *once per worker*
+no matter how many of its jobs land there), and the process's handle on
+the shared :class:`TraceLedger` directory.  A job runs against the
+source its dispatch carries (:meth:`WorkerState.stream`'s ``designs``,
+which the service takes from the job's own batch), else against the
+fixed sources the state was constructed with (the farm's and direct
+callers').  No label is ever re-bound: a changed source is a new key,
+and the build of the old one ages out under :data:`RESIDENT_BUILDS`.
 
 The same class runs on both sides of every pool: inline in the
 calling process (the farm's ``workers<=1`` path, the serial baseline
@@ -26,10 +31,11 @@ resident native driver; either path yields the same stable row.
 
 Binding is per worker, not per job: a job of a "resident" engine
 (native, and vector outside a sweep) checks out an idle bound adapter
-for its (design, module, engine), restores it to its just-bound state,
+for its (build, module, engine), restores it to its just-bound state,
 drives it and checks it back in; only a miss binds a new one.  Several
 pool threads may share one state, so a checked-out adapter serves one
-job at a time.
+job at a time.  Each dispatch unit (one job, or one sweep) resolves its
+build once and hands it to every step that needs it.
 """
 
 from __future__ import annotations
@@ -76,12 +82,11 @@ RESIDENT_BUILDS = 16
 
 
 class _Bound:
-    """What one worker keeps bound from one design build: the vector
-    sweep templates (per module) and the idle resident adapters (per
-    (module, engine)).  Re-binding the label to new source drops the
-    whole object, so nothing bound from the old source serves again —
-    an adapter checked out at that moment is checked back in here,
-    where no job reaches it."""
+    """What one worker keeps bound from one ``(label, source)`` build:
+    the vector sweep templates (per module) and the idle resident
+    adapters (per (module, engine)).  Only jobs of that very source
+    check out of it, so nothing bound from one revision serves
+    another."""
 
     __slots__ = ("build", "vectors", "idle")
 
@@ -104,7 +109,8 @@ class WorkerState:
         tenant=None,
         raise_storage_errors=False,
     ):
-        #: design label -> ECL source text
+        #: design label -> ECL source text: the fixed sources of jobs
+        #: whose dispatch carries none.  Never written after this.
         self.designs = dict(designs)
         self.options = options if options is not None else CompileOptions()
         # cache=None: build one from cache_dir (a persistent one holds
@@ -131,13 +137,14 @@ class WorkerState:
             self.ledger = TraceLedger(ledger_root, tenant=tenant)
         else:
             self.ledger = None
-        #: design label -> :class:`_Bound` (its build and what this
-        #: worker bound from it), least recently used first.
-        self._builds: "OrderedDict[str, _Bound]" = OrderedDict()
-        #: design label -> jobs running on its build: a build with
-        #: running jobs is never retired.
-        self._running: Dict[str, int] = {}
-        #: guards ``_builds``, ``_running``, adoption and the idle lists.
+        #: ``(label, source)`` -> :class:`_Bound` (its build and what
+        #: this worker bound from it), least recently used first.  The
+        #: source ``str`` is its own key: its hash is cached.
+        self._builds: "OrderedDict[tuple, _Bound]" = OrderedDict()
+        #: ``(label, source)`` -> dispatch units running on its build:
+        #: a build with running units is never retired.
+        self._running: Dict[tuple, int] = {}
+        #: guards ``_builds``, ``_running`` and the idle lists.
         self._lock = threading.Lock()
 
     # -- serving-layer surface -----------------------------------------
@@ -166,80 +173,63 @@ class WorkerState:
             tenant=tenant, raise_storage_errors=raise_storage_errors,
         )
 
-    def adopt_designs(self, designs):
-        """Merge a new batch's design sources into this (long-lived)
-        worker state.  A label re-bound to *different* source drops the
-        stale cached build; identical source keeps the warm build —
-        what lets the serving pool reuse compiles across requests.
-        Dropping the build drops every reactor bound from it."""
-        with self._lock:
-            for label, source in designs.items():
-                old = self.designs.get(label)
-                self.designs[label] = source
-                if old is not None and old != source and label in self._builds:
-                    self._retire_locked(label)
-
     # -- compiled-design cache -----------------------------------------
 
-    def _bound(self, design_label) -> _Bound:
+    @contextmanager
+    def _checkout(self, design_label, designs=None):
+        """The :class:`_Bound` of ``design_label``'s source — taken from
+        ``designs`` when the dispatch carries them, else from the
+        constructor's — marked running until the block exits, so no
+        eviction retires it under a job."""
+        sources = self.designs if designs is None else designs
+        try:
+            key = (design_label, sources[design_label])
+        except KeyError:
+            raise EclError(
+                "batch has no design labelled %r (designs: %s)"
+                % (design_label, ", ".join(sorted(sources)) or "none")
+            )
         with self._lock:
-            bound = self._builds.get(design_label)
-            if bound is not None:
-                self._builds.move_to_end(design_label)
-                return bound
-            try:
-                source = self.designs[design_label]
-            except KeyError:
-                raise EclError(
-                    "batch has no design labelled %r (designs: %s)"
-                    % (design_label, ", ".join(sorted(self.designs)) or "none")
-                )
-            build = self.pipeline.compile_text(source, filename=design_label)
-            bound = self._builds[design_label] = _Bound(build)
+            bound = self._builds.get(key)
+            if bound is None:
+                build = self.pipeline.compile_text(key[1], filename=design_label)
+                bound = self._builds[key] = _Bound(build)
+            else:
+                self._builds.move_to_end(key)
+            self._running[key] = self._running.get(key, 0) + 1
+            # Past the bound the least recently used idle builds go,
+            # their artifacts too unless a resident build compiles the
+            # same source.
             excess = len(self._builds) - RESIDENT_BUILDS
             if excess > 0:
-                idle = [label for label in self._builds if label not in self._running]
-                for label in idle[:excess]:
-                    self._retire_locked(label)
-            return bound
-
-    def _retire_locked(self, label):
-        """Drop one label's build.  Its artifacts leave the cache's
-        memory layer too, unless a job still runs on it (its stage
-        lookups would only put them back) or a resident build compiles
-        the same source."""
-        digest = self._builds.pop(label).build.source_digest
-        shared = any(b.build.source_digest == digest for b in self._builds.values())
-        if not shared and label not in self._running:
-            self.pipeline.cache.release(digest)
-
-    @contextmanager
-    def _running_on(self, design_label):
-        """Mark one job running on ``design_label``'s build."""
-        with self._lock:
-            self._running[design_label] = self._running.get(design_label, 0) + 1
+                idle = [old for old in self._builds if old not in self._running]
+                for old in idle[:excess]:
+                    digest = self._builds.pop(old).build.source_digest
+                    resident = {b.build.source_digest for b in self._builds.values()}
+                    if digest not in resident:
+                        self.pipeline.cache.release(digest)
         try:
-            yield
+            yield bound
         finally:
             with self._lock:
-                left = self._running.pop(design_label) - 1
+                left = self._running.pop(key) - 1
                 if left:
-                    self._running[design_label] = left
+                    self._running[key] = left
 
     def build(self, design_label):
-        """The (cached) DesignBuild for one batch design."""
-        return self._bound(design_label).build
+        """The (cached) DesignBuild of one design label's source."""
+        with self._checkout(design_label) as bound:
+            return bound.build
 
     def handles(self, design_label):
         """``module_name -> ModuleHandle`` provider for one design."""
         return self.build(design_label).module
 
-    def vector_reactor(self, design_label, module_name):
-        """The (cached) resident sweep template for one (design,
-        module) — raises :class:`~repro.errors.EngineUnavailable`
-        without numpy, which the job driver turns into per-job error
-        results."""
-        bound = self._bound(design_label)
+    def vector_reactor(self, bound, module_name):
+        """The (cached) resident sweep template for one module of a
+        checked-out build — raises
+        :class:`~repro.errors.EngineUnavailable` without numpy, which
+        the job driver turns into per-job error results."""
         reactor = bound.vectors.get(module_name)
         if reactor is None:
             handle = bound.build.module(module_name)
@@ -247,13 +237,12 @@ class WorkerState:
             bound.vectors[module_name] = reactor
         return reactor
 
-    def _drive(self, job, coverage):
+    def _drive(self, job, bound, coverage):
         """Run one scalar job through its engine: on a checked-out
         resident adapter when the engine has one, else binding per
         job.  A job whose records go nowhere but this worker's ledger
         (no properties, no VCD) asks for canonical ledger lines."""
         engine = get_engine(job.engine)
-        bound = self._bound(job.design)
         handles = bound.build.module
         lines = (self.ledger is not None and not job.properties
                  and not job.record_vcd)
@@ -297,13 +286,15 @@ class WorkerState:
         return (job.design, job.module, job.stimulus, job.horizon,
                 job.collect_coverage)
 
-    def stream(self, jobs):
+    def stream(self, jobs, designs=None):
         """Run ``jobs`` lazily, yielding one list of ``(position,
         result)`` pairs per dispatch unit as soon as it exists: at least
         :data:`SWEEP_MIN_LANES` jobs sharing a :meth:`sweep_key` as one
         sweep (at the position of the first), any other job alone.
         Nothing runs until the next unit is asked for, so a consumer
-        can act on job *k*'s row before job *k+1* starts."""
+        can act on job *k*'s row before job *k+1* starts.  ``designs``
+        (label -> source) are the sources these jobs run against;
+        None means the constructor's."""
         jobs = list(jobs)
         groups: Dict[object, List[int]] = {}
         for position, job in enumerate(jobs):
@@ -316,10 +307,10 @@ class WorkerState:
         for position, job in enumerate(jobs):
             positions = sweeps.get(position)
             if positions is not None:
-                results = self.run_sweep([jobs[p] for p in positions])
+                results = self.run_sweep([jobs[p] for p in positions], designs)
                 yield list(zip(positions, results))
             elif position not in swept:
-                yield [(position, self.run_job(job))]
+                yield [(position, self.run_job(job, designs))]
 
     def run_jobs(self, jobs):
         """Execute a list of jobs through :meth:`stream`.  Results come
@@ -346,12 +337,12 @@ class WorkerState:
             engine=result.engine,
         ).observe(result.elapsed or 0.0)
 
-    def run_job(self, job) -> SimResult:
-        """Execute one job to completion; never raises on job failure —
-        errors become ``status="error"`` results."""
-        with self._running_on(job.design):
-            with telemetry.span("farm.job", engine=job.engine):
-                result = self._run_job_scalar(job)
+    def run_job(self, job, designs=None) -> SimResult:
+        """Execute one job to completion against its source in
+        ``designs`` (None: the constructor's); never raises on job
+        failure — errors become ``status="error"`` results."""
+        with telemetry.span("farm.job", engine=job.engine):
+            result = self._run_job_scalar(job, designs)
         self._observe_result(result)
         return result
 
@@ -366,35 +357,39 @@ class WorkerState:
             worker_pid=os.getpid(),
         )
 
-    def _run_job_scalar(self, job) -> SimResult:
+    def _run_job_scalar(self, job, designs) -> SimResult:
         result = self._result(job)
         started = perf_counter()
         try:
-            coverage = self._coverage_for(job) if job.collect_coverage else None
-            run = self._drive(job, coverage)
-            records = run.records
-            result.divergence = run.divergence
-            result.kernel_stats = run.kernel_stats
-            status = STATUS_TERMINATED if run.terminated else STATUS_OK
-            if run.divergence is not None:
-                status = STATUS_DIVERGED
-            if coverage is not None:
-                result.coverage = self._coverage_payload(coverage)
-            if job.properties:
-                violation = self._check_properties(job, records)
-                if violation is not None:
-                    status = STATUS_VIOLATED
-                    result.violation = violation.property_text
-                    result.violation_instant = violation.instant
-            result.status = status
-            result.instants = len(records)
-            result.emitted_events = run.emitted_events
-            if self.ledger is not None:
-                vcd_text = self._render_vcd(job, records)
-                lines = records if run.encoded else encode_records(records)
-                result.trace_digest, result.trace_path = self.ledger.put(
-                    job, lines, vcd_text=vcd_text
+            with self._checkout(job.design, designs) as bound:
+                build = bound.build
+                coverage = (
+                    self._coverage_for(job, build) if job.collect_coverage else None
                 )
+                run = self._drive(job, bound, coverage)
+                records = run.records
+                result.divergence = run.divergence
+                result.kernel_stats = run.kernel_stats
+                status = STATUS_TERMINATED if run.terminated else STATUS_OK
+                if run.divergence is not None:
+                    status = STATUS_DIVERGED
+                if coverage is not None:
+                    result.coverage = self._coverage_payload(coverage)
+                if job.properties:
+                    violation = self._check_properties(job, build, records)
+                    if violation is not None:
+                        status = STATUS_VIOLATED
+                        result.violation = violation.property_text
+                        result.violation_instant = violation.instant
+                result.status = status
+                result.instants = len(records)
+                result.emitted_events = run.emitted_events
+                if self.ledger is not None:
+                    vcd_text = self._render_vcd(job, build, records)
+                    lines = records if run.encoded else encode_records(records)
+                    result.trace_digest, result.trace_path = self.ledger.put(
+                        job, lines, vcd_text=vcd_text
+                    )
         except EclError as error:
             result.status = STATUS_ERROR
             result.error = str(error)
@@ -409,7 +404,7 @@ class WorkerState:
         result.elapsed = perf_counter() - started
         return result
 
-    def run_sweep(self, jobs) -> List[SimResult]:
+    def run_sweep(self, jobs, designs=None) -> List[SimResult]:
         """One vectorized sweep for vector jobs sharing a
         :meth:`sweep_key`; returns one :class:`SimResult` per job, in
         job order, equal to what :meth:`run_job` reports for each.
@@ -420,34 +415,34 @@ class WorkerState:
         only its own row."""
         jobs = list(jobs)
         if self.sweep_key(jobs[0]) is None:
-            return [self.run_job(job) for job in jobs]
+            return [self.run_job(job, designs) for job in jobs]
         telemetry.histogram(
             "ecl_farm_sweep_lanes",
             help="Lanes fused per vectorized sweep.",
             buckets=telemetry.SIZE_BUCKETS,
         ).observe(len(jobs))
-        with self._running_on(jobs[0].design):
-            with telemetry.span("farm.sweep", engine=jobs[0].engine):
-                results = self._run_sweep_fused(jobs)
+        with telemetry.span("farm.sweep", engine=jobs[0].engine):
+            results = self._run_sweep_fused(jobs, designs)
         for result in results:
             self._observe_result(result)
         return results
 
-    def _run_sweep_fused(self, jobs) -> List[SimResult]:
+    def _run_sweep_fused(self, jobs, designs) -> List[SimResult]:
         """The record-free sweep: each lane's row is its counts and,
         when asked for, its coverage."""
         results = [self._result(job) for job in jobs]
         lead = jobs[0]
         started = perf_counter()
         try:
-            reactor = self.vector_reactor(lead.design, lead.module)
-            outcome = reactor.run_specs(
-                lead.stimulus,
-                seeds=[job.seed for job in jobs],
-                budget=lead.instant_budget,
-                coverage="raw" if lead.collect_coverage else False,
-                records=False,
-            )
+            with self._checkout(lead.design, designs) as bound:
+                reactor = self.vector_reactor(bound, lead.module)
+                outcome = reactor.run_specs(
+                    lead.stimulus,
+                    seeds=[job.seed for job in jobs],
+                    budget=lead.instant_budget,
+                    coverage="raw" if lead.collect_coverage else False,
+                    records=False,
+                )
             errors = outcome.errors
         except EclError as error:
             errors = [str(error)] * len(jobs)
@@ -487,7 +482,7 @@ class WorkerState:
             "covered_emits": int(e.sum()),
         }
 
-    def _coverage_for(self, job):
+    def _coverage_for(self, job, build):
         """Fresh coverage map(s) sized by the job's EFSM tables.
 
         Plain jobs get one map sized by ``job.module``.  A partitioned
@@ -499,7 +494,6 @@ class WorkerState:
         """
         from ..verify.coverage import CoverageMap
 
-        build = self.build(job.design)
         if job.tasks and "tasks" in get_engine(job.engine).capabilities():
             modules = sorted({spec[1] for spec in job.tasks})
             if modules != [job.module]:
@@ -523,14 +517,14 @@ class WorkerState:
             }
         return coverage.as_payload()
 
-    def _check_properties(self, job, records):
+    def _check_properties(self, job, build, records):
         """Step a compiled monitor bundle over the job's records;
         returns the first :class:`~repro.verify.monitor.Violation` (or
         None).  The bundle is content-addressed in the pipeline cache,
         so each worker compiles it at most once per design."""
         from ..verify.monitor import Monitor
 
-        handle = self.build(job.design).module(job.module)
+        handle = build.module(job.module)
         started = perf_counter()
         monitor = Monitor(handle.monitor_bundle(job.properties))
         for record in records:
@@ -541,14 +535,13 @@ class WorkerState:
         ).observe(perf_counter() - started)
         return monitor.first_violation
 
-    def _render_vcd(self, job, records) -> Optional[str]:
+    def _render_vcd(self, job, build, records) -> Optional[str]:
         """Replay the records through a VcdRecorder when asked to (a
         task network's records span several modules: no waveform)."""
         if not job.record_vcd or "tasks" in get_engine(job.engine).capabilities():
             return None
         from ..runtime.vcd import VcdRecorder
 
-        build = self.build(job.design)
         kernel = build.module(job.module).kernel()
         recorder = VcdRecorder(kernel.name)
         for param in kernel.params:

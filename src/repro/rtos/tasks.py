@@ -162,19 +162,16 @@ class RtosTask:
         return list(self._output_names.values())
 
     def input_alphabet(self):
-        """``(network_name, is_pure)`` per input carrier (sorted) —
-        what a stimulus generator may post at this task.  Inputs whose
-        value type is an aggregate are omitted (no scalar stimulus
-        can be synthesized for them)."""
-        alphabet = []
-        for network, index in sorted(self._by_network.items()):
-            pure = self._pure[index]
-            if not pure:
-                slot = self.reactor.signals.get(self._formals[index])
-                if slot is not None and not slot.type.is_scalar():
-                    continue
-            alphabet.append((network, pure))
-        return alphabet
+        """``(network_name, is_pure)`` per drivable input carrier
+        (sorted) — what a stimulus generator may post at this task:
+        the carriers of the module's
+        :meth:`~repro.ecl.module.KernelModule.drivable_inputs`."""
+        drivable = dict(self.reactor.module.drivable_inputs())
+        return [
+            (network, drivable[self._formals[index]])
+            for network, index in sorted(self._by_network.items())
+            if self._formals[index] in drivable
+        ]
 
     def deliver(self, network_signal, value=None):
         """Post an event/value into this task's input carrier.

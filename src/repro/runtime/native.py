@@ -1667,23 +1667,14 @@ def _driver_alphabet(module, code):
     for i, (name, kind, _ctype) in enumerate(code.value_slots):
         if kind == "signal":
             slot_index[name] = i
+    types = {param.name: param.type for param in module.params}
     entries = []
-    for param in module.params:
-        if param.direction != "input":
-            continue
-        if isinstance(param.type, PureType):
-            entries.append((param.name, True, pindex[param.name], -1, None))
-        elif param.type.is_scalar():
-            entries.append(
-                (
-                    param.name,
-                    False,
-                    pindex[param.name],
-                    slot_index.get(param.name, -1),
-                    param.type,
-                )
-            )
-        # aggregate-valued inputs are not drivable by random stimulus
+    for name, pure in module.drivable_inputs():
+        if pure:
+            entries.append((name, True, pindex[name], -1, None))
+        else:
+            sidx = slot_index.get(name, -1)
+            entries.append((name, False, pindex[name], sidx, types[name]))
     return entries
 
 

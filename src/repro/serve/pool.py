@@ -207,8 +207,6 @@ class WorkerPool:
 
     def __init__(self, queue, execute_group, on_dead_job=None,
                  workers=2, max_attempts=DEFAULT_MAX_ATTEMPTS,
-                 backoff_base=DEFAULT_BACKOFF_BASE,
-                 backoff_cap=DEFAULT_BACKOFF_CAP,
                  mode="thread", take_group=None, process_config=None):
         """``execute_group(group, worker, visit, settled)`` runs one
         dispatch group — an entry plus the companions
@@ -233,8 +231,6 @@ class WorkerPool:
         # them (the deterministic mode the backpressure tests use).
         self.workers = max(0, workers)
         self.max_attempts = max(1, max_attempts)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         # The fault seams visit every group member once per attempt,
         # so per-job fault schedules do not depend on the grouping.
         #: test seam: ``fault_hook(entry)`` runs before the entry's
@@ -468,9 +464,7 @@ class WorkerPool:
                 job_key = (getattr(entry.job, "job_id", None)
                            or repr(entry.job))
                 entry.not_before = monotonic() + backoff_delay(
-                    job_key, entry.attempts,
-                    base=self.backoff_base, cap=self.backoff_cap,
-                )
+                    job_key, entry.attempts)
             requeued = self.queue.requeue(entry)
         if not requeued and self.on_dead_job is not None:
             self.on_dead_job(

@@ -48,8 +48,11 @@ def child_main(conn, config):
     ``TraceLedger.fault_hook`` for this child's ledgers).
 
     A ``(tenant, designs, jobs)`` request runs through one
-    :meth:`~repro.farm.worker.WorkerState.stream`; each unit it yields
-    goes back at once as ``("ok", [(position, row), ...])``.
+    :meth:`~repro.farm.worker.WorkerState.stream` against the sources
+    in ``designs`` (the dispatching batch's); each unit it yields goes
+    back at once as ``("ok", [(position, row), ...])``.  A tenant's
+    state keeps no label map: a build is found by ``(label, source)``,
+    so a request never changes what another batch's jobs run.
     """
     if hasattr(os, "nice"):
         # The parent coordinates every child and serves the HTTP
@@ -74,8 +77,7 @@ def child_main(conn, config):
                         state.ledger.fault_hook = config.get(
                             "ledger_fault_hook")
                     states[tenant] = state
-                state.adopt_designs(designs)
-                for pairs in state.stream(jobs):
+                for pairs in state.stream(jobs, designs):
                     reply = ("ok", [(position, result.to_dict())
                                     for position, result in pairs])
                     try:

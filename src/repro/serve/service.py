@@ -16,8 +16,14 @@ they complete.  The pieces:
   :class:`~repro.farm.worker.WorkerState` over a namespaced
   :class:`~repro.pipeline.cache.ArtifactCache`: the first batch
   compiles, every identical later batch is served entirely from cache
-  (zero compile-stage misses — the acceptance bar), because designs
-  are adopted by source equality, not replaced per request;
+  (zero compile-stage misses — the acceptance bar), because a worker
+  keys its builds by ``(label, source)``;
+* **sources** — a batch owns the design sources it was admitted (or
+  recovered) with, and every dispatch ships its jobs' one source from
+  the batch, so two batches binding one label to different sources
+  never see each other's.  A job id does not cover the source text:
+  two revisions under one label share job ids, and the tenant's
+  ledger index keeps an entry for each;
 * **tenancy** — artifact namespaces (``<data>/artifacts/ns/<tenant>``)
   and trace-ledger index shards (``<data>/traces/index/<tenant>.jsonl``)
   isolate tenants; trace storage (pack segments) is shared, but a
@@ -136,10 +142,13 @@ class Batch:
     """One admitted submission: its jobs, and results as they land."""
 
     def __init__(self, batch_id, tenant, jobs, priority=0, ttl_s=None,
-                 recovered=False):
+                 recovered=False, designs=None):
         self.id = batch_id
         self.tenant = tenant
         self.jobs = list(jobs)
+        #: design label -> source text: what this batch's jobs run
+        #: against, whoever else binds the same labels.
+        self.designs = dict(designs or {})
         self.priority = priority
         self.created = monotonic()
         self.ttl_s = ttl_s
@@ -257,7 +266,7 @@ class TenantSpace:
 
     def __init__(self, name, data_root, options=None):
         self.name = check_tenant(name)
-        #: the warm core: designs/builds stay resident across batches.
+        #: the warm core: builds stay resident across batches.
         #: Storage faults (ledger OSErrors) escalate to worker deaths
         #: here instead of becoming error rows, so the pool's bounded
         #: backoff retries them — a transient disk hiccup must not
@@ -278,7 +287,6 @@ class TenantSpace:
         return {
             "tenant": self.name,
             "jobs_run": self.jobs_run,
-            "designs": sorted(self.state.designs),
             "cache": self.cache.stats.as_dict(),
         }
 
@@ -403,12 +411,9 @@ class SimulationService:
         except QueueFullError as error:
             self.queue.refuse(error.jobs)
             raise
-        space = self._space(tenant)
-        # Adopt by source equality: an identical design keeps its warm
-        # build, a changed one drops only its own stale entry.
-        space.state.adopt_designs(designs)
+        self._space(tenant)  # a tenant is listed from its first batch
         batch = Batch(batch_id, tenant, jobs, priority=priority,
-                      ttl_s=ttl_s)
+                      ttl_s=ttl_s, designs=designs)
         # WAL discipline: the admit record lands *before* the jobs can
         # run (a result row must never reference an unjournaled
         # batch); a failed enqueue closes the batch right back out.
@@ -504,7 +509,7 @@ class SimulationService:
                     buckets=telemetry.SIZE_BUCKETS,
                 ).observe(len(jobs))
             visit(lead)
-            self._dispatch_job(space, jobs, worker, on_rows)
+            self._dispatch_job(space, lead.batch, jobs, worker, on_rows)
         telemetry.histogram(
             "ecl_serve_execute_seconds",
             help="Job execution time on the warm pool, by tenant.",
@@ -518,21 +523,22 @@ class SimulationService:
 
         self._execute_entry([entry], None, no_seam, no_seam)
 
-    def _dispatch_job(self, space, jobs, worker, on_rows):
-        """Run one dispatch group, handing each finished unit of
-        ``(position, result)`` pairs to ``on_rows``: in-process through
-        the tenant's warm state, or over one streamed round trip to
-        ``worker``.  The group's one design ships with every dispatch:
-        adoption is by source equality, so a warm child ignores
-        repeats and a *replacement* child learns the design without
-        any replay protocol."""
+    def _dispatch_job(self, space, batch, jobs, worker, on_rows):
+        """Run one dispatch group of ``batch``, handing each finished
+        unit of ``(position, result)`` pairs to ``on_rows``: in-process
+        through the tenant's warm state, or over one streamed round
+        trip to ``worker``.  The group's one design source ships from
+        the batch with every dispatch: a warm worker finds its build
+        by ``(label, source)``, and a *replacement* child learns the
+        source without any replay protocol."""
+        design = jobs[0].design
+        designs = {design: batch.designs[design]}
         if worker is None:
-            for pairs in space.state.stream(jobs):
+            for pairs in space.state.stream(jobs, designs):
                 on_rows(pairs)
             return
-        design = jobs[0].design
         worker.run(
-            space.name, {design: space.state.designs[design]}, jobs,
+            space.name, designs, jobs,
             lambda pairs: on_rows([(position, SimResult.from_dict(row))
                                    for position, row in pairs]),
         )
@@ -617,7 +623,9 @@ class SimulationService:
     def _retire(self, batch):
         """Keep a finished batch for polling and streaming, forgetting
         the oldest finished ones once their rows pass RETAINED_ROWS
-        (the newest always stays, however large)."""
+        (the newest always stays, however large).  Every job has its
+        row, so nothing dispatches it again: its sources go."""
+        batch.designs = {}
         with self._lock:
             self._finished.append(batch)
             self._finished_rows += batch.total
@@ -693,11 +701,11 @@ class SimulationService:
             allow_paths=False,
         )
         jobs = expand_document(record.spec, designs, origin)
-        space = self._space(tenant)
-        space.state.adopt_designs(designs)
+        self._space(tenant)
         batch = Batch(record.batch_id, tenant, jobs,
                       priority=envelope["priority"],
-                      ttl_s=envelope["ttl_s"], recovered=True)
+                      ttl_s=envelope["ttl_s"], recovered=True,
+                      designs=designs)
         pending = []
         for job in jobs:
             row = record.rows.get(job.job_id)

@@ -314,9 +314,9 @@ def run_group_fault(root, pool_mode, fault):
         if entry.job.index == STRUCK and entry.attempts == 0:
             worker.kill()
 
-    def logged(space, jobs, worker, on_rows):
+    def logged(space, batch, jobs, worker, on_rows):
         sizes.append(len(jobs))
-        return dispatch(space, jobs, worker, on_rows)
+        return dispatch(space, batch, jobs, worker, on_rows)
 
     dispatch = service._dispatch_job
     service._dispatch_job = logged

@@ -143,6 +143,28 @@ def test_build_refuses_an_engine_that_cannot_run_here(monkeypatch,
         get_engine("vector").build(echo_handle.design.module, job)
 
 
+@pytest.mark.parametrize("design", ["PROTOCOL_STACK_ECL",
+                                    "AUDIO_BUFFER_ECL", "DOOR_CTRL_ECL"])
+def test_adapter_alphabet_is_the_driver_alphabet(design):
+    """One drivable-input rule: for every module of the three paper
+    designs, each engine adapter's stimulus alphabet is the one the
+    native and vector drivers draw, in order."""
+    from repro import designs
+    from repro.runtime.native import _driver_alphabet
+
+    build = Pipeline().compile_text(getattr(designs, design))
+    for name in build.module_names:
+        handle = build.module(name)
+        handle.check()
+        driver = [(entry[0], entry[1]) for entry in _driver_alphabet(
+            handle.efsm().module, handle.native_code())]
+        for engine in ("interp", "efsm", "native"):
+            job = SimJob(design="d", module=name, engine=engine,
+                         stimulus=StimulusSpec.random(length=1))
+            adapter = get_engine(engine).build(build.module, job)
+            assert adapter.input_alphabet() == driver, (name, engine)
+
+
 def test_run_spec_derived_seeds_are_canonical():
     spec = StimulusSpec.random(length=5, salt=3)
     assert derive_spec_seed(spec, 0) != derive_spec_seed(spec, 1)

@@ -448,7 +448,7 @@ class TestPartitionedRtosCoverage:
                    stimulus=StimulusSpec.random(length=8),
                    tasks=(("e", "echo", 2), ("o", "once", 1)),
                    collect_coverage=True)
-        coverage = state._coverage_for(j)
+        coverage = state._coverage_for(j, state.build(j.design))
         assert set(coverage) == {"echo", "once"}
         # each map is sized by its own module's EFSM, not job.module's
         for name, cov in coverage.items():
@@ -472,7 +472,7 @@ class TestPartitionedRtosCoverage:
                    stimulus=StimulusSpec.random(length=8),
                    tasks=(("a", "echo", 2), ("b", "echo", 1)),
                    collect_coverage=True)
-        coverage = state._coverage_for(j)
+        coverage = state._coverage_for(j, state.build(j.design))
         # member modules == [job.module]: the classic single map
         assert not isinstance(coverage, dict)
         result = state.run_job(j)

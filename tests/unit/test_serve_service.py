@@ -26,6 +26,14 @@ module once (input pure go, output pure done)
 }
 """
 
+#: ``echo``'s interface under other source: it never answers.
+MUTE = """
+module echo (input pure ping, output pure pong)
+{
+    while (1) { await (ping); }
+}
+"""
+
 
 def document(source=ECHO, module="echo", engines=("efsm",), traces=2,
              length=8, label="d"):
@@ -40,6 +48,17 @@ def document(source=ECHO, module="echo", engines=("efsm",), traces=2,
 def make_service(**kwargs):
     kwargs.setdefault("workers", 2)
     return SimulationService(**kwargs)
+
+
+def direct_rows(doc, ledger_root=None):
+    """The stable rows of ``doc``'s jobs run by a fresh WorkerState."""
+    from repro.farm import WorkerState
+    from repro.farm.spec import expand_document, load_designs
+
+    designs = load_designs(doc["designs"], None, "<test>")
+    state = WorkerState(designs, ledger_root=ledger_root)
+    return [state.run_job(job).to_dict(volatile=False)
+            for job in expand_document(doc, designs)]
 
 
 class TestSubmission:
@@ -136,45 +155,93 @@ class TestWarmPool:
         finally:
             service.shutdown()
 
-    def test_changed_design_drops_only_its_stale_build(self):
+    def test_changed_design_builds_beside_the_warm_one(self):
         service = make_service()
         try:
             batch = service.submit(document())
             assert batch.wait(timeout=30)
             state = service._space("default").state
-            assert "d" in state._builds
-            warm = state._builds["d"]
-            # same source: the warm build survives adoption
+            warm = state._builds[("d", ECHO)]
+            # same source: the warm build serves again
             service.submit(document()).wait(timeout=30)
-            assert state._builds["d"] is warm
-            # different source under the same label: build dropped
+            assert state._builds[("d", ECHO)] is warm
+            # different source under the same label: its own build
             changed = service.submit(
                 document(source=ONCE, module="once"))
             assert changed.wait(timeout=30)
-            assert state._builds["d"] is not warm
-            # the rebuilt design really is `once` now (terminates on
-            # go; "ok" when the random trace never presents go)
+            assert state._builds[("d", ONCE)] is not warm
+            # the design really is `once` (terminates on go; "ok" when
+            # the random trace never presents go)
             assert all(r.status in ("ok", "terminated")
                        for r in changed.results)
             assert all(r.module == "once" for r in changed.results)
+            assert state.designs == {}
         finally:
             service.shutdown()
+
+    def test_revisions_are_bounded_by_resident_builds(self):
+        """A tenant served 30 distinct revisions keeps no label map and
+        at most RESIDENT_BUILDS builds."""
+        from repro.farm.worker import RESIDENT_BUILDS
+
+        service = make_service(workers=1)
+        try:
+            for number in range(30):
+                source = ECHO.replace("echo", "echo_r%d" % number)
+                batch = service.submit(document(
+                    source=source, module="echo_r%d" % number, traces=1,
+                    label="d%d" % number))
+                assert batch.wait(timeout=30)
+                assert batch.results[0].status == "ok"
+            state = service._space("default").state
+            assert state.designs == {}
+            assert len(state._builds) <= RESIDENT_BUILDS
+        finally:
+            service.shutdown()
+
+
+class TestBatchSources:
+    """A batch runs against the sources it was admitted with, whatever
+    another batch binds the same label to."""
+
+    def _rows(self, batch):
+        return [r.to_dict(volatile=False)
+                for r in sorted(batch.results, key=lambda r: r.index)]
+
+    @pytest.mark.parametrize("pool_mode", ["thread", "process"])
+    def test_same_label_two_sources_admitted_before_either_runs(
+            self, pool_mode, tmp_path):
+        docs = [document(source=ECHO, engines=("native",), traces=3),
+                document(source=MUTE, engines=("native",), traces=3)]
+        truths = [direct_rows(doc, str(tmp_path / "direct"))
+                  for doc in docs]
+        emitted = [sum(row["emitted_events"] for row in truth)
+                   for truth in truths]
+        assert emitted[0] > 0 and emitted[1] == 0
+        service = make_service(workers=1, start=False, pool_mode=pool_mode,
+                               data_root=str(tmp_path / "serve"))
+        try:
+            batches = [service.submit(doc) for doc in docs]
+            service.pool.start()
+            for batch in batches:
+                assert batch.wait(timeout=60)
+        finally:
+            service.shutdown()
+        assert [self._rows(batch) for batch in batches] == truths
+        # one label, one job id per index: the ledger index keeps an
+        # entry for each revision's trace
+        ids = [[row["job_id"] for row in truth] for truth in truths]
+        assert ids[0] == ids[1]
+        entries = service.ledger_entries("default")
+        assert len(entries) == 6
+        assert sorted(entry["job_id"] for entry in entries) == \
+            sorted(ids[0] * 2)
 
 
 class TestVectorDispatch:
     """Vector jobs group by the one per-batch rule and run per job on
     the resident native driver: the service never builds a sweep.
     Without numpy every vector row is the same error row either way."""
-
-    def _direct_rows(self, doc):
-        from repro.farm import WorkerState
-        from repro.farm.spec import expand_document, load_designs
-
-        designs = load_designs(doc["designs"], None, "<test>")
-        jobs = expand_document(doc, designs)
-        state = WorkerState(designs)
-        return [r.to_dict(volatile=False)
-                for r in (state.run_job(j) for j in jobs)]
 
     def test_vector_jobs_group_within_their_batch(self):
         doc = document(engines=("vector",), traces=4)
@@ -194,7 +261,7 @@ class TestVectorDispatch:
             owners = {batch.id for batch in batches
                       for job in jobs if job in batch}
             assert len(owners) == 1
-        truth = self._direct_rows(doc)
+        truth = direct_rows(doc)
         for batch in batches:
             rows = sorted(batch.results, key=lambda r: r.index)
             assert all(r.engine == "vector" for r in rows)
@@ -239,7 +306,7 @@ class TestVectorDispatch:
         assert sum(sizes) == 4 * GROUP_LIMIT
         rows = sorted(batch.results, key=lambda r: r.index)
         assert [r.to_dict(volatile=False) for r in rows] \
-            == self._direct_rows(doc)
+            == direct_rows(doc)
 
 
 def log_dispatches(service, gate=None):
@@ -250,11 +317,11 @@ def log_dispatches(service, gate=None):
     log = []
     dispatch = service._dispatch_job
 
-    def logged(space, jobs, worker, on_rows):
+    def logged(space, batch, jobs, worker, on_rows):
         log.append((space.name, list(jobs)))
         if gate is not None:
             gate(space.name)
-        return dispatch(space, jobs, worker, on_rows)
+        return dispatch(space, batch, jobs, worker, on_rows)
 
     service._dispatch_job = logged
     return log
@@ -574,6 +641,46 @@ class TestJournalRecovery:
         assert record.ended
         assert sorted(json.dumps(row, sort_keys=True, separators=(",", ":"))
                       .encode() for row in record.rows.values()) == stable
+
+    def test_compacting_restart_drops_closed_and_resumes_open(self,
+                                                              tmp_path):
+        service = make_service(data_root=str(tmp_path))
+        try:
+            closed = service.submit(document(traces=2))
+            assert closed.wait(timeout=30)
+            cut = service.submit(document(source=ONCE, module="once",
+                                          traces=4))
+            assert cut.wait(timeout=30)
+            stable = sorted(r.stable_json() for r in cut.results)
+        finally:
+            service.shutdown()
+        # a kill -9 after the second batch journaled two of its rows
+        shard = tmp_path / "journal" / "default.jsonl"
+        lines = shard.read_text().splitlines()
+        batch_of = [json.loads(line)["batch"] for line in lines]
+        first = batch_of.index(cut.id)
+        shard.write_text("\n".join(lines[:first + 3]) + "\n")
+        revived = make_service(data_root=str(tmp_path), start=False,
+                               journal_compact=True)
+        try:
+            assert revived.recovery["resumed_jobs"] == 2
+            assert revived.compactions["dropped_batches"] == 1
+            assert revived.compactions["kept_batches"] == 1
+            kept = [json.loads(line) for line in
+                    shard.read_text().splitlines()]
+            assert [line["batch"] for line in kept] == [cut.id] * 3
+            assert [line["kind"] for line in kept] == ["admit", "row", "row"]
+            revived.pool.start()
+            recovered = revived.batch(cut.id)
+            assert recovered.wait(timeout=30)
+            assert sorted(r.stable_json() for r in recovered.results) \
+                == stable
+        finally:
+            drained = revived.shutdown()
+        # the drained shutdown compacted the now-closed batch away too
+        assert drained
+        assert revived.compactions["removed_shards"] == 1
+        assert not shard.exists()
 
     def test_recovered_complete_batch_is_closed_not_rerun(self, tmp_path):
         service = make_service(data_root=str(tmp_path))

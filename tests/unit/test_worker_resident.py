@@ -119,7 +119,7 @@ class TestResidentAdapters:
             assert stable(left) == stable(right)
             assert records_of(shared_root, left) == records_of(fresh_root, right)
         # one adapter per (module, engine) served the whole sequence
-        for label, bound in shared._builds.items():
+        for (label, _source), bound in shared._builds.items():
             assert all(len(idle) == 1 for idle in bound.idle.values()), label
 
     def test_scalar_jobs_bind_once_per_module(self, monkeypatch):
@@ -141,43 +141,61 @@ class TestResidentAdapters:
             ("once", "native"),
         ]
 
-    def test_rebound_label_never_serves_the_old_adapter(self):
+    def test_new_source_under_a_label_never_serves_the_old_adapter(self):
         stimulus = StimulusSpec.random(length=16, present_prob=0.9)
         job = SimJob(design="mixed", module="once", engine="native",
                      stimulus=stimulus)
         state = WorkerState(DESIGNS)
         before = state.run_job(job)
-        old = state._builds["mixed"]
-        (stale,) = old.idle[("once", "native")]
-        state.adopt_designs({"mixed": OTHER})
-        after = state.run_job(job)
+        (stale,) = state._builds[("mixed", MIXED)].idle[("once", "native")]
+        after = state.run_job(job, {"mixed": OTHER})
         expected = fresh_state({"mixed": OTHER}).run_job(job)
         assert stable(after) == stable(expected)
         assert stable(after) != stable(before)
-        (current,) = state._builds["mixed"].idle[("once", "native")]
+        (current,) = state._builds[("mixed", OTHER)].idle[("once", "native")]
         assert current is not stale
+        # the constructor's source still serves its own jobs, warm
+        assert stable(state.run_job(job)) == stable(before)
+        assert state._builds[("mixed", MIXED)].idle[("once", "native")] \
+            == [stale]
 
-    def test_adapter_checked_out_across_a_rebind_is_dropped(self, monkeypatch):
+    def test_two_sources_under_one_label_interleave(self):
+        """Threads (more than cores) stream dispatches that bind one
+        label to two sources, alternately: every row is its own
+        source's."""
         stimulus = StimulusSpec.random(length=16, present_prob=0.9)
-        job = SimJob(design="mixed", module="once", engine="native",
-                     stimulus=stimulus)
-        state = WorkerState(DESIGNS)
-        state.run_job(job)
-        (stale,) = state._builds["mixed"].idle[("once", "native")]
-        run_spec = engines.NativeAdapter.run_spec
+        jobs = [SimJob(design="mixed", module="once", engine="native",
+                       stimulus=stimulus, index=index)
+                for index in range(6)]
+        sources = [{"mixed": MIXED}, {"mixed": OTHER}]
+        expected = [[stable(fresh_state(designs).run_job(job))
+                     for job in jobs] for designs in sources]
+        assert expected[0] != expected[1]
+        state = WorkerState({})
+        threads = 4
+        got = [[None] * len(jobs) for _ in range(threads)]
 
-        def rebinding(adapter, job, *args):
-            # the label is re-bound while this adapter is checked out
-            state.adopt_designs({"mixed": OTHER})
-            return run_spec(adapter, job, *args)
+        def run(n):
+            for pairs in state.stream(jobs, sources[n % 2]):
+                for position, result in pairs:
+                    got[n][position] = stable(result)
 
-        monkeypatch.setattr(engines.NativeAdapter, "run_spec", rebinding)
-        state.run_job(job)
-        monkeypatch.setattr(engines.NativeAdapter, "run_spec", run_spec)
-        after = state.run_job(job)
-        assert stable(after) == stable(fresh_state({"mixed": OTHER}).run_job(job))
-        (current,) = state._builds["mixed"].idle[("once", "native")]
-        assert current is not stale
+        workers = [threading.Thread(target=run, args=(n,))
+                   for n in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert got == [expected[n % 2] for n in range(threads)]
+        assert state.designs == {}
+        assert sorted(state._builds) == sorted(
+            ("mixed", source) for source in (MIXED, OTHER))
 
     def test_threads_sharing_a_state_never_share_an_adapter(self, tmp_path):
         # more threads than cores, each job once per thread in a row:
@@ -230,6 +248,11 @@ def _memory_sources(cache):
     return {key.source for key in cache._memory}
 
 
+def _labels(state):
+    """The labels of a state's resident builds, least recent first."""
+    return [label for label, _source in state._builds]
+
+
 class TestRetention:
     """A long-lived worker keeps its last RESIDENT_BUILDS builds.  With
     a disk layer a retired build's artifacts leave the memory layer; a
@@ -242,23 +265,23 @@ class TestRetention:
         state = WorkerState(self.DESIGNS, cache_dir=str(tmp_path))
         state.run_job(_job("a", "once"))
         state.run_job(_job("b", "once"))
-        assert list(state._builds) == ["a", "b"]
-        retired = state._builds["b"].build.source_digest
+        assert _labels(state) == ["a", "b"]
+        retired = state.build("b").source_digest
         state.run_job(_job("a", "once"))
         state.run_job(_job("c", "sampler"))
-        assert list(state._builds) == ["a", "c"]
+        assert _labels(state) == ["a", "c"]
         assert retired not in _memory_sources(state.pipeline.cache)
         again = state.run_job(_job("b", "once"))
         expected = fresh_state(self.DESIGNS).run_job(_job("b", "once"))
         assert stable(again) == stable(expected)
-        assert list(state._builds) == ["c", "b"]
+        assert _labels(state) == ["c", "b"]
 
     def test_builds_under_the_bound_stay_resident(self, monkeypatch):
         monkeypatch.setattr(worker, "RESIDENT_BUILDS", 4)
         state = WorkerState(self.DESIGNS)
         for label, module in (("a", "once"), ("b", "once"), ("c", "sampler")):
             state.run_job(_job(label, module))
-        assert list(state._builds) == ["a", "b", "c"]
+        assert _labels(state) == ["a", "b", "c"]
 
     def test_revisits_past_the_bound_never_recompile(self, monkeypatch, tmp_path):
         monkeypatch.setattr(worker, "RESIDENT_BUILDS", 2)
@@ -277,13 +300,13 @@ class TestRetention:
         monkeypatch.setattr(worker, "RESIDENT_BUILDS", 1)
         state = WorkerState(self.DESIGNS, cache_dir=str(tmp_path))
         state.run_job(_job("a", "once"))
-        running = state._builds["a"].build.source_digest
-        with state._running_on("a"):
+        with state._checkout("a") as bound:
+            running = bound.build.source_digest
             state.run_job(_job("b", "once"))
-            assert list(state._builds) == ["a", "b"]
+            assert _labels(state) == ["a", "b"]
         assert running in _memory_sources(state.pipeline.cache)
         state.run_job(_job("c", "sampler"))
-        assert list(state._builds) == ["c"]
+        assert _labels(state) == ["c"]
         assert running not in _memory_sources(state.pipeline.cache)
 
     def test_shared_source_keeps_its_artifacts(self, monkeypatch, tmp_path):
@@ -291,19 +314,25 @@ class TestRetention:
         state = WorkerState({"a": MIXED, "twin": MIXED, "b": OTHER},
                             cache_dir=str(tmp_path))
         state.run_job(_job("a", "once"))
-        shared = state._builds["a"].build.source_digest
+        shared = state.build("a").source_digest
         state.run_job(_job("twin", "once"))
         state.run_job(_job("b", "once"))
-        assert list(state._builds) == ["twin", "b"]
+        assert _labels(state) == ["twin", "b"]
         assert shared in _memory_sources(state.pipeline.cache)
 
-    def test_rebinding_a_label_releases_the_old_source(self, tmp_path):
-        state = WorkerState({"a": MIXED}, cache_dir=str(tmp_path))
-        state.run_job(_job("a", "once"))
-        old = state._builds["a"].build.source_digest
-        state.adopt_designs({"a": OTHER})
-        assert "a" not in state._builds
-        assert old not in _memory_sources(state.pipeline.cache)
+    def test_revisions_under_one_label_age_out(self, monkeypatch, tmp_path):
+        """A label's old source is just an older key: it leaves under
+        the LRU bound like any other build, artifacts and all."""
+        monkeypatch.setattr(worker, "RESIDENT_BUILDS", 2)
+        state = WorkerState({}, cache_dir=str(tmp_path))
+        sources = [MIXED, OTHER, AUDIO_BUFFER_ECL]
+        digests = []
+        for source, module in zip(sources, ["once", "once", "sampler"]):
+            state.run_job(_job("a", module), {"a": source})
+            digests.append(state._builds[("a", source)].build.source_digest)
+        assert list(state._builds) == [("a", OTHER), ("a", AUDIO_BUFFER_ECL)]
+        assert digests[0] not in _memory_sources(state.pipeline.cache)
+        assert digests[1] in _memory_sources(state.pipeline.cache)
 
 
 def test_worker_state_type_hints_resolve():
