@@ -61,20 +61,3 @@ class KernelModule:
         for name, _type in self.local_signals:
             table[name] = "local"
         return table
-
-    def signal_types(self):
-        table = {p.name: p.type for p in self.params}
-        for name, sig_type in self.local_signals:
-            table[name] = sig_type
-        return table
-
-    def data_memory_bytes(self):
-        """Bytes of variable + valued-signal storage (cost model input)."""
-        total = sum(t.size for _n, t in self.variables)
-        for _name, sig_type in self.local_signals:
-            if not isinstance(sig_type, PureType):
-                total += sig_type.size
-        for param in self.params:
-            if not isinstance(param.type, PureType):
-                total += param.type.size
-        return total

@@ -15,6 +15,9 @@ test it cannot resolve:
   input/data decision vector, zero valid assumption sets means a
   causality deadlock, two or more means nondeterminism — both rejected,
   exactly as the Esterel compiler rejects non-constructive programs.
+  A signal outside the state's :func:`~repro.esterel.kernel.instant_emits`
+  set is absent without a fork: a path assuming it present could never
+  be coherent, so it is never run.
 
 A fork runs in place: the test takes its true branch at once, and the
 false branch's decision prefix goes on the explorer's stack, to be
@@ -77,15 +80,16 @@ class _SymbolicContext(ReactContext):
     paper's Figure 1 loop as instantaneous.
     """
 
-    def __init__(self, oracle, pending, input_names, signal_dirs,
-                 var_types):
+    def __init__(self, oracle, pending, builder, emittable):
         self.trail = list(oracle)
         self.replay = len(oracle)
         self.pending = pending
         self.position = 0
-        self.input_names = input_names
-        self.signal_dirs = signal_dirs
-        self.var_types = var_types
+        self.input_names = builder.input_names
+        self.signal_dirs = builder.signal_dirs
+        self.var_types = builder.var_types
+        self.write_sets = builder.write_sets
+        self.emittable = emittable
         self.store = {}
         self.events = []
         self.emitted = set()
@@ -126,7 +130,10 @@ class _SymbolicContext(ReactContext):
             return True
         if name in self.assumptions:
             return self.assumptions[name]
-        value = self._decide("assume", name)
+        if name in self.emittable:
+            value = self._decide("assume", name)
+        else:
+            value = False  # no emit of it can run in this instant
         self.assumptions[name] = value
         self.events.append(("assume", name, value))
         return value
@@ -188,29 +195,15 @@ class _SymbolicContext(ReactContext):
 
     def _invalidate(self, stmt):
         """Drop knowledge about anything the statement might write."""
-        calls = False
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                calls = True
-            if isinstance(node, (ast.Assign, ast.IncDec)):
-                target = node.target if isinstance(node, ast.IncDec) \
-                    else node.target
-                base = target
-                while isinstance(base, (ast.Index, ast.Member)):
-                    base = base.base
-                if isinstance(base, ast.Name):
-                    self.store.pop(base.id, None)
-                else:
-                    self.store.clear()
-                    return
-            if isinstance(node, ast.Unary) and node.op == "&":
-                # Address taken: the variable may be written anywhere.
-                operand = node.operand
-                if isinstance(operand, ast.Name):
-                    self.store.pop(operand.id, None)
-        if calls:
-            # A call may write through pointers; be conservative.
+        try:
+            written = self.write_sets[stmt]
+        except KeyError:
+            written = self.write_sets[stmt] = _write_set(stmt)
+        if written is None:
             self.store.clear()
+        else:
+            for name in written:
+                self.store.pop(name, None)
 
     def _const_eval(self, expr):
         """Evaluate ``expr`` from the constant store; None if unknown.
@@ -275,6 +268,8 @@ class EfsmBuilder:
         self.input_names = frozenset(
             p.name for p in module.params if p.direction == "input")
         self.var_types = dict(module.variables)
+        # Action statement -> names it may write, or None for "anything".
+        self.write_sets = {}
 
     def build(self):
         efsm = Efsm(
@@ -316,9 +311,9 @@ class EfsmBuilder:
         """All valid instant executions from ``residue``."""
         pending = [()]
         raw_paths = []
+        emittable = k.instant_emits(residue)
         while pending:
-            ctx = _SymbolicContext(pending.pop(), pending, self.input_names,
-                                   self.signal_dirs, self.var_types)
+            ctx = _SymbolicContext(pending.pop(), pending, self, emittable)
             code, next_residue = react(residue, ctx)
             valid = all(
                 (name in ctx.emitted) == assumed
@@ -428,6 +423,27 @@ class EfsmBuilder:
                           self._merge(paths, position + 1, intern,
                                       state_index))
         raise CompileError("unknown symbolic event %r" % (event,))
+
+
+def _write_set(stmt):
+    """Variable names ``stmt`` may write, or None if it may write any
+    (a call, or a store through something other than a named variable)."""
+    written = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Call):
+            return None  # a call may write through pointers
+        if isinstance(node, (ast.Assign, ast.IncDec)):
+            base = node.target
+            while isinstance(base, (ast.Index, ast.Member)):
+                base = base.base
+            if not isinstance(base, ast.Name):
+                return None
+            written.add(base.id)
+        if isinstance(node, ast.Unary) and node.op == "&" and \
+                isinstance(node.operand, ast.Name):
+            # Address taken: the variable may be written anywhere.
+            written.add(node.operand.id)
+    return frozenset(written)
 
 
 def _fold_binary(op, left, right):

@@ -43,10 +43,6 @@ from ..lang import ast
 class KStmt(ast.Term):
     """Base class of kernel statements."""
 
-    def is_residue(self):
-        """True for mid-execution wrappers (never produced by translation)."""
-        return False
-
 
 @dataclass(frozen=True)
 class Nothing(KStmt):
@@ -174,9 +170,6 @@ class AwaitActive(KStmt):
 
     cond: ast.SigExpr = None
 
-    def is_residue(self):
-        return True
-
 
 @dataclass(frozen=True)
 class AbortActive(KStmt):
@@ -187,9 +180,6 @@ class AbortActive(KStmt):
     handler: Optional[KStmt] = None
     weak: bool = False
 
-    def is_residue(self):
-        return True
-
 
 @dataclass(frozen=True)
 class SuspendActive(KStmt):
@@ -198,18 +188,12 @@ class SuspendActive(KStmt):
     body: KStmt = NOTHING
     cond: ast.SigExpr = None
 
-    def is_residue(self):
-        return True
-
 
 @dataclass(frozen=True)
 class ParActive(KStmt):
     """A started Par; terminated branches are replaced by ``None``."""
 
     branches: Tuple[Optional[KStmt], ...] = ()
-
-    def is_residue(self):
-        return True
 
 
 ast.memoize_hashes(KStmt)
@@ -306,6 +290,62 @@ def emitted_signals(stmt):
     _visit_kernel(stmt, lambda node: names.add(node.signal)
                   if isinstance(node, Emit) else None)
     return names
+
+
+def instant_emits(stmt):
+    """Signal names ``stmt`` may emit in the instant it starts or resumes.
+
+    A superset of what any :func:`~repro.esterel.react.react` run of
+    ``stmt`` emits: both branches of every test count, a ``Seq`` stops
+    after a statement that cannot terminate in this instant, and the
+    pre-emption and loop statements follow ``react``'s first-instant and
+    active rules.  The EFSM builder resolves any other local or output
+    signal to absent without forking.
+    """
+    names = set()
+    _instant_emits(stmt, names)
+    return frozenset(names)
+
+
+def _instant_emits(stmt, names):
+    """Add what ``stmt`` may emit this instant to ``names``; return
+    whether it may also terminate (completion code 0) in it."""
+    kind = type(stmt)
+    if kind is Emit:
+        names.add(stmt.signal)
+        return True
+    if kind in (Nothing, Action, AwaitActive):
+        return True
+    if kind in (Pause, Halt, Await, Exit):
+        return False
+    if kind in (IfData, Present):
+        then = _instant_emits(stmt.then, names)
+        return _instant_emits(stmt.otherwise, names) or then
+    if kind is Seq:
+        return all(_instant_emits(child, names) for child in stmt.stmts)
+    if kind is Loop:
+        # A restarted body runs the same statements; a loop ends the
+        # instant by pausing or exiting, never with code 0.
+        _instant_emits(stmt.body, names)
+        return False
+    if kind in (Par, ParActive):
+        done = [_instant_emits(branch, names)
+                for branch in stmt.branches if branch is not None]
+        return all(done)
+    if kind is Trap:
+        # An exit to this trap terminates it.
+        _instant_emits(stmt.body, names)
+        return True
+    if kind in (Abort, Suspend, SuspendActive):
+        # An Abort's condition is not tested in its first instant; a
+        # frozen Suspend pauses.
+        return _instant_emits(stmt.body, names)
+    if kind is AbortActive:
+        body = _instant_emits(stmt.body, names)
+        if stmt.handler is None:
+            return True
+        return _instant_emits(stmt.handler, names) or body
+    raise TypeError("unknown kernel statement %r" % (stmt,))
 
 
 def tested_signals(stmt):

@@ -457,20 +457,4 @@ def walk(node):
         stack.extend(reversed(list(children(current))))
 
 
-def contains_reactive(node):
-    """True if the subtree uses any reactive construct.
-
-    This is the predicate the splitter's heuristics are built on: a loop
-    with no reactive statement in it is a *data loop* (paper, Section 4).
-    """
-    reactive_types = (Emit, Await, Halt, Present, Abort, Suspend, Par,
-                      SignalDecl)
-    return any(isinstance(n, reactive_types) for n in walk(node))
-
-
-def names_read(expr):
-    """All identifier names appearing in an expression subtree."""
-    return {n.id for n in walk(expr) if isinstance(n, Name)}
-
-
 memoize_hashes(Node)

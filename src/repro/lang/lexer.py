@@ -17,6 +17,8 @@ The paper's figures use a typographic tilde (``˜``); the lexer accepts it as
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
 from .source import SourceBuffer
 from .tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
@@ -24,8 +26,21 @@ from .tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
+
+#: Whitespace, line comments and closed block comments, in any mix.
+_TRIVIA = re.compile(r"(?:[ \t\r\n\f\v]+|//[^\n]*|/\*.*?\*/)*", re.S)
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEC_DIGITS = re.compile(r"[0-9]*")
+_OCT_DIGITS = re.compile(r"[0-7]*")
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
+_INT_SUFFIX = re.compile(r"[uUlL]*")
+
+#: Punctuators by first character, longest first within each entry.
+_PUNCT_BY_FIRST = {}
+for _punct in PUNCTUATORS:
+    _PUNCT_BY_FIRST.setdefault(_punct[0], []).append(_punct)
+del _punct
 
 _ESCAPES = {
     "n": "\n",
@@ -78,30 +93,21 @@ class Lexer:
 
     def _skip_trivia(self):
         """Skip whitespace and comments; error on unterminated comments."""
-        while self.pos < len(self.text):
-            char = self.text[self.pos]
-            if char in " \t\r\n\f\v":
-                self.pos += 1
-            elif char == "/" and self._peek(1) == "/":
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end < 0 else end
-            elif char == "/" and self._peek(1) == "*":
-                start = self.pos
-                end = self.text.find("*/", self.pos + 2)
-                if end < 0:
-                    self.pos = len(self.text)
-                    self._error("unterminated block comment", start)
-                self.pos = end + 2
-            else:
-                return
+        text = self.text
+        self.pos = _TRIVIA.match(text, self.pos).end()
+        if text.startswith("/*", self.pos):
+            start = self.pos
+            self.pos = len(text)
+            self._error("unterminated block comment", start)
 
     def _next_token(self):
         self._skip_trivia()
         start = self.pos
-        if self.pos >= len(self.text):
+        text = self.text
+        if start >= len(text):
             span = self.buffer.span(start, start)
             return Token(TokenKind.EOF, None, span)
-        char = self.text[self.pos]
+        char = text[start]
         if char in _IDENT_START:
             return self._lex_ident(start)
         if char in _DIGITS:
@@ -113,39 +119,32 @@ class Lexer:
         return self._lex_punct(start)
 
     def _lex_ident(self, start):
-        while self._peek() in _IDENT_CONT and self._peek() != "":
-            self.pos += 1
-        text = self.text[start:self.pos]
+        self.pos = end = _IDENT.match(self.text, start).end()
+        text = self.text[start:end]
         kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, self.buffer.span(start, self.pos), text)
+        return Token(kind, text, self.buffer.span(start, end), text)
 
     def _lex_number(self, start):
         text = self.text
-        if text[self.pos] == "0" and self._peek(1) in ("x", "X"):
-            self.pos += 2
-            digit_start = self.pos
-            while self._peek() in "0123456789abcdefABCDEF" and self._peek() != "":
-                self.pos += 1
+        if text.startswith(("0x", "0X"), start):
+            digit_start = start + 2
+            self.pos = _HEX_DIGITS.match(text, digit_start).end()
             if self.pos == digit_start:
                 self._error("hexadecimal literal with no digits", start)
             value = int(text[digit_start:self.pos], 16)
-        elif text[self.pos] == "0" and self._peek(1) in _DIGITS:
-            self.pos += 1
-            digit_start = self.pos
-            while self._peek() != "" and self._peek() in "01234567":
-                self.pos += 1
-            if self._peek() != "" and self._peek() in "89":
+        elif text[start] == "0" and self._peek(1) in _DIGITS:
+            digit_start = start + 1
+            self.pos = _OCT_DIGITS.match(text, digit_start).end()
+            if self._peek() in ("8", "9"):
                 self._error("invalid digit in octal literal", start)
             value = int(text[digit_start:self.pos], 8)
         else:
-            while self._peek() in _DIGITS and self._peek() != "":
-                self.pos += 1
+            self.pos = _DEC_DIGITS.match(text, start).end()
             if self._peek() == ".":
                 self._error("floating-point literals are not supported", start)
             value = int(text[start:self.pos])
         # Integer suffixes are accepted and ignored (sizes come from types).
-        while self._peek() in "uUlL" and self._peek() != "":
-            self.pos += 1
+        self.pos = _INT_SUFFIX.match(text, self.pos).end()
         spelling = text[start:self.pos]
         return Token(
             TokenKind.INT_LITERAL, value, self.buffer.span(start, self.pos), spelling
@@ -209,8 +208,8 @@ class Lexer:
         )
 
     def _lex_punct(self, start):
-        for punct in PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
+        for punct in _PUNCT_BY_FIRST.get(self.text[start], ()):
+            if self.text.startswith(punct, start):
                 self.pos += len(punct)
                 return Token(
                     TokenKind.PUNCT, punct, self.buffer.span(start, self.pos), punct

@@ -8,6 +8,7 @@ it came from.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -61,9 +62,10 @@ class SourceBuffer:
         self.filename = filename
         # Offsets of the first character of each line, for offset->position.
         self._line_starts = [0]
-        for index, char in enumerate(text):
-            if char == "\n":
-                self._line_starts.append(index + 1)
+        index = text.find("\n")
+        while index >= 0:
+            self._line_starts.append(index + 1)
+            index = text.find("\n", index + 1)
 
     def position_at(self, offset):
         """Translate a character offset into a :class:`Position`."""
@@ -71,15 +73,8 @@ class SourceBuffer:
             offset = 0
         if offset > len(self.text):
             offset = len(self.text)
-        # Binary search over line starts.
-        low, high = 0, len(self._line_starts) - 1
-        while low < high:
-            mid = (low + high + 1) // 2
-            if self._line_starts[mid] <= offset:
-                low = mid
-            else:
-                high = mid - 1
-        return Position(low + 1, offset - self._line_starts[low] + 1)
+        line = bisect_right(self._line_starts, offset)
+        return Position(line, offset - self._line_starts[line - 1] + 1)
 
     def span(self, start_offset, end_offset):
         """A :class:`Span` between two character offsets."""

@@ -49,10 +49,6 @@ class ModuleBuild:
     def cache_hits(self):
         return sum(1 for t in self.timings if t.cache_hit)
 
-    @property
-    def stages_run(self):
-        return sum(1 for t in self.timings if not t.cache_hit)
-
     def summary_line(self):
         if not self.ok:
             return "%-12s FAILED: %s" % (self.module,

@@ -206,9 +206,6 @@ class RtosKernel:
     def note_self_trigger(self):
         self.stats.self_triggers += 1
 
-    def note_lost_event(self):
-        self.stats.lost_events += 1
-
     # ------------------------------------------------------------------
 
     def total_lost_events(self):

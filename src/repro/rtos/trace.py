@@ -101,14 +101,3 @@ class TraceRecorder:
     def log(self, limit=None):
         events = self.events if limit is None else self.events[:limit]
         return "\n".join(event.describe() for event in events)
-
-    def stats_summary(self):
-        """One line of kernel counters (task-vs-RTOS accounting) to
-        print under :meth:`timeline`."""
-        if self._kernel is None:
-            return "(recorder not attached)"
-        stats = self._kernel.stats_dict()
-        return ("dispatches=%(dispatches)d "
-                "context_switches=%(context_switches)d "
-                "posts=%(posts)d self_triggers=%(self_triggers)d "
-                "lost_events=%(lost_events)d" % stats)

@@ -2,25 +2,34 @@
 
 A hypothesis strategy builds well-formed reactive modules (loops always
 pause, only declared signals are referenced, single writer per parallel
-signal).  For every generated module:
+signal).  Each module runs two parallel branches that talk through two
+local signals, so the EFSM builder has assumptions to fork on.  For
+every generated module:
 
 * printing and re-parsing is a fixed point (printer/parser agreement);
 * the full pipeline (split, translate, EFSM) runs without internal
   errors;
 * the compiled automaton matches the reference interpreter on random
   input traces — the reproduction's core invariant, exercised far from
-  the hand-written designs.
+  the hand-written designs;
+* no symbolic run emits a signal outside its state's
+  ``instant_emits`` set, the set the builder prunes assumptions with.
 """
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import compare_on_trace
+from repro.efsm import build as efsm_build
 from repro.errors import EclError
+from repro.esterel import kernel as k
 from repro.lang import parse_text, to_text
 from repro.pipeline import Pipeline
 
 INPUTS = ["i0", "i1", "i2"]
 OUTPUTS = ["o0", "o1"]
+LOCALS = ["l0", "l1"]
 
 
 @st.composite
@@ -66,7 +75,7 @@ def reactive_statements(draw, outputs, depth):
 
 
 def _sig_expr(draw):
-    atoms = st.sampled_from(INPUTS)
+    atoms = st.sampled_from(INPUTS + LOCALS)
     return st.one_of(
         atoms,
         st.builds(lambda a: "~%s" % a, atoms),
@@ -77,11 +86,14 @@ def _sig_expr(draw):
 
 @st.composite
 def module_sources(draw):
-    body = draw(reactive_statements(OUTPUTS, depth=3))
+    # Each branch writes its own output and local (single writer).
+    left = draw(reactive_statements([OUTPUTS[0], LOCALS[0]], depth=2))
+    right = draw(reactive_statements([OUTPUTS[1], LOCALS[1]], depth=2))
     params = ", ".join(["input pure %s" % name for name in INPUTS]
                        + ["output pure %s" % name for name in OUTPUTS])
-    return ("module gen (%s)\n{\n    int n;\n    n = 0;\n    %s\n}\n"
-            % (params, body))
+    locals_ = "".join("    signal pure %s;\n" % name for name in LOCALS)
+    return ("module gen (%s)\n{\n%s    int n;\n    n = 0;\n"
+            "    par { { %s } { %s } }\n}\n" % (params, locals_, left, right))
 
 
 def trace_strategy():
@@ -126,3 +138,27 @@ class TestGeneratedModules:
         mismatch = compare_on_trace(module.kernel(), efsm, trace_dicts)
         assert mismatch is None, "\n%s\n%s" % (source,
                                                mismatch.describe())
+
+    @given(source=module_sources())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_runs_emit_within_instant_emits(self, source):
+        real_react = efsm_build.react
+        runs = []
+
+        def checking_react(stmt, ctx):
+            result = real_react(stmt, ctx)
+            runs.append(1)
+            allowed = k.instant_emits(stmt)
+            assert ctx.emitted <= allowed, "\n%s\nstate %r emits %s" % (
+                source, stmt, sorted(ctx.emitted - allowed))
+            return result
+
+        with mock.patch.object(efsm_build, "react", checking_react):
+            try:
+                module = Pipeline().compile_text(source).module("gen")
+                module.check()
+                module.efsm()
+            except EclError:
+                return
+        assert runs

@@ -119,6 +119,43 @@ class TestLocalSignals:
         assert "t" not in efsm.emitted_signals()
 
 
+class TestExplorationWork:
+    """Pin how many symbolic runs each paper-module build makes.
+
+    A run is one top-level ``react`` of a state's residue; a valid run
+    is one whose assumptions match its emissions.  Signals a state's
+    instant cannot emit are absent without a fork, so incoherent runs
+    are never made.
+    """
+
+    @pytest.mark.parametrize("design, name, runs, valid", [
+        ("audio", "audio_buffer", 582, 302),
+        ("stack", "toplevel", 421, 285),
+        ("stack", "prochdr", 33, 30),
+    ])
+    def test_react_runs(self, monkeypatch, design, name, runs, valid):
+        from repro.designs import AUDIO_BUFFER_ECL, PROTOCOL_STACK_ECL
+        from repro.efsm import build as efsm_build
+        source = {"audio": AUDIO_BUFFER_ECL,
+                  "stack": PROTOCOL_STACK_ECL}[design]
+        program, types = parse_text(source)
+        kernel = translate_module(program, types, name)
+        counts = {"runs": 0, "valid": 0}
+        real_react = efsm_build.react
+
+        def counting_react(stmt, ctx):
+            result = real_react(stmt, ctx)
+            counts["runs"] += 1
+            if all((signal in ctx.emitted) == assumed
+                   for signal, assumed in ctx.assumptions.items()):
+                counts["valid"] += 1
+            return result
+
+        monkeypatch.setattr(efsm_build, "react", counting_react)
+        build_efsm(kernel)
+        assert counts == {"runs": runs, "valid": valid}
+
+
 class TestEngineAgreement:
     """The builder and the interpreter agree on the paper's modules."""
 

@@ -97,6 +97,50 @@ class TestSignalAnalyses:
         assert k.signals_used(stmt) == {"in1", "out1"}
 
 
+class TestInstantEmits:
+    def test_both_branches_count(self):
+        stmt = k.Present(sig("x"), k.Emit("a"), k.Emit("b"))
+        assert k.instant_emits(stmt) == {"a", "b"}
+
+    def test_seq_stops_after_pause(self):
+        stmt = k.seq(k.Emit("a"), k.Pause(), k.Emit("b"))
+        assert k.instant_emits(stmt) == {"a"}
+
+    def test_seq_stops_after_exit_and_loop(self):
+        assert k.instant_emits(k.seq(k.Exit(0), k.Emit("b"))) == set()
+        loop = k.Loop(k.seq(k.Emit("a"), k.Pause()))
+        assert k.instant_emits(k.seq(loop, k.Emit("b"))) == {"a"}
+
+    def test_trap_terminates_on_its_exit(self):
+        caught = k.seq(k.Trap(k.seq(k.Emit("a"), k.Exit(0))), k.Emit("b"))
+        assert k.instant_emits(caught) == {"a", "b"}
+
+    def test_abort_handler_only_once_active(self):
+        body = k.seq(k.Emit("a"), k.Halt())
+        assert k.instant_emits(k.Abort(body, sig("r"), k.Emit("h"))) \
+            == {"a"}
+        active = k.AbortActive(k.Halt(), sig("r"), k.Emit("h"))
+        assert k.instant_emits(k.seq(active, k.Emit("b"))) == {"h", "b"}
+
+    def test_suspend_active_may_freeze(self):
+        active = k.SuspendActive(k.NOTHING, sig("r"))
+        assert k.instant_emits(k.seq(active, k.Emit("b"))) == {"b"}
+        frozen = k.SuspendActive(k.Halt(), sig("r"))
+        assert k.instant_emits(k.seq(frozen, k.Emit("b"))) == set()
+
+    def test_par_terminates_only_when_every_branch_can(self):
+        done = k.Par((k.Emit("a"), k.NOTHING))
+        assert k.instant_emits(k.seq(done, k.Emit("b"))) == {"a", "b"}
+        paused = k.ParActive((None, k.Pause()))
+        assert k.instant_emits(k.seq(paused, k.Emit("b"))) == set()
+
+    def test_await_resumes_into_what_follows(self):
+        assert k.instant_emits(k.seq(k.Await(sig("s")), k.Emit("a"))) \
+            == set()
+        assert k.instant_emits(k.seq(k.AwaitActive(sig("s")),
+                                     k.Emit("a"))) == {"a"}
+
+
 class TestScheduleBranches:
     def test_emitter_moves_before_tester(self):
         tester = k.Present(sig("mid"), k.Emit("seen"), k.NOTHING)

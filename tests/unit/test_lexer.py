@@ -137,3 +137,45 @@ class TestPaperGlyphs:
     def test_unknown_character_rejected(self):
         with pytest.raises(LexError):
             tokenize("@")
+
+
+class TestDiagnostics:
+    """Every LexError kind, pinned to its exact text and span.
+
+    The errors sit on line 2 or later so the line arithmetic is
+    exercised too; the expected texts are the established diagnostics.
+    """
+
+    CASES = [
+        ("int x;\n  y = 1; /* never closed\n z",
+         "t.ecl:2:10: unterminated block comment", "2:10", "3:3"),
+        ('int x;\nchar *s = "abc\n";',
+         "t.ecl:2:11: unterminated string literal", "2:11", "2:15"),
+        ("int x;\n  c = 'ab';",
+         "t.ecl:2:7: unterminated character literal", "2:7", "2:9"),
+        ("int x;\n   c = '",
+         "t.ecl:2:8: unterminated literal", "2:8", "2:9"),
+        ('int x;\n s = "ab\\',
+         "t.ecl:2:6: unterminated escape sequence", "2:6", "2:10"),
+        ("int x;\n c = '\\q';",
+         "t.ecl:2:6: unknown escape sequence '\\q'", "2:6", "2:8"),
+        ("int x;\n\n c = '\\xg';",
+         "t.ecl:3:6: \\x escape with no digits", "3:6", "3:9"),
+        ("int x;\n y = 0x;",
+         "t.ecl:2:6: hexadecimal literal with no digits", "2:6", "2:8"),
+        ("int x;\n\n  y = 0718;",
+         "t.ecl:3:7: invalid digit in octal literal", "3:7", "3:10"),
+        ("int x;\n y = 12.5;",
+         "t.ecl:2:6: floating-point literals are not supported",
+         "2:6", "2:8"),
+        ("int x;\n y = x @ 2;",
+         "t.ecl:2:8: unexpected character '@'", "2:8", "2:9"),
+    ]
+
+    @pytest.mark.parametrize("text,message,start,end", CASES)
+    def test_message_and_span(self, text, message, start, end):
+        with pytest.raises(LexError) as info:
+            tokenize(text, filename="t.ecl")
+        assert str(info.value) == message
+        assert str(info.value.span.start) == start
+        assert str(info.value.span.end) == end
