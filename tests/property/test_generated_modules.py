@@ -2,9 +2,9 @@
 
 A hypothesis strategy builds well-formed reactive modules (loops always
 pause, only declared signals are referenced, single writer per parallel
-signal).  Each module runs two parallel branches that talk through two
-local signals, so the EFSM builder has assumptions to fork on.  For
-every generated module:
+signal).  A module is one thread over the inputs, or two parallel
+threads that also talk through two local signals, so the EFSM builder
+has assumptions to fork on.  For every generated module:
 
 * printing and re-parsing is a fixed point (printer/parser agreement);
 * the full pipeline (split, translate, EFSM) runs without internal
@@ -30,11 +30,15 @@ from repro.pipeline import Pipeline
 INPUTS = ["i0", "i1", "i2"]
 OUTPUTS = ["o0", "o1"]
 LOCALS = ["l0", "l1"]
+# About half the modules are single-threaded, half parallel: each
+# shape gets about 60 examples.
+EXAMPLES = 120
 
 
 @st.composite
-def reactive_statements(draw, outputs, depth):
-    """One well-formed reactive statement using the fixed interface."""
+def reactive_statements(draw, outputs, tested, depth):
+    """One well-formed reactive statement that emits only ``outputs``
+    and tests only the signals in ``tested``."""
     choices = ["emit", "await", "awaitdelta", "halt"]
     if depth > 0:
         choices += ["present", "abort", "suspend", "seq", "loop", "ifvar"]
@@ -42,25 +46,25 @@ def reactive_statements(draw, outputs, depth):
     if kind == "emit":
         return "emit (%s);" % draw(st.sampled_from(outputs))
     if kind == "await":
-        return "await (%s);" % draw(_sig_expr(draw))
+        return "await (%s);" % draw(_sig_expr(tested))
     if kind == "awaitdelta":
         return "await ();"
     if kind == "halt":
         return "halt ();"
-    sub = reactive_statements(outputs, depth - 1)
+    sub = reactive_statements(outputs, tested, depth - 1)
     if kind == "present":
         then = draw(sub)
         otherwise = draw(sub)
         return "present (%s) { %s } else { %s }" % (
-            draw(_sig_expr(draw)), then, otherwise)
+            draw(_sig_expr(tested)), then, otherwise)
     if kind == "abort":
         body = draw(sub)
         weak = draw(st.booleans())
         keyword = "weak_abort" if weak else "abort"
-        return "do { %s } %s (%s);" % (body, keyword, draw(_sig_expr(draw)))
+        return "do { %s } %s (%s);" % (body, keyword, draw(_sig_expr(tested)))
     if kind == "suspend":
         return "do { %s } suspend (%s);" % (draw(sub),
-                                            draw(_sig_expr(draw)))
+                                            draw(_sig_expr(tested)))
     if kind == "seq":
         return "%s %s" % (draw(sub), draw(sub))
     if kind == "loop":
@@ -74,8 +78,8 @@ def reactive_statements(draw, outputs, depth):
     raise AssertionError(kind)
 
 
-def _sig_expr(draw):
-    atoms = st.sampled_from(INPUTS + LOCALS)
+def _sig_expr(tested):
+    atoms = st.sampled_from(tested)
     return st.one_of(
         atoms,
         st.builds(lambda a: "~%s" % a, atoms),
@@ -84,16 +88,38 @@ def _sig_expr(draw):
     )
 
 
+PARAMS = ", ".join(["input pure %s" % name for name in INPUTS]
+                   + ["output pure %s" % name for name in OUTPUTS])
+
+
+def module_sources():
+    """One thread over the inputs, or two threads that also talk
+    through the locals."""
+    return st.one_of(_single_thread_sources(), _par_sources())
+
+
 @st.composite
-def module_sources(draw):
-    # Each branch writes its own output and local (single writer).
-    left = draw(reactive_statements([OUTPUTS[0], LOCALS[0]], depth=2))
-    right = draw(reactive_statements([OUTPUTS[1], LOCALS[1]], depth=2))
-    params = ", ".join(["input pure %s" % name for name in INPUTS]
-                       + ["output pure %s" % name for name in OUTPUTS])
+def _single_thread_sources(draw):
+    body = draw(reactive_statements(OUTPUTS, INPUTS, depth=3))
+    return ("module gen (%s)\n{\n    int n;\n    n = 0;\n    %s\n}\n"
+            % (PARAMS, body))
+
+
+@st.composite
+def _par_sources(draw):
+    # Each branch writes its own output and local (single writer).  A
+    # branch may end by emitting its local, often after it has paused:
+    # an emit the other branch can test for before it may run.
+    branches = []
+    for output, local in zip(OUTPUTS, LOCALS):
+        body = draw(reactive_statements([output, local], INPUTS + LOCALS,
+                                        depth=3))
+        if draw(st.booleans()):
+            body += " emit (%s);" % local
+        branches.append(body)
     locals_ = "".join("    signal pure %s;\n" % name for name in LOCALS)
     return ("module gen (%s)\n{\n%s    int n;\n    n = 0;\n"
-            "    par { { %s } { %s } }\n}\n" % (params, locals_, left, right))
+            "    par { { %s } { %s } }\n}\n" % (PARAMS, locals_, *branches))
 
 
 def trace_strategy():
@@ -103,7 +129,7 @@ def trace_strategy():
 
 class TestGeneratedModules:
     @given(source=module_sources())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     def test_print_parse_fixed_point(self, source):
         program, _ = parse_text(source)
         printed = to_text(program)
@@ -111,7 +137,7 @@ class TestGeneratedModules:
         assert to_text(reparsed) == printed
 
     @given(source=module_sources())
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=EXAMPLES, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_pipeline_never_crashes_internally(self, source):
         try:
@@ -124,7 +150,7 @@ class TestGeneratedModules:
             pass
 
     @given(source=module_sources(), trace=trace_strategy())
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=EXAMPLES, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_engines_agree_on_generated_module(self, source, trace):
         try:

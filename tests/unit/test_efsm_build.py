@@ -118,6 +118,24 @@ class TestLocalSignals:
                      " present (p) { emit(p); emit(t); } }")
         assert "t" not in efsm.emitted_signals()
 
+    def test_unemittable_local_never_assumed_present(self):
+        # l is emitted only in the first instant, by a branch that has
+        # terminated before the loop runs.  Assuming l present in a later
+        # instant would make the loop instantaneous; no emit of l can run
+        # then, so the builder takes l absent without running that path.
+        from repro.analysis import compare_on_trace
+        src = ("module m (input pure s, output pure t) {"
+               " signal pure l;"
+               " par { emit(l);"
+               " { await(s); while (1) {"
+               " present (l) { } else { emit(t); await(s); } } } } }")
+        program, types = parse_text(src)
+        kernel = translate_module(program, types, "m")
+        efsm = build_efsm(kernel)
+        assert "t" in efsm.emitted_signals()
+        trace = [{}, {"s": None}, {}, {"s": None}, {"s": None}, {}]
+        assert compare_on_trace(kernel, efsm, trace) is None
+
 
 class TestExplorationWork:
     """Pin how many symbolic runs each paper-module build makes.
