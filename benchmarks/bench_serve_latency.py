@@ -7,9 +7,12 @@ simulation jobs over the paper's protocol stack is executed two ways —
   the way every ``eclc farm run`` pays: design compile, native
   lowering and engine construction before the first reaction;
 * **warm** — repeated submissions to one resident
-  :class:`~repro.serve.SimulationService`, where the tenant's
-  WorkerState keeps the compiled design and the artifact cache keeps
-  every stage product, so only simulation work remains.
+  :class:`~repro.serve.SimulationService` (one pool slot, whose worker
+  answers in the slot thread through the child's request step), where
+  the worker's WorkerState keeps the compiled design and the artifact
+  cache keeps every stage product, so only simulation work remains.
+  On a service with a data root, a repeat batch must store no artifact
+  file again.
 
 Both land in ``benchmarks/out/BENCH_serve.json`` for the CI regression
 gate: per-batch latency, jobs/sec, and the warm-over-cold speedup.
@@ -92,6 +95,19 @@ def warm_batches(service):
     return latencies, jobs
 
 
+def artifact_files(data_root, tenant="default"):
+    """``{path: (inode, mtime)}`` of the tenant's persisted artifacts:
+    a store replaces its file, so a recompile changes the map."""
+    root = os.path.join(data_root, "artifacts", "ns", tenant)
+    files = {}
+    for folder, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            stat = os.stat(path)
+            files[path] = (stat.st_ino, stat.st_mtime_ns)
+    return files
+
+
 def warm_service_run():
     """Mean warm-batch latency of one resident service (journaling on:
     a tempdir WAL, the crash-safety configuration the service ships
@@ -107,8 +123,25 @@ def warm_service_run():
             latencies, warm_jobs = warm_batches(service)
         finally:
             service.shutdown(drain=True, timeout=60)
-    misses = service._space("default").cache.stats.misses
-    return latencies, warm_jobs, misses
+    return latencies, warm_jobs
+
+
+def stored_on_repeat():
+    """Artifact files a repeat of the batch stores on a resident
+    service with a data root: 0 when the repeat is served warm.  Untimed
+    and apart from the measured service, whose artifacts live in memory
+    only."""
+    with tempfile.TemporaryDirectory(prefix="bench-serve-data-") as root:
+        service = SimulationService(workers=1, data_root=root)
+        try:
+            assert service.submit(DOCUMENT).wait(timeout=120)
+            before = artifact_files(root)
+            assert service.submit(DOCUMENT).wait(timeout=120)
+            after = artifact_files(root)
+        finally:
+            service.shutdown(drain=True, timeout=60)
+    assert before, "the first batch persisted no artifacts"
+    return len(set(after.items()) - set(before.items()))
 
 
 def measure():
@@ -120,8 +153,10 @@ def measure():
 
     telemetry.disable()
     telemetry.reset()
-    latencies, warm_jobs, misses = warm_service_run()
+    latencies, warm_jobs = warm_service_run()
     assert warm_jobs == jobs_per_batch
+    stored = stored_on_repeat()
+    assert stored == 0, "a repeat batch stored %d artifact(s)" % stored
     warm_elapsed = sum(latencies) / len(latencies)
 
     # The same warm path with the metrics registry live: every serve
@@ -130,7 +165,7 @@ def measure():
     telemetry.reset()
     telemetry.enable()
     try:
-        on_latencies, on_jobs, _ = warm_service_run()
+        on_latencies, on_jobs = warm_service_run()
     finally:
         telemetry.disable()
         telemetry.reset()
@@ -151,7 +186,7 @@ def measure():
             "mean_elapsed": warm_elapsed,
             "best_elapsed": min(latencies),
             "jobs_per_sec": jobs_per_batch / max(1e-9, warm_elapsed),
-            "compile_misses_after_warmup": misses,
+            "artifacts_stored_on_repeat": stored,
         },
         "warm_speedup": cold_elapsed / max(1e-9, warm_elapsed),
         "telemetry": {

@@ -1,15 +1,17 @@
 """CI smoke test for the serving layer, end to end over a real socket.
 
-Starts ``eclc serve`` as a subprocess, submits a batch over HTTP,
+Runs one pass at ``-j 1`` (one worker thread speaking the child pipe
+protocol) and one at ``-j 2`` (two spawned worker children).  Each
+pass starts ``eclc serve`` as a subprocess, submits a batch over HTTP,
 streams the stable result rows, runs the identical spec through
 ``eclc farm run`` directly, and asserts the two serializations are
 byte-identical row for row — the serving layer's core determinism
 contract, exercised exactly the way a user would.
 
-At ``-j 2`` the worker children compile, not the service process, so
-the check that a repeat submission is cache-served reads the tenant's
-persisted artifacts (``<data_root>/artifacts/ns/<tenant>``): a repeat
-must leave every file untouched, and a changed source must add files.
+The pool's workers compile, not the service process, so the check
+that a repeat submission is cache-served reads the tenant's persisted
+artifacts (``<data_root>/artifacts/ns/<tenant>``): a repeat must leave
+every file untouched, and a changed source must add files.
 
 Two revisions of one design label, submitted back to back, must each
 stream the stable rows ``eclc farm run`` gives for its own source.
@@ -25,7 +27,7 @@ for CI to upload next to the BENCH artifacts.
 The trace ledger is checked from the outside too: one trace fetched
 over ``GET /v1/tenants/<t>/traces/<digest>`` must re-hash to the digest
 its row carries, the data root's ``traces/`` must hold pack segments
-(at most one per worker process) rather than one file per job, and
+(at most one per worker) rather than one file per job, and
 ``eclc stats --ledger`` must summarise every recorded trace.
 
 Usage::
@@ -54,12 +56,11 @@ from repro.serve import ServeClient  # noqa: E402
 from repro.telemetry import parse_prometheus  # noqa: E402
 
 #: Series every instrumented service run must expose (the stable
-#: metric-name contract; see the README catalog).  This smoke runs
-#: ``-j 2``, which runs the process-backed pool: compile and
-#: execute counters (``ecl_pipeline_cache_requests_total``,
-#: ``ecl_farm_jobs_total``) then live in the worker children's own
-#: registries, not the parent exposition — the thread-mode
-#: integration tests keep those in the contract.
+#: metric-name contract; see the README catalog).  At ``-j 2`` the
+#: compile and execute counters (``ecl_pipeline_cache_requests_total``,
+#: ``ecl_farm_jobs_total``) live in the worker children's own
+#: registries, not the parent exposition, so they are not listed here —
+#: the thread-mode integration tests keep those in the contract.
 REQUIRED_SERIES = (
     "ecl_serve_queue_depth",
     "ecl_serve_admitted_total",
@@ -186,10 +187,10 @@ def check_revisions(client, workdir, data_root):
         "new sources persisted no artifacts: %d -> %d" % (before, after))
 
 
-def start_server(data_root):
+def start_server(data_root, workers):
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--data-root", data_root, "-j", "2"],
+         "--data-root", data_root, "-j", str(workers)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")},
     )
@@ -201,8 +202,9 @@ def start_server(data_root):
     return process, int(match.group(1))
 
 
-def run():
-    workdir = tempfile.mkdtemp(prefix="serve-smoke-")
+def run(workers):
+    """One smoke pass against ``eclc serve -j workers``."""
+    workdir = tempfile.mkdtemp(prefix="serve-smoke-j%d-" % workers)
     stack_path = os.path.join(workdir, "stack.ecl")
     with open(stack_path, "w") as handle:
         handle.write(PROTOCOL_STACK_ECL)
@@ -217,7 +219,7 @@ def run():
         json.dump(spec, handle)
 
     data_root = os.path.join(workdir, "serve-data")
-    process, port = start_server(data_root)
+    process, port = start_server(data_root, workers)
     try:
         client = ServeClient(port=port)
         assert client.healthz(), "healthz failed"
@@ -290,8 +292,9 @@ def run():
         assert not missing, "metrics contract broken: %s" % missing
         modes = {labels.get("mode"): value
                  for labels, value in series["ecl_pool_mode"]}
-        assert modes.get("process") == 1, (
-            "-j 2 should report a process pool: %r" % modes)
+        mode = "process" if workers > 1 else "thread"
+        assert modes.get(mode) == 1, (
+            "-j %d should report a %s pool: %r" % (workers, mode, modes))
         out_dir = os.path.join(REPO, "benchmarks", "out")
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "metrics_snapshot.txt"),
@@ -309,7 +312,7 @@ def run():
             process.kill()
     # three 8-job batches and two 3-job revisions went through the
     # default tenant
-    check_packed_ledger(os.path.join(data_root, "traces"), 30, workers=2)
+    check_packed_ledger(os.path.join(data_root, "traces"), 30, workers)
 
     # the same spec, straight through the farm
     direct = farm_rows(workdir, "stack",
@@ -323,12 +326,14 @@ def run():
         assert left == right, (
             "row %d diverged:\n  serve: %s\n  farm:  %s"
             % (service_row["index"], left, right))
-    print("serve smoke: %d rows byte-identical to eclc farm run, "
+    print("serve smoke -j %d: %d rows byte-identical to eclc farm run, "
           "no artifact stored on repeat submission, two revisions of "
           "one label each served its own rows, %d metric series "
           "scraped, packed ledger fetched and summarised"
-          % (len(streamed), len(series)))
+          % (workers, len(streamed), len(series)))
 
 
 if __name__ == "__main__":
-    run()
+    # -j 2 last: its exposition is the snapshot left for upload.
+    for jobs in (1, 2):
+        run(jobs)

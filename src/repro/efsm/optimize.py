@@ -87,23 +87,25 @@ def prune_unreachable(efsm):
     )
 
 
-def _retarget(node, renumber):
+def _retarget(node, mapping):
+    """``node``'s reaction tree with every leaf target mapped through
+    ``mapping`` (old state index -> new)."""
     if isinstance(node, Leaf):
         if node.target == TERMINATED:
             return node
-        return Leaf(target=renumber[node.target], delta=node.delta)
+        return Leaf(target=mapping[node.target], delta=node.delta)
     if isinstance(node, TestSignal):
         return TestSignal(node.signal,
-                          _retarget(node.then, renumber),
-                          _retarget(node.otherwise, renumber))
+                          _retarget(node.then, mapping),
+                          _retarget(node.otherwise, mapping))
     if isinstance(node, TestData):
         return TestData(node.cond,
-                        _retarget(node.then, renumber),
-                        _retarget(node.otherwise, renumber))
+                        _retarget(node.then, mapping),
+                        _retarget(node.otherwise, mapping))
     if isinstance(node, DoAction):
-        return DoAction(node.stmt, _retarget(node.next, renumber))
+        return DoAction(node.stmt, _retarget(node.next, mapping))
     if isinstance(node, DoEmit):
-        return DoEmit(node.signal, node.value, _retarget(node.next, renumber))
+        return DoEmit(node.signal, node.value, _retarget(node.next, mapping))
     raise TypeError("unknown reaction node %r" % (node,))
 
 
@@ -175,10 +177,12 @@ def merge_equivalent_states(efsm):
             signature = (block[state.index],
                          _signature(state.reaction, mapping))
             groups.setdefault(signature, []).append(state.index)
+        # Blocks number in order of their lowest state: the final
+        # machine depends only on the partition, whose representatives
+        # are each block's lowest state.
         new_block = {}
-        for new_id, signature in enumerate(sorted(groups,
-                                                  key=_signature_key)):
-            for index in groups[signature]:
+        for new_id, members in enumerate(groups.values()):
+            for index in members:
                 new_block[index] = new_id
         if new_block == block:
             break
@@ -198,7 +202,7 @@ def merge_equivalent_states(efsm):
         source = efsm.state(old)
         states.append(State(
             index=renumber[old],
-            reaction=_retarget_mapped(source.reaction, final),
+            reaction=_retarget(source.reaction, final),
             residue=source.residue,
             label=source.label,
         ))
@@ -211,12 +215,6 @@ def merge_equivalent_states(efsm):
         locals=efsm.locals,
         module=efsm.module,
     )
-
-
-def _signature_key(signature):
-    """Deterministic ordering for signature groups (AST payloads have no
-    natural order, so fall back to their repr)."""
-    return (signature[0], repr(signature[1]))
 
 
 def _signature(node, mapping):
@@ -235,25 +233,4 @@ def _signature(node, mapping):
     if isinstance(node, DoEmit):
         return ("emit", node.signal, node.value,
                 _signature(node.next, mapping))
-    raise TypeError("unknown reaction node %r" % (node,))
-
-
-def _retarget_mapped(node, mapping):
-    if isinstance(node, Leaf):
-        if node.target == TERMINATED:
-            return node
-        return Leaf(target=mapping[node.target], delta=node.delta)
-    if isinstance(node, TestSignal):
-        return TestSignal(node.signal,
-                          _retarget_mapped(node.then, mapping),
-                          _retarget_mapped(node.otherwise, mapping))
-    if isinstance(node, TestData):
-        return TestData(node.cond,
-                        _retarget_mapped(node.then, mapping),
-                        _retarget_mapped(node.otherwise, mapping))
-    if isinstance(node, DoAction):
-        return DoAction(node.stmt, _retarget_mapped(node.next, mapping))
-    if isinstance(node, DoEmit):
-        return DoEmit(node.signal, node.value,
-                      _retarget_mapped(node.next, mapping))
     raise TypeError("unknown reaction node %r" % (node,))

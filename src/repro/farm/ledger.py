@@ -80,27 +80,13 @@ PACK_DIR = "packs"
 TENANT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
-def _canonical_encoder(item_separator=", ", key_separator=": "):
-    separators = (item_separator, key_separator)
-    encoder = json.JSONEncoder(sort_keys=True, separators=separators)
-    make = getattr(json.encoder, "c_make_encoder", None)
-    if make is None:
-        return encoder.encode
-    # The arguments json.dumps(sort_keys=True) hands the C encoder,
-    # minus the circular-reference markers: a markers dict shared
-    # between threads would raise spurious "circular reference" errors.
-    encode = make(None, encoder.default, json.encoder.encode_basestring_ascii,
-                  None, key_separator, item_separator, True, False, True)
-    return lambda obj: "".join(encode(obj, 0))
-
-
 #: ``canonical_json(obj)`` is ``json.dumps(obj, sort_keys=True)`` byte
 #: for byte, without building a new encoder per call.
-canonical_json = _canonical_encoder()
+canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 #: ``compact_json(obj)`` is ``json.dumps(obj, sort_keys=True,
 #: separators=(",", ":"))`` byte for byte: the result-row form.
-compact_json = _canonical_encoder(",", ":")
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def encode_records(records):

@@ -11,12 +11,12 @@ fixed sources the state was constructed with (the farm's and direct
 callers').  No label is ever re-bound: a changed source is a new key,
 and the build of the old one ages out under :data:`RESIDENT_BUILDS`.
 
-The same class runs on both sides of every pool: inline in the
-calling process (the farm's ``workers<=1`` path, the serial baseline
-the throughput benchmark compares against, and the service's thread
-mode) and inside each spawned worker child of
-:mod:`repro.serve.procworker`, which the service and the pooled farm
-share.
+The same class runs inline in the calling process (the farm's
+``workers<=1`` path, the serial baseline the throughput benchmark
+compares against) and behind every serve pool worker of
+:mod:`repro.serve.procworker` — a spawned child, or the pool slot's own
+thread in thread mode — which the service and the pooled farm share.
+One thread uses a state at a time, so it takes no locks.
 
 Vector jobs sweep only where a sweep wins: :meth:`WorkerState.stream`
 — the one run loop under both :meth:`~WorkerState.run_jobs` and the
@@ -30,21 +30,18 @@ a lone or narrow vector job included, runs per job, vector ones on the
 resident native driver; either path yields the same stable row.
 
 Binding is per worker, not per job: a job of a "resident" engine
-(native, and vector outside a sweep) checks out an idle bound adapter
-for its (build, module, engine), restores it to its just-bound state,
-drives it and checks it back in; only a miss binds a new one.  Several
-pool threads may share one state, so a checked-out adapter serves one
-job at a time.  Each dispatch unit (one job, or one sweep) resolves its
-build once and hands it to every step that needs it.
+(native, and vector outside a sweep) takes the one adapter bound for
+its (build, module, engine), restores it to its just-bound state and
+drives it; only the first such job binds it.  Each dispatch unit (one
+job, or one sweep) resolves its build once and hands it to every step
+that needs it.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import traceback
 from collections import OrderedDict
-from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -69,10 +66,10 @@ from .ledger import TraceLedger, encode_records
 SWEEP_MIN_LANES = 128
 
 #: Most design builds one worker keeps resident; the least recently
-#: used one that no job is running on goes first.  With a disk layer
-#: its artifacts leave the cache's memory layer too, and a revisit
-#: reloads them from disk; a memory-only cache keeps them under its own
-#: LRU bound, so a revisit never recompiles.  Measured on servebench
+#: used one goes first.  With a disk layer its artifacts leave the
+#: cache's memory layer too, and a revisit reloads them from disk; a
+#: memory-only cache keeps them under its own LRU bound, so a revisit
+#: never recompiles.  Measured on servebench
 #: ``cold_compile`` revisions through one tenant's worker (2 vCPU,
 #: Python 3.11): 38.9 MB after 90 revisions against 66.0 MB with no
 #: bound.  A revisit past the bound costs about 40 ms with a disk layer
@@ -83,17 +80,16 @@ RESIDENT_BUILDS = 16
 
 class _Bound:
     """What one worker keeps bound from one ``(label, source)`` build:
-    the vector sweep templates (per module) and the idle resident
-    adapters (per (module, engine)).  Only jobs of that very source
-    check out of it, so nothing bound from one revision serves
-    another."""
+    the vector sweep templates (per module) and the resident adapters
+    (one per (module, engine)).  Only jobs of that very source check
+    out of it, so nothing bound from one revision serves another."""
 
-    __slots__ = ("build", "vectors", "idle")
+    __slots__ = ("build", "vectors", "adapters")
 
     def __init__(self, build):
         self.build = build
         self.vectors: Dict[str, object] = {}
-        self.idle: Dict[tuple, List[object]] = {}
+        self.adapters: Dict[tuple, object] = {}
 
 
 class WorkerState:
@@ -141,11 +137,6 @@ class WorkerState:
         #: this worker bound from it), least recently used first.  The
         #: source ``str`` is its own key: its hash is cached.
         self._builds: "OrderedDict[tuple, _Bound]" = OrderedDict()
-        #: ``(label, source)`` -> dispatch units running on its build:
-        #: a build with running units is never retired.
-        self._running: Dict[tuple, int] = {}
-        #: guards ``_builds``, ``_running`` and the idle lists.
-        self._lock = threading.Lock()
 
     # -- serving-layer surface -----------------------------------------
 
@@ -156,10 +147,8 @@ class WorkerState:
         on-disk layout: a namespaced persistent artifact cache under
         ``<data_root>/artifacts`` and the tenant's ledger shard under
         ``<data_root>/traces`` (both in-memory/absent without a
-        ``data_root``).  Used by the service's in-process
-        ``TenantSpace`` *and* by spawned serve worker processes, so
-        both sides compile and persist through identical paths and a
-        job's stable row is byte-identical either way."""
+        ``data_root``).  Every serve pool worker builds its tenants'
+        states through it, in either pool mode."""
         if data_root:
             cache = ArtifactCache.persistent(
                 os.path.join(data_root, "artifacts"), namespace=tenant
@@ -175,12 +164,10 @@ class WorkerState:
 
     # -- compiled-design cache -----------------------------------------
 
-    @contextmanager
     def _checkout(self, design_label, designs=None):
         """The :class:`_Bound` of ``design_label``'s source — taken from
         ``designs`` when the dispatch carries them, else from the
-        constructor's — marked running until the block exits, so no
-        eviction retires it under a job."""
+        constructor's — now the most recently used build."""
         sources = self.designs if designs is None else designs
         try:
             key = (design_label, sources[design_label])
@@ -189,37 +176,24 @@ class WorkerState:
                 "batch has no design labelled %r (designs: %s)"
                 % (design_label, ", ".join(sorted(sources)) or "none")
             )
-        with self._lock:
-            bound = self._builds.get(key)
-            if bound is None:
-                build = self.pipeline.compile_text(key[1], filename=design_label)
-                bound = self._builds[key] = _Bound(build)
-            else:
-                self._builds.move_to_end(key)
-            self._running[key] = self._running.get(key, 0) + 1
-            # Past the bound the least recently used idle builds go,
-            # their artifacts too unless a resident build compiles the
-            # same source.
-            excess = len(self._builds) - RESIDENT_BUILDS
-            if excess > 0:
-                idle = [old for old in self._builds if old not in self._running]
-                for old in idle[:excess]:
-                    digest = self._builds.pop(old).build.source_digest
-                    resident = {b.build.source_digest for b in self._builds.values()}
-                    if digest not in resident:
-                        self.pipeline.cache.release(digest)
-        try:
-            yield bound
-        finally:
-            with self._lock:
-                left = self._running.pop(key) - 1
-                if left:
-                    self._running[key] = left
+        bound = self._builds.get(key)
+        if bound is not None:
+            self._builds.move_to_end(key)
+            return bound
+        build = self.pipeline.compile_text(key[1], filename=design_label)
+        bound = self._builds[key] = _Bound(build)
+        # Past the bound the least recently used builds go, their
+        # artifacts too unless a resident build compiles the same source.
+        while len(self._builds) > RESIDENT_BUILDS:
+            _, old = self._builds.popitem(last=False)
+            digest = old.build.source_digest
+            if digest not in {b.build.source_digest for b in self._builds.values()}:
+                self.pipeline.cache.release(digest)
+        return bound
 
     def build(self, design_label):
         """The (cached) DesignBuild of one design label's source."""
-        with self._checkout(design_label) as bound:
-            return bound.build
+        return self._checkout(design_label).build
 
     def handles(self, design_label):
         """``module_name -> ModuleHandle`` provider for one design."""
@@ -249,21 +223,13 @@ class WorkerState:
         if "resident" not in engine.capabilities():
             return engine.run_job(handles, job, coverage, lines=lines)
         key = (job.module, job.engine)
-        with self._lock:
-            idle = bound.idle.get(key)
-            adapter = idle.pop() if idle else None
+        adapter = bound.adapters.get(key)
         if adapter is None:
-            adapter = engine.build(handles, job)
+            adapter = bound.adapters[key] = engine.build(handles, job)
         else:
+            # Whatever the last drive left behind, restore() undoes it.
             adapter.restore()
-        try:
-            return engine.run_job(handles, job, coverage, adapter=adapter,
-                                  lines=lines)
-        finally:
-            # Whatever the drive left behind, the next checkout's
-            # restore() undoes it.
-            with self._lock:
-                bound.idle.setdefault(key, []).append(adapter)
+        return engine.run_job(handles, job, coverage, adapter=adapter, lines=lines)
 
     # -- job execution -------------------------------------------------
 
@@ -361,35 +327,33 @@ class WorkerState:
         result = self._result(job)
         started = perf_counter()
         try:
-            with self._checkout(job.design, designs) as bound:
-                build = bound.build
-                coverage = (
-                    self._coverage_for(job, build) if job.collect_coverage else None
+            bound = self._checkout(job.design, designs)
+            build = bound.build
+            coverage = self._coverage_for(job, build) if job.collect_coverage else None
+            run = self._drive(job, bound, coverage)
+            records = run.records
+            result.divergence = run.divergence
+            result.kernel_stats = run.kernel_stats
+            status = STATUS_TERMINATED if run.terminated else STATUS_OK
+            if run.divergence is not None:
+                status = STATUS_DIVERGED
+            if coverage is not None:
+                result.coverage = self._coverage_payload(coverage)
+            if job.properties:
+                violation = self._check_properties(job, build, records)
+                if violation is not None:
+                    status = STATUS_VIOLATED
+                    result.violation = violation.property_text
+                    result.violation_instant = violation.instant
+            result.status = status
+            result.instants = len(records)
+            result.emitted_events = run.emitted_events
+            if self.ledger is not None:
+                vcd_text = self._render_vcd(job, build, records)
+                lines = records if run.encoded else encode_records(records)
+                result.trace_digest, result.trace_path = self.ledger.put(
+                    job, lines, vcd_text=vcd_text
                 )
-                run = self._drive(job, bound, coverage)
-                records = run.records
-                result.divergence = run.divergence
-                result.kernel_stats = run.kernel_stats
-                status = STATUS_TERMINATED if run.terminated else STATUS_OK
-                if run.divergence is not None:
-                    status = STATUS_DIVERGED
-                if coverage is not None:
-                    result.coverage = self._coverage_payload(coverage)
-                if job.properties:
-                    violation = self._check_properties(job, build, records)
-                    if violation is not None:
-                        status = STATUS_VIOLATED
-                        result.violation = violation.property_text
-                        result.violation_instant = violation.instant
-                result.status = status
-                result.instants = len(records)
-                result.emitted_events = run.emitted_events
-                if self.ledger is not None:
-                    vcd_text = self._render_vcd(job, build, records)
-                    lines = records if run.encoded else encode_records(records)
-                    result.trace_digest, result.trace_path = self.ledger.put(
-                        job, lines, vcd_text=vcd_text
-                    )
         except EclError as error:
             result.status = STATUS_ERROR
             result.error = str(error)
@@ -434,15 +398,15 @@ class WorkerState:
         lead = jobs[0]
         started = perf_counter()
         try:
-            with self._checkout(lead.design, designs) as bound:
-                reactor = self.vector_reactor(bound, lead.module)
-                outcome = reactor.run_specs(
-                    lead.stimulus,
-                    seeds=[job.seed for job in jobs],
-                    budget=lead.instant_budget,
-                    coverage="raw" if lead.collect_coverage else False,
-                    records=False,
-                )
+            bound = self._checkout(lead.design, designs)
+            reactor = self.vector_reactor(bound, lead.module)
+            outcome = reactor.run_specs(
+                lead.stimulus,
+                seeds=[job.seed for job in jobs],
+                budget=lead.instant_budget,
+                coverage="raw" if lead.collect_coverage else False,
+                records=False,
+            )
             errors = outcome.errors
         except EclError as error:
             errors = [str(error)] * len(jobs)

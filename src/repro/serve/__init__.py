@@ -11,17 +11,19 @@ compile tax dominates.  This package keeps the farm *resident*:
 * :mod:`repro.serve.queue` — bounded priority intake with atomic batch
   admission; overload is an explicit ``queue_full`` rejection (HTTP
   429), never unbounded memory growth;
-* :mod:`repro.serve.pool` — self-healing workers, thread- or
-  process-backed (``mode="process"``: long-lived spawned children
-  warm-started from the persistent artifact cache, so CPU-bound
-  tenants scale with cores instead of the GIL); a worker death — even
-  a SIGKILLed child — requeues its in-hand job (bounded attempts) and
-  replaces the worker, so a crash degrades one batch instead of the
-  service;
-* :mod:`repro.serve.service` — the core: per-tenant warm
-  :class:`~repro.farm.worker.WorkerState` over namespaced artifact
-  caches and sharded trace-ledger indices, streaming per-batch result
-  feeds, graceful draining shutdown;
+* :mod:`repro.serve.pool` / :mod:`repro.serve.procworker` —
+  self-healing pool slots, each owning one worker that keeps a warm
+  per-tenant :class:`~repro.farm.worker.WorkerState` over namespaced
+  artifact caches and sharded trace-ledger indices, and answers
+  through one request step either way: in the slot thread, or
+  (``mode="process"``) in a long-lived spawned child warm-started from
+  the persistent artifact cache, so CPU-bound tenants scale with cores
+  instead of the GIL.  A worker death — even a SIGKILLed child —
+  requeues its in-hand job (bounded attempts) and replaces the worker,
+  so a crash degrades one batch instead of the service;
+* :mod:`repro.serve.service` — the core: admission, dispatch groups
+  carrying each batch's own design sources, streaming per-batch
+  result feeds, graceful draining shutdown;
 * :mod:`repro.serve.api` / :mod:`repro.serve.client` — the stdlib
   HTTP/JSON surface (submit, poll, NDJSON result streams, trace
   fetch, ``/v1/health``) and its :mod:`http.client` counterpart,

@@ -105,7 +105,6 @@ class FaultPlan:
         self._occurrences: Dict[tuple, int] = {}
         self._lock = threading.Lock()
         self._service = None
-        self._wrapped_space = None
 
     # -- decisions -----------------------------------------------------
 
@@ -191,9 +190,11 @@ class FaultPlan:
     def on_ledger(self, op, key):
         """``TraceLedger.fault_hook``: fail a trace write with OSError
         (escalates to a worker death under the serving worker state,
-        so the pool retries it)."""
-        if self._decide("ledger", "%s/%s" % (op, key), self.ledger_prob,
-                        self.ledger_limit):
+        so the pool retries it).  Inert once uninstalled: the workers'
+        ledgers keep the hook they were built with."""
+        if self._service is not None and self._decide(
+                "ledger", "%s/%s" % (op, key), self.ledger_prob,
+                self.ledger_limit):
             raise OSError("chaos: injected ledger %s failure" % op)
 
     # -- wiring --------------------------------------------------------
@@ -201,10 +202,12 @@ class FaultPlan:
     def install(self, service):
         """Attach this plan to every fault seam of ``service``.
 
-        Tenant ledgers are created lazily, so the plan also shims the
-        service's tenant lookup to hook each ledger as it appears.
-        Returns ``self`` (so tests can ``plan = FaultPlan(...).
-        install(service)``)."""
+        The workers' ledgers get :meth:`on_ledger` through the pool's
+        ``process_config["ledger_fault_hook"]``, which a worker reads
+        when it builds a tenant's state: install before the first
+        batch runs.  Thread mode only: a spawned child would decide on
+        its own copy of the occurrence counters.  Returns ``self`` (so
+        tests can ``plan = FaultPlan(...).install(service)``)."""
         if self._service is not None:
             raise RuntimeError("FaultPlan is already installed")
         self._service = service
@@ -214,15 +217,8 @@ class FaultPlan:
         service.queue.fault_hook = self.on_dequeue
         if service.journal is not None:
             service.journal.fault_hook = self.on_journal
-        self._wrapped_space = service._space
-
-        def space_with_ledger_hook(tenant):
-            space = self._wrapped_space(tenant)
-            if space.ledger is not None:
-                space.ledger.fault_hook = self.on_ledger
-            return space
-
-        service._space = space_with_ledger_hook
+        if service.pool.mode == "thread":
+            service.pool.process_config["ledger_fault_hook"] = self.on_ledger
         return self
 
     def uninstall(self):
@@ -233,23 +229,18 @@ class FaultPlan:
         post-record hook, or a retry that crash queued, must see the
         same plan on every run, or same-seed runs inject different
         fault counts."""
-        service, self._service = self._service, None
+        service = self._service
         if service is None:
             return
         service.pool.wait_idle(timeout=SETTLE_S)
+        self._service = None
         service.pool.fault_hook = None
         service.pool.post_fault_hook = None
         service.pool.process_fault_hook = None
         service.queue.fault_hook = None
         if service.journal is not None:
             service.journal.fault_hook = None
-        service._space = self._wrapped_space
-        self._wrapped_space = None
-        with service._lock:
-            spaces = list(service._tenants.values())
-        for space in spaces:
-            if space.ledger is not None:
-                space.ledger.fault_hook = None
+        service.pool.process_config.pop("ledger_fault_hook", None)
 
     def describe(self):
         fired = {k: v for k, v in self.injected.items() if v}

@@ -1,38 +1,39 @@
-"""Warm worker pool: resident threads (or processes) draining the queue.
+"""Warm worker pool: resident slots draining the queue.
 
-Each worker slot is a daemon thread looping ``queue.get() -> execute``
+Each pool slot is a daemon thread looping ``queue.get() -> execute``
 over *dispatch groups*: an entry plus the companions riding along.
-In **thread** mode the slot executes in-process; warmth lives one level
-down — the per-tenant :class:`~repro.farm.worker.WorkerState` instances
-the service owns keep compiled designs, lowered native code and
-partition bundles resident in the shared
-:class:`~repro.pipeline.cache.ArtifactCache` — so a worker thread is
-deliberately stateless: it can die and be replaced without losing any
-warmth.
+Every slot owns one worker (:class:`WorkerProcess`) answering through
+the request/reply protocol of :mod:`repro.serve.procworker`, one
+streamed round trip per group.  The pool mode only chooses where that
+worker's request step runs:
 
-In **process** mode each slot is a *dispatcher*: it owns one long-lived
-worker subprocess (:class:`WorkerProcess`, spawn-start so no live lock
-or thread state is forked mid-operation) and ships each group to it in
-one streamed pipe round trip.  CPU-bound tenants then scale with cores
-instead of serializing on the GIL, and warmth survives differently:
-the children warm-start from the persistent artifact cache, so a
-replacement child skips codegen even though it shares no memory with
-its predecessor.
+* **process** — in a long-lived spawned child behind a pipe
+  (spawn-start, so no live lock or thread state is forked
+  mid-operation).  CPU-bound tenants scale with cores instead of
+  serializing on the GIL;
+* **thread** — in the slot thread itself, which costs no thread switch
+  per request or row.
+
+Either way the rows come back as dicts and decode the same way, the
+worker keeps its builds warm across groups, and a replacement worker
+warm-starts from the persistent artifact cache, so it skips codegen
+even though it shares no memory with its predecessor.
 
 Worker death is the fault model the pool exists to contain.
 ``WorkerState.run_job`` already converts *job-level* failures into
 ``status="error"`` results, so anything that escapes the execute
-callback is a *worker* fault (a harness bug, a ``MemoryError``, a
-storage-layer ``OSError`` escalated by the serving worker state, the
-test suite's injected crashes — or, in process mode, the child dying
-outright: a ``SIGKILL``, an OOM kill, a segfault surface as
-:class:`ProcessDeath` when the pipe breaks).  The fault is charged to
-the group member it struck, which requeues (bounded by ``max_attempts``
-total tries); members after it requeue untouched.  The pool reports a
-synthesized error result once the bound is exhausted — so a crashed
-worker degrades the batch rather than hanging it — and replaces itself
-(thread mode: a fresh thread; process mode: the dispatcher survives
-and lazily respawns a fresh child) before taking the next job.
+callback is a *worker* fault: a harness bug or ``MemoryError`` in the
+slot, the test suite's injected crashes, or a :class:`ProcessDeath` —
+the worker reporting a fault that escaped its request loop (a
+storage-layer ``OSError`` the serving worker state escalates, say), or
+a child dying outright (a ``SIGKILL``, an OOM kill or a segfault
+breaks the pipe).  The fault is charged to the group member it struck,
+which requeues (bounded by ``max_attempts`` total tries); members after
+it requeue untouched.  The pool reports a synthesized error result once
+the bound is exhausted — so a crashed worker degrades the batch rather
+than hanging it.  The slot itself survives every fault: after a
+:class:`ProcessDeath` it drops its worker and lazily starts a fresh one
+before the next group; a fault in the slot leaves the worker warm.
 
 Retries back off: each requeue carries an exponentially growing delay
 with *deterministic* jitter (derived from the job identity and the
@@ -48,11 +49,13 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import threading
 import traceback
 from time import monotonic
 
 from .. import telemetry
+from . import procworker
 
 #: Total tries a job gets before a worker-death error is reported.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -83,18 +86,22 @@ def backoff_delay(job_key, attempts, base=DEFAULT_BACKOFF_BASE,
 
 
 class ProcessDeath(RuntimeError):
-    """A worker subprocess died (or poisoned itself) mid-job.
+    """A pool worker died (or poisoned itself) mid-job.
 
-    Raised by :meth:`WorkerProcess.run` when the pipe breaks — the
-    child was SIGKILLed, segfaulted, or OOM-killed — *and* when the
-    child reports an error that escaped job execution inside it (the
-    child's equivalent of a thread worker's death).  Either way the
-    dispatcher recycles the child and routes the entry through the
-    bounded-backoff retry path."""
+    Raised by :meth:`WorkerProcess.run` when the pipe breaks — a child
+    was SIGKILLed, segfaulted or OOM-killed, or a worker was killed —
+    *and* when the worker reports an error that escaped job execution
+    inside it.  Either way the slot recycles the worker and routes the
+    entry through the bounded-backoff retry path."""
 
 
 class WorkerProcess:
-    """Parent-side handle on one long-lived worker subprocess.
+    """Parent-side handle on one long-lived pool worker.  The worker
+    answers each request through :func:`~repro.serve.procworker.
+    respond`, the request step of the child loop: in a spawned child
+    process behind a pipe or, with ``inline=True``, in the calling slot
+    thread itself (thread mode), which hands rows over without any
+    thread switch.
 
     Spawn-start, deliberately: the service has live dispatcher threads
     holding locks (telemetry registry, journal shard lock) whenever a
@@ -105,35 +112,37 @@ class WorkerProcess:
     artifact cache.
     """
 
-    def __init__(self, config, name="serve-proc"):
+    def __init__(self, config, name="serve-proc", inline=False):
+        self.inline = inline
+        self.killed = False
+        if inline:
+            self._config, self._states = config, {}
+            return
         ctx = multiprocessing.get_context("spawn")
         self._conn, child_conn = ctx.Pipe()
-        from .procworker import child_main
-
         self._proc = ctx.Process(
-            target=child_main, args=(child_conn, config),
+            target=procworker.child_main, args=(child_conn, config),
             name=name, daemon=True,
         )
         self._proc.start()
-        self.killed = False
         # The parent's copy of the child end must close, or a dead
         # child would never surface as EOF on this pipe.
         child_conn.close()
 
     @property
     def pid(self):
-        return self._proc.pid
+        return os.getpid() if self.inline else self._proc.pid
 
     def alive(self):
-        return not self.killed and self._proc.is_alive()
+        return not self.killed and (self.inline or self._proc.is_alive())
 
     def run(self, tenant, designs, jobs, on_rows):
         """One streamed round trip for a dispatch group: ship ``jobs``,
         then hand each reply's ``(position, row)`` pairs to
-        ``on_rows`` as it arrives — each row the moment the child has
-        it — so the caller journals row *k* while the child already
-        runs job *k+1*.
-        Raises :class:`ProcessDeath` when the child dies (or was
+        ``on_rows`` as it arrives — each row the moment the worker has
+        it, so in process mode the caller journals row *k* while the
+        child already runs job *k+1*.
+        Raises :class:`ProcessDeath` when the worker dies (or was
         killed) before its last row, or reports a worker fault."""
         replies = self._replies((tenant, designs, jobs), len(jobs))
         for pairs in replies:
@@ -152,18 +161,23 @@ class WorkerProcess:
 
     def _replies(self, request, rows):
         try:
-            self._conn.send(request)
+            if self.inline:
+                replies = procworker.respond(self._states, self._config,
+                                             request)
+                receive = replies.__next__
+            else:
+                self._conn.send(request)
+                receive = self._conn.recv
             while rows > 0:
                 if self.killed:
-                    # Never read a row a killed child left in the
-                    # pipe: the kill is charged to the job it struck.
+                    # Never read a row a killed worker left behind: the
+                    # kill is charged to the job it struck.
                     raise EOFError("killed")
-                status, data = self._conn.recv()
+                status, data = receive()
                 if status != "ok":
-                    # The child survived but a fault escaped job
-                    # execution in it; treat exactly like a thread
-                    # worker death (and recycle the child — its
-                    # internal state is no longer trusted).
+                    # The worker survived but a fault escaped job
+                    # execution in it: recycle it, its internal state
+                    # is no longer trusted.
                     raise ProcessDeath(str(data))
                 rows -= len(data)
                 yield data
@@ -174,17 +188,24 @@ class WorkerProcess:
             ) from None
 
     def kill(self):
-        """SIGKILL the child (the chaos harness's process-crash seam)."""
+        """SIGKILL the child (the chaos harness's process-crash seam);
+        an inline worker answers no further request."""
         self.killed = True
-        try:
-            self._proc.kill()
-        except (OSError, ValueError):
-            pass
+        if not self.inline:
+            try:
+                self._proc.kill()
+            except (OSError, ValueError):
+                pass
 
     def close(self, kill=False, timeout=5.0):
-        """Retire the child: graceful ``exit`` request by default,
+        """Retire the worker: graceful ``exit`` request by default,
         SIGKILL when ``kill=True`` (or when the graceful join times
-        out — a wedged child must not block shutdown)."""
+        out — a wedged child must not block shutdown).  An inline
+        worker drops its states."""
+        if self.inline:
+            self.killed = True
+            self._states.clear()
+            return
         if not kill:
             try:
                 self._conn.send(("exit",))
@@ -211,12 +232,13 @@ class WorkerPool:
         """``execute_group(group, worker, visit, settled)`` runs one
         dispatch group — an entry plus the companions
         ``take_group(entry)`` pops to ride along with it — to
-        completion (``worker``: the slot's :class:`WorkerProcess`, None
-        in thread mode), calling ``visit(member)`` before it records a
-        member's result and ``settled(member)`` after;
-        ``on_dead_job(entry, error)`` reports an entry whose retry
-        budget is exhausted.  ``process_config`` is shipped to each
-        spawned child."""
+        completion on ``worker``, the slot's :class:`WorkerProcess`,
+        calling ``visit(member)`` before it records a member's result
+        and ``settled(member)`` after; ``on_dead_job(entry, error)``
+        reports an entry whose retry budget is exhausted.
+        ``process_config`` is every worker's
+        :func:`~repro.serve.procworker.respond` config (pickled for a
+        spawned child, shared as is by an inline worker)."""
         if mode not in POOL_MODES:
             raise ValueError(
                 "pool mode must be one of %r, got %r" % (POOL_MODES, mode)
@@ -241,18 +263,16 @@ class WorkerPool:
         #: entry's result was recorded and may raise — the
         #: crash-after-record window the dedup machinery must absorb.
         self.post_fault_hook = None
-        #: process-mode seam: ``process_fault_hook(entry, worker)``
-        #: runs right after ``fault_hook`` and may ``worker.kill()`` —
-        #: the real-SIGKILL chaos scope (the entry's row is then never
-        #: read, and the pipe breaks mid-group).
+        #: test seam: ``process_fault_hook(entry, worker)`` runs right
+        #: after ``fault_hook`` and may ``worker.kill()`` — a real
+        #: SIGKILL in process mode (the entry's row is then never read,
+        #: and the pipe breaks mid-group).
         self.process_fault_hook = None
         self._threads = []
         self._children = set()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._active = 0
-        self._spawned = 0
-        self._stopping = False
         self.worker_deaths = 0
         self.jobs_executed = 0
         self.dispatches = 0
@@ -264,28 +284,23 @@ class WorkerPool:
 
     def start(self):
         with self._lock:
-            for _ in range(self.workers):
-                self._spawn_locked()
-
-    def _spawn_locked(self):
-        self._spawned += 1
-        thread = threading.Thread(
-            target=self._worker_loop,
-            name="serve-worker-%d" % self._spawned,
-            daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
+            for number in range(1, self.workers + 1):
+                thread = threading.Thread(
+                    target=self._worker_loop,
+                    name="serve-worker-%d" % number,
+                    daemon=True,
+                )
+                self._threads.append(thread)
+                thread.start()
 
     def join(self, timeout=None):
-        """Wait for worker threads to exit (queue must be closed); in
-        process mode each dispatcher retires its child on the way out."""
+        """Wait for the slot threads to exit (queue must be closed);
+        each slot retires its worker on the way out."""
         with self._lock:
-            self._stopping = True
             threads = list(self._threads)
         for thread in threads:
             thread.join(timeout=timeout)
-        # Orphan sweep: children whose dispatcher did not exit in time.
+        # Orphan sweep: workers whose slot did not exit in time.
         with self._lock:
             children, self._children = list(self._children), set()
         for child in children:
@@ -313,10 +328,9 @@ class WorkerPool:
     # -- the slot loop -------------------------------------------------
 
     def _worker_loop(self):
-        """One pool slot.  A process slot owns one worker child, spawned
-        lazily and recycled after a :class:`ProcessDeath` (a parent-side
-        fault leaves it warm); a thread slot dies with any fault and is
-        replaced."""
+        """One pool slot.  It owns one worker, started lazily and
+        recycled after a :class:`ProcessDeath`; a fault in the slot
+        itself leaves the worker warm."""
         worker = None
         try:
             while True:
@@ -326,7 +340,7 @@ class WorkerPool:
                 with self._lock:
                     self._active += 1
                 try:
-                    fault, worker = self._run_group(entry, worker)
+                    worker = self._run_group(entry, worker)
                 finally:
                     # Balance the pop *after* any death-path requeue,
                     # so the entry is never invisible to is_idle().
@@ -334,11 +348,6 @@ class WorkerPool:
                     with self._idle:
                         self._active -= 1
                         self._idle.notify_all()
-                if fault is not None and self.mode == "thread":
-                    with self._lock:
-                        if not self._stopping and not self.queue.closed:
-                            self._spawn_locked()
-                    return
         finally:
             if worker is not None:
                 with self._lock:
@@ -346,11 +355,11 @@ class WorkerPool:
                 worker.close(kill=False)
 
     def _run_group(self, entry, worker):
-        """Dispatch and settle the group ``entry`` leads (process mode:
-        on ``worker``, respawned when dead); returns ``(fault or None,
-        worker)``.  A fault costs one attempt of the member that
-        visited the hooks last; members that never visited requeue
-        with ``attempts`` and ``not_before`` untouched."""
+        """Dispatch and settle the group ``entry`` leads on ``worker``
+        (started when absent or dead); returns the worker the slot
+        keeps.  A fault costs one attempt of the member that visited
+        the hooks last; members that never visited requeue with
+        ``attempts`` and ``not_before`` untouched."""
         group = [entry]
         visited = []
 
@@ -358,7 +367,7 @@ class WorkerPool:
             visited.append(member)
             if self.fault_hook is not None:
                 self.fault_hook(member)
-            if worker is not None and self.process_fault_hook is not None:
+            if self.process_fault_hook is not None:
                 self.process_fault_hook(member, worker)
 
         def settled(member):
@@ -372,8 +381,7 @@ class WorkerPool:
                 self.post_fault_hook(member)
 
         try:
-            if self.mode == "process" and (worker is None
-                                           or not worker.alive()):
+            if worker is None or not worker.alive():
                 worker = self._spawn_process(stale=worker)
             if self.take_group is not None:
                 group.extend(self.take_group(entry))
@@ -385,11 +393,11 @@ class WorkerPool:
                      "pipe round trip each in process mode).",
             ).inc()
             self.execute_group(group, worker, visit, settled)
-            return None, worker
+            return worker
         except BaseException as fault:
             if isinstance(fault, ProcessDeath):
-                # The child is gone (or poisoned): recycle it; the
-                # dispatcher survives and respawns lazily.
+                # The worker is gone (or poisoned): recycle it; the
+                # slot survives and starts a fresh one lazily.
                 self._drop_process(worker)
                 error_text = str(fault)
             else:
@@ -402,7 +410,7 @@ class WorkerPool:
                     self._retry_or_report(member, error_text,
                                           charge=False)
             self._retry_or_report(culprit, error_text)
-            return fault, worker
+            return worker
         finally:
             for member in group[1:]:
                 self.queue.task_done(member)
@@ -414,7 +422,8 @@ class WorkerPool:
             with self._lock:
                 self._children.discard(stale)
             stale.close(kill=True, timeout=1.0)
-        worker = WorkerProcess(self.process_config)
+        worker = WorkerProcess(self.process_config,
+                               inline=self.mode == "thread")
         with self._lock:
             self._children.add(worker)
             self.proc_spawned += 1
@@ -423,20 +432,18 @@ class WorkerPool:
         if stale is not None:
             telemetry.counter(
                 "ecl_serve_worker_proc_restarts_total",
-                help="Replacement worker processes spawned after a "
-                     "child was lost.",
+                help="Replacement pool workers started after one was "
+                     "lost.",
             ).inc()
         return worker
 
     def _drop_process(self, worker):
-        if worker is None:
-            return
         with self._lock:
             self._children.discard(worker)
             self.proc_crashes += 1
         telemetry.counter(
             "ecl_serve_worker_proc_crashes_total",
-            help="Worker processes lost mid-job (killed, segfaulted, "
+            help="Pool workers lost mid-job (killed, segfaulted, "
                  "or poisoned).",
         ).inc()
         worker.close(kill=True, timeout=1.0)
@@ -480,15 +487,14 @@ class WorkerPool:
                 "mode": self.mode,
                 "workers": self.workers,
                 "active": self._active,
-                "spawned": self._spawned,
                 "worker_deaths": self.worker_deaths,
                 "jobs_executed": self.jobs_executed,
                 "dispatches": self.dispatches,
+                "proc_spawned": self.proc_spawned,
+                "proc_restarts": self.proc_restarts,
+                "proc_crashes": self.proc_crashes,
             }
             if self.mode == "process":
-                stats["proc_spawned"] = self.proc_spawned
-                stats["proc_restarts"] = self.proc_restarts
-                stats["proc_crashes"] = self.proc_crashes
                 stats["process_pids"] = sorted(
                     child.pid for child in self._children
                     if child.alive()

@@ -217,17 +217,6 @@ class JobQueue:
             self._lanes[tenant] = lane
         return lane
 
-    def set_tenant_weight(self, tenant, weight):
-        """(Re)configure one tenant's fair-share weight; applies from
-        the lane's next turn."""
-        if weight <= 0:
-            raise EclError("tenant weight must be > 0, got %r" % (weight,))
-        with self._lock:
-            self.tenant_weights[tenant] = float(weight)
-            lane = self._lanes.get(tenant)
-            if lane is not None:
-                lane.weight = float(weight)
-
     def _activate(self, lane):
         """Put a lane (back) in the round-robin ring when its heap
         just went non-empty."""

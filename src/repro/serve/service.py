@@ -12,12 +12,15 @@ they complete.  The pieces:
   (:func:`repro.farm.spec.expand_document`), and are admitted
   atomically into a bounded priority queue; a batch that does not fit
   is rejected with ``queue_full`` instead of growing the heap;
-* **warmth** — each tenant owns one long-lived
-  :class:`~repro.farm.worker.WorkerState` over a namespaced
+* **warmth** — every pool slot owns one worker (a spawned child, or
+  the slot thread itself running the same request step), and each
+  worker keeps one long-lived :class:`~repro.farm.worker.WorkerState`
+  per tenant over the tenant's namespaced
   :class:`~repro.pipeline.cache.ArtifactCache`: the first batch
-  compiles, every identical later batch is served entirely from cache
-  (zero compile-stage misses — the acceptance bar), because a worker
-  keys its builds by ``(label, source)``;
+  compiles, every identical later batch is served from cache (a repeat
+  stores no artifact — the acceptance bar), because a worker keys its
+  builds by ``(label, source)``.  The service process itself holds no
+  worker state;
 * **sources** — a batch owns the design sources it was admitted (or
   recovered) with, and every dispatch ships its jobs' one source from
   the batch, so two batches binding one label to different sources
@@ -80,7 +83,7 @@ from .journal import BatchJournal
 from .pool import DEFAULT_MAX_ATTEMPTS, WorkerPool
 from .queue import DEFAULT_QUEUE_DEPTH, JobQueue, ServiceClosedError
 
-#: Default number of resident worker threads.
+#: Default number of pool slots.
 DEFAULT_WORKERS = 2
 
 #: Most jobs one dispatch group may carry (lead entry plus
@@ -262,33 +265,15 @@ class Batch:
 
 
 class TenantSpace:
-    """One tenant's warm, namespaced slice of the service."""
+    """What the service keeps of one tenant: its name and how many of
+    its jobs ran.  The pool's workers hold its warm state."""
 
-    def __init__(self, name, data_root, options=None):
+    def __init__(self, name):
         self.name = check_tenant(name)
-        #: the warm core: builds stay resident across batches.
-        #: Storage faults (ledger OSErrors) escalate to worker deaths
-        #: here instead of becoming error rows, so the pool's bounded
-        #: backoff retries them — a transient disk hiccup must not
-        #: corrupt a deterministic result row.  Worker *processes*
-        #: build their own state through the same factory, so either
-        #: execution side yields identical stable rows.
-        self.state = WorkerState.for_tenant(
-            name, data_root=data_root, options=options,
-        )
-        self.cache = self.state.pipeline.cache
         self.jobs_run = 0
 
-    @property
-    def ledger(self) -> Optional[TraceLedger]:
-        return self.state.ledger
-
     def status_dict(self):
-        return {
-            "tenant": self.name,
-            "jobs_run": self.jobs_run,
-            "cache": self.cache.stats.as_dict(),
-        }
+        return {"tenant": self.name, "jobs_run": self.jobs_run}
 
 
 class SimulationService:
@@ -321,15 +306,16 @@ class SimulationService:
         their unfinished jobs re-admitted before the worker pool
         starts.
 
-        ``pool_mode="process"`` runs jobs in long-lived spawned worker
-        processes sharing the persistent artifact cache — the
-        CPU-bound scaling mode.  ``tenant_weights`` /
-        ``max_queued_per_tenant`` / ``max_in_flight_per_tenant``
-        configure the queue's weighted-fair rotation and quotas;
-        ``journal_compact=True`` compacts per-tenant WALs at startup
-        (post-recovery) and on graceful shutdown."""
+        Each of the ``workers`` pool slots runs its jobs on one
+        long-lived worker: a spawned child process with
+        ``pool_mode="process"`` (the CPU-bound scaling mode), else the
+        slot thread itself, answering through the same request step.
+        ``tenant_weights`` / ``max_queued_per_tenant`` /
+        ``max_in_flight_per_tenant`` configure the queue's weighted-fair
+        rotation and quotas; ``journal_compact=True`` compacts
+        per-tenant WALs at startup (post-recovery) and on graceful
+        shutdown."""
         self.data_root = data_root
-        self.options = options
         if data_root:
             os.makedirs(data_root, exist_ok=True)
         if journal_root is None and data_root:
@@ -351,6 +337,10 @@ class SimulationService:
             mode=pool_mode,
             execute_group=self._execute_entry,
             take_group=functools.partial(take_group, self.queue),
+            # Storage faults (ledger OSErrors) escalate to worker
+            # deaths in the workers' states instead of becoming error
+            # rows, so the pool's bounded backoff retries them: a
+            # transient disk hiccup must not corrupt a result row.
             process_config={
                 "worker_state": functools.partial(
                     WorkerState.for_tenant, data_root=data_root,
@@ -446,9 +436,7 @@ class SimulationService:
         with self._lock:
             space = self._tenants.get(tenant)
             if space is None:
-                space = TenantSpace(tenant, self.data_root,
-                                    options=self.options)
-                self._tenants[tenant] = space
+                space = self._tenants[tenant] = TenantSpace(tenant)
             return space
 
     # -- execution (pool callbacks) ------------------------------------
@@ -516,29 +504,16 @@ class SimulationService:
             tenant=lead.tenant,
         ).observe(perf_counter() - started)
 
-    def _execute(self, entry):
-        """Run one entry alone in this thread, outside the pool."""
-        def no_seam(member):
-            return None
-
-        self._execute_entry([entry], None, no_seam, no_seam)
-
     def _dispatch_job(self, space, batch, jobs, worker, on_rows):
-        """Run one dispatch group of ``batch``, handing each finished
-        unit of ``(position, result)`` pairs to ``on_rows``: in-process
-        through the tenant's warm state, or over one streamed round
-        trip to ``worker``.  The group's one design source ships from
-        the batch with every dispatch: a warm worker finds its build
-        by ``(label, source)``, and a *replacement* child learns the
-        source without any replay protocol."""
+        """Run one dispatch group of ``batch`` over one streamed round
+        trip to ``worker``, handing each finished unit of ``(position,
+        result)`` pairs to ``on_rows``.  The group's one design source
+        ships from the batch with every dispatch: a warm worker finds
+        its build by ``(label, source)``, and a *replacement* worker
+        learns the source without any replay protocol."""
         design = jobs[0].design
-        designs = {design: batch.designs[design]}
-        if worker is None:
-            for pairs in space.state.stream(jobs, designs):
-                on_rows(pairs)
-            return
         worker.run(
-            space.name, designs, jobs,
+            space.name, {design: batch.designs[design]}, jobs,
             lambda pairs: on_rows([(position, SimResult.from_dict(row))
                                    for position, row in pairs]),
         )
@@ -738,15 +713,10 @@ class SimulationService:
         return batch
 
     def _ledger(self, tenant) -> Optional[TraceLedger]:
-        """``tenant``'s ledger shard, for reading: its resident space's,
-        else a fresh view of the shard on disk (a tenant from before a
-        restart) — a read never creates a tenant space.  None without a
-        ``data_root``."""
+        """A read-only view of ``tenant``'s ledger shard on disk (the
+        pool's workers write it) — a read never creates a tenant space.
+        None without a ``data_root``."""
         check_tenant(tenant)
-        with self._lock:
-            space = self._tenants.get(tenant)
-        if space is not None:
-            return space.ledger
         if not self.data_root:
             return None
         return TraceLedger(os.path.join(self.data_root, "traces"),
@@ -890,11 +860,6 @@ class SimulationService:
             idle = self.pool.wait_idle(timeout=timeout)
         self.queue.close()
         self.pool.join(timeout=timeout)
-        with self._lock:
-            ledgers = [space.ledger for space in self._tenants.values()
-                       if space.ledger is not None]
-        for ledger in ledgers:
-            ledger.close()
         if self.journal is not None:
             if self.journal_compact and idle:
                 # Quiesced (drained + joined): closed batches leave the

@@ -1,5 +1,6 @@
 """Fixtures shared across the test tree."""
 
+import os
 import threading
 
 import pytest
@@ -27,3 +28,23 @@ def http_server():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture()
+def artifact_files():
+    """``files(data_root, tenant="default")``: ``{path: (inode,
+    mtime)}`` of a tenant's persisted artifacts.  A store replaces its
+    file, so a repeat submission that compiled anything again changes
+    the map even when it wrote the same keys."""
+
+    def files(data_root, tenant="default"):
+        root = os.path.join(str(data_root), "artifacts", "ns", tenant)
+        found = {}
+        for folder, _dirs, names in os.walk(root):
+            for name in names:
+                path = os.path.join(folder, name)
+                stat = os.stat(path)
+                found[path] = (stat.st_ino, stat.st_mtime_ns)
+        return found
+
+    return files

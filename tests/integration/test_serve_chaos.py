@@ -328,7 +328,6 @@ def run_group_fault(root, pool_mode, fault):
         if fault == "ledger":
             hook = LedgerFaultOnce(batch.jobs[STRUCK].job_id,
                                    str(root / "ledger-fault"))
-            service._space("default").ledger.fault_hook = hook
             service.pool.process_config["ledger_fault_hook"] = hook
         service.pool.start()
         assert batch.wait(timeout=120), "group fault batch hung"
@@ -374,8 +373,7 @@ class TestGroupFaultAttribution:
         assert sorted(journaled.values()) == [1] * 15
         assert service.pool.worker_deaths == 1
         assert service.quarantined == 0
-        if pool_mode == "process":
-            recycled = 0 if fault == "crash" else 1
-            assert service.pool.proc_crashes == recycled
+        recycled = 0 if fault == "crash" else 1
+        assert service.pool.proc_crashes == recycled
         assert stable_rows(batch.results) == \
             expected_rows(tmp_path, GROUP_DOCUMENT)

@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import EclError, NotFoundError
 from repro.farm import SimJob, StimulusSpec, TraceLedger
 from repro.engines import make_record
-from repro.farm.ledger import PACK_DIR, canonical_json, encode_records
+from repro.farm.ledger import (
+    PACK_DIR,
+    canonical_json,
+    compact_json,
+    encode_records,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -345,10 +350,18 @@ class TestCanonicalJson:
     def test_matches_sorted_json_dumps(self, value):
         assert canonical_json(value) == json.dumps(value, sort_keys=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_compact_matches_sorted_compact_json_dumps(self, value):
+        assert compact_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"))
+
     def test_edge_values(self):
         value = {"z": [float("nan"), float("inf"), -float("inf"), 1e300,
                        -0.0], "é": "ü\u2603\U0001f600", "a": {"b": None}}
         assert canonical_json(value) == json.dumps(value, sort_keys=True)
+        assert compact_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"))
 
     def test_unserializable_raises_type_error(self):
         with pytest.raises(TypeError, match="not JSON serializable"):

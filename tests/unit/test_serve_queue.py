@@ -241,14 +241,6 @@ class TestWeightedFairness:
         queue.put_batch(["mid"], priority=2)
         assert [e.job for e in entries_of(queue)] == ["hi", "mid", "lo"]
 
-    def test_set_tenant_weight_validates_and_applies(self):
-        queue = JobQueue(depth=8)
-        with pytest.raises(EclError, match="weight"):
-            queue.set_tenant_weight("t", 0)
-        queue.put_batch(["x"], tenant="t")
-        queue.set_tenant_weight("t", 4.0)
-        assert queue.stats_dict()["tenants"]["t"]["weight"] == 4.0
-
 
 class TestTenantQuotas:
     def test_queued_quota_rejects_structured_and_atomic(self):
@@ -417,8 +409,9 @@ class TestWorkerPool:
         assert sorted(done) == ["fragile", "solid"]
         assert dead == []
         assert pool.stats_dict()["worker_deaths"] == 2
-        # each death spawned a replacement thread
-        assert pool.stats_dict()["spawned"] == 3
+        # the slot survived both deaths, its worker untouched
+        assert len(pool._threads) == 1
+        assert pool.stats_dict()["proc_restarts"] == 0
 
     def test_retry_budget_exhaustion_reports_dead_job(self):
         queue, pool, done, dead = self.make_pool(workers=1, max_attempts=2)

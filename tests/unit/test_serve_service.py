@@ -50,6 +50,21 @@ def make_service(**kwargs):
     return SimulationService(**kwargs)
 
 
+def record_states(service):
+    """The WorkerStates the service's thread workers build, in order:
+    wraps the pool's state factory, so call it before the first
+    submission."""
+    states = []
+    factory = service.pool.process_config["worker_state"]
+
+    def recording(**kwargs):
+        states.append(factory(**kwargs))
+        return states[-1]
+
+    service.pool.process_config["worker_state"] = recording
+    return states
+
+
 def direct_rows(doc, ledger_root=None):
     """The stable rows of ``doc``'s jobs run by a fresh WorkerState."""
     from repro.farm import WorkerState
@@ -141,26 +156,28 @@ class TestBackpressure:
 
 
 class TestWarmPool:
-    def test_repeat_submission_has_zero_compile_misses(self):
-        service = make_service()
+    def test_repeat_submission_has_zero_compile_misses(
+            self, tmp_path, artifact_files):
+        service = make_service(data_root=str(tmp_path))
         try:
             first = service.submit(document(traces=2))
             assert first.wait(timeout=30)
-            space = service._space("default")
-            misses_before = space.cache.stats.misses
+            stored = artifact_files(tmp_path)
+            assert stored
             second = service.submit(document(traces=2))
             assert second.wait(timeout=30)
-            assert space.cache.stats.misses == misses_before
+            assert artifact_files(tmp_path) == stored
             assert [r.status for r in second.results] == ["ok", "ok"]
         finally:
             service.shutdown()
 
     def test_changed_design_builds_beside_the_warm_one(self):
-        service = make_service()
+        service = make_service(workers=1)
+        states = record_states(service)
         try:
             batch = service.submit(document())
             assert batch.wait(timeout=30)
-            state = service._space("default").state
+            (state,) = states
             warm = state._builds[("d", ECHO)]
             # same source: the warm build serves again
             service.submit(document()).wait(timeout=30)
@@ -185,6 +202,7 @@ class TestWarmPool:
         from repro.farm.worker import RESIDENT_BUILDS
 
         service = make_service(workers=1)
+        states = record_states(service)
         try:
             for number in range(30):
                 source = ECHO.replace("echo", "echo_r%d" % number)
@@ -193,7 +211,7 @@ class TestWarmPool:
                     label="d%d" % number))
                 assert batch.wait(timeout=30)
                 assert batch.results[0].status == "ok"
-            state = service._space("default").state
+            (state,) = states
             assert state.designs == {}
             assert len(state._builds) <= RESIDENT_BUILDS
         finally:
@@ -496,6 +514,61 @@ class TestWorkerDeath:
             assert all(r.status == "ok" for r in batch.results)
         finally:
             service.shutdown()
+
+
+class TestOneWorkerPath:
+    """Both pool modes run every job on a pool worker: the service
+    process builds no worker state, and a thread slot recycles a dead
+    worker the way a process slot recycles its child."""
+
+    def test_process_batch_needs_no_parent_worker_state(
+            self, monkeypatch, tmp_path):
+        from repro.farm.worker import WorkerState
+
+        def refuse(state, *args, **kwargs):
+            raise AssertionError("the service process built a WorkerState")
+
+        monkeypatch.setattr(WorkerState, "__init__", refuse)
+        service = make_service(workers=1, pool_mode="process",
+                               data_root=str(tmp_path))
+        try:
+            batch = service.submit(document(traces=2))
+            assert batch.wait(timeout=120)
+        finally:
+            service.shutdown()
+        assert [r.status for r in batch.results] == ["ok", "ok"]
+        assert service.status_dict()["tenants"] == [
+            {"tenant": "default", "jobs_run": 2}]
+
+    def test_thread_slot_recycles_a_dead_worker(self, tmp_path):
+        service = make_service(workers=1, start=False,
+                               data_root=str(tmp_path))
+        slots = []
+        failed = []
+
+        def fail_first_put(op, key):
+            if not failed:
+                failed.append(key)
+                raise OSError("injected ledger failure")
+
+        service.pool.fault_hook = lambda entry: slots.append(
+            threading.current_thread())
+        service.pool.process_config["ledger_fault_hook"] = fail_first_put
+        service.pool.start()
+        try:
+            batch = service.submit(document(traces=1))
+            assert batch.wait(timeout=30)
+        finally:
+            service.shutdown()
+        # the worker reported "dead"; the job retried and landed
+        assert [r.status for r in batch.results] == ["ok"]
+        assert len(failed) == 1
+        stats = service.pool.stats_dict()
+        assert stats["worker_deaths"] == 1
+        assert (stats["proc_crashes"], stats["proc_restarts"]) == (1, 1)
+        # one slot thread ran both attempts
+        assert len(slots) == 2 and slots[0] is slots[1]
+        assert service.pool._threads == [slots[0]]
 
 
 class TestDeadlines:
@@ -802,18 +875,22 @@ class TestRetention:
 
         monkeypatch.setattr(service_module, "RETAINED_ROWS", 4)
         service = make_service(workers=1, start=False, queue_depth=64)
+        release = threading.Event()
+
+        def hold(entry):
+            if entry.batch is held:
+                release.wait(timeout=60)
+
+        service.pool.fault_hook = hold
         try:
-            # the held batch sits below the others in priority: it
-            # stays open while they run through the queue by hand
+            # the held batch sits below the others in priority: the
+            # pool runs them first, then holds its first job open
             held = service.submit(document(traces=2), priority=0)
             finished = [service.submit(document(traces=2), priority=5)
                         for _ in range(5)]
-            for _ in range(10):
-                entry = service.queue.get(timeout=0)
-                assert entry.batch is not held
-                service._execute(entry)
-                service.queue.task_done(entry)
-            assert all(batch.done for batch in finished)
+            service.pool.start()
+            for batch in finished:
+                assert batch.wait(timeout=30)
             listed = service.status_dict()["batches"]
             assert sum(b["completed"] for b in listed if b["done"]) <= 4
             for old in finished[:3]:
@@ -824,6 +901,7 @@ class TestRetention:
             assert service.batch(held.id) is held and not held.done
             assert service.health_dict()["batches_open"] == 1
         finally:
+            release.set()
             service.shutdown(drain=False, timeout=5)
 
     def test_only_the_completing_row_retires_a_batch(self):

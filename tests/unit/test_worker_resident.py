@@ -6,8 +6,6 @@ the same job sequence on resident adapters must produce identical rows
 and identical persisted records.
 """
 
-import sys
-import threading
 import typing
 
 import pytest
@@ -119,8 +117,9 @@ class TestResidentAdapters:
             assert stable(left) == stable(right)
             assert records_of(shared_root, left) == records_of(fresh_root, right)
         # one adapter per (module, engine) served the whole sequence
-        for (label, _source), bound in shared._builds.items():
-            assert all(len(idle) == 1 for idle in bound.idle.values()), label
+        modules = {(job.module, job.engine) for job in jobs}
+        bound = [key for b in shared._builds.values() for key in b.adapters]
+        assert sorted(bound) == sorted(modules)
 
     def test_scalar_jobs_bind_once_per_module(self, monkeypatch):
         binds = []
@@ -147,21 +146,21 @@ class TestResidentAdapters:
                      stimulus=stimulus)
         state = WorkerState(DESIGNS)
         before = state.run_job(job)
-        (stale,) = state._builds[("mixed", MIXED)].idle[("once", "native")]
+        stale = state._builds[("mixed", MIXED)].adapters[("once", "native")]
         after = state.run_job(job, {"mixed": OTHER})
         expected = fresh_state({"mixed": OTHER}).run_job(job)
         assert stable(after) == stable(expected)
         assert stable(after) != stable(before)
-        (current,) = state._builds[("mixed", OTHER)].idle[("once", "native")]
+        current = state._builds[("mixed", OTHER)].adapters[("once", "native")]
         assert current is not stale
         # the constructor's source still serves its own jobs, warm
         assert stable(state.run_job(job)) == stable(before)
-        assert state._builds[("mixed", MIXED)].idle[("once", "native")] \
-            == [stale]
+        assert state._builds[("mixed", MIXED)].adapters[("once", "native")] \
+            is stale
 
     def test_two_sources_under_one_label_interleave(self):
-        """Threads (more than cores) stream dispatches that bind one
-        label to two sources, alternately: every row is its own
+        """Four dispatches bind one label to two sources, alternately,
+        and advance in turn, one unit each: every row is its own
         source's."""
         stimulus = StimulusSpec.random(length=16, present_prob=0.9)
         jobs = [SimJob(design="mixed", module="once", engine="native",
@@ -172,71 +171,17 @@ class TestResidentAdapters:
                      for job in jobs] for designs in sources]
         assert expected[0] != expected[1]
         state = WorkerState({})
-        threads = 4
-        got = [[None] * len(jobs) for _ in range(threads)]
-
-        def run(n):
-            for pairs in state.stream(jobs, sources[n % 2]):
-                for position, result in pairs:
+        dispatches = 4
+        streams = [state.stream(jobs, sources[n % 2]) for n in range(dispatches)]
+        got = [[None] * len(jobs) for _ in range(dispatches)]
+        for _ in jobs:
+            for n, stream in enumerate(streams):
+                for position, result in next(stream):
                     got[n][position] = stable(result)
-
-        workers = [threading.Thread(target=run, args=(n,))
-                   for n in range(threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in workers:
-                thread.start()
-            for thread in workers:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in workers)
-        assert got == [expected[n % 2] for n in range(threads)]
+        assert got == [expected[n % 2] for n in range(dispatches)]
         assert state.designs == {}
         assert sorted(state._builds) == sorted(
             ("mixed", source) for source in (MIXED, OTHER))
-
-    def test_threads_sharing_a_state_never_share_an_adapter(self, tmp_path):
-        # more threads than cores, each job once per thread in a row:
-        # the threads run the same job at the same time
-        threads = 3
-        jobs = [
-            job
-            for job in job_sequence()
-            if job.engine == "native"
-            for _ in range(threads)
-        ]
-        root = str(tmp_path / "traces")
-        expected = [
-            stable(fresh_state(ledger_root=root).run_job(job)) for job in jobs
-        ]
-        state = WorkerState(DESIGNS, ledger_root=root)
-        # compile and bind up front, so the threads drive at once
-        for module in {job.module: job for job in jobs}.values():
-            state.run_job(module)
-        got = {}
-        start = threading.Barrier(threads)
-
-        def worker(offset):
-            start.wait(timeout=30)
-            for position in range(offset, len(jobs), threads):
-                got[position] = stable(state.run_job(jobs[position]))
-
-        workers = [
-            threading.Thread(target=worker, args=(n,)) for n in range(threads)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in workers:
-                thread.start()
-            for thread in workers:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in workers)
-        assert [got.get(position) for position in range(len(jobs))] == expected
 
 
 def _job(label, module):
@@ -295,19 +240,6 @@ class TestRetention:
                 assert [stable(state.run_job(job)) for job in jobs] == first
                 assert len(state._builds) == 2
             assert cache.stats.stores == stores
-
-    def test_running_build_is_never_retired(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(worker, "RESIDENT_BUILDS", 1)
-        state = WorkerState(self.DESIGNS, cache_dir=str(tmp_path))
-        state.run_job(_job("a", "once"))
-        with state._checkout("a") as bound:
-            running = bound.build.source_digest
-            state.run_job(_job("b", "once"))
-            assert _labels(state) == ["a", "b"]
-        assert running in _memory_sources(state.pipeline.cache)
-        state.run_job(_job("c", "sampler"))
-        assert _labels(state) == ["c"]
-        assert running not in _memory_sources(state.pipeline.cache)
 
     def test_shared_source_keeps_its_artifacts(self, monkeypatch, tmp_path):
         monkeypatch.setattr(worker, "RESIDENT_BUILDS", 2)
