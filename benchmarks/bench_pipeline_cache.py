@@ -4,7 +4,9 @@ Not a paper table — operational data for the staged pipeline
 (:mod:`repro.pipeline`).  A *cold* build compiles the paper's protocol
 stack and audio buffer from scratch into a fresh persistent cache; a
 *warm* build repeats it with a new :class:`Pipeline` over the same
-cache directory, so every stage is served content-addressed from disk.
+cache directory, so every stage is served content-addressed from disk
+(the warm build still runs the preprocessor once per design: its output
+is what the artifact keys digest).
 The acceptance bar is warm ≥ 5× faster than cold; in practice it is
 two orders of magnitude.
 
@@ -32,7 +34,7 @@ DESIGNS = (
 EMIT = ("c", "dot")
 
 
-def build_all(cache_root, jobs=None):
+def build_all(cache_root):
     """One full build of every design against ``cache_root``; returns
     the reports (a fresh Pipeline per call, so only the persistent
     cache carries state between calls)."""
@@ -40,7 +42,7 @@ def build_all(cache_root, jobs=None):
     for filename, text in DESIGNS:
         pipeline = Pipeline(cache=ArtifactCache.persistent(cache_root))
         reports.append(pipeline.compile_design(
-            text, filename=filename, emit=EMIT, jobs=jobs))
+            text, filename=filename, emit=EMIT))
     return reports
 
 

@@ -17,6 +17,9 @@ Two phases against real ``eclc serve`` processes:
    with the same byte-identical rows, no restart required: a dead
    child degrades one dispatch, never the service.
 
+Each phase, and the fault-free ground truth, works in its own temp
+directory, removed on success; a failure keeps it and prints its path.
+
 Usage::
 
     PYTHONPATH=src python scripts/serve_crash_smoke.py
@@ -28,7 +31,6 @@ import re
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,6 +39,7 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 from repro.cli import main as eclc  # noqa: E402
 from repro.designs import PROTOCOL_STACK_ECL  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
+from serve_smoke import scratch_dir  # noqa: E402
 
 #: ~20 jobs at ~10 ms each: a wide-enough window to land the SIGKILL
 #: between the first recorded row and batch completion.
@@ -137,8 +140,7 @@ def batch_document():
     }
 
 
-def run(direct):
-    workdir = tempfile.mkdtemp(prefix="serve-crash-smoke-")
+def run(direct, workdir):
     data_root = os.path.join(workdir, "serve-data")
     document = batch_document()
 
@@ -177,10 +179,9 @@ def run(direct):
           "after SIGKILL + recovery" % len(streamed))
 
 
-def run_worker_kill(direct):
+def run_worker_kill(direct, workdir):
     """Phase 2: SIGKILL a worker *child* of a process-pool server
     mid-batch; the same server must finish the batch correctly."""
-    workdir = tempfile.mkdtemp(prefix="serve-proc-smoke-")
     data_root = os.path.join(workdir, "serve-data")
 
     # -j 2 runs the process-backed pool
@@ -239,7 +240,9 @@ def run_worker_kill(direct):
 
 
 if __name__ == "__main__":
-    truth_dir = tempfile.mkdtemp(prefix="serve-smoke-truth-")
-    direct_rows = ground_truth(truth_dir)
-    run(direct_rows)
-    run_worker_kill(direct_rows)
+    with scratch_dir("serve-smoke-truth-") as truth_dir:
+        direct_rows = ground_truth(truth_dir)
+    with scratch_dir("serve-crash-smoke-") as workdir:
+        run(direct_rows, workdir)
+    with scratch_dir("serve-proc-smoke-") as workdir:
+        run_worker_kill(direct_rows, workdir)

@@ -30,6 +30,9 @@ its row carries, the data root's ``traces/`` must hold pack segments
 (at most one per worker) rather than one file per job, and
 ``eclc stats --ledger`` must summarise every recorded trace.
 
+Each pass works in its own temp directory, removed when the pass
+succeeds; a failing pass keeps it and prints its path.
+
 Usage::
 
     PYTHONPATH=src python scripts/serve_smoke.py
@@ -41,6 +44,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -202,9 +206,27 @@ def start_server(data_root, workers):
     return process, int(match.group(1))
 
 
+@contextlib.contextmanager
+def scratch_dir(prefix):
+    """A fresh temp directory, removed when the block succeeds; kept,
+    with its path printed, when the block fails."""
+    workdir = tempfile.mkdtemp(prefix=prefix)
+    try:
+        yield workdir
+    except BaseException:
+        print("scratch kept for inspection: %s" % workdir, file=sys.stderr)
+        raise
+    shutil.rmtree(workdir)
+
+
 def run(workers):
     """One smoke pass against ``eclc serve -j workers``."""
-    workdir = tempfile.mkdtemp(prefix="serve-smoke-j%d-" % workers)
+    with scratch_dir("serve-smoke-j%d-" % workers) as workdir:
+        smoke(workers, workdir)
+
+
+def smoke(workers, workdir):
+    """The checks of one pass, with ``workdir`` as scratch."""
     stack_path = os.path.join(workdir, "stack.ecl")
     with open(stack_path, "w") as handle:
         handle.write(PROTOCOL_STACK_ECL)

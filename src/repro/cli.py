@@ -4,7 +4,7 @@ Subcommands::
 
     eclc info design.ecl                  # modules, split report, sizes
     eclc compile design.ecl -m top --emit c -o outdir
-    eclc build design.ecl -o outdir       # all modules, batched/parallel
+    eclc build design.ecl -o outdir       # all modules, cached
     eclc simulate design.ecl -m top --trace stimuli.txt [--vcd out.vcd]
     eclc farm run design.ecl [more.ecl] --engines native,interp --traces 25
     eclc farm run --spec batch.json       # versioned simulation campaign
@@ -18,8 +18,9 @@ Subcommands::
 ``--emit`` choices are derived from the pipeline's backend registry
 (:mod:`repro.pipeline.registry`), so a newly registered emitter shows up
 here without CLI changes.  ``build`` uses the staged pipeline directly:
-modules compile concurrently and unchanged modules are served from the
-artifact cache (``--cache-dir``, default off).  ``farm run`` dispatches
+modules compile one after another, and artifacts keyed by the
+preprocessed text are served from the artifact cache (``--cache-dir``,
+default off), so an edit the parser cannot see recompiles nothing.  ``farm run`` dispatches
 a batch of simulation jobs over worker processes
 (:mod:`repro.farm`) and prints the resulting FarmReport.
 
@@ -79,7 +80,7 @@ def _build_parser():
     compile_.set_defaults(handler=_cmd_compile)
 
     build = sub.add_parser(
-        "build", help="batch-compile every module (parallel, cached)")
+        "build", help="batch-compile every module (cached)")
     build.add_argument("file")
     build.add_argument(
         "--emit", default="c",
@@ -88,7 +89,6 @@ def _build_parser():
     build.add_argument("-o", "--outdir", default=".")
     build.add_argument("-m", "--module", action="append", default=None,
                        help="restrict to this module (repeatable)")
-    build.add_argument("-j", "--jobs", type=int, default=None)
     build.add_argument("--cache-dir", default=None,
                        help="persistent artifact cache directory")
     build.add_argument("--no-optimize", action="store_true")
@@ -124,9 +124,8 @@ def _build_parser():
     run.add_argument("--task-engine", default=None,
                      choices=names_with("step"),
                      help="what runs inside each rtos task "
-                          "(default: efsm; 'native' binds "
-                          "closure-compiled reactors from a "
-                          "partition bundle)")
+                          "(default: efsm; 'native' binds each "
+                          "task's closure-compiled reactor)")
     run.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="persistent shared artifact cache (compiled "
                           "designs and native code survive the batch; "
@@ -442,8 +441,7 @@ def _cmd_build(args):
     with open(args.file) as handle:
         text = handle.read()
     report = pipeline.compile_design(
-        text, filename=args.file, modules=args.module, emit=emit,
-        jobs=args.jobs)
+        text, filename=args.file, modules=args.module, emit=emit)
     for path in report.write_files(args.outdir):
         print("wrote %s" % path)
     print(report.summary())

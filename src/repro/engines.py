@@ -214,11 +214,11 @@ class RtosAdapter:
     cover several task reactions.
 
     ``job.task_engine`` names the per-instant engine inside each task
-    (any engine tagged ``step``; "" means "efsm").  "native" binds
-    closure-compiled reactors from one content-addressed partition
-    bundle (:meth:`~repro.pipeline.pipeline.DesignBuild
-    .partition_bundle`) and dispatches through the slot-indexed fast
-    path.
+    (any engine tagged ``step``; "" means "efsm").  Every task binds
+    its module through that engine's
+    :meth:`~repro.engines.Engine.reactor`, so "native" tasks get the
+    pipeline's cached per-module code and dispatch through the
+    slot-indexed fast path.
     """
 
     def __init__(self, handles, job):
@@ -229,33 +229,18 @@ class RtosAdapter:
         self.task_engine = task_engine
         self.kernel = RtosKernel(name=job.label())
         specs = job.tasks or ((job.module, job.module, 1),)
-        if task_engine == "native":
-            from .runtime.native import NativeReactor
-
-            bundle = handles(specs[0][1]).design.partition_bundle(specs)
-            for entry in bundle.tasks:
-                reactor = NativeReactor(entry.efsm, code=entry.code)
-                self.kernel.add_task(
-                    RtosTask(
-                        entry.name,
-                        reactor,
-                        priority=entry.priority,
-                        bindings=dict(entry.bindings),
-                    )
+        engine = get_engine(task_engine)
+        for spec in specs:
+            task_name, module_name, priority = spec[0], spec[1], spec[2]
+            bindings = dict(spec[3]) if len(spec) > 3 else None
+            self.kernel.add_task(
+                RtosTask(
+                    task_name,
+                    engine.reactor(handles(module_name)),
+                    priority=priority,
+                    bindings=bindings,
                 )
-        else:
-            engine = get_engine(task_engine)
-            for spec in specs:
-                task_name, module_name, priority = spec[0], spec[1], spec[2]
-                bindings = dict(spec[3]) if len(spec) > 3 else None
-                self.kernel.add_task(
-                    RtosTask(
-                        task_name,
-                        engine.reactor(handles(module_name)),
-                        priority=priority,
-                        bindings=bindings,
-                    )
-                )
+            )
         self.kernel.start()
         self._alphabet = None
 

@@ -110,7 +110,7 @@ class WorkerState:
         self.designs = dict(designs)
         self.options = options if options is not None else CompileOptions()
         # cache=None: build one from cache_dir (a persistent one holds
-        # every EFSM, NativeCode, partition bundle and trace driver, so
+        # every EFSM, NativeCode and trace driver, so
         # spawned workers warm-start without re-running codegen);
         # otherwise the caller owns it (the serving layer hands every
         # tenant worker its namespace's ArtifactCache).

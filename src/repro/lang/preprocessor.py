@@ -8,11 +8,13 @@ implements the subset needed for ECL sources:
 * ``#define NAME(a, b) replacement`` (function-like, no variadics),
 * ``#undef NAME``,
 * ``#ifdef`` / ``#ifndef`` / ``#else`` / ``#endif`` conditional blocks,
-* ``#include "file"`` resolved against an include-path list.
+* ``#include "file"`` resolved against an include-path list — the
+  library's one include resolver: the pipeline keys its artifacts by
+  this module's output.
 
 Expansion is textual and token-aware enough not to replace names inside
-string literals, character literals, or comments.  Recursive macros expand
-up to a fixed depth and then raise.
+string literals, character literals, or comments.  Recursive macros and
+nested includes go to a fixed depth and then raise.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*)$")
 _DEFINE_RE = re.compile(r"^(\w+)(\(([^)]*)\))?\s*(.*)$", re.S)
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _MAX_EXPANSION_DEPTH = 64
+_MAX_INCLUDE_DEPTH = 64
 
 
 @dataclass
@@ -53,6 +56,7 @@ class Preprocessor:
     def __init__(self, include_paths=(), predefined=None):
         self.include_paths = list(include_paths)
         self.macros = {}
+        self._include_depth = 0
         # True while scanning the inside of a /* ... */ that started on an
         # earlier line; macro expansion and directives are disabled there.
         self._in_comment = False
@@ -182,8 +186,17 @@ class Preprocessor:
         for directory in search:
             path = os.path.join(directory, target)
             if os.path.isfile(path):
+                if self._include_depth >= _MAX_INCLUDE_DEPTH:
+                    raise PreprocessorError(
+                        "#include nested deeper than %d at %r"
+                        % (_MAX_INCLUDE_DEPTH, target))
                 with open(path) as handle:
-                    return self.process(handle.read(), path)
+                    included = handle.read()
+                self._include_depth += 1
+                try:
+                    return self.process(included, path)
+                finally:
+                    self._include_depth -= 1
         raise PreprocessorError("cannot find include file %r" % target)
 
     # ------------------------------------------------------------------

@@ -11,10 +11,10 @@ The driver layer of the reproduction, redesigned around three ideas:
   (:mod:`repro.pipeline.registry`), so ``eclc --emit`` choices are
   derived, never hardcoded;
 * **Artifact caching and batching** — a persistent
-  :class:`ArtifactCache` keyed on (source digest, options digest,
-  stage, module) makes warm recompiles near-free, and
-  :meth:`Pipeline.compile_design` compiles whole designs concurrently,
-  returning a structured :class:`BuildReport`.
+  :class:`ArtifactCache` keyed on (digest of the preprocessed text,
+  options digest, stage, module) makes warm recompiles near-free: one
+  preprocess, no parse.  :meth:`Pipeline.compile_design` compiles a
+  whole design and returns a structured :class:`BuildReport`.
 
 It is the one compile API: ``Pipeline(options).compile_text(...)``
 returns a :class:`DesignBuild`, whose :class:`ModuleHandle` objects
@@ -25,7 +25,6 @@ from .artifacts import (
     Artifact,
     ArtifactKey,
     SCHEMA_VERSION,
-    digest_design_inputs,
     digest_options,
     digest_text,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "StageTiming",
     "backend",
     "default_cache_root",
-    "digest_design_inputs",
     "digest_options",
     "digest_text",
     "stage_named",

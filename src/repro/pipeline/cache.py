@@ -136,7 +136,7 @@ class ArtifactCache:
                 self.stats.hits += 1
                 artifact.from_cache = True
                 return artifact
-        if self.root is not None and key.reusable:
+        if self.root is not None:
             artifact = self._disk_get(key)
             if artifact is not None:
                 with self._lock:
@@ -161,7 +161,7 @@ class ArtifactCache:
             self._memory.move_to_end(key)
             self._evict_locked()
             self.stats.stores += 1
-        if self.root is not None and key.reusable:
+        if self.root is not None:
             self._disk_put(key, artifact)
         return artifact
 

@@ -11,13 +11,13 @@
 
 * ``compile_text`` / ``compile_file`` return a lazy :class:`DesignBuild`
   whose :class:`ModuleHandle`\\ s run individual stages on demand;
-* ``compile_design`` batch-compiles every module concurrently
-  (``concurrent.futures``) and returns a structured
-  :class:`~repro.pipeline.report.BuildReport`;
-* every stage result is keyed on (source digest, options digest, stage,
-  module) in the :class:`~repro.pipeline.cache.ArtifactCache`, so a
-  warm recompile of an unchanged design touches no parser, no
-  translator and no EFSM builder — only the cache.
+* ``compile_design`` compiles every module of a design in turn and
+  returns a structured :class:`~repro.pipeline.report.BuildReport`;
+* every stage result is keyed on (digest of the preprocessed text,
+  options digest, stage, module) in the
+  :class:`~repro.pipeline.cache.ArtifactCache`, so a warm recompile of
+  an unchanged design runs the preprocessor once and touches no parser,
+  no translator and no EFSM builder — only the cache.
 
 This is the one compile API: ``eclc``, the examples, the benchmarks
 and the tests all reach every phase through a :class:`ModuleHandle`.
@@ -26,16 +26,15 @@ and the tests all reach every phase through a :class:`ModuleHandle`.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, List
 
 from .. import telemetry
 from ..engines import get_engine
 from ..errors import CodegenError, CompileError, EclError
-from .artifacts import ArtifactKey, digest_design_inputs, digest_options
+from ..lang.preprocessor import preprocess
+from .artifacts import ArtifactKey, digest_options, digest_text
 from .cache import ArtifactCache
 from .registry import DEFAULT_REGISTRY, EmitInput
 from .report import BuildReport, ModuleBuild, StageTiming
@@ -53,12 +52,9 @@ from .stages import (
     warning_texts,
 )
 
-#: Upper bound on the default worker count for batch builds.
-DEFAULT_MAX_JOBS = 8
-
 #: Format tag of the ``native`` lowering stage.  Artifacts that embed
-#: lowered state-function layout (native code bundles, partition
-#: bundles, trace drivers) carry this tag in their cache keys, so a
+#: lowered state-function layout (native code bundles, vector bundles,
+#: trace drivers) carry this tag in their cache keys, so a
 #: persistent cache can never pair a stale layout with newer code.
 NATIVE_STAGE_TAG = "native@v2"
 
@@ -95,9 +91,9 @@ class Pipeline:
                                  include_paths=include_paths)
 
     def compile_design(self, text, filename="<design>", modules=None,
-                       emit=("c",), jobs=None, include_paths=(),
-                       predefined=None):
-        """Batch-compile every module of ``text`` concurrently.
+                       emit=("c",), include_paths=(), predefined=None):
+        """Batch-compile every module of ``text``, one after another
+        (a pure-Python compile gains nothing from threads).
 
         ``emit`` names registered backends; hardware backends that
         refuse a module (non-empty data part) are recorded as skips.
@@ -111,29 +107,16 @@ class Pipeline:
         backends = [self.registry.get(kind) for kind in emit]
         names = list(modules) if modules is not None \
             else list(design.module_names)
-        jobs = self._job_count(jobs, len(names))
-        builds = []
-        if names:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(self._build_module, design, name,
-                                       backends)
-                           for name in names]
-                builds = [future.result() for future in futures]
+        builds = [self._build_module(design, name, backends)
+                  for name in names]
         return BuildReport(
             design=filename,
             source_digest=design.source_digest,
             options_digest=self.options_digest,
             modules=builds,
             elapsed=perf_counter() - started,
-            jobs=jobs,
             cache_stats=self.cache.stats.as_dict(),
         )
-
-    @staticmethod
-    def _job_count(jobs, module_count):
-        if jobs is None:
-            jobs = min(DEFAULT_MAX_JOBS, os.cpu_count() or 1)
-        return max(1, min(jobs, max(1, module_count)))
 
     def _build_module(self, design, name, backends):
         started = perf_counter()
@@ -161,9 +144,12 @@ class Pipeline:
 class DesignBuild:
     """One translation unit moving through the pipeline, lazily.
 
-    Parsing happens at most once (thread-safe) and only when a stage
-    actually needs the syntax tree — a fully cache-warm build never
-    parses at all.
+    The preprocessor runs at most once (thread-safe), on first need.
+    Its output is both what every artifact key digests and the text the
+    parser reads, so the key covers exactly the parser's input.  Parsing
+    happens at most once too, and only when a stage actually needs the
+    syntax tree — a fully cache-warm build preprocesses but never
+    parses.
     """
 
     def __init__(self, pipeline, text, filename="<string>",
@@ -173,27 +159,60 @@ class DesignBuild:
         self.filename = filename
         self.include_paths = tuple(include_paths)
         self.predefined = predefined
-        # The digest covers the text, the include/predefine options and
-        # every #include-reachable file, so edits anywhere in the
-        # translation unit's inputs invalidate its artifacts.
-        self.source_digest = digest_design_inputs(
-            text, filename, include_paths=self.include_paths,
-            predefined=predefined)
+        self._preprocessed = None
+        self._digest = None
+        self._failure = None
         self._parsed = None
         self._parse_lock = threading.Lock()
         self._handles: Dict[str, ModuleHandle] = {}
         self._handles_lock = threading.Lock()
 
-    # -- parse stage ---------------------------------------------------
+    # -- preprocess and parse ------------------------------------------
+
+    def preprocessed(self):
+        """The preprocessed translation unit.  The preprocessor runs on
+        the first call; what it raised (a missing include, say) is kept
+        and raised again by every later call without re-running it."""
+        if self._preprocessed is None:
+            with self._parse_lock:
+                if self._preprocessed is None and self._failure is None:
+                    try:
+                        text = preprocess(self.text, self.filename,
+                                          self.include_paths,
+                                          self.predefined)
+                    except Exception as error:
+                        self._failure = error
+                    else:
+                        self._digest = digest_text(text)
+                        self._preprocessed = text
+            if self._failure is not None:
+                raise self._failure.with_traceback(None)
+        return self._preprocessed
+
+    @property
+    def source_digest(self):
+        """Digest of the preprocessed text: the source part of every
+        artifact key of this build.  None when preprocessing failed —
+        such a build stores nothing, and reading this never raises."""
+        try:
+            self.preprocessed()
+        except Exception:
+            return None
+        return self._digest
+
+    def key(self, stage, module=""):
+        """The :class:`ArtifactKey` of one stage output of this build;
+        raises what the preprocessor raised when it failed."""
+        self.preprocessed()
+        return ArtifactKey(self._digest, self.pipeline.options_digest,
+                           stage, module)
 
     def ensure_parsed(self):
         if self._parsed is None:
+            text = self.preprocessed()
             with self._parse_lock:
                 if self._parsed is None:
-                    self._parsed = run_parse(
-                        self.text, self.filename,
-                        include_paths=self.include_paths,
-                        predefined=self.predefined)
+                    self._parsed = run_parse(text, self.filename)
         return self._parsed
 
     @property
@@ -207,16 +226,12 @@ class DesignBuild:
     @property
     def module_names(self):
         """Module names, from the cache when warm (no parse needed)."""
-        key = self._design_key("modules")
+        key = self.key("modules")
         artifact = self.pipeline.cache.get(key)
         if artifact is None:
             payload = run_modules(self.program)
             artifact = self.pipeline.cache.put(key, payload, kind="names")
         return list(artifact.payload)
-
-    def _design_key(self, stage):
-        return ArtifactKey(self.source_digest,
-                           self.pipeline.options_digest, stage, "")
 
     def require_module(self, name):
         """Parse if needed and raise :class:`CompileError` naming the
@@ -235,47 +250,6 @@ class DesignBuild:
             if name not in self._handles:
                 self._handles[name] = ModuleHandle(self, name)
             return self._handles[name]
-
-    def partition_bundle(self, tasks):
-        """Stage ``partition``: one content-addressed artifact holding
-        every task's lowered :class:`~repro.runtime.native.NativeCode`
-        plus its EFSM and signal bindings — what the simulation farm's
-        ``rtos`` engine binds when its task engine is ``native``.
-
-        ``tasks`` is a tuple of ``(task_name, module_name, priority)``
-        or ``(task_name, module_name, priority, bindings)`` entries
-        (bindings: ``(formal, network)`` pairs), the same shape
-        :class:`~repro.farm.jobs.SimJob` carries.  The key carries the
-        native stage tag, so a lowering format change can never serve a
-        stale bundle.
-        """
-        specs = tuple(tuple(spec) for spec in tasks)
-        digest = hashlib.sha256(repr(specs).encode("utf-8")).hexdigest()
-        key = self._design_key(
-            "partition@v1+%s:%s" % (NATIVE_STAGE_TAG, digest[:16]))
-        artifact = self.pipeline.cache.get(key)
-        if artifact is None:
-            from ..runtime.native import PartitionBundle, PartitionTask
-
-            entries = []
-            for spec in specs:
-                task_name, module_name, priority = spec[0], spec[1], spec[2]
-                bindings = tuple(sorted(dict(spec[3]).items())) \
-                    if len(spec) > 3 else ()
-                handle = self.module(module_name)
-                entries.append(PartitionTask(
-                    name=task_name,
-                    module=module_name,
-                    priority=int(priority),
-                    bindings=bindings,
-                    efsm=handle.efsm(),
-                    code=handle.native_code(),
-                ))
-            payload = PartitionBundle(design=self.filename,
-                                      tasks=tuple(entries))
-            artifact = self.pipeline.cache.put(key, payload,
-                                               kind="partition-bundle")
-        return artifact.payload
 
 
 class ModuleHandle:
@@ -296,9 +270,7 @@ class ModuleHandle:
 
     def _stage(self, stage, compute, kind="", key_stage=None):
         pipeline = self.design.pipeline
-        key = ArtifactKey(self.design.source_digest,
-                          pipeline.options_digest,
-                          key_stage or stage, self.name)
+        key = self.design.key(key_stage or stage, self.name)
         started = perf_counter()
         artifact = pipeline.cache.get(key)
         if artifact is None:
@@ -387,7 +359,7 @@ class ModuleHandle:
         def compute():
             build = EmitInput(name=self.name)
             if "source" in backend.requires:
-                build.source = self.design.text
+                build.source = self.design.preprocessed()
             if "types" in backend.requires:
                 build.types = self.design.types
             if "kernel" in backend.requires:

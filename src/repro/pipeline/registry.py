@@ -51,10 +51,12 @@ EMIT_INPUTS = ("source", "types", "kernel", "efsm")
 class EmitInput:
     """Snapshot of one module's compilation products handed to an
     emitter.  Only the fields named in the backend's ``requires`` are
-    populated; the rest stay None."""
+    populated; the rest stay None.  Every field derives from the
+    preprocessed text the artifact key digests, so an emitter never
+    reads input its key does not cover."""
 
     name: str                    # module name
-    source: str = ""             # full translation-unit text
+    source: str = ""             # preprocessed translation-unit text
     types: object = None         # the design's TypeTable
     kernel: object = None        # phase-1 KernelModule
     efsm: object = None          # phase-2 automaton (per-options variant)

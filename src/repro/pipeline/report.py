@@ -75,7 +75,6 @@ class BuildReport:
     options_digest: str
     modules: List[ModuleBuild] = field(default_factory=list)
     elapsed: float = 0.0
-    jobs: int = 1
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -116,10 +115,10 @@ class BuildReport:
 
     def summary(self):
         """Human-readable multi-line report."""
-        lines = ["build %s: %d module(s), %.1f ms, %d job(s), "
+        lines = ["build %s: %d module(s), %.1f ms, "
                  "%d stage cache hit(s)%s"
                  % (self.design, len(self.modules), self.elapsed * 1e3,
-                    self.jobs, self.cache_hits,
+                    self.cache_hits,
                     "" if self.ok else " — FAILURES")]
         for build in self.modules:
             lines.append("  " + build.summary_line())

@@ -5,7 +5,9 @@ and data parts, translate to an Esterel kernel, build the EFSM, then
 hand it to back-ends.  This module makes each step a first-class,
 *pure* function of (parsed design, options, module name): given the
 same inputs it produces the same payload, which is the contract the
-content-addressed :mod:`repro.pipeline.cache` relies on.
+content-addressed :mod:`repro.pipeline.cache` relies on.  The parsed
+design is itself a function of the preprocessed text, which is what
+the keys digest.
 
 Stage names (``Stage.name``) are the vocabulary of
 :class:`~repro.pipeline.artifacts.ArtifactKey` and of the per-module
@@ -56,7 +58,7 @@ class Stage:
 #: The core (non-emitter) stages, in pipeline order.
 STAGES = (
     Stage("parse", "program", design_level=True,
-          description="preprocess + lex + parse the translation unit"),
+          description="lex + parse the preprocessed translation unit"),
     Stage("modules", "names", design_level=True,
           description="module names of the translation unit"),
     Stage("check", "diagnostics",
@@ -89,11 +91,11 @@ def stage_named(name):
 # ----------------------------------------------------------------------
 # Stage functions.  Each is pure in (program, types, options, name).
 
-def run_parse(text, filename="<string>", include_paths=(),
-              predefined=None):
-    """Stage ``parse``: source text → (program, types)."""
-    return parse_text(text, filename, include_paths=include_paths,
-                      predefined=predefined)
+def run_parse(text, filename="<string>"):
+    """Stage ``parse``: preprocessed text → (program, types).  The
+    preprocessor already ran: its output is what the artifact keys
+    digest (:meth:`repro.pipeline.DesignBuild.preprocessed`)."""
+    return parse_text(text, filename, run_preprocessor=False)
 
 
 def run_modules(program):

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..efsm.machine import (
@@ -1796,40 +1796,3 @@ def compile_trace_driver(
         value_range=(low, high),
         sink=sink,
     )
-
-
-# ----------------------------------------------------------------------
-# Partition bundles: one content-addressed artifact per RTOS partition.
-
-
-@dataclass
-class PartitionTask:
-    """One task of a partition bundle, fully self-contained."""
-
-    name: str
-    module: str
-    priority: int = 1
-    #: ``(formal, network)`` signal renames, sorted.
-    bindings: Tuple[Tuple[str, str], ...] = ()
-    efsm: object = None
-    code: NativeCode = None
-
-
-@dataclass
-class PartitionBundle:
-    """Every task's lowered :class:`NativeCode` (plus its EFSM and
-    bindings) in one artifact — what the farm's ``rtos`` engine binds
-    when the task engine is ``native``.  The pipeline content-addresses
-    bundles under the ``partition`` stage, so a worker loads one
-    pickle instead of re-running translate/efsm/native per task
-    module."""
-
-    design: str
-    tasks: Tuple[PartitionTask, ...] = field(default_factory=tuple)
-
-    def describe(self):
-        parts = ", ".join(
-            "%s:%s@%d" % (task.name, task.module, task.priority)
-            for task in self.tasks
-        )
-        return "partition %s: %s" % (self.design, parts)

@@ -142,7 +142,7 @@ class TestBuild:
         path.write_text(ECHO + COUNTER)
         outdir = tmp_path / "out"
         assert main(["build", str(path), "--emit", "c,dot",
-                     "-o", str(outdir), "-j", "2"]) == 0
+                     "-o", str(outdir)]) == 0
         produced = sorted(p.name for p in outdir.iterdir())
         assert produced == ["counter.c", "counter.dot", "counter.h",
                             "echo.c", "echo.dot", "echo.h"]
@@ -163,6 +163,15 @@ class TestBuild:
         # Warm builds serve check + emit straight from the cache; the
         # intermediate stages are never even forced.
         assert "2/2 stages cached" in warm
+
+    def test_removed_jobs_option_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "echo.ecl"
+        path.write_text(ECHO)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build", str(path), "-o", str(tmp_path / "out"),
+                  "-j", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_build_reports_failures(self, tmp_path, capsys):
         path = tmp_path / "mixed.ecl"

@@ -320,7 +320,7 @@ class TestRtosTaskEngineSelection:
             SimJob(design="echo", module="echo", engine="rtos",
                    task_engine="turbo")
 
-    def test_native_tasks_bind_from_partition_bundle(self, state):
+    def test_native_tasks_bind_per_module_through_the_registry(self, state):
         engine = get_engine("rtos").build(
             state.handles("echo"), job(engine="rtos", task_engine="native"))
         assert all(task.uses_native_path

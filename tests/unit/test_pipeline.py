@@ -9,7 +9,7 @@ from repro import designs
 from repro.codegen.c_backend import generate_c
 from repro.ecl.glue import generate_glue
 from repro.efsm.dot import to_dot
-from repro.errors import CompileError
+from repro.errors import CompileError, PreprocessorError
 from repro.pipeline import (
     Artifact,
     ArtifactCache,
@@ -39,6 +39,13 @@ module scale (input int x, output int y)
 """
 
 TWO_MODULES = ECHO + SCALE
+
+AMP = """
+module amp (input int x, output int y)
+{
+    while (1) { await (x); emit_v (y, x * %s); }
+}
+"""
 
 
 class TestArtifacts:
@@ -197,7 +204,7 @@ class TestCompileDesign:
                  {"assemble", "checkcrc", "prochdr", "toplevel"}),
                 (designs.AUDIO_BUFFER_ECL,
                  {"sampler", "fifo_ctrl", "drain_ctrl", "audio_buffer"})):
-            report = pipe.compile_design(text, emit=("c", "dot"), jobs=4)
+            report = pipe.compile_design(text, emit=("c", "dot"))
             assert report.ok
             assert set(report.module_names) == expected
             for build in report.modules:
@@ -328,22 +335,23 @@ module fixed (input pure go, output int level)
             assert report.ok
             assert report.cache_hits == expect_hits
 
-    def test_unresolvable_include_is_uncacheable_not_stale(self,
-                                                          tmp_path):
-        from repro.pipeline import digest_design_inputs
-        source = '#include "missing.h"\nmodule m () {}'
-        first = digest_design_inputs(source, include_paths=())
-        second = digest_design_inputs(source, include_paths=())
-        assert first.startswith("uncacheable:")
-        assert first != second   # never shared, never stale
+    def test_unresolvable_include_fails_at_first_use_and_stores_nothing(
+            self, tmp_path):
+        root = tmp_path / "cache"
+        source = '#include "missing.h"\n' + ECHO
+        design = Pipeline(cache=ArtifactCache.persistent(str(root))) \
+            .compile_text(source)   # never raises
+        for _ in range(2):   # the kept error, not a second preprocess
+            with pytest.raises(PreprocessorError, match="missing.h"):
+                design.module_names
+        assert design.source_digest is None
+        assert list(root.rglob("*.pkl")) == []
 
-    def test_include_digest_matches_preprocessor_grammar(self, tmp_path):
-        # Spellings the preprocessor accepts must all reach the digest:
-        # no space after 'include', '#  include', trailing comments,
-        # backslash-continued directive lines.
+    def test_every_include_spelling_reaches_the_key(self, tmp_path):
+        # Spellings the preprocessor accepts all put the header's text
+        # into the preprocessed unit: no space after 'include',
+        # '#  include', trailing comments, backslash-continued lines.
         header = tmp_path / "gain.h"
-        header.write_text("#define GAIN 2\n")
-        from repro.pipeline import digest_design_inputs
         spellings = [
             '#include"gain.h"\n',
             '#  include  "gain.h"\n',
@@ -352,24 +360,52 @@ module fixed (input pure go, output int level)
             '#include \\\n"gain.h"\n',
         ]
         paths = (str(tmp_path),)
-        before = [digest_design_inputs(s, include_paths=paths)
-                  for s in spellings]
-        header.write_text("#define GAIN 99\n")
-        after = [digest_design_inputs(s, include_paths=paths)
-                 for s in spellings]
-        for spelling, old, new in zip(spellings, before, after):
-            assert not old.startswith("uncacheable:"), spelling
-            assert old != new, "edit invisible to digest: %r" % spelling
+        for index, spelling in enumerate(spellings):
+            root = str(tmp_path / ("cache%d" % index))
+            source = spelling + AMP % "GAIN"
+            header.write_text("#define GAIN 2\n")
+            cold = Pipeline(cache=ArtifactCache.persistent(root)) \
+                .compile_design(source, emit=("c",), include_paths=paths)
+            assert cold.ok and "* 2" in cold.files()["amp.c"], spelling
+            header.write_text("#define GAIN 99\n")
+            edited = Pipeline(cache=ArtifactCache.persistent(root)) \
+                .compile_design(source, emit=("c",), include_paths=paths)
+            assert edited.cache_hits == 0, \
+                "edit invisible to the key: %r" % spelling
+            assert "* 99" in edited.files()["amp.c"], spelling
 
-    def test_uncacheable_design_not_persisted_to_disk(self, tmp_path):
-        root = tmp_path / "cache"
-        cache = ArtifactCache.persistent(str(root))
+    def test_guarded_missing_include_is_cached(self, tmp_path):
+        root = str(tmp_path / "cache")
         source = "#ifdef NEVER\n#include \"missing.h\"\n#endif\n" + ECHO
-        report = Pipeline(cache=cache).compile_design(source, emit=("c",))
-        assert report.ok   # the guarded include never fires
-        assert report.source_digest.startswith("uncacheable:")
-        persisted = [p for p in root.rglob("*.pkl")]
-        assert persisted == []   # one-shot keys stay off disk
+        cold = Pipeline(cache=ArtifactCache.persistent(root)) \
+            .compile_design(source, emit=("c",))
+        assert cold.ok   # the guarded include never fires
+        assert list((tmp_path / "cache").rglob("*.pkl"))
+        warm = Pipeline(cache=ArtifactCache.persistent(root)) \
+            .compile_design(source, emit=("c",))
+        assert warm.ok and warm.files() == cold.files()
+        for build in warm.modules:
+            assert build.timings and all(t.cache_hit for t in build.timings)
+
+    @pytest.mark.parametrize("original, edited", [
+        ("#define GAIN 2\n" + AMP % "GAIN",
+         "#define GAIN 2 /* loop gain */\n" + AMP % "GAIN"),
+        ("#define GAIN 2\n" + AMP % "GAIN",
+         "#define LOOP_GAIN 2\n" + AMP % "LOOP_GAIN"),
+        ("#pragma tune fast\n" + AMP % "2",
+         "#pragma tune small\n" + AMP % "2"),
+    ], ids=["define-comment", "renamed-macro", "pragma"])
+    def test_edit_the_parser_cannot_see_is_cache_served(self, tmp_path,
+                                                        original, edited):
+        root = str(tmp_path / "cache")
+        cold = Pipeline(cache=ArtifactCache.persistent(root)) \
+            .compile_design(original, emit=("c", "dot"))
+        assert cold.ok and cold.cache_hits == 0
+        warm = Pipeline(cache=ArtifactCache.persistent(root)) \
+            .compile_design(edited, emit=("c", "dot"))
+        assert warm.ok and warm.files() == cold.files()
+        for build in warm.modules:
+            assert build.timings and all(t.cache_hit for t in build.timings)
 
     def test_replaced_backend_invalidates_emit_artifacts(self, tmp_path):
         root = str(tmp_path / "cache")
@@ -437,55 +473,3 @@ module quiet (input pure go, input pure unused, output pure done)
             .compile_text(unused)
         with pytest.raises(CompileError):
             design.module("quiet").check()
-
-
-class TestPartitionBundles:
-    """DesignBuild.partition_bundle: the rtos engine's one-artifact bind."""
-
-    TASKS = (
-        ("assemble", "assemble", 3, (("outpkt", "packet"),)),
-        ("prochdr", "prochdr", 2, (("inpkt", "packet"),)),
-        ("checkcrc", "checkcrc", 1, (("inpkt", "packet"),)),
-    )
-
-    def test_bundle_contains_every_task(self):
-        build = Pipeline().compile_text(designs.PROTOCOL_STACK_ECL,
-                                        filename="stack.ecl")
-        bundle = build.partition_bundle(self.TASKS)
-        assert [task.name for task in bundle.tasks] == \
-            ["assemble", "prochdr", "checkcrc"]
-        for task in bundle.tasks:
-            assert task.code is not None and task.efsm is not None
-        assert bundle.tasks[0].bindings == (("outpkt", "packet"),)
-        assert "assemble:assemble@3" in bundle.describe()
-
-    def test_bundle_is_content_addressed(self):
-        pipeline = Pipeline()
-        build = pipeline.compile_text(designs.PROTOCOL_STACK_ECL,
-                                      filename="stack.ecl")
-        first = build.partition_bundle(self.TASKS)
-        assert build.partition_bundle(self.TASKS) is first
-        other = build.partition_bundle(self.TASKS[:2])
-        assert other is not first
-
-    def test_bundle_survives_persistent_cache(self, tmp_path):
-        import pickle
-
-        cache = ArtifactCache.persistent(str(tmp_path / "cache"))
-        pipeline = Pipeline(cache=cache)
-        build = pipeline.compile_text(designs.PROTOCOL_STACK_ECL,
-                                      filename="stack.ecl")
-        bundle = build.partition_bundle(self.TASKS)
-        clone = pickle.loads(pickle.dumps(bundle))
-        assert [t.module for t in clone.tasks] == \
-            [t.module for t in bundle.tasks]
-        # A second pipeline over the same cache serves the bundle from
-        # disk without recompiling any stage.
-        warm = Pipeline(cache=ArtifactCache.persistent(
-            str(tmp_path / "cache")))
-        warm_build = warm.compile_text(designs.PROTOCOL_STACK_ECL,
-                                       filename="stack.ecl")
-        warm_bundle = warm_build.partition_bundle(self.TASKS)
-        assert warm.cache.stats.disk_hits >= 1
-        assert [t.name for t in warm_bundle.tasks] == \
-            [t.name for t in bundle.tasks]

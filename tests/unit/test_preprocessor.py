@@ -106,6 +106,11 @@ class TestIncludes:
         with pytest.raises(PreprocessorError):
             preprocess("#include defs.h")
 
+    def test_self_including_header_is_a_preprocessor_error(self, tmp_path):
+        (tmp_path / "self.h").write_text('#include "self.h"\n')
+        with pytest.raises(PreprocessorError, match="nested deeper"):
+            preprocess('#include "self.h"', include_paths=[str(tmp_path)])
+
 
 class TestPredefined:
     def test_predefined_macros(self):

@@ -267,6 +267,37 @@ class TestRetention:
         assert digests[1] in _memory_sources(state.pipeline.cache)
 
 
+    def test_failed_preprocess_is_evicted_without_rerunning(
+            self, monkeypatch, tmp_path):
+        """A revision whose include is missing fails its own row only:
+        it ages out like any build, and reading its key at eviction
+        neither preprocesses again nor raises into a later job."""
+        import repro.pipeline.pipeline as pipeline_mod
+
+        calls = []
+        real = pipeline_mod.preprocess
+
+        def counted(text, *args):
+            calls.append(text)
+            return real(text, *args)
+        monkeypatch.setattr(pipeline_mod, "preprocess", counted)
+        relay = """
+module relay (input int x, output int y)
+{
+    while (1) { await (x); emit_v (y, x + %d); }
+}
+"""
+        state = WorkerState({}, cache_dir=str(tmp_path))
+        broken = '#include "missing.h"\n' + relay % 0
+        failed = state.run_job(_job("a", "relay"), {"a": broken})
+        assert failed.status == "error" and "missing.h" in failed.error
+        for revision in range(1, worker.RESIDENT_BUILDS + 1):
+            row = state.run_job(_job("a", "relay"), {"a": relay % revision})
+            assert row.status == "ok", row.error
+        assert ("a", broken) not in state._builds
+        assert calls.count(broken) == 1
+
+
 def test_worker_state_type_hints_resolve():
     for name in dir(WorkerState):
         member = getattr(WorkerState, name)
