@@ -7,6 +7,13 @@ coverage-instrumented run is measured too (informational, with its own
 regression band) — coverage marks three bitmap writes per instant, so
 it should stay close to the monitor budget as well.
 
+The gated ratio steps the bundle through :class:`MonitoredReactor`,
+alongside each reaction.  Farm workers and campaigns check properties
+another way: the native engine's ``run_job`` produces the job's
+records, then :meth:`Monitor.step_record` walks them.  That record
+path is measured too, on the same stimulus (``record_path_overhead``,
+informational: no gate reads it).
+
 Every measured run must produce the identical functional result (played
 frames), and every monitor must finish with zero violations — a
 property tripping mid-run would disable it and flatter the numbers.
@@ -31,9 +38,12 @@ from time import perf_counter
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from repro.engines import get_engine
+from repro.farm.jobs import SimJob, StimulusSpec
 from repro.pipeline import Pipeline
 from repro.verify import (
     CoverageMap,
+    Monitor,
     MonitoredReactor,
     compile_bundle,
     eventually,
@@ -79,6 +89,26 @@ def drive_buffer(reactor, frames):
     return instants, played
 
 
+def buffer_instants(frames):
+    """:func:`drive_buffer`'s stimulus as farm instant dicts (present
+    input name -> value, None for a pure signal)."""
+    instants = [{}] + [{name: None} for name in
+                       ("rec_tick", "rec_tick", "play_tick", "play_tick")]
+    for frame in range(frames):
+        instants += [{"adc_in": (frame * 37) & 0xFF},
+                     {"play_tick": None}, {"play_tick": None}]
+    return instants
+
+
+def played_frames(records):
+    """Frames whose two play ticks emitted ``dac_out`` (as
+    :func:`drive_buffer` counts them)."""
+    plays = records[5:]
+    return sum(1 for frame in range(0, len(plays), 3)
+               if "dac_out" in plays[frame + 1]["emitted"]
+               or "dac_out" in plays[frame + 2]["emitted"])
+
+
 #: Interleaved measurement rounds: each round times every variant
 #: back-to-back and yields *paired* overhead ratios; the gate takes
 #: the cleanest round (minimum ratio), so a transient machine-load
@@ -120,10 +150,33 @@ def measure():
         ("monitored", monitored, check_clean),
         ("covered", covered, None),
     )
+    engine = get_engine("native")
+    job = SimJob(design="buffer", module="audio_buffer", engine="native",
+                 stimulus=StimulusSpec.explicit(
+                     buffer_instants(BUFFER_FRAMES)))
+
+    def record_path():
+        """One job through the native engine, then its records through
+        a monitor, as a farm worker checks them; returns the seconds of
+        each part."""
+        started = perf_counter()
+        records = engine.run_job(module.design.module, job).records
+        ran = perf_counter()
+        monitor = Monitor(program)
+        for record in records:
+            monitor.step_record(record)
+        stepped = perf_counter()
+        assert monitor.ok, (
+            "a bench property tripped on the record path (%s)"
+            % monitor.first_violation.describe())
+        assert played_frames(records) == BUFFER_FRAMES
+        return ran - started, stepped - ran
+
     best = {}
     results = {}
     monitor_ratios = []
     coverage_ratios = []
+    record_run = record_step = float("inf")
     for _ in range(REPEATS):
         elapsed = {}
         for label, make, check in variants:
@@ -140,6 +193,11 @@ def measure():
                 check(reactor)
         monitor_ratios.append(elapsed["monitored"] / elapsed["bare"])
         coverage_ratios.append(elapsed["covered"] / elapsed["bare"])
+        # The monitor's share is timed inside one run, so the two parts
+        # see the same host load; each part keeps its best round.
+        run_s, step_s = record_path()
+        record_run = min(record_run, run_s)
+        record_step = min(record_step, step_s)
     assert set(results.values()) == {BUFFER_FRAMES}
 
     return {
@@ -155,6 +213,8 @@ def measure():
                 },
                 "monitor_overhead": min(monitor_ratios),
                 "coverage_overhead": min(coverage_ratios),
+                "record_path_overhead": (record_run + record_step)
+                / record_run,
             }
         },
     }
@@ -168,13 +228,14 @@ def test_monitor_overhead_ceiling():
     print("")
     print(
         "buffer  bare %8.0f r/s  monitored %8.0f r/s (x%.2f)  "
-        "covered %8.0f r/s (x%.2f)"
+        "covered %8.0f r/s (x%.2f)  record path x%.2f"
         % (
             rates["bare"],
             rates["monitored"],
             entry["monitor_overhead"],
             rates["covered"],
             entry["coverage_overhead"],
+            entry["record_path_overhead"],
         )
     )
     print("wrote %s" % path)

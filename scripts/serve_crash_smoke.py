@@ -10,7 +10,8 @@ Two phases against real ``eclc serve`` processes:
    the rows that were already recorded, re-execute only the missing
    jobs, and stream a stable NDJSON serialization byte-identical to
    ``eclc farm run`` of the same spec — as if the crash never
-   happened.
+   happened.  Once the recovered batch has finished, the journal holds
+   no batch file.
 2. **Worker-process crash** — starts ``eclc serve -j 2`` (more than
    one worker runs the process-backed pool), SIGKILLs one of the worker
    children mid-batch, and asserts the *same* batch still completes
@@ -39,7 +40,7 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 from repro.cli import main as eclc  # noqa: E402
 from repro.designs import PROTOCOL_STACK_ECL  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
-from serve_smoke import scratch_dir  # noqa: E402
+from serve_smoke import check_journal_empty, scratch_dir  # noqa: E402
 
 #: ~20 jobs at ~10 ms each: a wide-enough window to land the SIGKILL
 #: between the first recorded row and batch completion.
@@ -174,6 +175,7 @@ def run(direct, workdir):
         if process.poll() is None:
             process.kill()
 
+    check_journal_empty(data_root)
     assert_rows_match(streamed, direct, total, "server crash")
     print("crash smoke: %d rows byte-identical to eclc farm run "
           "after SIGKILL + recovery" % len(streamed))

@@ -28,7 +28,8 @@ The trace ledger is checked from the outside too: one trace fetched
 over ``GET /v1/tenants/<t>/traces/<digest>`` must re-hash to the digest
 its row carries, the data root's ``traces/`` must hold pack segments
 (at most one per worker) rather than one file per job, and
-``eclc stats --ledger`` must summarise every recorded trace.
+``eclc stats --ledger`` must summarise every recorded trace.  After
+the drained shutdown, ``<data_root>/journal`` must hold no batch file.
 
 Each pass works in its own temp directory, removed when the pass
 succeeds; a failing pass keeps it and prints its path.
@@ -128,6 +129,15 @@ def check_packed_ledger(traces_root, rows, workers):
         rc = eclc(["stats", "--ledger", traces_root, "--tenant", "default"])
     assert rc == 0, "eclc stats --ledger exited %d" % rc
     assert "ledger: %d trace(s)" % rows in out.getvalue(), out.getvalue()
+
+
+def check_journal_empty(data_root):
+    """Every batch has closed, so ``<data_root>/journal`` holds no
+    batch file: a batch's close deletes its file."""
+    root = os.path.join(data_root, "journal")
+    left = [os.path.join(folder, name)
+            for folder, _dirs, names in os.walk(root) for name in names]
+    assert not left, "closed batches left journal files: %r" % left
 
 
 def artifact_files(data_root, tenant="default"):
@@ -332,6 +342,7 @@ def smoke(workers, workdir):
     finally:
         if process.poll() is None:
             process.kill()
+    check_journal_empty(data_root)
     # three 8-job batches and two 3-job revisions went through the
     # default tenant
     check_packed_ledger(os.path.join(data_root, "traces"), 30, workers)

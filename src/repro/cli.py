@@ -189,10 +189,6 @@ def _build_parser():
                        help="per-tenant executing-jobs cap; excess "
                             "entries wait without blocking other "
                             "tenants")
-    serve.add_argument("--journal-compact", action="store_true",
-                       help="compact per-tenant journal WALs on "
-                            "startup (post-recovery) and graceful "
-                            "shutdown, dropping closed batches")
     serve.add_argument("--max-attempts", type=int, default=None,
                        help="total tries a job gets across "
                             "worker-death retries (default 3)")
@@ -646,14 +642,7 @@ def _cmd_serve(args):
         tenant_weights=_parse_tenant_weights(args.tenant_weight),
         max_queued_per_tenant=args.max_queued_per_tenant,
         max_in_flight_per_tenant=args.max_in_flight_per_tenant,
-        journal_compact=args.journal_compact,
     )
-    compacted = service.compactions
-    if compacted is not None and compacted["dropped_batches"]:
-        print("eclc serve: compacted journal (%d closed batch(es) "
-              "dropped, %d kept)"
-              % (compacted["dropped_batches"], compacted["kept_batches"]),
-              flush=True)
     summary = service.recovery
     if summary is not None and (summary["recovered_batches"]
                                 or summary["torn_lines"]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..lang import ast
+from ..lang.source import SYNTHETIC
 from ..lang.types import PureType
 
 
@@ -32,9 +33,19 @@ class Diagnostic:
     message: str
     span: object = None
 
+    def render(self, filename=None):
+        """The diagnostic as text.  ``filename`` names the unit being
+        built: a cached diagnostic's span keeps the file name of the
+        unit that first computed it, which need not be this one."""
+        span = self.span
+        if span is None:
+            return "%s: %s" % (self.severity, self.message)
+        if filename and span.filename != SYNTHETIC.filename:
+            span = "%s:%s" % (filename, span.start)
+        return "%s: %s: %s" % (span, self.severity, self.message)
+
     def __str__(self):
-        location = "%s: " % self.span if self.span is not None else ""
-        return "%s%s: %s" % (location, self.severity, self.message)
+        return self.render()
 
 
 class ModuleChecker:

@@ -124,7 +124,7 @@ class Pipeline:
         build = ModuleBuild(module=name)
         try:
             diagnostics = handle.check()
-            build.warnings = warning_texts(diagnostics)
+            build.warnings = warning_texts(diagnostics, design.filename)
             for backend in backends:
                 try:
                     files = handle.emit(backend.name)
@@ -312,11 +312,12 @@ class ModuleHandle:
         (or on warnings too, under ``strict``)."""
         diagnostics = self.diagnostics()
         raise_for_diagnostics(self.name, diagnostics,
-                              self.design.pipeline.options.strict)
+                              self.design.pipeline.options.strict,
+                              self.design.filename)
         return diagnostics
 
     def warnings(self):
-        return warning_texts(self.diagnostics())
+        return warning_texts(self.diagnostics(), self.design.filename)
 
     def split_report(self):
         """Stage ``split``: reactive/data classification."""

@@ -133,17 +133,20 @@ def run_optimize(efsm):
     return optimize_efsm(efsm)
 
 
-def raise_for_diagnostics(name, diagnostics, strict=False):
+def raise_for_diagnostics(name, diagnostics, strict=False, filename=None):
     """Raise :class:`CompileError` if ``diagnostics`` contains errors
-    (or anything at all under ``strict``); mirrors the legacy driver."""
+    (or anything at all under ``strict``); mirrors the legacy driver.
+    ``filename`` names the unit in each location (see
+    :meth:`~repro.ecl.check.Diagnostic.render`)."""
     problems = diagnostics if strict else errors_of(diagnostics)
     if problems:
         raise CompileError(
             "module %s has %d problem(s):\n%s"
             % (name, len(problems),
-               "\n".join("  " + str(d) for d in problems)))
+               "\n".join("  " + d.render(filename) for d in problems)))
 
 
-def warning_texts(diagnostics):
-    """Rendered warning strings of a diagnostics list."""
-    return [str(w) for w in warnings_of(diagnostics)]
+def warning_texts(diagnostics, filename=None):
+    """Rendered warning strings of a diagnostics list, located in
+    ``filename``."""
+    return [w.render(filename) for w in warnings_of(diagnostics)]

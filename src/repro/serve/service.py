@@ -38,13 +38,15 @@ they complete.  The pieces:
   it or hot-loops the pool;
 * **durability** — with a ``data_root`` (or explicit
   ``journal_root``), every admission and every completed job is
-  journaled to a per-tenant append-only WAL
-  (:class:`~repro.serve.journal.BatchJournal`); on startup the service
-  *recovers*: incomplete batches are resurrected, already-journaled
-  rows replay without re-execution, and only unfinished jobs are
-  re-admitted — a ``kill -9`` mid-batch followed by a restart yields
-  the same stable result rows as an uninterrupted run, with zero lost
-  and zero duplicated jobs;
+  journaled to one append-only file per open batch
+  (:class:`~repro.serve.journal.BatchJournal`), which the batch's
+  close deletes; on startup the service *recovers*: incomplete
+  batches are resurrected, already-journaled rows replay without
+  re-execution, and only unfinished jobs are re-admitted — a
+  ``kill -9`` mid-batch followed by a restart yields the same stable
+  result rows as an uninterrupted run, with zero lost and zero
+  duplicated jobs.  Appends are not fsynced: this covers process
+  crashes, not power loss;
 * **deadlines** — a job's ``deadline_s`` (spec v2) bounds its queue
   wait and a batch's ``ttl_s`` bounds the whole submission; breaching
   either yields a structured ``deadline_exceeded`` / ``expired`` error
@@ -292,14 +294,13 @@ class SimulationService:
         tenant_weights=None,
         max_queued_per_tenant=None,
         max_in_flight_per_tenant=None,
-        journal_compact=False,
     ):
         """``data_root=None`` keeps everything in memory (no trace
         persistence, no artifact disk layer) — the unit-test mode.
         With a directory, artifacts live under ``<data_root>/artifacts``
         (per-tenant namespaces), traces under ``<data_root>/traces``
         (per-tenant index shards), the batch journal under
-        ``<data_root>/journal`` (per-tenant WAL shards).
+        ``<data_root>/journal`` (one file per open batch).
         ``journal_root`` overrides (or, without a data_root, solely
         enables) the journal location.  Whenever there is a journal,
         startup replays it: incomplete batches are resurrected and
@@ -312,17 +313,13 @@ class SimulationService:
         slot thread itself, answering through the same request step.
         ``tenant_weights`` / ``max_queued_per_tenant`` /
         ``max_in_flight_per_tenant`` configure the queue's weighted-fair
-        rotation and quotas; ``journal_compact=True`` compacts
-        per-tenant WALs at startup (post-recovery) and on graceful
-        shutdown."""
+        rotation and quotas."""
         self.data_root = data_root
         if data_root:
             os.makedirs(data_root, exist_ok=True)
         if journal_root is None and data_root:
             journal_root = os.path.join(data_root, "journal")
         self.journal = BatchJournal(journal_root) if journal_root else None
-        self.journal_compact = bool(journal_compact)
-        self.compactions: Optional[dict] = None
         self.queue = JobQueue(
             depth=queue_depth,
             tenant_weights=tenant_weights,
@@ -365,11 +362,6 @@ class SimulationService:
         self.started = monotonic()
         if self.journal is not None:
             self._recover()
-        if self.journal_compact and self.journal is not None:
-            # Post-recovery, pre-pool: the WAL is quiescent, and the
-            # ``end`` records recovery appended for batches that
-            # finished just before the crash compact away with them.
-            self.compactions = self.journal.compact()
         if start:
             self.pool.start()
 
@@ -404,7 +396,7 @@ class SimulationService:
         self._space(tenant)  # a tenant is listed from its first batch
         batch = Batch(batch_id, tenant, jobs, priority=priority,
                       ttl_s=ttl_s, designs=designs)
-        # WAL discipline: the admit record lands *before* the jobs can
+        # Journal discipline: the admit record lands *before* the jobs can
         # run (a result row must never reference an unjournaled
         # batch); a failed enqueue closes the batch right back out.
         self._journal(
@@ -423,7 +415,7 @@ class SimulationService:
         except EclError:
             with self._lock:
                 del self._batches[batch_id]
-            self._journal("end", tenant, batch_id, reason="rejected")
+            self._journal("end", tenant, batch_id)
             raise
         telemetry.counter(
             "ecl_serve_batches_submitted_total",
@@ -641,12 +633,14 @@ class SimulationService:
             "resumed_jobs": 0,
             "replayed_rows": 0,
             "torn_lines": 0,
+            "orphan_files": 0,
             "failed_batches": 0,
         }
         for tenant in self.journal.tenants():
             replay = self.journal.replay(tenant)
             summary["torn_lines"] += replay.torn_lines
-            for record in replay.open_batches():
+            summary["orphan_files"] += replay.orphan_files
+            for record in replay.batches.values():
                 try:
                     self._recover_batch(tenant, record, summary)
                 except EclError as error:
@@ -860,13 +854,4 @@ class SimulationService:
             idle = self.pool.wait_idle(timeout=timeout)
         self.queue.close()
         self.pool.join(timeout=timeout)
-        if self.journal is not None:
-            if self.journal_compact and idle:
-                # Quiesced (drained + joined): closed batches leave the
-                # WAL now instead of replaying forever at every boot.
-                try:
-                    self.compactions = self.journal.compact()
-                except OSError:
-                    self.journal_errors += 1
-            self.journal.close()
         return idle

@@ -48,3 +48,41 @@ def artifact_files():
         return found
 
     return files
+
+
+@pytest.fixture()
+def closed_files(monkeypatch):
+    """``{batch_id: lines}``: each batch's journal file as it stood
+    just before its close deleted it — what a crash right before the
+    close would have left.  A batch closed twice keeps the later
+    copy."""
+    from repro.serve import BatchJournal
+
+    kept = {}
+    end = BatchJournal.end
+
+    def keeping(journal, tenant, batch_id):
+        path = journal.batch_path(tenant, batch_id)
+        if os.path.exists(path):
+            with open(path) as handle:
+                kept[batch_id] = handle.read().splitlines()
+        end(journal, tenant, batch_id)
+
+    monkeypatch.setattr(BatchJournal, "end", keeping)
+    return kept
+
+
+@pytest.fixture()
+def journal_files():
+    """``files(data_root)``: every file under ``<data_root>/journal``,
+    relative to it and sorted (``<tenant>/<batch_id>.jsonl`` per open
+    batch)."""
+
+    def files(data_root):
+        root = os.path.join(str(data_root), "journal")
+        return sorted(
+            os.path.relpath(os.path.join(folder, name), root)
+            for folder, _dirs, names in os.walk(root) for name in names
+        )
+
+    return files

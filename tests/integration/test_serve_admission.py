@@ -84,7 +84,7 @@ def admission(tmp_path_factory):
 def open_batches(service):
     return {record.batch_id
             for tenant in service.journal.tenants()
-            for record in service.journal.replay(tenant).open_batches()}
+            for record in service.journal.replay(tenant).batches.values()}
 
 
 def post(client, body):

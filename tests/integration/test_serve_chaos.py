@@ -205,7 +205,7 @@ class TestChaosInvariants:
         assert first_plan.injected["proc_kill"] > 0
         assert stable_rows(first) == stable_rows(second)
 
-    def test_chaos_survives_crash_recovery(self, tmp_path):
+    def test_chaos_survives_crash_recovery(self, tmp_path, closed_files):
         """Faults before the crash, recovery after: replayed rows plus
         re-executed ones still reconstruct the fault-free batch."""
         root = tmp_path / "svc"
@@ -218,9 +218,11 @@ class TestChaosInvariants:
         assert batch.wait(timeout=120)
         plan.uninstall()
         service.shutdown(drain=True, timeout=30)
-        # amputate the WAL mid-batch: keep admit + the first 3 rows
-        shard = root / "journal" / "default.jsonl"
-        lines = shard.read_text().splitlines()
+        # amputate the batch file mid-batch: keep admit + the first 3
+        # rows
+        (lines,) = closed_files.values()
+        batch_id = json.loads(lines[0])["batch"]
+        shard = root / "journal" / "default" / (batch_id + ".jsonl")
         shard.write_text("\n".join(lines[:4]) + "\n")
         revived = SimulationService(data_root=str(root), workers=2)
         try:
@@ -233,7 +235,8 @@ class TestChaosInvariants:
         finally:
             revived.shutdown(drain=True, timeout=30)
 
-    def test_process_crash_then_recovery_replay(self, tmp_path):
+    def test_process_crash_then_recovery_replay(self, tmp_path,
+                                                closed_files):
         """Recovery compose, process edition: a run whose worker
         children get SIGKILLed, then a service crash (amputated WAL),
         then a *process-mode* revival replaying the journal.  Replayed
@@ -244,9 +247,11 @@ class TestChaosInvariants:
             pool_mode="process", workers=2)
         assert plan.injected["proc_kill"] > 0
         assert len(results) == JOBS
-        # amputate the WAL mid-batch: keep admit + the first 3 rows
-        shard = root / "journal" / "default.jsonl"
-        lines = shard.read_text().splitlines()
+        # amputate the batch file mid-batch: keep admit + the first 3
+        # rows
+        (lines,) = closed_files.values()
+        batch_id = json.loads(lines[0])["batch"]
+        shard = root / "journal" / "default" / (batch_id + ".jsonl")
         shard.write_text("\n".join(lines[:4]) + "\n")
         revived = SimulationService(data_root=str(root), workers=2,
                                     pool_mode="process")
@@ -347,6 +352,7 @@ class TestGroupFaultAttribution:
         ("process", "crash"), ("process", "ledger"), ("process", "kill"),
     ])
     def test_fault_charges_only_the_struck_member(self, tmp_path,
+                                                  closed_files,
                                                   pool_mode, fault):
         service, batch, sizes, visits = run_group_fault(
             tmp_path / "svc", pool_mode, fault)
@@ -365,10 +371,9 @@ class TestGroupFaultAttribution:
             ((attempts, not_before, _),) = visits[index]
             assert (attempts, not_before) == (0, 0.0)
         # every job recorded (and journaled) exactly once
-        shard = tmp_path / "svc" / "journal" / "default.jsonl"
         journaled = Counter(
             record["job_id"] for record in map(
-                json.loads, shard.read_text().splitlines())
+                json.loads, closed_files[batch.id])
             if record["kind"] == "row")
         assert sorted(journaled.values()) == [1] * 15
         assert service.pool.worker_deaths == 1

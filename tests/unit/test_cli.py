@@ -275,7 +275,8 @@ class TestDot:
 class TestServe:
     @pytest.mark.parametrize("flags", [
         ["--cache-dir", "x"], ["--pool-mode", "thread"], ["--no-recover"],
-    ], ids=["cache-dir", "pool-mode", "no-recover"])
+        ["--journal-compact"],
+    ], ids=["cache-dir", "pool-mode", "no-recover", "journal-compact"])
     def test_removed_options_are_usage_errors(self, flags, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--port", "0"] + flags)

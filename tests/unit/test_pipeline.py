@@ -255,6 +255,26 @@ module broken (input pure go, output pure done)
                                            modules=["scale"])
         assert report.module_names == ["scale"]
 
+    def test_cached_diagnostics_name_the_file_being_built(self):
+        """The artifact key leaves the file name out, so a second unit
+        with the same text reuses the first one's diagnostics; each
+        still reports its own file."""
+        text = ("module m (input pure go, input pure unused)"
+                " { await (go); }\n")
+        pipeline = Pipeline()
+        for filename in ("a.ecl", "b.ecl"):
+            report = pipeline.compile_design(text, filename=filename,
+                                             emit=())
+            assert report.module("m").warnings == [
+                "%s:1:26: warning: signal 'unused' is never used"
+                % filename]
+        strict = Pipeline(CompileOptions(strict=True))
+        for filename in ("a.ecl", "b.ecl"):
+            handle = strict.compile_text(text, filename).module("m")
+            with pytest.raises(CompileError,
+                               match=r"\n  %s:1:26: warning" % filename):
+                handle.check()
+
 
 class TestWarmCompile:
     def test_warm_recompile_is_all_cache_hits(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Unit tests for the BatchJournal write-ahead log and its replay."""
+"""Unit tests for the BatchJournal (one file per open batch) and its
+replay."""
 
 import json
 import os
@@ -30,23 +31,25 @@ class TestWriting:
                       priority=3, ttl_s=9.5)
         journal.row("t", "b1", result("j1"))
         journal.row("t", "b1", result("j2", index=1))
-        journal.end("t", "b1")
-        lines = [json.loads(line)
-                 for line in open(journal.shard_path("t")) if line.strip()]
-        assert [line["kind"] for line in lines] == \
-            ["admit", "row", "row", "end"]
+        path = journal.batch_path("t", "b1")
+        lines = [json.loads(line) for line in open(path) if line.strip()]
+        assert [line["kind"] for line in lines] == ["admit", "row", "row"]
         assert lines[0]["priority"] == 3
         assert lines[0]["ttl_s"] == 9.5
         assert lines[0]["job_ids"] == ["j1", "j2"]
-        assert lines[-1]["reason"] == "complete"
+        journal.end("t", "b1")
+        # the close deletes the batch's file: nothing is left to replay
+        assert not os.path.exists(path)
+        assert os.listdir(os.path.join(journal.root, "t")) == []
+        assert journal.replay("t").batches == {}
 
     def test_rows_use_stable_serialization(self, journal):
         journal.admit("t", "b1", {}, ["j1"])
         journal.row("t", "b1", result("j1"))
         (_, row_line) = [json.loads(line)
-                         for line in open(journal.shard_path("t"))]
+                         for line in open(journal.batch_path("t", "b1"))]
         # volatile fields (elapsed, worker_pid, trace_path) never land
-        # in the WAL: a replayed row must equal a re-executed one.
+        # in the journal: a replayed row must equal a re-executed one.
         assert "elapsed" not in row_line["row"]
         assert "worker_pid" not in row_line["row"]
         assert row_line["row"]["job_id"] == "j1"
@@ -56,7 +59,7 @@ class TestWriting:
         journal.admit("alice", "a", {}, [])
         journal.admit("bob", "b", {}, [])
         assert journal.tenants() == ["alice", "bob"]
-        assert os.path.exists(journal.shard_path("alice"))
+        assert os.path.exists(journal.batch_path("alice", "a"))
         assert journal.replay("alice").batches.keys() == {"a"}
         assert journal.replay("bob").batches.keys() == {"b"}
 
@@ -73,10 +76,27 @@ class TestWriting:
         journal.fault_hook = hook
         with pytest.raises(OSError):
             journal.row("t", "b1", result("j1"))
+        with pytest.raises(OSError):
+            journal.end("t", "b1")
         journal.fault_hook = None
         replay = journal.replay("t")
         assert replay.batches["b1"].rows == {}
         assert replay.torn_lines == 0
+
+    def test_row_of_a_batch_without_a_file_fails(self, journal):
+        # its admit never landed: the row could not be recovered, so it
+        # fails (the service counts it) instead of making a stray file
+        with pytest.raises(FileNotFoundError):
+            journal.row("t", "ghost", result("j1"))
+        journal.end("t", "ghost")
+        assert not os.path.exists(journal.batch_path("t", "ghost"))
+
+    def test_legacy_tenant_shard_is_refused_by_name(self, tmp_path):
+        root = tmp_path / "journal"
+        root.mkdir()
+        (root / "default.jsonl").write_text('{"kind": "admit"}\n')
+        with pytest.raises(EclError, match=r"default\.jsonl.*earlier"):
+            BatchJournal(str(root))
 
 
 def parent_row_line(batch_id, row):
@@ -92,7 +112,7 @@ class TestRowFormats:
         row = result("j1")
         journal.admit("t", "b1", {}, ["j1"])
         journal.row("t", "b1", row)
-        with open(journal.shard_path("t"), "rb") as handle:
+        with open(journal.batch_path("t", "b1"), "rb") as handle:
             line = handle.read().splitlines()[1]
         stable = json.dumps(row.to_dict(volatile=False), sort_keys=True,
                             separators=(",", ":")).encode()
@@ -104,26 +124,21 @@ class TestRowFormats:
         assert json.dumps(json.loads(line), sort_keys=True).encode() \
             .startswith(b'{"batch": "b1", "job_id": "j1", "kind": "row"')
 
-    def test_mixed_formats_replay_and_compact_to_the_same_rows(self,
-                                                               journal):
+    def test_mixed_formats_replay_to_the_same_rows(self, journal):
         rows = [result("j%d" % i, index=i) for i in range(4)]
         expected = {row.job_id: row.to_dict(volatile=False) for row in rows}
         journal.admit("t", "closed", {}, ["x"])
         journal.row("t", "closed", result("x"))
         journal.end("t", "closed")
         journal.admit("t", "b1", {"jobs": []}, sorted(expected))
-        with open(journal.shard_path("t"), "a") as handle:
+        path = journal.batch_path("t", "b1")
+        with open(path, "a") as handle:
             handle.write(parent_row_line("b1", rows[0]))
         journal.row("t", "b1", rows[1])
-        with open(journal.shard_path("t"), "a") as handle:
+        with open(path, "a") as handle:
             handle.write(parent_row_line("b1", rows[2]))
         journal.row("t", "b1", rows[3])
-        replayed = journal.replay("t").batches["b1"].rows
-        assert replayed == expected
-        summary = journal.compact("t")
-        assert summary["dropped_batches"] == 1
-        assert summary["rewritten_shards"] == 1
-        (record,) = journal.replay("t").open_batches()
+        (record,) = journal.replay("t").batches.values()
         assert record.batch_id == "b1" and record.rows == expected
 
 
@@ -134,9 +149,9 @@ class TestReplay:
         journal.end("t", "done")
         journal.admit("t", "open", {}, ["j2"])
         replay = journal.replay("t")
-        assert [r.batch_id for r in replay.open_batches()] == ["open"]
-        assert replay.batches["done"].ended
-        assert replay.batches["done"].end_reason == "complete"
+        assert list(replay.batches) == ["open"]
+        assert os.listdir(os.path.join(journal.root, "t")) == \
+            ["open.jsonl"]
 
     def test_pending_job_ids_are_the_unjournaled_ones(self, journal):
         journal.admit("t", "b", {}, ["j1", "j2", "j3"])
@@ -151,7 +166,7 @@ class TestReplay:
     def test_torn_tail_is_skipped_with_warning(self, journal):
         journal.admit("t", "b", {}, ["j1"])
         journal.row("t", "b", result("j1"))
-        with open(journal.shard_path("t"), "a") as handle:
+        with open(journal.batch_path("t", "b"), "a") as handle:
             handle.write('{"kind": "row", "batch": "b", "job_')
         with pytest.warns(UserWarning, match="torn"):
             replay = journal.replay("t")
@@ -160,20 +175,20 @@ class TestReplay:
         assert replay.batches["b"].rows.keys() == {"j1"}
 
     def test_every_truncated_prefix_replays_its_complete_lines(self, journal):
-        """A crash can cut the shard at any byte: replay never raises
-        and recovers exactly the rows whose lines are complete."""
+        """A crash can cut the batch file at any byte: replay never
+        raises and recovers exactly the rows whose lines are complete;
+        a file cut inside its admit line holds nothing and goes."""
         job_ids = ["j%d" % n for n in range(4)]
         journal.admit("t", "b", {"jobs": []}, job_ids)
         for index, job_id in enumerate(job_ids):
             journal.row("t", "b", result(job_id, index=index))
-        journal.end("t", "b")
-        path = journal.shard_path("t")
+        path = journal.batch_path("t", "b")
         with open(path, "rb") as handle:
             data = handle.read()
         # byte offset at which each line's content is complete
         ends = [end for end, byte in enumerate(data) if byte == ord("\n")]
         kinds = [json.loads(line)["kind"] for line in data.splitlines()]
-        assert kinds == ["admit", "row", "row", "row", "row", "end"]
+        assert kinds == ["admit", "row", "row", "row", "row"]
         for cut in range(len(data) + 1):
             with open(path, "wb") as handle:
                 handle.write(data[:cut])
@@ -183,11 +198,12 @@ class TestReplay:
             complete = sum(1 for end in ends if end <= cut)
             if complete == 0:
                 assert replay.batches == {}, cut
+                assert replay.orphan_files == 1, cut
+                assert not os.path.exists(path), cut
                 continue
             record = replay.batches["b"]
-            rows = min(complete - 1, len(job_ids))
-            assert sorted(record.rows) == job_ids[:rows], cut
-            assert record.ended == (complete == len(kinds)), cut
+            assert replay.orphan_files == 0, cut
+            assert sorted(record.rows) == job_ids[:complete - 1], cut
             # only a partial last line is torn; a line cut just before
             # its newline is still whole
             tail = data[:cut].rsplit(b"\n", 1)[-1]
@@ -202,95 +218,19 @@ class TestReplay:
         assert replay.batches["b"].rows["j1"]["status"] == "ok"
 
     def test_orphan_row_counted_not_fatal(self, journal):
-        # a row whose admit append failed: nothing to attach it to
-        journal.row("t", "ghost", result("j1"))
+        # a batch file whose admit line never landed: nothing to attach
+        # its rows to, so replay counts the file and removes it
         journal.admit("t", "real", {}, ["j2"])
+        ghost = journal.batch_path("t", "ghost")
+        with open(ghost, "w") as handle:
+            handle.write(parent_row_line("ghost", result("j1")))
         replay = journal.replay("t")
-        assert replay.orphan_rows == 1
+        assert replay.orphan_files == 1
+        assert replay.torn_lines == 1
         assert replay.batches.keys() == {"real"}
+        assert not os.path.exists(ghost)
 
     def test_missing_shard_replays_empty(self, journal):
         replay = journal.replay("never-seen")
         assert replay.batches == {}
         assert replay.torn_lines == 0
-
-
-class TestCompaction:
-    def test_closed_batches_drop_open_ones_survive(self, journal):
-        journal.admit("t", "done", {"jobs": ["x"]}, ["j1"])
-        journal.row("t", "done", result("j1"))
-        journal.end("t", "done")
-        journal.admit("t", "open", {"jobs": ["y"]}, ["j2", "j3"],
-                      priority=2, ttl_s=7.0)
-        journal.row("t", "open", result("j2"))
-
-        summary = journal.compact()
-        assert summary["dropped_batches"] == 1
-        assert summary["kept_batches"] == 1
-        assert summary["rewritten_shards"] == 1
-
-        replay = journal.replay("t")
-        assert replay.batches.keys() == {"open"}
-        record = replay.batches["open"]
-        assert record.priority == 2
-        assert record.ttl_s == 7.0
-        assert record.spec == {"jobs": ["y"]}
-        assert record.rows.keys() == {"j2"}
-        assert record.pending_job_ids == ["j3"]
-
-    def test_shard_with_nothing_open_is_removed(self, journal):
-        journal.admit("t", "b", {}, ["j1"])
-        journal.row("t", "b", result("j1"))
-        journal.end("t", "b")
-        summary = journal.compact()
-        assert summary["removed_shards"] == 1
-        assert not os.path.exists(journal.shard_path("t"))
-        # and the journal still works after — appends reopen the shard
-        journal.admit("t", "b2", {}, ["j9"])
-        assert journal.replay("t").batches.keys() == {"b2"}
-
-    def test_clean_all_open_shard_is_left_alone(self, journal):
-        journal.admit("t", "open", {}, ["j1"])
-        journal.row("t", "open", result("j1"))
-        before = open(journal.shard_path("t")).read()
-        summary = journal.compact()
-        assert summary["rewritten_shards"] == 0
-        assert summary["kept_lines"] == 2
-        assert open(journal.shard_path("t")).read() == before
-
-    def test_torn_tail_and_duplicates_compact_away(self, journal):
-        journal.admit("t", "open", {}, ["j1"])
-        journal.row("t", "open", result("j1", status="ok"))
-        journal.row("t", "open", result("j1", status="error"))  # dup
-        with open(journal.shard_path("t"), "a") as handle:
-            handle.write('{"kind": "row", "ba')  # torn tail
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            journal.compact()
-        # the rewritten shard replays clean: first row won, tail gone
-        replay = journal.replay("t")
-        assert replay.torn_lines == 0
-        assert replay.duplicate_rows == 0
-        assert replay.batches["open"].rows["j1"]["status"] == "ok"
-
-    def test_rewrite_is_atomic_no_tmp_left_behind(self, journal, tmp_path):
-        journal.admit("t", "done", {}, [])
-        journal.end("t", "done")
-        journal.admit("t", "open", {}, ["j1"])
-        journal.compact()
-        assert not os.path.exists(journal.shard_path("t") + ".tmp")
-        # idempotent: a second pass finds a clean shard, rewrites nothing
-        summary = journal.compact()
-        assert summary["rewritten_shards"] == 0
-        assert summary["dropped_batches"] == 0
-
-    def test_single_tenant_compaction_scope(self, journal):
-        journal.admit("alice", "a", {}, [])
-        journal.end("alice", "a")
-        journal.admit("bob", "b", {}, [])
-        journal.end("bob", "b")
-        summary = journal.compact(tenant="alice")
-        assert summary["shards"] == 1
-        assert not os.path.exists(journal.shard_path("alice"))
-        assert os.path.exists(journal.shard_path("bob"))

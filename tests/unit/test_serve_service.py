@@ -1,6 +1,7 @@
 """Unit tests for SimulationService: warmth, tenancy, faults, drain."""
 
 import json
+import re
 import threading
 import time
 import warnings
@@ -638,19 +639,68 @@ class TestDeadlines:
 
 
 class TestJournalRecovery:
-    def test_clean_run_journals_admit_rows_end(self, tmp_path):
+    def test_clean_run_journals_admit_rows_end(self, tmp_path,
+                                               closed_files,
+                                               journal_files):
         service = make_service(data_root=str(tmp_path))
         try:
             batch = service.submit(document(traces=2))
             assert batch.wait(timeout=30)
         finally:
             service.shutdown()
-        shard = tmp_path / "journal" / "default.jsonl"
         kinds = [json.loads(line)["kind"]
-                 for line in shard.read_text().splitlines() if line]
-        assert kinds == ["admit", "row", "row", "end"]
+                 for line in closed_files[batch.id] if line]
+        assert kinds == ["admit", "row", "row"]
+        # the close deleted the batch's file
+        assert journal_files(tmp_path) == []
 
-    def test_crash_recovery_resumes_only_unfinished_jobs(self, tmp_path):
+    def test_finished_batches_leave_no_journal_file(self, tmp_path,
+                                                   journal_files):
+        service = make_service(data_root=str(tmp_path), start=False,
+                               queue_depth=6)
+        try:
+            held = service.submit(document(traces=4))
+            # admitted, then refused for the room left (HTTP 429)
+            with pytest.raises(QueueFullError):
+                service.submit(document(traces=3))
+            service.pool.start()
+            assert held.wait(timeout=30)
+            for length in (4, 6, 8):
+                batch = service.submit(document(traces=2, length=length))
+                assert batch.wait(timeout=30)
+        finally:
+            assert service.shutdown()
+        assert journal_files(tmp_path) == []
+        # a batch cancelled by a shutdown without drain closes too
+        stopped = make_service(data_root=str(tmp_path), workers=0)
+        assert stopped.recovery["recovered_batches"] == 0
+        cancelled = stopped.submit(document(traces=3))
+        stopped.shutdown(drain=False, timeout=5)
+        assert all(r.error.startswith("cancelled")
+                   for r in cancelled.results)
+        assert journal_files(tmp_path) == []
+
+    def test_open_batch_holds_exactly_its_file(self, tmp_path,
+                                               journal_files):
+        service = make_service(data_root=str(tmp_path), workers=0)
+        batch = service.submit(document(traces=2))
+        try:
+            assert journal_files(tmp_path) == \
+                ["default/%s.jsonl" % batch.id]
+        finally:
+            service.shutdown(drain=False, timeout=5)
+        assert journal_files(tmp_path) == []
+
+    def test_legacy_tenant_wal_refuses_to_start(self, tmp_path):
+        (tmp_path / "journal").mkdir()
+        shard = tmp_path / "journal" / "default.jsonl"
+        shard.write_text('{"kind": "admit", "batch": "b"}\n')
+        with pytest.raises(EclError, match=re.escape(str(shard))):
+            make_service(data_root=str(tmp_path), workers=0)
+        assert shard.exists()
+
+    def test_crash_recovery_resumes_only_unfinished_jobs(self, tmp_path,
+                                                         closed_files):
         doc = document(traces=4)
         service = make_service(data_root=str(tmp_path))
         try:
@@ -661,10 +711,10 @@ class TestJournalRecovery:
                 for r in batch.results)
         finally:
             service.shutdown()
-        # simulate a kill -9 after two rows: truncate the WAL to
-        # admit + 2 rows and add a torn tail.
-        shard = tmp_path / "journal" / "default.jsonl"
-        lines = shard.read_text().splitlines()
+        # simulate a kill -9 after two rows: restore the batch file
+        # cut to admit + 2 rows, and add a torn tail.
+        lines = closed_files[batch.id]
+        shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
         shard.write_text("\n".join(lines[:3]) + '\n{"kind": "row", "ba')
         with pytest.warns(UserWarning, match="torn"):
             revived = make_service(data_root=str(tmp_path))
@@ -684,10 +734,12 @@ class TestJournalRecovery:
         finally:
             revived.shutdown()
 
-    def test_journal_with_parent_format_rows_recovers(self, tmp_path):
+    def test_journal_with_parent_format_rows_recovers(self, tmp_path,
+                                                      closed_files,
+                                                      journal_files):
         """A data root whose rows were journaled as ``canonical_json``
         objects (before rows embedded their stable bytes) recovers,
-        and its shard then mixes both formats."""
+        and its batch file then mixes both formats."""
         service = make_service(data_root=str(tmp_path))
         try:
             batch = service.submit(document(traces=4))
@@ -695,8 +747,8 @@ class TestJournalRecovery:
             stable = sorted(r.stable_json() for r in batch.results)
         finally:
             service.shutdown()
-        shard = tmp_path / "journal" / "default.jsonl"
-        lines = shard.read_text().splitlines()
+        lines = closed_files[batch.id]
+        shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
         old = [canonical_json(json.loads(line)) for line in lines[1:3]]
         shard.write_text("\n".join([lines[0]] + old) + "\n")
         revived = make_service(data_root=str(tmp_path))
@@ -709,65 +761,32 @@ class TestJournalRecovery:
                 == stable
         finally:
             revived.shutdown()
-        replay = BatchJournal(str(tmp_path / "journal")).replay("default")
+        # the revival closed the batch, and its file as it closed
+        # holds every row once, in both formats
+        assert journal_files(tmp_path) == []
+        copy = tmp_path / "copy" / "default" / (batch.id + ".jsonl")
+        copy.parent.mkdir(parents=True)
+        copy.write_text("\n".join(closed_files[batch.id]) + "\n")
+        replay = BatchJournal(str(tmp_path / "copy")).replay("default")
         (record,) = replay.batches.values()
-        assert record.ended
         assert sorted(json.dumps(row, sort_keys=True, separators=(",", ":"))
                       .encode() for row in record.rows.values()) == stable
 
-    def test_compacting_restart_drops_closed_and_resumes_open(self,
-                                                              tmp_path):
-        service = make_service(data_root=str(tmp_path))
-        try:
-            closed = service.submit(document(traces=2))
-            assert closed.wait(timeout=30)
-            cut = service.submit(document(source=ONCE, module="once",
-                                          traces=4))
-            assert cut.wait(timeout=30)
-            stable = sorted(r.stable_json() for r in cut.results)
-        finally:
-            service.shutdown()
-        # a kill -9 after the second batch journaled two of its rows
-        shard = tmp_path / "journal" / "default.jsonl"
-        lines = shard.read_text().splitlines()
-        batch_of = [json.loads(line)["batch"] for line in lines]
-        first = batch_of.index(cut.id)
-        shard.write_text("\n".join(lines[:first + 3]) + "\n")
-        revived = make_service(data_root=str(tmp_path), start=False,
-                               journal_compact=True)
-        try:
-            assert revived.recovery["resumed_jobs"] == 2
-            assert revived.compactions["dropped_batches"] == 1
-            assert revived.compactions["kept_batches"] == 1
-            kept = [json.loads(line) for line in
-                    shard.read_text().splitlines()]
-            assert [line["batch"] for line in kept] == [cut.id] * 3
-            assert [line["kind"] for line in kept] == ["admit", "row", "row"]
-            revived.pool.start()
-            recovered = revived.batch(cut.id)
-            assert recovered.wait(timeout=30)
-            assert sorted(r.stable_json() for r in recovered.results) \
-                == stable
-        finally:
-            drained = revived.shutdown()
-        # the drained shutdown compacted the now-closed batch away too
-        assert drained
-        assert revived.compactions["removed_shards"] == 1
-        assert not shard.exists()
-
-    def test_recovered_complete_batch_is_closed_not_rerun(self, tmp_path):
+    def test_recovered_complete_batch_is_closed_not_rerun(self, tmp_path,
+                                                          closed_files):
         service = make_service(data_root=str(tmp_path))
         try:
             batch = service.submit(document(traces=2))
             assert batch.wait(timeout=30)
         finally:
             service.shutdown()
-        # drop only the end line: the batch finished, the close was
+        # restore the whole file: the batch finished, the close was
         # lost to the crash.
-        shard = tmp_path / "journal" / "default.jsonl"
-        lines = shard.read_text().splitlines()
-        assert json.loads(lines[-1])["kind"] == "end"
-        shard.write_text("\n".join(lines[:-1]) + "\n")
+        lines = closed_files[batch.id]
+        assert [json.loads(line)["kind"] for line in lines] == \
+            ["admit", "row", "row"]
+        shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
+        shard.write_text("\n".join(lines) + "\n")
         revived = make_service(data_root=str(tmp_path), workers=0)
         try:
             assert revived.recovery["recovered_batches"] == 1
@@ -776,7 +795,8 @@ class TestJournalRecovery:
             assert recovered.done  # complete purely from replay
         finally:
             revived.shutdown(drain=False, timeout=5)
-        # the close was re-journaled: a third start recovers nothing
+        # the close was journaled again: a third start recovers nothing
+        assert not shard.exists()
         third = make_service(data_root=str(tmp_path), workers=0)
         assert third.recovery["recovered_batches"] == 0
         third.shutdown(drain=False, timeout=5)
@@ -844,7 +864,7 @@ class TestJournalRecovery:
             service.journal.fault_hook = None
             service.shutdown()
 
-    def test_rejected_batch_is_closed_in_journal(self, tmp_path):
+    def test_rejected_batch_leaves_no_file(self, tmp_path, journal_files):
         service = make_service(data_root=str(tmp_path), workers=0,
                                queue_depth=4)
         held = service.submit(document(traces=3))
@@ -854,12 +874,8 @@ class TestJournalRecovery:
         # past the depth itself: refused before expansion, unjournaled
         with pytest.raises(QueueFullError, match="expands to"):
             service.submit(document(traces=5))
-        shard = tmp_path / "journal" / "default.jsonl"
-        kinds = [(json.loads(line)["kind"],
-                  json.loads(line).get("reason"))
-                 for line in shard.read_text().splitlines() if line]
-        assert kinds == [("admit", None), ("admit", None),
-                         ("end", "rejected")]
+        # only the held batch keeps its file
+        assert journal_files(tmp_path) == ["default/%s.jsonl" % held.id]
         assert service.queue.stats_dict()["rejected"] == 3 + 5
         # only the held batch resurrects on restart
         revived = make_service(data_root=str(tmp_path), workers=0)
