@@ -33,6 +33,7 @@ or through pytest::
 """
 
 import os
+import statistics
 import sys
 from time import perf_counter
 
@@ -110,9 +111,10 @@ def played_frames(records):
 
 
 #: Interleaved measurement rounds: each round times every variant
-#: back-to-back and yields *paired* overhead ratios; the gate takes
-#: the cleanest round (minimum ratio), so a transient machine-load
-#: spike needs to dodge every round to distort the verdict.  Reported
+#: back-to-back and yields *paired* overhead ratios, with the variant
+#: order reversed every other round, so neither side of a ratio always
+#: runs first.  The gate takes the median round: a slow variant run
+#: moves one ratio, never the verdict, in either direction.  Reported
 #: rates are each variant's best round (the regression-gate band).
 REPEATS = int(os.environ.get("VERIFY_BENCH_REPEATS", "9"))
 
@@ -177,9 +179,10 @@ def measure():
     monitor_ratios = []
     coverage_ratios = []
     record_run = record_step = float("inf")
-    for _ in range(REPEATS):
+    for round_ in range(REPEATS):
         elapsed = {}
-        for label, make, check in variants:
+        for label, make, check in (variants if round_ % 2
+                                    else variants[::-1]):
             reactor = make()
             started = perf_counter()
             instants, outcome = drive_buffer(reactor, BUFFER_FRAMES)
@@ -211,8 +214,8 @@ def measure():
                     "monitored": best["monitored"],
                     "covered": best["covered"],
                 },
-                "monitor_overhead": min(monitor_ratios),
-                "coverage_overhead": min(coverage_ratios),
+                "monitor_overhead": statistics.median(monitor_ratios),
+                "coverage_overhead": statistics.median(coverage_ratios),
                 "record_path_overhead": (record_run + record_step)
                 / record_run,
             }

@@ -6,12 +6,12 @@ Two phases against real ``eclc serve`` processes:
    durable data root, submits a batch over HTTP, SIGKILLs the server
    while the batch is partially complete, and restarts it on the same
    data root, whose journal it replays on startup.  The revived
-   service must re-admit the unfinished batch from its journal, replay
-   the rows that were already recorded, re-execute only the missing
-   jobs, and stream a stable NDJSON serialization byte-identical to
-   ``eclc farm run`` of the same spec — as if the crash never
-   happened.  Once the recovered batch has finished, the journal holds
-   no batch file.
+   service must re-admit the unfinished batch from its journal and
+   re-run every one of its jobs — worker rows are never journaled, a
+   re-run reproduces them, so none replay — and stream a stable NDJSON
+   serialization byte-identical to ``eclc farm run`` of the same spec,
+   as if the crash never happened.  Once the recovered batch has
+   finished, the journal holds no batch file.
 2. **Worker-process crash** — starts ``eclc serve -j 2`` (more than
    one worker runs the process-backed pool), SIGKILLs one of the worker
    children mid-batch, and asserts the *same* batch still completes
@@ -169,6 +169,10 @@ def run(direct, workdir):
                           key=lambda row: row["index"])
         health = client.health()
         assert health["ok"], "revived service is not healthy: %r" % health
+        recovered = health["recovery"]
+        assert (recovered["replayed_rows"], recovered["resumed_jobs"]) \
+            == (0, total), "recovery did not re-run every job: %r" \
+            % recovered
         client.shutdown()
         process.wait(timeout=60)
     finally:

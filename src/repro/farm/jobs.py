@@ -331,11 +331,16 @@ class SimResult:
         return line
 
     @classmethod
-    def from_dict(cls, payload):
+    def from_dict(cls, payload, stable_json=None):
         """Rebuild a result from :meth:`to_dict` output (unknown keys
-        are ignored, missing volatile fields default)."""
+        are ignored, missing volatile fields default).  ``stable_json``
+        is the :meth:`stable_json` bytes of the same result, when its
+        producer already encoded them."""
         known = set(RESULT_FIELDS) | set(RESULT_VOLATILE_FIELDS)
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        result = cls(**{k: v for k, v in payload.items() if k in known})
+        if stable_json is not None:
+            result._stable_json = stable_json
+        return result
 
     def as_dict(self):
         return self.to_dict()

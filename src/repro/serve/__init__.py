@@ -30,10 +30,11 @@ compile tax dominates.  This package keeps the farm *resident*:
   which retries idempotent GETs and reconnects result streams across
   transient transport faults;
 * :mod:`repro.serve.journal` — the durability rung: one append-only
-  file per open batch holding its admission and stable result rows,
-  deleted when the batch closes and replayed on startup, so a
-  ``kill -9`` mid-batch recovers with zero lost and zero duplicated
-  jobs and the journal only ever holds open batches;
+  file per open batch holding its admission and the rows a re-run
+  could not reproduce (refusals, quarantines, cancellations), deleted
+  when the batch closes and replayed on startup, where every other
+  job re-runs; a ``kill -9`` mid-batch recovers with zero lost and
+  zero duplicated jobs, and the journal only ever holds open batches;
 * :mod:`repro.serve.chaos` — seeded deterministic fault injection
   (worker crashes, slow jobs, journal/ledger write errors, queue
   stalls) driving the robustness test suite.

@@ -9,8 +9,8 @@ stack exposes
 * ``WorkerPool.fault_hook`` — worker crashes *before* a job's result
   is recorded (and slow jobs, injected as sleeps at the same point);
 * ``WorkerPool.post_fault_hook`` — crashes *after* the result was
-  recorded and journaled: the crash-after-record window the dedup
-  machinery must absorb without duplicating a row;
+  recorded: the crash-after-record window the dedup machinery must
+  absorb without duplicating a row;
 * ``JobQueue.fault_hook`` — dequeue stalls (scheduling jitter);
 * ``BatchJournal.fault_hook`` — journal append ``OSError``\\ s
   (best-effort durability degrades, live results must not);
@@ -151,7 +151,7 @@ class FaultPlan:
 
     def on_recorded(self, entry):
         """``WorkerPool.post_fault_hook``: crash *after* the result was
-        recorded and journaled — the retry must dedupe, not re-run."""
+        recorded — the retry must dedupe, not re-run."""
         key = self._job_key(entry)
         if self._decide("post_crash", key, self.post_crash_prob,
                         self.post_crash_limit):
@@ -178,9 +178,10 @@ class FaultPlan:
     def on_journal(self, kind, key):
         """``BatchJournal.fault_hook``: fail an append with OSError.
 
-        Row appends key on the (stable) job id; admit/end appends key
-        on the kind alone — their natural key, the batch id, is a
-        fresh uuid every run and would break seed reproducibility."""
+        Row appends (synthesized rows only) key on the (stable) job
+        id; admit/end appends key on the kind alone — their natural
+        key, the batch id, is a fresh uuid every run and would break
+        seed reproducibility."""
         decision_key = "%s/%s" % (kind, key) if kind == "row" else kind
         if self._decide("journal", decision_key,
                         self.journal_prob, self.journal_limit):

@@ -7,20 +7,26 @@ JSONL file per *open* batch, ``<root>/<tenant>/<batch_id>.jsonl``:
 
 * ``admit`` creates it with one line: the batch id, priority, TTL, the
   spec envelope (designs inline, what :func:`~repro.farm.spec.
-  expand_document` consumes) and the expanded job ids — before any
-  job can run, so a row never lacks its batch;
-* ``row`` appends one completed job: its id and its stable row bytes
+  expand_document` consumes) and the expanded job ids — once the
+  queue accepted the batch and before any job can run, so a refused
+  batch writes nothing and a row never lacks its batch;
+* ``row`` appends one row a re-run could not reproduce — a refusal,
+  quarantine or cancellation the service synthesized; a worker's row
+  is never journaled, recovery re-runs its job instead.  The record
+  holds the job id and the stable row bytes
   (:meth:`~repro.farm.jobs.SimResult.stable_json`, the row the results
-  stream sends) embedded verbatim, so a replayed row equals a
-  re-executed one.  Rows journaled as ``canonical_json`` objects by
-  earlier releases replay too;
-* ``end`` (completed, cancelled, or refused after admission) deletes
-  the file: a closed batch has nothing left to recover, so disk use and
-  replay work track the open batches, not the uptime.
+  stream sends) embedded verbatim.  Worker rows journaled by earlier
+  releases, as these bytes or as ``canonical_json`` objects, replay
+  too;
+* ``end`` (completed or cancelled) deletes the file: a closed batch
+  has nothing left to recover, so disk use and replay work track the
+  open batches, not the uptime.
 
-Each append opens the file, makes one ``O_APPEND`` write and closes it,
-so no descriptor stays open per queued batch.  Nothing is fsynced: the
-journal covers process crashes, not power loss.  The only corruption a
+A batch whose every row came from a worker therefore costs two
+operations: its admit and its removal.  Each append opens the file,
+makes one ``O_APPEND`` write and closes it, so no descriptor stays
+open per queued batch.  Nothing is fsynced: the journal covers
+process crashes, not power loss.  The only corruption a
 crash can leave is a torn final line, so :meth:`BatchJournal.replay`
 skips undecodable lines with a warning and dedupes repeated rows of one
 job (first wins), which keeps replay idempotent.  A file with no
@@ -139,7 +145,7 @@ class BatchJournal:
                      os.O_CREAT)
 
     def row(self, tenant, batch_id, result):
-        """Append one job's completion: its stable row bytes
+        """Append one job's synthesized row: its stable row bytes
         (:meth:`~repro.farm.jobs.SimResult.stable_json`) embedded
         verbatim in a ``row`` record with canonically ordered keys.
         Raises FileNotFoundError when the batch has no file (its
@@ -180,8 +186,9 @@ class BatchJournal:
     def _observe(kind, started):
         telemetry.counter(
             "ecl_serve_journal_appends_total",
-            help="Durable journal operations, by record kind (end: "
-                 "the batch file's removal).",
+            help="Durable journal operations, by record kind (row: "
+                 "synthesized rows only; end: the batch file's "
+                 "removal).",
             kind=kind,
         ).inc()
         telemetry.histogram(

@@ -226,7 +226,7 @@ class JobQueue:
     # -- intake --------------------------------------------------------
 
     def put_batch(self, jobs, batch=None, tenant="default", priority=0,
-                  force=False):
+                  force=False, on_admit=None):
         """Admit every job of a batch, or none.
 
         Raises :class:`QueueFullError` when the batch does not fit in
@@ -236,6 +236,9 @@ class JobQueue:
         admission is all-or-nothing either way.  ``force=True``
         (journal recovery re-admission) bypasses both bounds: the
         batch's original admission already paid the backpressure toll.
+        ``on_admit()`` runs once the batch passed both bounds, before
+        any of its entries can be taken (the service journals the
+        admission there).
         """
         jobs = list(jobs)
         with self._lock:
@@ -269,6 +272,8 @@ class JobQueue:
                     "queue_full: %d queued + %d submitted exceeds depth %d"
                     % (self._queued, len(jobs), self.depth)
                 )
+            if on_admit is not None:
+                on_admit()
             entries = [
                 QueueEntry.make(
                     job,

@@ -37,16 +37,20 @@ they complete.  The pieces:
   budget is exhausted, so a poison job degrades a batch, never hangs
   it or hot-loops the pool;
 * **durability** — with a ``data_root`` (or explicit
-  ``journal_root``), every admission and every completed job is
-  journaled to one append-only file per open batch
-  (:class:`~repro.serve.journal.BatchJournal`), which the batch's
-  close deletes; on startup the service *recovers*: incomplete
-  batches are resurrected, already-journaled rows replay without
-  re-execution, and only unfinished jobs are re-admitted — a
-  ``kill -9`` mid-batch followed by a restart yields the same stable
-  result rows as an uninterrupted run, with zero lost and zero
-  duplicated jobs.  Appends are not fsynced: this covers process
-  crashes, not power loss;
+  ``journal_root``), every admission is journaled to one append-only
+  file per open batch (:class:`~repro.serve.journal.BatchJournal`),
+  which the batch's close deletes.  Only the rows the service itself
+  synthesizes — ``expired``/``deadline_exceeded`` refusals,
+  ``quarantined`` and ``cancelled`` rows — are journaled: a worker's
+  row is a pure function of its job, so a re-run reproduces it.  On
+  startup the service *recovers*: incomplete batches are
+  resurrected, journaled rows replay without re-execution, and every
+  other job is re-run — a ``kill -9`` mid-batch followed by a restart
+  yields the same stable result rows as an uninterrupted run, with
+  zero lost and zero duplicated jobs (a job that had already run
+  before the crash adds a second line to the trace ledger's index).
+  Appends are not fsynced: this covers process crashes, not power
+  loss;
 * **deadlines** — a job's ``deadline_s`` (spec v2) bounds its queue
   wait and a batch's ``ttl_s`` bounds the whole submission; breaching
   either yields a structured ``deadline_exceeded`` / ``expired`` error
@@ -60,7 +64,7 @@ Determinism contract: a batch submitted to the service produces the
 same jobs, the same derived seeds, and therefore (volatile fields
 aside) byte-identically serialized results as ``eclc farm run`` of the
 same spec — including across a crash and recovery, because replayed
-journal rows carry the stable serialization and re-executed jobs
+journal rows carry the stable serialization and re-run jobs
 regenerate it.
 """
 
@@ -304,8 +308,8 @@ class SimulationService:
         ``journal_root`` overrides (or, without a data_root, solely
         enables) the journal location.  Whenever there is a journal,
         startup replays it: incomplete batches are resurrected and
-        their unfinished jobs re-admitted before the worker pool
-        starts.
+        every job without a journaled row is re-admitted before the
+        worker pool starts.
 
         Each of the ``workers`` pool slots runs its jobs on one
         long-lived worker: a spawned child process with
@@ -396,26 +400,25 @@ class SimulationService:
         self._space(tenant)  # a tenant is listed from its first batch
         batch = Batch(batch_id, tenant, jobs, priority=priority,
                       ttl_s=ttl_s, designs=designs)
-        # Journal discipline: the admit record lands *before* the jobs can
-        # run (a result row must never reference an unjournaled
-        # batch); a failed enqueue closes the batch right back out.
-        self._journal(
-            "admit", tenant, batch_id, document,
-            [job.job_id for job in jobs],
-            priority=priority, ttl_s=ttl_s,
-        )
         # Registered before its jobs can run, so a batch that finishes
         # at once is retired like any other.
         with self._lock:
             self._batches[batch_id] = batch
         try:
+            # The admit record lands once the queue accepted the batch
+            # and before any of its jobs can run: a refused batch
+            # writes nothing, and no row is journaled before its admit.
             self.queue.put_batch(
-                jobs, batch=batch, tenant=tenant, priority=priority
+                jobs, batch=batch, tenant=tenant, priority=priority,
+                on_admit=functools.partial(
+                    self._journal, "admit", tenant, batch_id, document,
+                    [job.job_id for job in jobs],
+                    priority=priority, ttl_s=ttl_s,
+                ),
             )
         except EclError:
             with self._lock:
                 del self._batches[batch_id]
-            self._journal("end", tenant, batch_id)
             raise
         telemetry.counter(
             "ecl_serve_batches_submitted_total",
@@ -435,15 +438,15 @@ class SimulationService:
 
     def _execute_entry(self, group, worker, visit, settled):
         """The pool's group callback: dedup and refusal checks, then one
-        dispatch whose rows are journaled and delivered as each
-        arrives, each bracketed by the pool's ``visit(member)`` and
+        dispatch whose rows are delivered as each arrives, each
+        bracketed by the pool's ``visit(member)`` and
         ``settled(member)`` fault seams."""
         runnable = []
         for member in group:
             if member.batch is not None and member.batch.has_result(
                     member.job.job_id):
-                # A crash-after-record retry: the result already landed
-                # (and was journaled); re-running would duplicate it.
+                # A crash-after-record retry: the result already
+                # landed; re-running would duplicate it.
                 visit(member)
                 settled(member)
                 continue
@@ -458,6 +461,7 @@ class SimulationService:
                 visit(member)
                 self._record_result(
                     member.batch, synthetic_result(member, refusal),
+                    synthesized=True,
                 )
                 settled(member)
                 continue
@@ -506,8 +510,9 @@ class SimulationService:
         design = jobs[0].design
         worker.run(
             space.name, {design: batch.designs[design]}, jobs,
-            lambda pairs: on_rows([(position, SimResult.from_dict(row))
-                                   for position, row in pairs]),
+            lambda rows: on_rows([(position,
+                                   SimResult.from_dict(row, stable))
+                                  for position, row, stable in rows]),
         )
 
     #: The name sweeps once dispatched under; the service no longer
@@ -556,18 +561,20 @@ class SimulationService:
         self._record_result(
             entry.batch,
             quarantine_result(entry, error_text),
+            synthesized=True,
         )
 
-    def _record_result(self, batch, result):
-        """The single recording path: journal first (durability), then
-        deliver to the batch (dedup by job id); the row completing the
-        batch closes its journal entry, retires it and lands its
-        metrics before any reader sees that row."""
+    def _record_result(self, batch, result, synthesized=False):
+        """The single recording path: deliver to the batch (dedup by
+        job id); the row completing the batch closes its journal file,
+        retires it and lands its metrics before any reader sees that
+        row.  A ``synthesized`` row — a refusal, quarantine or
+        cancellation the service wrote instead of a worker — is
+        journaled first: a re-run would not reproduce it, while a
+        worker's row is a pure function of its job and recovery
+        re-runs the job instead."""
         if batch is None:
             return
-        # Encode the stable row once: the journal embeds these bytes,
-        # and every ?stable=1 stream writes them.
-        result.stable_json()
 
         def close_out():
             self._journal("end", batch.tenant, batch.id)
@@ -583,7 +590,7 @@ class SimulationService:
                 tenant=batch.tenant,
             ).observe(monotonic() - batch.created)
 
-        if not batch.has_result(result.job_id):
+        if synthesized and not batch.has_result(result.job_id):
             self._journal("row", batch.tenant, batch.id, result)
         batch.add_result(result, on_complete=close_out)
 
@@ -624,10 +631,11 @@ class SimulationService:
     # -- recovery ------------------------------------------------------
 
     def _recover(self):
-        """Resurrect journaled state: replay completed rows, re-admit
-        only unfinished jobs, and close out batches that finished just
-        before the crash.  Runs before the pool starts, so recovered
-        work queues ahead of anything newly submitted."""
+        """Resurrect journaled state: replay journaled rows, re-admit
+        every other job (a worker's row was never journaled: the re-run
+        reproduces it), and close out batches whose every row was
+        journaled.  Runs before the pool starts, so recovered work
+        queues ahead of anything newly submitted."""
         summary = {
             "recovered_batches": 0,
             "resumed_jobs": 0,
@@ -692,7 +700,8 @@ class SimulationService:
                                  priority=envelope["priority"], force=True)
             summary["resumed_jobs"] += len(pending)
         else:
-            # complete before the crash, just never marked: close it.
+            # every row replayed: the batch finished before the crash
+            # lost its close.
             self._journal("end", tenant, batch.id)
             self._retire(batch)
         summary["recovered_batches"] += 1
@@ -850,6 +859,7 @@ class SimulationService:
                     entry.batch,
                     synthetic_result(entry, "cancelled: service "
                                      "shutdown without drain"),
+                    synthesized=True,
                 )
             idle = self.pool.wait_idle(timeout=timeout)
         self.queue.close()

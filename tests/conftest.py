@@ -73,6 +73,29 @@ def closed_files(monkeypatch):
 
 
 @pytest.fixture()
+def accepted_results(monkeypatch):
+    """``Counter`` of job ids: how many results :meth:`Batch.
+    add_result` recorded for each (a result for a job id that already
+    has one is dropped, not counted)."""
+    from collections import Counter
+
+    from repro.serve.service import Batch
+
+    accepted = Counter()
+    lock = threading.Lock()
+    add = Batch.add_result
+
+    def counting(batch, result, on_complete=None):
+        with lock:
+            if not batch.has_result(result.job_id):
+                accepted[result.job_id] += 1
+            return add(batch, result, on_complete)
+
+    monkeypatch.setattr(Batch, "add_result", counting)
+    return accepted
+
+
+@pytest.fixture()
 def journal_files():
     """``files(data_root)``: every file under ``<data_root>/journal``,
     relative to it and sorted (``<tenant>/<batch_id>.jsonl`` per open

@@ -24,7 +24,7 @@ import pytest
 from repro import telemetry
 from repro.farm import WorkerState
 from repro.farm.spec import expand_document, load_designs
-from repro.serve import FaultPlan, SimulationService
+from repro.serve import BatchJournal, FaultPlan, SimulationService
 from repro.serve.chaos import InjectedCrash
 from repro.serve.pool import backoff_delay
 
@@ -95,6 +95,22 @@ def run_under_plan(root, plan_kwargs, max_attempts=3,
         plan.uninstall()
         service.shutdown(drain=True, timeout=30)
     return plan, service, results
+
+
+def amputated_file(root, closed_files, earlier_rows):
+    """Restore the one closed batch file as a crash mid-batch would
+    leave it, plus ``earlier_rows`` journaled through
+    :meth:`BatchJournal.row`, the way an earlier release journaled
+    every worker row; returns the file's lines as it closed."""
+    (lines,) = closed_files.values()
+    assert [json.loads(line)["kind"] for line in lines] == ["admit"]
+    batch_id = json.loads(lines[0])["batch"]
+    shard = root / "journal" / "default" / (batch_id + ".jsonl")
+    shard.write_text(lines[0] + "\n")
+    journal = BatchJournal(str(root / "journal"))
+    for result in earlier_rows:
+        journal.row("default", batch_id, result)
+    return lines
 
 
 class TestChaosInvariants:
@@ -172,6 +188,33 @@ class TestChaosInvariants:
         assert service.quarantined == JOBS
         assert plan.injected["crash"] == JOBS * 2  # every attempt
 
+    def test_quarantine_rows_replay_after_restart(self, tmp_path,
+                                                  closed_files):
+        """A quarantine row is journaled (a re-run cannot reproduce
+        it): restored as a crash right before the close would leave
+        it, the batch replays every poison job's row and runs none."""
+        root = tmp_path / "svc"
+        _plan, service, results = run_under_plan(
+            root, dict(seed=71, crash_prob=1.0, crash_limit=None),
+            max_attempts=2)
+        assert service.quarantined == JOBS
+        (lines,) = closed_files.values()
+        kinds = Counter(json.loads(line)["kind"] for line in lines)
+        assert kinds == {"admit": 1, "row": JOBS}
+        batch_id = json.loads(lines[0])["batch"]
+        shard = root / "journal" / "default" / (batch_id + ".jsonl")
+        shard.write_text("\n".join(lines) + "\n")
+        revived = SimulationService(data_root=str(root), workers=2)
+        try:
+            assert revived.recovery["replayed_rows"] == JOBS
+            assert revived.recovery["resumed_jobs"] == 0
+            recovered = revived.batch(batch_id)
+            assert recovered.done
+            assert stable_rows(recovered.results) == stable_rows(results)
+            assert revived.pool.jobs_executed == 0
+        finally:
+            revived.shutdown(drain=True, timeout=30)
+
     def test_sigkilled_worker_process_degrades_nothing(self, tmp_path):
         """Process-mode chaos: SIGKILL the live worker subprocess right
         before dispatch — a real ``kill -9``, broken pipe and all.  The
@@ -218,16 +261,14 @@ class TestChaosInvariants:
         assert batch.wait(timeout=120)
         plan.uninstall()
         service.shutdown(drain=True, timeout=30)
-        # amputate the batch file mid-batch: keep admit + the first 3
-        # rows
-        (lines,) = closed_files.values()
-        batch_id = json.loads(lines[0])["batch"]
-        shard = root / "journal" / "default" / (batch_id + ".jsonl")
-        shard.write_text("\n".join(lines[:4]) + "\n")
+        # amputate mid-batch: the file held its admit alone; add the
+        # first 3 rows as an earlier release would have journaled them
+        lines = amputated_file(root, closed_files, batch.results[:3])
         revived = SimulationService(data_root=str(root), workers=2)
         try:
             assert revived.recovery["recovered_batches"] == 1
             assert revived.recovery["replayed_rows"] == 3
+            assert revived.recovery["resumed_jobs"] == JOBS - 3
             recovered = revived.batch(json.loads(lines[0])["batch"])
             assert recovered.wait(timeout=120)
             assert stable_rows(recovered.results) == \
@@ -247,17 +288,15 @@ class TestChaosInvariants:
             pool_mode="process", workers=2)
         assert plan.injected["proc_kill"] > 0
         assert len(results) == JOBS
-        # amputate the batch file mid-batch: keep admit + the first 3
-        # rows
-        (lines,) = closed_files.values()
-        batch_id = json.loads(lines[0])["batch"]
-        shard = root / "journal" / "default" / (batch_id + ".jsonl")
-        shard.write_text("\n".join(lines[:4]) + "\n")
+        # amputate mid-batch: the file held its admit alone; add the
+        # first 3 rows as an earlier release would have journaled them
+        lines = amputated_file(root, closed_files, results[:3])
         revived = SimulationService(data_root=str(root), workers=2,
                                     pool_mode="process")
         try:
             assert revived.recovery["recovered_batches"] == 1
             assert revived.recovery["replayed_rows"] == 3
+            assert revived.recovery["resumed_jobs"] == JOBS - 3
             recovered = revived.batch(json.loads(lines[0])["batch"])
             assert recovered.wait(timeout=120)
             assert stable_rows(recovered.results) == \
@@ -352,7 +391,7 @@ class TestGroupFaultAttribution:
         ("process", "crash"), ("process", "ledger"), ("process", "kill"),
     ])
     def test_fault_charges_only_the_struck_member(self, tmp_path,
-                                                  closed_files,
+                                                  accepted_results,
                                                   pool_mode, fault):
         service, batch, sizes, visits = run_group_fault(
             tmp_path / "svc", pool_mode, fault)
@@ -370,12 +409,9 @@ class TestGroupFaultAttribution:
         for index in GROUP[4:]:
             ((attempts, not_before, _),) = visits[index]
             assert (attempts, not_before) == (0, 0.0)
-        # every job recorded (and journaled) exactly once
-        journaled = Counter(
-            record["job_id"] for record in map(
-                json.loads, closed_files[batch.id])
-            if record["kind"] == "row")
-        assert sorted(journaled.values()) == [1] * 15
+        # every job recorded exactly once
+        assert sorted(accepted_results.values()) == [1] * 15
+        assert set(accepted_results) == {job.job_id for job in batch.jobs}
         assert service.pool.worker_deaths == 1
         assert service.quarantined == 0
         recycled = 0 if fault == "crash" else 1

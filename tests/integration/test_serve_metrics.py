@@ -120,13 +120,14 @@ class TestMetricsEndpoint:
             series["ecl_pipeline_cache_requests_total"] if value > 0)
         assert outcomes == {"hit", "miss"}
 
-        # journal appends: admit + one row per finished job + end
+        # journal operations: both batches admitted, the warm one
+        # closed, and no row journaled (every row came from a worker)
         appends = dict(
             (labels["kind"], value)
             for labels, value in series["ecl_serve_journal_appends_total"])
-        assert appends.get("admit", 0) >= 2  # both batches admitted
-        assert appends.get("row", 0) >= 3
+        assert appends.get("admit", 0) >= 2
         assert appends.get("end", 0) >= 1
+        assert appends.get("row", 0) == 0
 
         # admission counters line up with what we submitted
         ((_, admitted),) = series["ecl_serve_admitted_total"]

@@ -638,8 +638,16 @@ class TestDeadlines:
             service.shutdown()
 
 
+def journal_earlier_rows(root, batch_id, results):
+    """Append worker rows to a batch file the way an earlier release
+    journaled every row: through :meth:`BatchJournal.row`."""
+    journal = BatchJournal(str(root / "journal"))
+    for result in results:
+        journal.row("default", batch_id, result)
+
+
 class TestJournalRecovery:
-    def test_clean_run_journals_admit_rows_end(self, tmp_path,
+    def test_clean_run_journals_admit_then_end(self, tmp_path,
                                                closed_files,
                                                journal_files):
         service = make_service(data_root=str(tmp_path))
@@ -648,10 +656,11 @@ class TestJournalRecovery:
             assert batch.wait(timeout=30)
         finally:
             service.shutdown()
+        # worker rows are never journaled: the file held the admit
+        # and nothing else when its close deleted it
         kinds = [json.loads(line)["kind"]
                  for line in closed_files[batch.id] if line]
-        assert kinds == ["admit", "row", "row"]
-        # the close deleted the batch's file
+        assert kinds == ["admit"]
         assert journal_files(tmp_path) == []
 
     def test_finished_batches_leave_no_journal_file(self, tmp_path,
@@ -699,8 +708,8 @@ class TestJournalRecovery:
             make_service(data_root=str(tmp_path), workers=0)
         assert shard.exists()
 
-    def test_crash_recovery_resumes_only_unfinished_jobs(self, tmp_path,
-                                                         closed_files):
+    def test_crash_recovery_reruns_every_worker_job(self, tmp_path,
+                                                    closed_files):
         doc = document(traces=4)
         service = make_service(data_root=str(tmp_path))
         try:
@@ -711,17 +720,18 @@ class TestJournalRecovery:
                 for r in batch.results)
         finally:
             service.shutdown()
-        # simulate a kill -9 after two rows: restore the batch file
-        # cut to admit + 2 rows, and add a torn tail.
+        # simulate a kill -9 mid-batch: restore the batch file as it
+        # stood (its admit alone), and add a torn tail.
         lines = closed_files[batch.id]
+        assert len(lines) == 1
         shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
-        shard.write_text("\n".join(lines[:3]) + '\n{"kind": "row", "ba')
+        shard.write_text(lines[0] + '\n{"kind": "row", "ba')
         with pytest.warns(UserWarning, match="torn"):
             revived = make_service(data_root=str(tmp_path))
         try:
             assert revived.recovery["recovered_batches"] == 1
-            assert revived.recovery["replayed_rows"] == 2
-            assert revived.recovery["resumed_jobs"] == 2
+            assert revived.recovery["replayed_rows"] == 0
+            assert revived.recovery["resumed_jobs"] == batch.total
             assert revived.recovery["torn_lines"] == 1
             batch_id = json.loads(lines[0])["batch"]
             recovered = revived.batch(batch_id)
@@ -737,9 +747,10 @@ class TestJournalRecovery:
     def test_journal_with_parent_format_rows_recovers(self, tmp_path,
                                                       closed_files,
                                                       journal_files):
-        """A data root whose rows were journaled as ``canonical_json``
-        objects (before rows embedded their stable bytes) recovers,
-        and its batch file then mixes both formats."""
+        """A batch file from earlier releases, which journaled worker
+        rows — as stable bytes, and before that as ``canonical_json``
+        objects — recovers: both formats replay, the other jobs
+        re-run."""
         service = make_service(data_root=str(tmp_path))
         try:
             batch = service.submit(document(traces=4))
@@ -749,8 +760,11 @@ class TestJournalRecovery:
             service.shutdown()
         lines = closed_files[batch.id]
         shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
-        old = [canonical_json(json.loads(line)) for line in lines[1:3]]
-        shard.write_text("\n".join([lines[0]] + old) + "\n")
+        shard.write_text(lines[0] + "\n")
+        journal_earlier_rows(tmp_path, batch.id, batch.results[:2])
+        first, second = shard.read_text().splitlines()[1:]
+        shard.write_text("\n".join(
+            [lines[0], canonical_json(json.loads(first)), second]) + "\n")
         revived = make_service(data_root=str(tmp_path))
         try:
             assert revived.recovery["replayed_rows"] == 2
@@ -762,7 +776,7 @@ class TestJournalRecovery:
         finally:
             revived.shutdown()
         # the revival closed the batch, and its file as it closed
-        # holds every row once, in both formats
+        # still holds both earlier rows, one per format
         assert journal_files(tmp_path) == []
         copy = tmp_path / "copy" / "default" / (batch.id + ".jsonl")
         copy.parent.mkdir(parents=True)
@@ -770,7 +784,8 @@ class TestJournalRecovery:
         replay = BatchJournal(str(tmp_path / "copy")).replay("default")
         (record,) = replay.batches.values()
         assert sorted(json.dumps(row, sort_keys=True, separators=(",", ":"))
-                      .encode() for row in record.rows.values()) == stable
+                      .encode() for row in record.rows.values()) == \
+            sorted(r.stable_json() for r in batch.results[:2])
 
     def test_recovered_complete_batch_is_closed_not_rerun(self, tmp_path,
                                                           closed_files):
@@ -780,19 +795,21 @@ class TestJournalRecovery:
             assert batch.wait(timeout=30)
         finally:
             service.shutdown()
-        # restore the whole file: the batch finished, the close was
-        # lost to the crash.
+        # a file an earlier release left with every row journaled:
+        # the batch finished, the close was lost to the crash.
         lines = closed_files[batch.id]
-        assert [json.loads(line)["kind"] for line in lines] == \
-            ["admit", "row", "row"]
         shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
-        shard.write_text("\n".join(lines) + "\n")
+        shard.write_text(lines[0] + "\n")
+        journal_earlier_rows(tmp_path, batch.id, batch.results)
         revived = make_service(data_root=str(tmp_path), workers=0)
         try:
             assert revived.recovery["recovered_batches"] == 1
+            assert revived.recovery["replayed_rows"] == 2
             assert revived.recovery["resumed_jobs"] == 0
             recovered = revived.batch(json.loads(lines[0])["batch"])
             assert recovered.done  # complete purely from replay
+            assert sorted(r.stable_json() for r in recovered.results) \
+                == sorted(r.stable_json() for r in batch.results)
         finally:
             revived.shutdown(drain=False, timeout=5)
         # the close was journaled again: a third start recovers nothing
@@ -882,6 +899,104 @@ class TestJournalRecovery:
         assert revived.recovery["recovered_batches"] == 1
         assert revived.recovery["resumed_jobs"] == held.total
         revived.shutdown(drain=False, timeout=5)
+
+    def test_batch_over_tenant_quota_writes_no_admit(self, tmp_path,
+                                                     journal_files):
+        service = make_service(data_root=str(tmp_path), workers=0,
+                               max_queued_per_tenant=3)
+        kinds = []
+        service.journal.fault_hook = lambda kind, key: kinds.append(kind)
+        try:
+            held = service.submit(document(traces=2))
+            with pytest.raises(EclError, match="tenant_quota"):
+                service.submit(document(traces=2))
+            # the refused batch never touched the journal
+            assert kinds == ["admit"]
+            assert journal_files(tmp_path) == \
+                ["default/%s.jsonl" % held.id]
+        finally:
+            service.journal.fault_hook = None
+            service.shutdown(drain=False, timeout=5)
+
+    def test_cancelled_rows_replay_and_are_not_rerun(self, tmp_path,
+                                                     closed_files):
+        """A shutdown without drain cuts a batch: its ``cancelled``
+        rows were journaled, its worker rows were not.  Restored as a
+        crash right before the close would leave it, the batch replays
+        the cancellations and re-runs only the jobs that ran."""
+        service = make_service(data_root=str(tmp_path), workers=1)
+        reached, release = threading.Event(), threading.Event()
+
+        def hold(entry):
+            # the group after the first row: jobs 1 and 2
+            if entry.job.index == 2:
+                reached.set()
+                release.wait(timeout=30)
+
+        service.pool.fault_hook = hold
+        batch = service.submit(document(traces=5))
+        assert reached.wait(timeout=30)
+        stopper = threading.Thread(
+            target=service.shutdown, kwargs={"drain": False, "timeout": 30})
+        stopper.start()
+        try:
+            deadline = time.monotonic() + 30
+            while len(batch.results) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            release.set()
+            stopper.join(timeout=30)
+        assert batch.wait(timeout=30)
+        cancelled = sorted(r.stable_json() for r in batch.results
+                           if (r.error or "").startswith("cancelled"))
+        assert len(cancelled) == 2
+        lines = closed_files[batch.id]
+        assert [json.loads(line)["kind"] for line in lines] == \
+            ["admit", "row", "row"]
+        shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
+        shard.write_text("\n".join(lines) + "\n")
+        revived = make_service(data_root=str(tmp_path), workers=1)
+        try:
+            assert revived.recovery["replayed_rows"] == 2
+            assert revived.recovery["resumed_jobs"] == 3
+            recovered = revived.batch(batch.id)
+            assert recovered.wait(timeout=30)
+            assert sorted(r.stable_json() for r in recovered.results) == \
+                sorted(r.stable_json() for r in batch.results)
+            assert sorted(r.stable_json() for r in recovered.results
+                          if not r.ok) == cancelled
+        finally:
+            revived.shutdown()
+
+    def test_rerun_jobs_keep_their_trace_digests(self, tmp_path,
+                                                 closed_files):
+        """Recovery re-runs the worker jobs of an open batch: the
+        ledger finds each job's same digest, and its tenant shard keeps
+        one more index line per re-run job."""
+        from repro.farm.ledger import TraceLedger
+
+        service = make_service(data_root=str(tmp_path))
+        try:
+            batch = service.submit(document(traces=3))
+            assert batch.wait(timeout=30)
+        finally:
+            service.shutdown()
+        ledger = TraceLedger(str(tmp_path / "traces"), tenant="default")
+        digests = {job.job_id: ledger.find(job.job_id)["trace"]
+                   for job in batch.jobs}
+        assert digests == {r.job_id: r.trace_digest for r in batch.results}
+        lines_before = len(ledger.entries())
+        shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
+        shard.write_text("\n".join(closed_files[batch.id]) + "\n")
+        revived = make_service(data_root=str(tmp_path))
+        try:
+            assert revived.recovery["resumed_jobs"] == batch.total
+            assert revived.batch(batch.id).wait(timeout=30)
+        finally:
+            revived.shutdown()
+        assert {job_id: ledger.find(job_id)["trace"]
+                for job_id in digests} == digests
+        assert len(ledger.entries()) == lines_before + batch.total
 
 
 class TestRetention:
