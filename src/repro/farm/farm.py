@@ -244,9 +244,9 @@ class SimulationFarm:
         queue.put_batch(unique, batch=batch, force=True)
 
         def execute_group(group, worker, visit, settled):
-            def on_rows(rows):
-                for position, row, stable in rows:
-                    batch.add_result(SimResult.from_dict(row, stable))
+            def on_rows(pairs):
+                for position, row in pairs:
+                    batch.add_result(SimResult.from_dict(row))
                     settled(group[position])
                     if position + 1 < len(group):
                         visit(group[position + 1])

@@ -331,16 +331,11 @@ class SimResult:
         return line
 
     @classmethod
-    def from_dict(cls, payload, stable_json=None):
+    def from_dict(cls, payload):
         """Rebuild a result from :meth:`to_dict` output (unknown keys
-        are ignored, missing volatile fields default).  ``stable_json``
-        is the :meth:`stable_json` bytes of the same result, when its
-        producer already encoded them."""
+        are ignored, missing volatile fields default)."""
         known = set(RESULT_FIELDS) | set(RESULT_VOLATILE_FIELDS)
-        result = cls(**{k: v for k, v in payload.items() if k in known})
-        if stable_json is not None:
-            result._stable_json = stable_json
-        return result
+        return cls(**{k: v for k, v in payload.items() if k in known})
 
     def as_dict(self):
         return self.to_dict()

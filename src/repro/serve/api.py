@@ -37,7 +37,9 @@ serializes with ``volatile=False`` (drops elapsed/pid/paths), which is
 the byte-reproducible form — identical to ``eclc farm run --report``
 rows for the same spec and seeds.  Responses are HTTP/1.0 with
 ``Connection: close`` so the stream's end *is* the connection's end:
-no chunked-encoding framing for minimal clients to mis-parse.
+no chunked-encoding framing for minimal clients to mis-parse.  Its
+``X-Batch-Total`` header counts the batch's jobs, one row each, so a
+client tells a drained batch from a service that died mid-stream.
 """
 
 from __future__ import annotations
@@ -243,6 +245,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         stable = query.get("stable", [""])[-1] == "1"
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("X-Batch-Total", str(batch.total))
         self.end_headers()
         # One write per wake-up: the rows that landed while this
         # handler waited go out together, once it has caught up.

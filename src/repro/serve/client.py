@@ -13,8 +13,10 @@ service restarting (crash recovery), a connection reset under load, a
 not-yet-listening socket.  Idempotent GETs retry automatically with
 capped exponential backoff instead of failing a long watch loop on
 the first ``ConnectionResetError``; the result stream reconnects and
-skips the rows it already yielded (the service replays a batch's
-results in recorded order, so a line count is a resume cursor).
+skips the jobs it already yielded (every row carries its ``job_id``,
+and a batch holds one row per job, so the set of yielded ids is a
+resume cursor even when a restarted service re-runs jobs in another
+order).
 ``submit`` is *not* idempotent and never retries silently — callers
 opt in via ``retries=`` (the ``eclc submit --retries`` flag), which
 retries only the responses that explicitly invite it: ``429
@@ -188,18 +190,19 @@ class ServeClient:
         streams them; the generator ends when the batch is done.
 
         A dropped connection mid-stream (service restart, reset)
-        reconnects with backoff and skips the rows already yielded:
-        the service streams a batch's results in recorded order, so
-        the yield count is an exact resume cursor and no caller ever
-        sees a duplicated or skipped row."""
+        reconnects with backoff and skips the jobs already yielded: a
+        batch holds one row per job id, so the yielded ids are an exact
+        resume cursor — even when a restarted service re-runs jobs and
+        lands them in another order — and no caller ever sees a
+        duplicated or skipped row."""
         path = "/v1/batches/%s/results" % batch_id
         if stable:
             path += "?stable=1"
-        served = 0
+        served = set()
         for attempt in range(1, self.get_retries + 2):
             try:
                 for row in self._stream_once(path, served):
-                    served += 1
+                    served.add(row["job_id"])
                     yield row
             except (OSError, http.client.HTTPException, ValueError) as error:
                 if attempt >= self.get_retries + 1:
@@ -209,12 +212,13 @@ class ServeClient:
             return  # clean end of stream: the batch is drained
 
     def _stream_once(self, path, skip):
-        """One streaming connection; yields parsed rows past ``skip``
-        (the caller's resume cursor).  Transport errors and torn
-        NDJSON tails (a line cut by the disconnect) raise for the
-        caller's reconnect loop."""
+        """One streaming connection; yields the parsed rows whose job
+        id is not in ``skip``, the caller's live set of yielded ids.
+        Transport errors, torn NDJSON tails (a line cut by the
+        disconnect) and a stream that ends before every one of the
+        batch's ``X-Batch-Total`` jobs was yielded (the service died
+        mid-stream) raise for the caller's reconnect loop."""
         connection = self._connect()
-        seen = 0
         try:
             connection.request("GET", path)
             response = connection.getresponse()
@@ -226,17 +230,20 @@ class ServeClient:
                     payload = {"error": "service error (HTTP %d)"
                                % response.status}
                 self._check(response.status, payload)
+            total = int(response.getheader("X-Batch-Total", 0))
             for line in response:
                 line = line.strip()
                 if not line:
                     continue
                 row = json.loads(line)  # torn tail raises ValueError
-                seen += 1
-                if seen > skip:
+                if row["job_id"] not in skip:
                     yield row
+            if len(skip) < total:
+                raise ConnectionError(
+                    "result stream ended after %d of %d jobs"
+                    % (len(skip), total))
         finally:
             connection.close()
-        return True
 
     def metrics_json(self) -> dict:
         """The ``/v1/metrics.json`` registry snapshot."""

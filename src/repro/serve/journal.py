@@ -125,10 +125,12 @@ class BatchJournal:
 
     # -- writing -------------------------------------------------------
 
-    def admit(self, tenant, batch_id, spec, job_ids, priority=0,
-              ttl_s=None):
-        """Create the batch's file with its admission (spec envelope +
-        job ids)."""
+    def prepare_admit(self, tenant, batch_id, spec, job_ids, priority=0,
+                      ttl_s=None):
+        """Encode a batch's admission (spec envelope + job ids) for
+        :meth:`admit`, and create its tenant's directory: the work a
+        caller that holds a lock around :meth:`admit` does before
+        taking it."""
         record = {
             "kind": KIND_ADMIT,
             "batch": batch_id,
@@ -138,9 +140,13 @@ class BatchJournal:
         }
         if ttl_s is not None:
             record["ttl_s"] = ttl_s
-        line = (canonical_json(record) + "\n").encode("utf-8")
         os.makedirs(os.path.join(self.root, check_tenant(tenant)),
                     exist_ok=True)
+        return (canonical_json(record) + "\n").encode("utf-8")
+
+    def admit(self, tenant, batch_id, line):
+        """Create the batch's file holding its admission ``line``, as
+        :meth:`prepare_admit` encoded it."""
         self._append(tenant, batch_id, KIND_ADMIT, batch_id, line,
                      os.O_CREAT)
 

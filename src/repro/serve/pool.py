@@ -14,11 +14,10 @@ worker's request step runs:
 * **thread** — in the slot thread itself, which costs no thread switch
   per request or row.
 
-Either way the rows come back as dicts with their stable bytes and
-decode the same way, the worker keeps its builds warm across groups,
-and a replacement worker warm-starts from the persistent artifact
-cache, so it skips codegen even though it shares no memory with its
-predecessor.
+Either way the rows come back as dicts and decode the same way, the
+worker keeps its builds warm across groups, and a replacement worker
+warm-starts from the persistent artifact cache, so it skips codegen
+even though it shares no memory with its predecessor.
 
 Worker death is the fault model the pool exists to contain.
 ``WorkerState.run_job`` already converts *job-level* failures into
@@ -139,16 +138,16 @@ class WorkerProcess:
 
     def run(self, tenant, designs, jobs, on_rows):
         """One streamed round trip for a dispatch group: ship ``jobs``,
-        then hand each reply's ``(position, row, stable_json)``
-        triples to ``on_rows`` as it arrives — each row the moment the
-        worker has it, so in process mode the caller delivers row *k*
-        while the child already runs job *k+1*.
+        then hand each reply's ``(position, row)`` pairs to
+        ``on_rows`` as it arrives — each row the moment the worker has
+        it, so in process mode the caller delivers row *k* while the
+        child already runs job *k+1*.
         Raises :class:`ProcessDeath` when the worker dies (or was
         killed) before its last row, or reports a worker fault."""
         replies = self._replies((tenant, designs, jobs), len(jobs))
-        for rows in replies:
+        for pairs in replies:
             try:
-                on_rows(rows)
+                on_rows(pairs)
             except BaseException:
                 # Drain the group's remaining rows so a surviving child
                 # stays in step; one that dies meanwhile is killed, and

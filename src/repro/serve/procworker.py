@@ -22,11 +22,7 @@ Trace objects are content-addressed and ledger shards are
 O_APPEND-atomic (the farm's established multi-process discipline), so
 workers write them directly; only result rows travel back, each as
 soon as its job finishes, so the parent delivers row *k* while a child
-already runs job *k+1*.  Each row travels as its
-:meth:`~repro.farm.jobs.SimResult.to_dict` and its encoded
-:meth:`~repro.farm.jobs.SimResult.stable_json` bytes, so the parent,
-which every row passes through, never encodes one: it streams the
-child's bytes as they are.
+already runs job *k+1*.
 
 Fault protocol: a fault escaping job execution — including the
 storage ``OSError``\\ s the serving worker state escalates — ends the
@@ -84,9 +80,7 @@ def respond(states, config, request):
     The jobs run through one
     :meth:`~repro.farm.worker.WorkerState.stream` against the sources
     in ``designs`` (the dispatching batch's); each unit it yields is
-    one ``("ok", [(position, row, stable_json), ...])`` reply: the
-    result's ``to_dict()`` and its ``stable_json()`` bytes, which
-    :meth:`~repro.farm.jobs.SimResult.from_dict` takes back.  A tenant's state
+    one ``("ok", [(position, row), ...])`` reply.  A tenant's state
     keeps no label map: a build is found by ``(label, source)``, so a
     request never changes what another batch's jobs run.  A fault that
     escapes job execution ends the replies with ``("dead",
@@ -101,7 +95,7 @@ def respond(states, config, request):
                 state.ledger.fault_hook = config.get("ledger_fault_hook")
             states[tenant] = state
         for pairs in state.stream(jobs, designs):
-            yield ("ok", [(position, result.to_dict(), result.stable_json())
+            yield ("ok", [(position, result.to_dict())
                           for position, result in pairs])
     except GeneratorExit:
         raise

@@ -237,8 +237,8 @@ class JobQueue:
         (journal recovery re-admission) bypasses both bounds: the
         batch's original admission already paid the backpressure toll.
         ``on_admit()`` runs once the batch passed both bounds, before
-        any of its entries can be taken (the service journals the
-        admission there).
+        any of its entries can be taken, under the queue lock: the
+        service writes its pre-encoded journal admission there.
         """
         jobs = list(jobs)
         with self._lock:

@@ -54,7 +54,8 @@ they complete.  The pieces:
 * **deadlines** — a job's ``deadline_s`` (spec v2) bounds its queue
   wait and a batch's ``ttl_s`` bounds the whole submission; breaching
   either yields a structured ``deadline_exceeded`` / ``expired`` error
-  row instead of silently running stale work;
+  row instead of silently running stale work (a recovered batch's jobs
+  excepted: those clocks did not survive the crash);
 * **graceful shutdown** — intake closes first, in-flight and queued
   jobs drain (or are cancelled with explicit, journaled results on a
   non-drain stop), then workers exit; no stream is ever left waiting
@@ -162,8 +163,7 @@ class Batch:
         self.created = monotonic()
         self.ttl_s = ttl_s
         #: monotonic() instant past which unexecuted jobs expire
-        #: (None = no TTL).  A recovered batch's TTL clock restarts at
-        #: recovery time — monotonic time does not survive a reboot.
+        #: (None = no TTL; a recovered batch's never do, see _refusal).
         self.expires_at = None if ttl_s is None else self.created + ttl_s
         self.recovered = recovered
         self.results: List[SimResult] = []
@@ -404,17 +404,19 @@ class SimulationService:
         # at once is retired like any other.
         with self._lock:
             self._batches[batch_id] = batch
+        # The admit record lands once the queue accepted the batch and
+        # before any of its jobs can run: a refused batch writes
+        # nothing, and no row is journaled before its admit.  It is
+        # encoded here, so the queue lock is held for its write only.
+        admit = self._journal(
+            "prepare_admit", tenant, batch_id, document,
+            [job.job_id for job in jobs], priority=priority, ttl_s=ttl_s,
+        )
         try:
-            # The admit record lands once the queue accepted the batch
-            # and before any of its jobs can run: a refused batch
-            # writes nothing, and no row is journaled before its admit.
             self.queue.put_batch(
                 jobs, batch=batch, tenant=tenant, priority=priority,
-                on_admit=functools.partial(
-                    self._journal, "admit", tenant, batch_id, document,
-                    [job.job_id for job in jobs],
-                    priority=priority, ttl_s=ttl_s,
-                ),
+                on_admit=None if admit is None else functools.partial(
+                    self._journal, "admit", tenant, batch_id, admit),
             )
         except EclError:
             with self._lock:
@@ -510,9 +512,8 @@ class SimulationService:
         design = jobs[0].design
         worker.run(
             space.name, {design: batch.designs[design]}, jobs,
-            lambda rows: on_rows([(position,
-                                   SimResult.from_dict(row, stable))
-                                  for position, row, stable in rows]),
+            lambda pairs: on_rows([(position, SimResult.from_dict(row))
+                                   for position, row in pairs]),
         )
 
     #: The name sweeps once dispatched under; the service no longer
@@ -521,9 +522,15 @@ class SimulationService:
 
     def _refusal(self, entry):
         """Why this entry must not execute (None = run it): its batch
-        outlived its TTL, or the job waited past its deadline."""
+        outlived its TTL, or the job waited past its deadline.  A
+        recovered batch's jobs are never refused: their clocks did not
+        survive the crash, and a re-run job may be one a client saw
+        succeed before it (refusals written before the crash replay
+        from the journal)."""
         now = monotonic()
         batch = entry.batch
+        if batch is not None and batch.recovered:
+            return None
         if batch is not None and batch.expired:
             self.expired_jobs += 1
             telemetry.counter(
@@ -612,11 +619,13 @@ class SimulationService:
     def _journal(self, kind, tenant, batch_id, *args, **kwargs):
         """Best-effort journal append: an OSError degrades durability
         (the record would replay as unfinished work), never the live
-        result path."""
+        result path.  Returns what the journal call returned (None
+        without a journal or on an OSError)."""
         if self.journal is None:
-            return
+            return None
         try:
-            getattr(self.journal, kind)(tenant, batch_id, *args, **kwargs)
+            return getattr(self.journal, kind)(tenant, batch_id, *args,
+                                               **kwargs)
         except OSError:
             # Counted, not printed: a journal fault under load would
             # otherwise spam one warning per record.  The counter (and

@@ -73,26 +73,25 @@ def closed_files(monkeypatch):
 
 
 @pytest.fixture()
-def accepted_results(monkeypatch):
-    """``Counter`` of job ids: how many results :meth:`Batch.
-    add_result` recorded for each (a result for a job id that already
-    has one is dropped, not counted)."""
+def offered_results(monkeypatch):
+    """``Counter`` of job ids: how many results were offered to
+    :meth:`Batch.add_result` for each, the duplicates it drops
+    included — a job that ran and delivered its row twice counts 2."""
     from collections import Counter
 
     from repro.serve.service import Batch
 
-    accepted = Counter()
+    offered = Counter()
     lock = threading.Lock()
     add = Batch.add_result
 
     def counting(batch, result, on_complete=None):
         with lock:
-            if not batch.has_result(result.job_id):
-                accepted[result.job_id] += 1
-            return add(batch, result, on_complete)
+            offered[result.job_id] += 1
+        return add(batch, result, on_complete)
 
     monkeypatch.setattr(Batch, "add_result", counting)
-    return accepted
+    return offered
 
 
 @pytest.fixture()

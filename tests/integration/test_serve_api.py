@@ -9,6 +9,10 @@ byte-identical to a direct ``eclc farm run`` of the same spec.
 import http.client
 import json
 import os
+import re
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -338,6 +342,76 @@ class TestReadOnlyGets:
             assert client.status()["tenants"] == []
         finally:
             service.shutdown(drain=False, timeout=10)
+
+
+def start_serve(data_root, port):
+    """``eclc serve`` in a child process on ``port``; returns it once
+    it listens."""
+    src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", str(port),
+         "--data-root", data_root, "-j", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    banner = []
+    for line in process.stdout:
+        banner.append(line)
+        if re.search(r"listening on [^:]+:%d" % port, line):
+            return process
+    process.kill()
+    raise AssertionError("eclc serve never listened: %r" % banner)
+
+
+class TestStreamAcrossRestart:
+    #: ~40 jobs at several ms each: the service is killed right after
+    #: the stream's second row, long before the batch could finish.
+    JOBS = [
+        {"design": "stack", "modules": ["toplevel"],
+         "engines": ["native", "efsm"], "traces": 20, "length": 400,
+         "seed": 7},
+    ]
+
+    def test_stream_resumes_across_a_service_restart(self, tmp_path):
+        """A stream cut by a SIGKILLed service reconnects to the
+        restarted one, whose recovery re-runs every job of the batch,
+        and yields every job exactly once, byte-identical."""
+        data_root = str(tmp_path / "serve-data")
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        processes = [start_serve(data_root, port)]
+        try:
+            client = ServeClient(port=port, get_retries=20,
+                                 retry_backoff=0.05)
+            admitted = client.submit({
+                "designs": {"stack": {"text": PROTOCOL_STACK_ECL}},
+                "jobs": self.JOBS,
+            })
+            batch_id, total = admitted["batch"], admitted["jobs"]
+            rows = client.stream_results(batch_id, stable=True)
+            streamed = [next(rows), next(rows)]
+            processes[0].kill()
+            processes[0].wait(timeout=30)
+            processes.append(start_serve(data_root, port))
+            streamed.extend(rows)
+            recovery = client.health()["recovery"]
+            assert (recovery["replayed_rows"], recovery["resumed_jobs"]) \
+                == (0, total)
+            ids = [row["job_id"] for row in streamed]
+            assert len(ids) == len(set(ids)) == total
+            rerun = client.stream_results(batch_id, stable=True)
+            assert sorted(streamed, key=lambda row: row["index"]) == \
+                sorted(rerun, key=lambda row: row["index"])
+            client.shutdown()
+            processes[-1].wait(timeout=60)
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=30)
+                process.stdout.close()
 
 
 class TestAdmissionBoundary:

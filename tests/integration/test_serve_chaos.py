@@ -391,7 +391,7 @@ class TestGroupFaultAttribution:
         ("process", "crash"), ("process", "ledger"), ("process", "kill"),
     ])
     def test_fault_charges_only_the_struck_member(self, tmp_path,
-                                                  accepted_results,
+                                                  offered_results,
                                                   pool_mode, fault):
         service, batch, sizes, visits = run_group_fault(
             tmp_path / "svc", pool_mode, fault)
@@ -409,9 +409,9 @@ class TestGroupFaultAttribution:
         for index in GROUP[4:]:
             ((attempts, not_before, _),) = visits[index]
             assert (attempts, not_before) == (0, 0.0)
-        # every job recorded exactly once
-        assert sorted(accepted_results.values()) == [1] * 15
-        assert set(accepted_results) == {job.job_id for job in batch.jobs}
+        # every job's row offered exactly once
+        assert sorted(offered_results.values()) == [1] * 15
+        assert set(offered_results) == {job.job_id for job in batch.jobs}
         assert service.pool.worker_deaths == 1
         assert service.quarantined == 0
         recycled = 0 if fault == "crash" else 1

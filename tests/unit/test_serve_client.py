@@ -1,5 +1,6 @@
 """Unit tests for ServeClient's transient-fault retry behavior."""
 
+import json
 import socket
 import threading
 import time
@@ -56,25 +57,45 @@ class TestGetRetries:
         assert time.monotonic() - started < 1.0
 
 
+class FakeConnection:
+    """One results-stream connection serving ``rows`` as NDJSON under
+    an ``X-Batch-Total: total`` header, then closing."""
+
+    status = 200
+
+    def __init__(self, rows, total):
+        self.lines = [json.dumps(row).encode() + b"\n" for row in rows]
+        self.total = total
+
+    def request(self, method, path):
+        pass
+
+    def getresponse(self):
+        return self
+
+    def getheader(self, name, default=None):
+        return str(self.total) if name == "X-Batch-Total" else default
+
+    def __iter__(self):
+        return iter(self.lines)
+
+    def close(self):
+        pass
+
+
 class TestStreamReconnect:
-    def test_reconnect_skips_already_served_rows(self, monkeypatch):
-        """A dropped stream resumes from its yield count: no row is
-        duplicated, none skipped."""
-        rows = [{"index": i} for i in range(6)]
-        attempts = []
-
-        def flaky_stream(path, skip):
-            attempts.append(skip)
-            if len(attempts) == 1:
-                yield from rows[skip:2]
-                raise ConnectionResetError("stream cut")
-            yield from rows[skip:]
-
+    def test_reconnect_skips_already_served_rows(self):
+        """A stream that ends before its batch's last job (the service
+        died mid-stream) reconnects and resumes past the jobs it
+        already yielded — even when the restarted service lands them
+        in another order: no row is duplicated, none skipped."""
+        rows = [{"job_id": "j%d" % i} for i in range(6)]
+        connections = iter([FakeConnection(rows[:3], total=6),
+                            FakeConnection(rows[::-1], total=6)])
         client = ServeClient(get_retries=3, retry_backoff=0.01)
-        monkeypatch.setattr(client, "_stream_once", flaky_stream)
-        got = list(client.stream_results("b1"))
-        assert got == rows
-        assert attempts == [0, 2]  # resumed exactly past the cut
+        client._connect = lambda: next(connections)
+        got = [row["job_id"] for row in client.stream_results("b1")]
+        assert got == ["j0", "j1", "j2", "j5", "j4", "j3"]
 
     def test_stream_gives_up_after_budget(self, monkeypatch):
         def always_cut(path, skip):

@@ -19,6 +19,12 @@ def journal(tmp_path):
     return BatchJournal(str(tmp_path / "journal"))
 
 
+def admit(journal, tenant, batch_id, spec, job_ids, **envelope):
+    """Journal a batch's admission: encode it, then write it."""
+    journal.admit(tenant, batch_id, journal.prepare_admit(
+        tenant, batch_id, spec, job_ids, **envelope))
+
+
 def result(job_id="j1", index=0, status="ok"):
     return SimResult(job_id=job_id, design="d", module="m",
                      engine="efsm", index=index, status=status,
@@ -27,8 +33,8 @@ def result(job_id="j1", index=0, status="ok"):
 
 class TestWriting:
     def test_admit_row_end_lifecycle(self, journal):
-        journal.admit("t", "b1", {"jobs": []}, ["j1", "j2"],
-                      priority=3, ttl_s=9.5)
+        admit(journal, "t", "b1", {"jobs": []}, ["j1", "j2"],
+              priority=3, ttl_s=9.5)
         journal.row("t", "b1", result("j1"))
         journal.row("t", "b1", result("j2", index=1))
         path = journal.batch_path("t", "b1")
@@ -44,7 +50,7 @@ class TestWriting:
         assert journal.replay("t").batches == {}
 
     def test_rows_use_stable_serialization(self, journal):
-        journal.admit("t", "b1", {}, ["j1"])
+        admit(journal, "t", "b1", {}, ["j1"])
         journal.row("t", "b1", result("j1"))
         (_, row_line) = [json.loads(line)
                          for line in open(journal.batch_path("t", "b1"))]
@@ -56,8 +62,8 @@ class TestWriting:
         assert row_line["row"]["instants"] == 4
 
     def test_shards_are_per_tenant(self, journal):
-        journal.admit("alice", "a", {}, [])
-        journal.admit("bob", "b", {}, [])
+        admit(journal, "alice", "a", {}, [])
+        admit(journal, "bob", "b", {}, [])
         assert journal.tenants() == ["alice", "bob"]
         assert os.path.exists(journal.batch_path("alice", "a"))
         assert journal.replay("alice").batches.keys() == {"a"}
@@ -65,10 +71,10 @@ class TestWriting:
 
     def test_bad_tenant_name_rejected(self, journal):
         with pytest.raises(EclError, match="tenant"):
-            journal.admit("../escape", "b", {}, [])
+            admit(journal, "../escape", "b", {}, [])
 
     def test_fault_hook_failure_leaves_no_partial_line(self, journal):
-        journal.admit("t", "b1", {}, ["j1"])
+        admit(journal, "t", "b1", {}, ["j1"])
 
         def hook(kind, key):
             raise OSError("injected")
@@ -110,7 +116,7 @@ def parent_row_line(batch_id, row):
 class TestRowFormats:
     def test_row_line_embeds_the_stable_bytes_verbatim(self, journal):
         row = result("j1")
-        journal.admit("t", "b1", {}, ["j1"])
+        admit(journal, "t", "b1", {}, ["j1"])
         journal.row("t", "b1", row)
         with open(journal.batch_path("t", "b1"), "rb") as handle:
             line = handle.read().splitlines()[1]
@@ -127,10 +133,10 @@ class TestRowFormats:
     def test_mixed_formats_replay_to_the_same_rows(self, journal):
         rows = [result("j%d" % i, index=i) for i in range(4)]
         expected = {row.job_id: row.to_dict(volatile=False) for row in rows}
-        journal.admit("t", "closed", {}, ["x"])
+        admit(journal, "t", "closed", {}, ["x"])
         journal.row("t", "closed", result("x"))
         journal.end("t", "closed")
-        journal.admit("t", "b1", {"jobs": []}, sorted(expected))
+        admit(journal, "t", "b1", {"jobs": []}, sorted(expected))
         path = journal.batch_path("t", "b1")
         with open(path, "a") as handle:
             handle.write(parent_row_line("b1", rows[0]))
@@ -144,17 +150,17 @@ class TestRowFormats:
 
 class TestReplay:
     def test_open_batches_excludes_ended(self, journal):
-        journal.admit("t", "done", {}, ["j1"])
+        admit(journal, "t", "done", {}, ["j1"])
         journal.row("t", "done", result("j1"))
         journal.end("t", "done")
-        journal.admit("t", "open", {}, ["j2"])
+        admit(journal, "t", "open", {}, ["j2"])
         replay = journal.replay("t")
         assert list(replay.batches) == ["open"]
         assert os.listdir(os.path.join(journal.root, "t")) == \
             ["open.jsonl"]
 
     def test_pending_job_ids_are_the_unjournaled_ones(self, journal):
-        journal.admit("t", "b", {}, ["j1", "j2", "j3"])
+        admit(journal, "t", "b", {}, ["j1", "j2", "j3"])
         journal.row("t", "b", result("j2"))
         record = journal.replay("t").batches["b"]
         assert not record.complete
@@ -164,7 +170,7 @@ class TestReplay:
         assert journal.replay("t").batches["b"].complete
 
     def test_torn_tail_is_skipped_with_warning(self, journal):
-        journal.admit("t", "b", {}, ["j1"])
+        admit(journal, "t", "b", {}, ["j1"])
         journal.row("t", "b", result("j1"))
         with open(journal.batch_path("t", "b"), "a") as handle:
             handle.write('{"kind": "row", "batch": "b", "job_')
@@ -179,7 +185,7 @@ class TestReplay:
         raises and recovers exactly the rows whose lines are complete;
         a file cut inside its admit line holds nothing and goes."""
         job_ids = ["j%d" % n for n in range(4)]
-        journal.admit("t", "b", {"jobs": []}, job_ids)
+        admit(journal, "t", "b", {"jobs": []}, job_ids)
         for index, job_id in enumerate(job_ids):
             journal.row("t", "b", result(job_id, index=index))
         path = journal.batch_path("t", "b")
@@ -210,7 +216,7 @@ class TestReplay:
             assert replay.torn_lines == int(bool(tail) and cut not in ends), cut
 
     def test_duplicate_rows_dedupe_to_first(self, journal):
-        journal.admit("t", "b", {}, ["j1"])
+        admit(journal, "t", "b", {}, ["j1"])
         journal.row("t", "b", result("j1", status="ok"))
         journal.row("t", "b", result("j1", status="error"))
         replay = journal.replay("t")
@@ -220,7 +226,7 @@ class TestReplay:
     def test_orphan_row_counted_not_fatal(self, journal):
         # a batch file whose admit line never landed: nothing to attach
         # its rows to, so replay counts the file and removes it
-        journal.admit("t", "real", {}, ["j2"])
+        admit(journal, "t", "real", {}, ["j2"])
         ghost = journal.batch_path("t", "ghost")
         with open(ghost, "w") as handle:
             handle.write(parent_row_line("ghost", result("j1")))

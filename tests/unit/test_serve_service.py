@@ -968,6 +968,33 @@ class TestJournalRecovery:
         finally:
             revived.shutdown()
 
+    def test_recovered_batch_outlives_its_ttl_and_deadlines(self,
+                                                             tmp_path):
+        """A recovered batch re-runs jobs whose rows a client may have
+        seen before the crash, so its TTL and its jobs' deadlines,
+        whose clocks did not survive the crash, refuse none of them."""
+        doc = document(traces=3)
+        doc["ttl_s"] = 0.05
+        doc["jobs"][0]["deadline_s"] = 0.05
+        service = make_service(data_root=str(tmp_path), start=False)
+        batch = service.submit(doc)
+        shard = tmp_path / "journal" / "default" / (batch.id + ".jsonl")
+        # the batch file as a kill -9 before any job ran leaves it
+        admitted = shard.read_text()
+        service.shutdown(drain=False, timeout=5)
+        shard.write_text(admitted)
+        revived = make_service(data_root=str(tmp_path), start=False)
+        try:
+            assert revived.recovery["resumed_jobs"] == batch.total
+            time.sleep(0.15)  # past both budgets before any job runs
+            revived.pool.start()
+            recovered = revived.batch(batch.id)
+            assert recovered.wait(timeout=30)
+            assert [r.status for r in recovered.results] == ["ok"] * 3
+            assert (revived.expired_jobs, revived.deadline_misses) == (0, 0)
+        finally:
+            revived.shutdown()
+
     def test_rerun_jobs_keep_their_trace_digests(self, tmp_path,
                                                  closed_files):
         """Recovery re-runs the worker jobs of an open batch: the
